@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve serve-smoke eval fmt vet clean
+.PHONY: all build test test-short race check cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
 
 all: build test
 
@@ -138,6 +138,12 @@ bench-serve:
 		-seed 1 -faultpct 25 -pacing 20ms -maxconcurrent 2 -queue 4 \
 		-rate 250 -burst 20 \
 		-o BENCH_serve.json | tee bench_serve_output.txt
+
+# The benchmark harness (benchmark/, its own Go module over this checkout)
+# is outside ./... so the targets above never build it: vet it and run its
+# short unit tests, so an API change that breaks it shows up here.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # Boot-and-drain smoke test over a real socket: start gdpd with fault
 # injection, wait for /healthz, exercise a clean request, a degraded

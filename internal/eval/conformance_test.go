@@ -44,7 +44,7 @@ func diffMatrices(t *testing.T, label string, want, got []*BenchResult) {
 			{"naive", w.Naive, g.Naive},
 		} {
 			if !reflect.DeepEqual(detFields(q.ser), detFields(q.par)) {
-				t.Errorf("%s: %s %s diverges between topology spellings",
+				t.Errorf("%s: %s %s diverges",
 					label, w.Name, q.scheme)
 			}
 		}

@@ -73,6 +73,97 @@ type Compiled struct {
 	// touching t of the module's n objects has at most 2^t distinct lock
 	// signatures, which is what collapses the 2^n exhaustive search.
 	touched map[*ir.Func][]int
+	// shared is the shared RHOP state (see prepared).
+	shared rhopState
+}
+
+// rhopState is a Compiled's share of rhop's reusable partitioning state.
+// The min-cut memos (cuts) live until ReleasePrepared, since they are
+// small and every later run can hit them, whatever its machine. The
+// per-function prepared structure (fns) is larger, so it is kept only
+// while some run holds a lease (see lease) and rebuilt by the next one: a
+// caller that keeps many compiled programs around holds their memos, not
+// their structure.
+type rhopState struct {
+	mu     sync.Mutex
+	leases int
+	cuts   map[*ir.Func]*rhop.MinCuts
+	fns    map[*ir.Func]*preparedFunc
+}
+
+// preparedFunc builds one function's rhop.Prepared exactly once, however
+// many leased runs ask for it concurrently.
+type preparedFunc struct {
+	once sync.Once
+	p    *rhop.Prepared
+}
+
+// prepared returns f's rhop.Prepared, bound to f's shared min-cut memo.
+// Under a lease the structure is built once and shared; without one it is
+// built for this caller alone. Every value the memo holds is a pure
+// function of its key, so sharing it across runs, machines, and worker
+// goroutines leaves results unchanged.
+func (c *Compiled) prepared(f *ir.Func) *rhop.Prepared {
+	st := &c.shared
+	st.mu.Lock()
+	if st.cuts == nil {
+		st.cuts = make(map[*ir.Func]*rhop.MinCuts, len(c.Mod.Funcs))
+	}
+	cuts := st.cuts[f]
+	if cuts == nil {
+		cuts = &rhop.MinCuts{}
+		st.cuts[f] = cuts
+	}
+	if st.leases == 0 {
+		st.mu.Unlock()
+		return rhop.Prepare(f, c.Prof, cuts)
+	}
+	if st.fns == nil {
+		st.fns = make(map[*ir.Func]*preparedFunc, len(c.Mod.Funcs))
+	}
+	pf := st.fns[f]
+	if pf == nil {
+		pf = &preparedFunc{}
+		st.fns[f] = pf
+	}
+	st.mu.Unlock()
+	pf.once.Do(func() { pf.p = rhop.Prepare(f, c.Prof, cuts) })
+	return pf.p
+}
+
+// lease keeps the prepared structure alive across the runs of one
+// top-level call (a scheme matrix, a sweep, a search) and returns the
+// function that ends the lease; the last lease to end drops the structure.
+func (c *Compiled) lease() (release func()) {
+	st := &c.shared
+	st.mu.Lock()
+	st.leases++
+	st.mu.Unlock()
+	return func() {
+		st.mu.Lock()
+		if st.leases--; st.leases == 0 {
+			st.fns = nil
+		}
+		st.mu.Unlock()
+	}
+}
+
+// ReleasePrepared drops the shared RHOP state, min-cut memos included; the
+// next run starts it afresh. Runs in flight keep what they hold. Results
+// are unaffected.
+func (c *Compiled) ReleasePrepared() {
+	st := &c.shared
+	st.mu.Lock()
+	st.cuts, st.fns = nil, nil
+	st.mu.Unlock()
+}
+
+// HoldsPrepared reports whether any shared RHOP state is held.
+func (c *Compiled) HoldsPrepared() bool {
+	st := &c.shared
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.cuts != nil || st.fns != nil
 }
 
 // EnableMemo attaches a fresh memoization cache (Prepare does this
@@ -92,10 +183,14 @@ func (c *Compiled) EnableMemo() {
 func (c *Compiled) MemoStats() memo.Stats { return c.memo.Stats() }
 
 // ShrinkMemo evicts least-recently-used memoization entries until at most n
-// remain (a no-op when caching is disabled). It is the memory-pressure
-// release valve for long-lived Compiled values: results are unaffected —
-// evicted entries recompute (or reload from the disk tier) on next use.
-func (c *Compiled) ShrinkMemo(n int) { c.memo.Shrink(n) }
+// remain (a no-op when caching is disabled) and drops the shared RHOP state
+// (ReleasePrepared). It is the memory-pressure release valve for
+// long-lived Compiled values: results are unaffected — evicted entries
+// recompute (or reload from the disk tier) on next use.
+func (c *Compiled) ShrinkMemo(n int) {
+	c.memo.Shrink(n)
+	c.ReleasePrepared()
+}
 
 // SetMemoCapacity rebounds the memoization cache (non-positive selects the
 // default capacity), evicting immediately if the cache is over the new
@@ -627,7 +722,7 @@ func partitionModule(c *Compiled, cfg *machine.Config, dm gdp.DataMap,
 		}
 		key := partitionKey(c, f, dm, l, mkey, okey)
 		v, hit, err := c.memo.DoCodec(key, partCodec{}, func() (any, error) {
-			return rhop.PartitionFunc(f, c.Prof, cfg, l, ropts)
+			return c.prepared(f).Partition(cfg, l, ropts)
 		})
 		if err != nil {
 			return nil, err

@@ -141,7 +141,13 @@ func ExhaustiveCtx(ctx context.Context, c *Compiled, cfg *machine.Config, opts O
 	}
 
 	res := &ExhaustiveResult{}
-	if !opts.NoDelta && opts.Inject == nil && !opts.Validate && n > 0 {
+	delta := !opts.NoDelta && opts.Inject == nil && !opts.Validate && n > 0
+	if !delta {
+		// The per-mask engines partition whole modules mask after mask:
+		// share the prepared structure across them.
+		defer c.lease()()
+	}
+	if delta {
 		// Gray-code delta sweep (see sweep.go): byte-identical points at a
 		// fraction of the per-mask cost. Fault injection and per-point
 		// validation need the full per-mask pipeline, so they fall through.

@@ -169,6 +169,7 @@ func RunMatrixCtx(ctx context.Context, cs []*Compiled, cfg *machine.Config, opts
 	brs := make([]*BenchResult, len(cs))
 	for i, c := range cs {
 		brs[i] = &BenchResult{Name: c.Name}
+		defer c.lease()()
 	}
 	ns := len(schemeRunners)
 	results, err := parallel.MapStage(ctx, "matrix", len(cs)*ns, opts.Workers,

@@ -33,8 +33,9 @@ import (
 // Phase 1 computes per-signature results through the same memo keys the
 // per-mask engine uses ("locks", "part", "sched"), so the in-memory cache
 // and the persistent artifact store stay fully shared between the two
-// paths; partition misses run through a rhop.FuncPartitioner, which reuses
-// function-shaped state and caches per-region results across signatures.
+// paths; partition misses run through a rhop.FuncPartitioner, which builds
+// on the Compiled's shared rhop.Prepared (region structure and min-cut
+// memo) and caches per-machine region results across signatures.
 //
 // Phase 2 parallelism splits the Gray sequence into contiguous chunks, one
 // delta-state per worker, each seeded in O(n + #functions) at its chunk
@@ -141,7 +142,13 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 				}
 				partition := func() (any, error) {
 					if fp == nil {
-						fp = rhop.NewFuncPartitioner(f, c.Prof, cfg, ropts)
+						var p *rhop.Prepared
+						if useMemo {
+							p = c.prepared(f)
+						} else {
+							p = rhop.Prepare(f, c.Prof, nil)
+						}
+						fp = p.NewPartitioner(cfg, ropts)
 					}
 					return fp.Partition(locks)
 				}

@@ -22,9 +22,6 @@
 package rhop
 
 import (
-	"fmt"
-	"sort"
-
 	"mcpart/internal/cfg"
 	"mcpart/internal/defaults"
 	"mcpart/internal/interp"
@@ -99,39 +96,30 @@ func (o Options) CacheKey() string {
 		String()
 }
 
-// scratch bundles the reusable working memory one PartitionFunc call (and
+// scratch bundles the reusable working memory one FuncPartitioner (and
 // therefore one worker goroutine) owns: the list scheduler's node tables,
-// the value-home buffer, and the schedule estimator's dense tables. It is
-// created per call — never shared, never global — so concurrent
-// PartitionFunc calls stay race-free. A FuncPartitioner owns one scratch
-// for its whole lifetime instead.
+// the value-home buffers, and the schedule estimator's dense tables. It is
+// never shared and never global, so concurrent partitioners stay
+// race-free even when they share a Prepared.
 type scratch struct {
 	sched *sched.Scratch
 	home  sched.HomeScratch
 	// observability tallies, accumulated by the refinement loops and
-	// flushed once per PartitionFunc call when Options.Obs is set.
-	tRegions, tMoves, tEvals int64
-	tKWay, tRefine           int64
+	// flushed once per Partition call when Options.Obs is set.
+	tRegions, tMoves, tEvals  int64
+	tKWay, tKWayHits, tRefine int64
 	// homeInc is the refinement loops' incrementally-maintained home
-	// table. It is separate from home because realRegionCost and the
-	// from-scratch estimator clobber home, while a regionEval needs its
-	// table to stay coherent across an entire refinement loop.
+	// table. It is separate from home because the from-scratch estimator
+	// clobbers home, while a regionEval needs its table to stay coherent
+	// across an entire refinement loop.
 	homeInc sched.HomeScratch
 	est     estScratch
-	// dirtyEval switches the refinement loops' regionEval to dirty-block
-	// invalidation (see regionEval): exact like the signature cache, but
-	// without the per-candidate O(region ops) signature build. Only
-	// FuncPartitioner sets it; one-shot PartitionFunc keeps the signature
-	// path so the pre-existing engine's wall-clock profile is untouched.
-	dirtyEval bool
-	// curPre is the regionPre of the region currently being partitioned
-	// (set by partitionRegion); the dirty-mode regionEval reads its
-	// precomputed live-in and reg→block tables.
-	curPre *regionPre
+	re      regionEval
 	// blockCost caches real-scheduler block lengths across candidates and
-	// lock signatures (sweep mode only). ScheduleBlockCtx's length depends
-	// only on the block, the assignments of its ops, and the homes of its
-	// live-in registers, so the key covers every input exactly.
+	// lock signatures (sweep partitioners only; nil otherwise).
+	// ScheduleBlockCtx's length depends only on the block, the assignments
+	// of its ops, and the homes of its live-in registers, so the key
+	// covers every input exactly.
 	blockCost map[string]int
 	keyBuf    []byte
 	// graph-build buffers, reused across partitionRegion calls.
@@ -139,11 +127,27 @@ type scratch struct {
 	anchors   []regionAnchor
 	anchorIdx map[int]int
 	deg       []int
-	// targeted home-computation buffers (sweep mode): homeT is a full
-	// NRegs-wide table with only the current region's live-in entries
-	// valid; cnt is the per-register cluster tally.
+	unlocked  []*ir.Op
+	// targeted home-computation buffers: homeT is a full NRegs-wide table
+	// with only the current region's live-in entries valid; cnt is the
+	// per-register cluster tally.
 	homeT []int
 	cnt   []int64
+}
+
+// flush adds the tallies of one Partition call to opts.Obs and resets them.
+func (sc *scratch) flush(opts Options) {
+	if o := opts.Obs; o != nil {
+		o.Counter("rhop_functions").Add(1)
+		o.Counter("rhop_regions").Add(sc.tRegions)
+		o.Counter("rhop_moves_accepted").Add(sc.tMoves)
+		o.Counter("rhop_cost_evals").Add(sc.tEvals)
+		o.Counter("rhop_kway_runs").Add(sc.tKWay)
+		o.Counter("rhop_kway_hits").Add(sc.tKWayHits)
+		o.Counter("rhop_refine_runs").Add(sc.tRefine)
+	}
+	sc.tRegions, sc.tMoves, sc.tEvals = 0, 0, 0
+	sc.tKWay, sc.tKWayHits, sc.tRefine = 0, 0, 0
 }
 
 // regionEdge and regionAnchor are partitionRegion's graph-build records,
@@ -159,50 +163,10 @@ type regionAnchor struct {
 
 // PartitionFunc assigns every op of f to a cluster. prof supplies block
 // frequencies (nil-safe: missing blocks count as frequency 1 so cold code
-// still partitions sensibly).
+// still partitions sensibly). It prepares f afresh; callers partitioning
+// one function several times share a Prepared instead.
 func PartitionFunc(f *ir.Func, prof *interp.Profile, mcfg *machine.Config, locks Locks, opts Options) ([]int, error) {
-	k := mcfg.NumClusters()
-	asg := make([]int, f.NOps)
-	for i := range asg {
-		asg[i] = -1
-	}
-	for id, c := range locks {
-		if c < 0 || c >= k {
-			return nil, fmt.Errorf("rhop: %s op %d locked to cluster %d of %d", f.Name, id, c, k)
-		}
-	}
-	du := cfg.ComputeDefUse(f)
-	ops := f.OpsByID()
-	lc := sched.NewLoopCtx(f)
-	regions := cfg.FormRegions(f)
-	sc := &scratch{sched: sched.NewScratch()}
-	// Partition the hottest regions first: inner loops choose their layout
-	// freely and colder surrounding code anchors to those decisions, not
-	// the other way around.
-	order := make([]*cfg.Region, len(regions))
-	copy(order, regions)
-	sort.SliceStable(order, func(i, j int) bool {
-		return regionHeat(prof, order[i]) > regionHeat(prof, order[j])
-	})
-	for _, region := range order {
-		if err := partitionRegion(sc, newRegionPre(f, region, du, ops, mcfg), f, du, ops, lc, prof, mcfg, locks, opts, asg); err != nil {
-			return nil, err
-		}
-	}
-	for id, c := range asg {
-		if c < 0 {
-			return nil, fmt.Errorf("rhop: %s op %d left unassigned", f.Name, id)
-		}
-	}
-	if opts.Obs != nil {
-		opts.Obs.Counter("rhop_functions").Add(1)
-		opts.Obs.Counter("rhop_regions").Add(sc.tRegions)
-		opts.Obs.Counter("rhop_moves_accepted").Add(sc.tMoves)
-		opts.Obs.Counter("rhop_cost_evals").Add(sc.tEvals)
-		opts.Obs.Counter("rhop_kway_runs").Add(sc.tKWay)
-		opts.Obs.Counter("rhop_refine_runs").Add(sc.tRefine)
-	}
-	return asg, nil
+	return Prepare(f, prof, nil).Partition(mcfg, locks, opts)
 }
 
 // PartitionModule partitions every function of m. locks may be nil or miss
@@ -246,372 +210,62 @@ func blockFreq(prof *interp.Profile, b *ir.Block) int64 {
 	return 1
 }
 
-// regionPre holds the per-region inputs of partitionRegion that depend only
-// on the function's structure — the op list, node index, and dependence
-// slack — not on locks or the evolving assignment. One-shot PartitionFunc
-// builds one per region and discards it (the same computation the code did
-// inline before the split); a FuncPartitioner builds them once and reuses
-// them across every lock signature of a sweep.
-type regionPre struct {
-	region    *cfg.Region
-	regionOps []*ir.Op
-	inRegion  map[int]bool
-	idx       map[int]int // op ID -> node
-	slack     map[edgeKey]int64
-	maxSlack  int64
-
-	// Lazy tables for the dirty-block regionEval (sweep mode only).
-	evalReady bool
-	liveIn    [][]ir.VReg         // per region block: read-before-def regs
-	regBlocks map[ir.VReg][]int32 // reg -> region blocks with reg in liveIn
-	opBlock   []int32             // by op ID: region block index, -1 outside
-
-	// Lazy min-cut memo (sweep mode only). The dependence graph handed to
-	// partition.KWay is fully determined by the region structure (fixed),
-	// the locks on the region's ops, and the assignments at the external
-	// def/use sites the edge builder consults — extRefs lists those sites
-	// in traversal order, and kway maps the (locks, external assignments)
-	// key to the resulting per-op partition. Distinct full-prefix states
-	// that agree on these inputs share one KWay run.
-	extReady bool
-	extRefs  []int
-	kway     map[string][]int
-
-	// Lazy real-cost memo (sweep mode only). realRegionCost's result is a
-	// function of the assignments of the region's ops and the home
-	// clusters of the blocks' live-in registers; a home cluster in turn
-	// depends only on the assignments of the register's defining ops.
-	// extHomeRefs lists the out-of-region definers of those live-ins, so
-	// (asg over region ops, asg over extHomeRefs) keys the result exactly.
-	homeReady   bool
-	extHomeRefs []int
-	// homeRegs/homeDefs drive the targeted home computation on regionCost
-	// misses: the sorted union of the blocks' live-in registers, and per
-	// register its defining ops with HomeClustersFreq's max(1, freq) block
-	// weights. Scoring a candidate only needs homes for these registers, so
-	// the scorer skips the full-function home pass.
-	homeRegs   []ir.VReg
-	homeDefs   [][]homeDef
-	regionCost map[string]int64
-	// refined memoizes refineRegion outcomes (the region layout it
-	// converges to) under the same key space as regionCost, plus a leading
-	// byte separating the pair-refined candidate from the plain one: the
-	// refinement loop's decisions read exactly the inputs regionCost's key
-	// covers.
-	refined map[string][]int
-}
-
-// homeDef is one defining op of a live-in register, with the frequency
-// weight HomeClustersFreq would give it.
-type homeDef struct {
-	id int32
-	w  int64
-}
-
-func newRegionPre(f *ir.Func, region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, mcfg *machine.Config) *regionPre {
-	pre := &regionPre{region: region, inRegion: map[int]bool{}}
-	for _, b := range region.Blocks {
-		for _, op := range b.Ops {
-			pre.inRegion[op.ID] = true
-			pre.regionOps = append(pre.regionOps, op)
-		}
-	}
-	if len(pre.regionOps) == 0 {
-		return pre
-	}
-	pre.idx = make(map[int]int, len(pre.regionOps))
-	for i, op := range pre.regionOps {
-		pre.idx[op.ID] = i
-	}
-	pre.slack = computeSlack(region, du, ops, mcfg)
-	pre.maxSlack = 1
-	for _, s := range pre.slack {
-		if s > pre.maxSlack {
-			pre.maxSlack = s
-		}
-	}
-	return pre
-}
-
-// ensureEvalTables builds the dirty-block regionEval's lookup tables on
-// first use: per-block live-in registers, the reverse reg→blocks index, and
-// the op→block map.
-func (pre *regionPre) ensureEvalTables(f *ir.Func) {
-	if pre.evalReady {
-		return
-	}
-	pre.evalReady = true
-	n := len(pre.region.Blocks)
-	pre.liveIn = make([][]ir.VReg, n)
-	pre.regBlocks = map[ir.VReg][]int32{}
-	pre.opBlock = make([]int32, f.NOps)
-	for i := range pre.opBlock {
-		pre.opBlock[i] = -1
-	}
-	for i, b := range pre.region.Blocks {
-		pre.liveIn[i] = blockLiveIn(b)
-		for _, r := range pre.liveIn[i] {
-			pre.regBlocks[r] = append(pre.regBlocks[r], int32(i))
-		}
-		for _, op := range b.Ops {
-			pre.opBlock[op.ID] = int32(i)
-		}
-	}
-}
-
-// ensureExtRefs records, in the same order the edge builder visits them,
-// the IDs of ops outside the region whose assignments shape the dependence
-// graph: external defs feeding region args and external consumers of region
-// defs. Together with the locks on the region's own ops these are the only
-// per-call inputs to the min-cut — everything else in the graph is fixed
-// region structure.
-func (pre *regionPre) ensureExtRefs(du *cfg.DefUse) {
-	if pre.extReady {
-		return
-	}
-	pre.extReady = true
-	pre.kway = map[string][]int{}
-	for _, op := range pre.regionOps {
-		for argI := range op.Args {
-			for _, defID := range du.DefsOf[op.ID][argI] {
-				if !pre.inRegion[defID] {
-					pre.extRefs = append(pre.extRefs, defID)
-				}
-			}
-		}
-		if op.Dst != ir.NoReg {
-			for _, useID := range du.UsesOf[op.ID] {
-				if !pre.inRegion[useID] {
-					pre.extRefs = append(pre.extRefs, useID)
-				}
-			}
-		}
-	}
-}
-
-// ensureHomeRefs collects, in sorted order, the IDs of ops outside the
-// region that define any live-in register of the region's blocks — the only
-// out-of-region assignments the real-cost scorer's home computation can
-// observe.
-func (pre *regionPre) ensureHomeRefs(f *ir.Func, du *cfg.DefUse, ops []*ir.Op, prof *interp.Profile) {
-	if pre.homeReady {
-		return
-	}
-	pre.homeReady = true
-	pre.ensureEvalTables(f)
-	pre.regionCost = map[string]int64{}
-	pre.refined = map[string][]int{}
-	seen := map[int]bool{}
-	seenReg := map[ir.VReg]bool{}
-	for _, regs := range pre.liveIn {
-		for _, r := range regs {
-			if seenReg[r] {
-				continue
-			}
-			seenReg[r] = true
-			pre.homeRegs = append(pre.homeRegs, r)
-			for _, id := range du.DefsOfReg[r] {
-				if !pre.inRegion[id] && !seen[id] {
-					seen[id] = true
-					pre.extHomeRefs = append(pre.extHomeRefs, id)
-				}
-			}
-		}
-	}
-	sort.Ints(pre.extHomeRefs)
-	sort.Slice(pre.homeRegs, func(i, j int) bool { return pre.homeRegs[i] < pre.homeRegs[j] })
-	pre.homeDefs = make([][]homeDef, len(pre.homeRegs))
-	for i, r := range pre.homeRegs {
-		for _, id := range du.DefsOfReg[r] {
-			w := int64(1)
-			if fq := blockFreq(prof, ops[id].Block); fq > 1 {
-				w = fq
-			}
-			pre.homeDefs[i] = append(pre.homeDefs[i], homeDef{id: int32(id), w: w})
-		}
-	}
-}
-
-// kwayKey builds the min-cut memo key: one byte per region op for its lock
-// (0 when unlocked) and one byte per external reference for its current
-// assignment (0 when unassigned, so the corresponding anchor is absent).
-func kwayKey(sc *scratch, pre *regionPre, locks Locks, asg []int) string {
-	buf := sc.keyBuf[:0]
-	for _, op := range pre.regionOps {
-		b := byte(0)
-		if c, ok := locks[op.ID]; ok {
-			b = byte(c + 1)
-		}
-		buf = append(buf, b)
-	}
-	for _, id := range pre.extRefs {
-		buf = append(buf, byte(asg[id]+1))
-	}
-	sc.keyBuf = buf
-	return string(buf)
-}
-
-func partitionRegion(sc *scratch, pre *regionPre, f *ir.Func, du *cfg.DefUse, ops []*ir.Op,
-	lc *sched.LoopCtx, prof *interp.Profile, mcfg *machine.Config, locks Locks, opts Options, asg []int) error {
-
+// partitionRegion places the ops of one region: the min-cut partition and
+// every single-cluster layout are each refined by schedule estimates, and
+// the candidate with the lowest real schedule cost wins. rm is the region's
+// sweep memo (nil for one-shot use); ri is the region's heat-order index.
+func (fp *FuncPartitioner) partitionRegion(ri int, pre *regionPre, rm *regionMemo, locks Locks, asg []int) error {
+	sc, p, mcfg, opts := fp.sc, fp.p, fp.mcfg, fp.opts
 	k := mcfg.NumClusters()
-	region := pre.region
 	regionOps := pre.regionOps
-	inRegion := pre.inRegion
-	if len(regionOps) == 0 {
-		return nil
-	}
 	sc.tRegions++
-	sc.curPre = pre
 
-	// Sweep mode memoizes the min-cut by its true inputs; a hit skips the
-	// graph build and the KWay run entirely.
-	var part []int
-	var kwKey string
-	if sc.dirtyEval {
-		pre.ensureExtRefs(du)
-		pre.ensureHomeRefs(f, du, ops, prof)
-		kwKey = kwayKey(sc, pre, locks, asg)
-		part = pre.kway[kwKey]
-	}
-	if part == nil {
-		// Graph nodes: region ops, then one anchor per live-in value with
-		// a known home cluster.
-		idx := pre.idx
-		if sc.anchorIdx == nil {
-			sc.anchorIdx = map[int]int{} // defining op ID outside region -> node
-		} else {
-			for k := range sc.anchorIdx {
-				delete(sc.anchorIdx, k)
-			}
-		}
-		anchorIdx := sc.anchorIdx
-		anchors := sc.anchors[:0]
-
-		slack := pre.slack
-		maxSlack := pre.maxSlack
-
-		edges := sc.edges[:0]
-		addAnchor := func(key, home, node int, w int64) {
-			ai, ok := anchorIdx[key]
-			if !ok {
-				ai = len(regionOps) + len(anchors)
-				anchorIdx[key] = ai
-				anchors = append(anchors, regionAnchor{home: home})
-			}
-			edges = append(edges, regionEdge{u: ai, v: node, w: w})
-		}
-		for _, op := range regionOps {
-			u := idx[op.ID]
-			freq := blockFreq(prof, op.Block)
-			for argI := range op.Args {
-				for _, defID := range du.DefsOf[op.ID][argI] {
-					w := int64(1)
-					if !opts.UniformEdges {
-						w = maxSlack + 1 - slack[edgeKey{defID, op.ID}]
-						if w < 1 {
-							w = 1
-						}
-					}
-					w *= scaleFreq(freq)
-					if inRegion[defID] {
-						edges = append(edges, regionEdge{u: idx[defID], v: u, w: w})
-						continue
-					}
-					// Live-in from an already-partitioned def: anchor it.
-					if home := asg[defID]; home >= 0 {
-						addAnchor(defID, home, u, w)
-					}
-				}
-			}
-			// Live-out consumers already placed in other regions anchor
-			// this op's definition from the use side.
-			if op.Dst != ir.NoReg {
-				for _, useID := range du.UsesOf[op.ID] {
-					if inRegion[useID] {
-						continue
-					}
-					if home := asg[useID]; home >= 0 {
-						w := scaleFreq(blockFreq(prof, ops[useID].Block))
-						addAnchor(^useID, home, u, w)
-					}
-				}
-			}
-		}
-
-		sc.edges, sc.anchors = edges, anchors
-
-		g := partition.NewGraph(len(regionOps)+len(anchors), 1)
-		for i, op := range regionOps {
-			g.W[i][0] = scaleFreq(blockFreq(prof, op.Block))
-			if c, ok := locks[op.ID]; ok {
-				g.Fixed[i] = c
-			}
-		}
-		for i, a := range anchors {
-			g.Fixed[len(regionOps)+i] = a.home
-		}
-		deg := sc.deg[:0]
-		for range g.Fixed {
-			deg = append(deg, 0)
-		}
-		for _, e := range edges {
-			deg[e.u]++
-			deg[e.v]++
-		}
-		sc.deg = deg
-		g.Reserve(deg)
-		for _, e := range edges {
-			g.Connect(e.u, e.v, e.w)
-		}
-
-		sc.tKWay++
-		p, err := partition.KWay(g, k, partition.Options{
-			Tol:     []float64{opts.tol()},
-			Legacy:  opts.LegacyPartition,
-			Workers: opts.Workers,
-			Obs:     opts.Obs,
-		})
-		if err != nil {
+	// The min-cut is memoized by its true inputs; a hit skips the graph
+	// build and the KWay run entirely.
+	keyBuf := sc.cutKey(ri, pre, k, opts, locks, asg)
+	part := p.cuts.get(keyBuf)
+	if part != nil {
+		sc.tKWayHits++
+	} else {
+		key := string(keyBuf)
+		var err error
+		if part, err = fp.minCut(pre, locks, asg); err != nil {
 			return err
 		}
-		part = p
-		if sc.dirtyEval {
-			pre.kway[kwKey] = append([]int(nil), part[:len(regionOps)]...)
-		}
+		p.cuts.put(key, part)
 	}
 
 	// Candidate 1: the min-cut partition, refined by schedule estimates.
-	apply := func(choice func(i int, op *ir.Op) int) {
+	apply := func(choice func(i int) int) {
 		for i, op := range regionOps {
 			if c, ok := locks[op.ID]; ok {
 				asg[op.ID] = c
 			} else {
-				asg[op.ID] = choice(i, op)
+				asg[op.ID] = choice(i)
 			}
 		}
 	}
-	var best map[int]int
+	var best []int
 	bestCost := int64(-1)
 	consider := func() {
-		if cost := realRegionCost(sc, f, region, lc, prof, mcfg, asg); bestCost < 0 || cost < bestCost {
-			best = snapshotRegion(regionOps, asg)
+		if cost := fp.realRegionCost(pre, rm, asg); bestCost < 0 || cost < bestCost {
+			best = snapshotRegion(regionOps, asg, best)
 			bestCost = cost
 		}
 	}
 	runRefine := func(withPair bool) {
 		sc.tRefine++
-		refineRegion(sc, f, region, lc, prof, mcfg, locks, opts, asg)
+		fp.refineRegion(pre, locks, asg)
 		if withPair && opts.PairRefine {
-			pairRefineRegion(sc, f, region, du, ops, lc, prof, mcfg, locks, opts, asg)
+			fp.pairRefineRegion(pre, locks, asg)
 		}
 	}
-	// Sweep mode memoizes the refined layout a starting candidate
-	// converges to: the refinement loop's move decisions depend only on
-	// the region layout it starts from, the locks, and the home clusters
-	// of the blocks' live-in registers (see regionPre.extHomeRefs).
+	// A sweep memoizes the refined layout a starting candidate converges
+	// to: the refinement loop's move decisions depend only on the region
+	// layout it starts from, the locks, and the home clusters of the
+	// blocks' live-in registers (see regionPre.extHomeRefs).
 	refine := func(withPair bool) {
-		if !sc.dirtyEval || !pre.homeReady {
+		if rm == nil {
 			runRefine(withPair)
 			return
 		}
@@ -621,14 +275,9 @@ func partitionRegion(sc *scratch, pre *regionPre, f *ir.Func, du *cfg.DefUse, op
 		} else {
 			buf = append(buf, 0)
 		}
-		for _, op := range regionOps {
-			buf = append(buf, byte(asg[op.ID]+1))
-		}
-		for _, id := range pre.extHomeRefs {
-			buf = append(buf, byte(asg[id]+1))
-		}
+		buf = appendLayout(buf, pre, asg)
 		sc.keyBuf = buf
-		if lay, ok := pre.refined[string(buf)]; ok {
+		if lay, ok := rm.refined[string(buf)]; ok {
 			for i, op := range regionOps {
 				asg[op.ID] = lay[i]
 			}
@@ -636,13 +285,9 @@ func partitionRegion(sc *scratch, pre *regionPre, f *ir.Func, du *cfg.DefUse, op
 		}
 		key := string(buf)
 		runRefine(withPair)
-		lay := make([]int, len(regionOps))
-		for i, op := range regionOps {
-			lay[i] = asg[op.ID]
-		}
-		pre.refined[key] = lay
+		rm.refined[key] = snapshotRegion(regionOps, asg, nil)
 	}
-	apply(func(i int, op *ir.Op) int { return part[i] })
+	apply(func(i int) int { return int(part[i]) })
 	consider()
 	refine(true)
 	consider()
@@ -663,90 +308,175 @@ func partitionRegion(sc *scratch, pre *regionPre, f *ir.Func, du *cfg.DefUse, op
 		if !feasible {
 			continue
 		}
-		apply(func(int, *ir.Op) int { return c })
+		apply(func(int) int { return c })
 		consider() // the pure single-cluster layout, before refinement
 		refine(false)
 		consider()
 	}
-	for _, op := range regionOps {
-		asg[op.ID] = best[op.ID]
+	for i, op := range regionOps {
+		asg[op.ID] = best[i]
 	}
 	return nil
+}
+
+// minCut builds the region's min-cut graph — region ops, then one anchor
+// per live-in/live-out value already placed outside the region — from its
+// static arcs and partitions it k ways. It returns the clusters of the
+// region ops only.
+func (fp *FuncPartitioner) minCut(pre *regionPre, locks Locks, asg []int) ([]uint8, error) {
+	sc, p, opts := fp.sc, fp.p, fp.opts
+	regionOps := pre.regionOps
+	if sc.anchorIdx == nil {
+		sc.anchorIdx = map[int]int{} // anchor key -> node
+	} else {
+		clear(sc.anchorIdx)
+	}
+	anchorIdx := sc.anchorIdx
+	anchors := sc.anchors[:0]
+	edges := sc.edges[:0]
+	addAnchor := func(key, home, node int, w int64) {
+		ai, ok := anchorIdx[key]
+		if !ok {
+			ai = len(regionOps) + len(anchors)
+			anchorIdx[key] = ai
+			anchors = append(anchors, regionAnchor{home: home})
+		}
+		edges = append(edges, regionEdge{u: ai, v: node, w: w})
+	}
+	for u, op := range regionOps {
+		scale := scaleFreq(pre.freqs[p.opBlock[op.ID]])
+		for _, a := range pre.arcs[pre.arcStart[u]:pre.arcStart[u+1]] {
+			if a.kind == arcUse {
+				// Live-out consumers already placed in other regions
+				// anchor this op's definition from the use side.
+				if home := asg[a.other]; home >= 0 {
+					addAnchor(^int(a.other), home, u, int64(a.w))
+				}
+				continue
+			}
+			w := int64(a.w)
+			if opts.UniformEdges {
+				w = 1
+			}
+			w *= scale
+			if a.kind == arcIntra {
+				edges = append(edges, regionEdge{u: int(a.other), v: u, w: w})
+			} else if home := asg[a.other]; home >= 0 {
+				// Live-in from an already-partitioned def: anchor it.
+				addAnchor(int(a.other), home, u, w)
+			}
+		}
+	}
+	sc.edges, sc.anchors = edges, anchors
+
+	g := partition.NewGraph(len(regionOps)+len(anchors), 1)
+	for i, op := range regionOps {
+		g.W[i][0] = scaleFreq(pre.freqs[p.opBlock[op.ID]])
+		if c, ok := locks[op.ID]; ok {
+			g.Fixed[i] = c
+		}
+	}
+	for i, a := range anchors {
+		g.Fixed[len(regionOps)+i] = a.home
+	}
+	deg := sc.deg[:0]
+	for range g.Fixed {
+		deg = append(deg, 0)
+	}
+	for _, e := range edges {
+		deg[e.u]++
+		deg[e.v]++
+	}
+	sc.deg = deg
+	g.Reserve(deg)
+	for _, e := range edges {
+		g.Connect(e.u, e.v, e.w)
+	}
+
+	sc.tKWay++
+	part, err := partition.KWay(g, fp.mcfg.NumClusters(), partition.Options{
+		Tol:     []float64{opts.tol()},
+		Legacy:  opts.LegacyPartition,
+		Workers: opts.Workers,
+		Obs:     opts.Obs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint8, len(regionOps))
+	for i := range out {
+		out[i] = uint8(part[i])
+	}
+	return out, nil
+}
+
+// appendLayout appends the sweep memo key of a region layout: one byte per
+// region op for its cluster, then one per out-of-region definer of a
+// live-in register (extHomeRefs).
+func appendLayout(buf []byte, pre *regionPre, asg []int) []byte {
+	for _, op := range pre.regionOps {
+		buf = append(buf, byte(asg[op.ID]+1))
+	}
+	for _, id := range pre.extHomeRefs {
+		buf = append(buf, byte(asg[id]+1))
+	}
+	return buf
 }
 
 // realRegionCost scores a candidate with the actual list scheduler (the
 // estimate guides the inner refinement loop; the final choice between
 // refined candidates uses real schedule lengths so estimate error cannot
-// pick a partition the machine executes badly).
-func realRegionCost(sc *scratch, f *ir.Func, region *cfg.Region, lc *sched.LoopCtx, prof *interp.Profile,
-	mcfg *machine.Config, asg []int) int64 {
-
-	// Sweep mode memoizes the whole score by its exact inputs (see
+// pick a partition the machine executes badly). rm is the region's sweep
+// memo (nil for one-shot use).
+func (fp *FuncPartitioner) realRegionCost(pre *regionPre, rm *regionMemo, asg []int) int64 {
+	sc, mcfg := fp.sc, fp.mcfg
+	f := fp.p.f
+	// A sweep memoizes the whole score by its exact inputs (see
 	// regionPre.extHomeRefs), and below that caches individual block
 	// lengths, so candidates and lock signatures that agree on either
 	// level share scheduler runs.
-	pre := sc.curPre
-	cached := sc.dirtyEval && pre != nil && pre.region == region && pre.homeReady
 	var costKey string
-	if cached {
-		buf := sc.keyBuf[:0]
-		for _, op := range pre.regionOps {
-			buf = append(buf, byte(asg[op.ID]+1))
-		}
-		for _, id := range pre.extHomeRefs {
-			buf = append(buf, byte(asg[id]+1))
-		}
+	if rm != nil {
+		buf := appendLayout(sc.keyBuf[:0], pre, asg)
 		sc.keyBuf = buf
-		if v, ok := pre.regionCost[string(buf)]; ok {
+		if v, ok := rm.cost[string(buf)]; ok {
 			return v
 		}
 		costKey = string(buf)
-		if sc.blockCost == nil {
-			sc.blockCost = map[string]int{}
-		}
 	}
-	var home []int
-	if cached {
-		// Only the blocks' live-in registers' homes are read below; fill
-		// exactly those from the precomputed def lists (identical weights
-		// and tie-breaks to HomeClustersFreq) and leave the rest stale.
-		k := mcfg.NumClusters()
-		if cap(sc.homeT) < f.NRegs {
-			sc.homeT = make([]int, f.NRegs)
-		}
-		if cap(sc.cnt) < k {
-			sc.cnt = make([]int64, k)
-		}
-		home = sc.homeT[:f.NRegs]
-		cnt := sc.cnt[:k]
-		for ui, r := range pre.homeRegs {
-			for c := range cnt {
-				cnt[c] = 0
+	// Only the blocks' live-in registers' homes are read below; fill
+	// exactly those from the precomputed def lists (identical weights and
+	// tie-breaks to HomeClustersFreq) and leave the rest stale.
+	k := mcfg.NumClusters()
+	if cap(sc.homeT) < f.NRegs {
+		sc.homeT = make([]int, f.NRegs)
+	}
+	if cap(sc.cnt) < k {
+		sc.cnt = make([]int64, k)
+	}
+	home := sc.homeT[:f.NRegs]
+	cnt := sc.cnt[:k]
+	for ui, r := range pre.homeRegs {
+		clear(cnt)
+		for _, d := range pre.homeDefs[ui] {
+			if c := asg[d.id]; c >= 0 {
+				cnt[c] += d.w
 			}
-			for _, d := range pre.homeDefs[ui] {
-				if c := asg[d.id]; c >= 0 {
-					cnt[c] += d.w
-				}
-			}
-			h := sched.EverywhereHome
-			var best int64
-			for c, v := range cnt {
-				if v > best {
-					best = v
-					h = c
-				}
-			}
-			home[r] = h
 		}
-	} else {
-		home = sc.home.HomeClustersFreq(f, asg, mcfg.NumClusters(), func(b *ir.Block) int64 {
-			return blockFreq(prof, b)
-		})
+		h := sched.EverywhereHome
+		var best int64
+		for c, v := range cnt {
+			if v > best {
+				best = v
+				h = c
+			}
+		}
+		home[r] = h
 	}
 	var total int64
-	for bi, b := range region.Blocks {
+	for bi, b := range pre.region.Blocks {
 		var length int
-		if cached {
+		if rm != nil {
 			buf := append(sc.keyBuf[:0], byte(b.ID>>8), byte(b.ID))
 			for _, op := range b.Ops {
 				buf = append(buf, byte(asg[op.ID]+1))
@@ -758,28 +488,30 @@ func realRegionCost(sc *scratch, f *ir.Func, region *cfg.Region, lc *sched.LoopC
 			if l, ok := sc.blockCost[string(buf)]; ok {
 				length = l
 			} else {
-				res, _ := sc.sched.ScheduleBlockCtx(b, asg, home, lc, mcfg)
+				res, _ := sc.sched.ScheduleBlockCtx(b, asg, home, fp.p.lc, mcfg)
 				length = res.Length
 				sc.blockCost[string(buf)] = length
 			}
 		} else {
-			res, _ := sc.sched.ScheduleBlockCtx(b, asg, home, lc, mcfg)
+			res, _ := sc.sched.ScheduleBlockCtx(b, asg, home, fp.p.lc, mcfg)
 			length = res.Length
 		}
-		total += blockFreq(prof, b) * int64(length)
+		total += pre.freqs[bi] * int64(length)
 	}
-	if cached {
-		pre.regionCost[costKey] = total
+	if rm != nil {
+		rm.cost[costKey] = total
 	}
 	return total
 }
 
-func snapshotRegion(regionOps []*ir.Op, asg []int) map[int]int {
-	snap := make(map[int]int, len(regionOps))
+// snapshotRegion copies the clusters of the region's ops, in region order,
+// into dst's backing array (allocating when dst is too small).
+func snapshotRegion(regionOps []*ir.Op, asg []int, dst []int) []int {
+	dst = dst[:0]
 	for _, op := range regionOps {
-		snap[op.ID] = asg[op.ID]
+		dst = append(dst, asg[op.ID])
 	}
-	return snap
+	return dst
 }
 
 // scaleFreq compresses profile frequencies so hot blocks dominate without
@@ -799,7 +531,9 @@ type edgeKey struct{ def, use int }
 // scheduling slack of that edge: how much the use could be delayed without
 // stretching its block's critical path. Cross-block edges get the maximum
 // observed slack (they are fed through registers and rarely critical).
-func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, mcfg *machine.Config) map[edgeKey]int64 {
+// Slack reads only opcode latencies, never the machine's move costs or
+// unit counts, which is what lets one Prepared serve every machine.
+func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op) map[edgeKey]int64 {
 	slack := map[edgeKey]int64{}
 	var crossEdges []edgeKey
 	var maxSlack int64
@@ -864,99 +598,64 @@ func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, mcfg *machin
 }
 
 // regionEval evaluates candidate assignments during one refinement loop.
-// In incremental mode (the default) it caches per-block schedule-length
-// estimates keyed by a signature of exactly the inputs blockLen reads —
-// the cluster assignment of the block's own ops and the home cluster of
-// its read-before-def live-in registers — so a tentative move only
-// re-estimates the blocks it actually touches, and it maintains the
-// value-home table with O(numClusters) MoveDef deltas instead of a full
-// O(ops) recomputation per candidate. The cache is exact: a signature
-// covers every input of the estimate, and MoveDef reproduces the dominant-
-// cluster rule bit for bit, so incremental and from-scratch evaluation
-// return identical costs (pinned by TestIncrementalRefinementEquivalence).
+// By default it caches per-block schedule-length estimates and invalidates
+// them explicitly: move marks the moved op's own block dirty, and — when
+// the move changes a value's home cluster — every block that reads the
+// value live-in (via regionPre's reg→blocks index). A dirty block is
+// re-estimated on the next cost call; clean blocks keep their cached
+// length, and the region total is carried forward so cost() touches only
+// the blocks invalidated since the last call. The value-home table is
+// maintained with O(numClusters) MoveDef deltas instead of a full O(ops)
+// recomputation per candidate. The cache is exact: a block's estimate reads
+// only the clusters of its own ops and the homes of its read-before-def
+// live-in registers, the dirtied set covers every block where either
+// changed, and MoveDef reproduces the dominant-cluster rule bit for bit,
+// so incremental and from-scratch evaluation return identical costs
+// (pinned by TestIncrementalRefinementEquivalence).
 //
 // In full mode (Options.NoIncremental) move is a plain assignment write
-// and cost recomputes the whole region estimate, reproducing the
-// pre-cache behavior verbatim.
-//
-// In dirty mode (scratch.dirtyEval, sweep-only) the signature build is
-// replaced by explicit invalidation: move marks the moved op's own block
-// dirty, and — when the move changes a value's home cluster — every block
-// that reads the value live-in (via regionPre's reg→blocks index). A dirty
-// block is re-estimated on the next cost call; clean blocks keep their
-// cached length. The dirtied set is a superset of the blocks whose
-// signature would have changed, so dirty and signature mode return
-// identical costs; dirty mode just skips building the signature for the
-// (many) clean blocks of every candidate evaluation.
+// and cost recomputes the whole region estimate from scratch.
 type regionEval struct {
-	full   bool
-	sc     *scratch
-	f      *ir.Func
-	region *cfg.Region
-	lc     *sched.LoopCtx
-	prof   *interp.Profile
-	mcfg   *machine.Config
-	asg    []int
-	k      int
+	full bool
+	sc   *scratch
+	f    *ir.Func
+	pre  *regionPre
+	lc   *sched.LoopCtx
+	prof *interp.Profile
+	mcfg *machine.Config
+	asg  []int
+	k    int
 
-	home   []int       // sc.homeInc's table, updated in place by MoveDef
-	blocks []*ir.Block // region blocks
-	freqs  []int64     // profile weight per block
-	liveIn [][]ir.VReg // per block: registers read before any local def
-	sig    [][]int32   // per block: signature of the cached estimate
-	valid  []bool      // per block: sig/val populated
-	val    []int64     // per block: cached blockLen
-	buf    []int32     // signature build buffer
-
-	// dirty-mode state: dirtyList holds the indices set in dirty, and
-	// total carries the region cost forward so cost() only touches the
-	// blocks invalidated since the last call instead of rescanning all of
-	// them.
-	dirtyMode bool
-	dirty     []bool
-	dirtyList []int32
-	total     int64
-	pre       *regionPre
+	home      []int   // sc.homeInc's table, updated in place by MoveDef
+	opBlock   []int32 // Prepared.opBlock
+	val       []int64 // per block: cached blockLen
+	dirty     []bool  // per block: val is stale
+	dirtyList []int32 // the indices set in dirty
+	total     int64   // region cost under the current assignment
 }
 
-func newRegionEval(sc *scratch, f *ir.Func, region *cfg.Region, lc *sched.LoopCtx,
-	prof *interp.Profile, mcfg *machine.Config, opts Options, asg []int) *regionEval {
-
-	re := &regionEval{
-		full: opts.NoIncremental,
-		sc:   sc, f: f, region: region, lc: lc, prof: prof, mcfg: mcfg,
-		asg: asg, k: mcfg.NumClusters(),
+// newRegionEval readies sc's regionEval for one refinement loop over pre,
+// reusing its buffers.
+func (fp *FuncPartitioner) newRegionEval(pre *regionPre, asg []int) *regionEval {
+	sc, p := fp.sc, fp.p
+	re := &sc.re
+	*re = regionEval{
+		full: fp.opts.NoIncremental,
+		sc:   sc, f: p.f, pre: pre, lc: p.lc, prof: p.prof, mcfg: fp.mcfg,
+		asg: asg, k: fp.mcfg.NumClusters(),
+		opBlock: p.opBlock,
+		val:     re.val[:0], dirty: re.dirty[:0], dirtyList: re.dirtyList[:0],
 	}
 	if re.full {
 		return re
 	}
-	re.home = sc.homeInc.HomeClustersFreq(f, asg, re.k, func(b *ir.Block) int64 {
-		return blockFreq(prof, b)
+	re.home = sc.homeInc.HomeClustersFreq(p.f, asg, re.k, func(b *ir.Block) int64 {
+		return blockFreq(p.prof, b)
 	})
-	n := len(region.Blocks)
-	re.blocks = region.Blocks
-	re.freqs = make([]int64, n)
-	re.val = make([]int64, n)
-	if sc.dirtyEval && sc.curPre != nil && sc.curPre.region == region {
-		re.dirtyMode = true
-		re.pre = sc.curPre
-		re.pre.ensureEvalTables(f)
-		re.liveIn = re.pre.liveIn
-		re.dirty = make([]bool, n)
-		re.dirtyList = make([]int32, n)
-		for i, b := range region.Blocks {
-			re.freqs[i] = blockFreq(prof, b)
-			re.dirty[i] = true
-			re.dirtyList[i] = int32(i)
-		}
-		return re
-	}
-	re.liveIn = make([][]ir.VReg, n)
-	re.sig = make([][]int32, n)
-	re.valid = make([]bool, n)
-	for i, b := range region.Blocks {
-		re.freqs[i] = blockFreq(prof, b)
-		re.liveIn[i] = blockLiveIn(b)
+	for i := range pre.region.Blocks {
+		re.val = append(re.val, 0)
+		re.dirty = append(re.dirty, true)
+		re.dirtyList = append(re.dirtyList, int32(i))
 	}
 	return re
 }
@@ -982,7 +681,8 @@ func blockLiveIn(b *ir.Block) []ir.VReg {
 	return out
 }
 
-// move reassigns op to cluster `to`, keeping the home table coherent.
+// move reassigns op (an op of the region) to cluster `to`, keeping the home
+// table coherent and invalidating the blocks whose estimate it can change.
 func (re *regionEval) move(op *ir.Op, to int) {
 	from := re.asg[op.ID]
 	if from == to {
@@ -992,23 +692,15 @@ func (re *regionEval) move(op *ir.Op, to int) {
 	if re.full {
 		return
 	}
-	if re.dirtyMode {
-		if bi := re.pre.opBlock[op.ID]; bi >= 0 {
-			re.markDirty(bi)
-		}
-		if op.Dst != ir.NoReg {
-			old := re.home[op.Dst]
-			re.sc.homeInc.MoveDef(op.Dst, re.k, from, to, blockFreq(re.prof, op.Block))
-			if re.home[op.Dst] != old {
-				for _, bi := range re.pre.regBlocks[op.Dst] {
-					re.markDirty(bi)
-				}
+	re.markDirty(re.opBlock[op.ID])
+	if op.Dst != ir.NoReg {
+		old := re.home[op.Dst]
+		re.sc.homeInc.MoveDef(op.Dst, re.k, from, to, blockFreq(re.prof, op.Block))
+		if re.home[op.Dst] != old {
+			for _, bi := range re.pre.regBlocks[op.Dst] {
+				re.markDirty(bi)
 			}
 		}
-		return
-	}
-	if op.Dst != ir.NoReg {
-		re.sc.homeInc.MoveDef(op.Dst, re.k, from, to, blockFreq(re.prof, op.Block))
 	}
 }
 
@@ -1016,36 +708,17 @@ func (re *regionEval) move(op *ir.Op, to int) {
 // the current assignment.
 func (re *regionEval) cost() int64 {
 	if re.full {
-		return estimateRegionCostScratch(re.sc, re.f, re.region, re.lc, re.prof, re.mcfg, re.asg)
+		return estimateRegionCostScratch(re.sc, re.f, re.pre.region, re.lc, re.prof, re.mcfg, re.asg)
 	}
-	if re.dirtyMode {
-		for _, i := range re.dirtyList {
-			v := re.sc.est.blockLen(re.blocks[i], re.asg, re.home, re.lc, re.mcfg)
-			re.total += re.freqs[i] * (v - re.val[i])
-			re.val[i] = v
-			re.dirty[i] = false
-		}
-		re.dirtyList = re.dirtyList[:0]
-		return re.total
+	blocks := re.pre.region.Blocks
+	for _, i := range re.dirtyList {
+		v := re.sc.est.blockLen(blocks[i], re.asg, re.home, re.lc, re.mcfg)
+		re.total += re.pre.freqs[i] * (v - re.val[i])
+		re.val[i] = v
+		re.dirty[i] = false
 	}
-	var total int64
-	for i, b := range re.blocks {
-		sig := re.buf[:0]
-		for _, op := range b.Ops {
-			sig = append(sig, int32(re.asg[op.ID]))
-		}
-		for _, r := range re.liveIn[i] {
-			sig = append(sig, int32(re.home[r]))
-		}
-		re.buf = sig
-		if !re.valid[i] || !sigEqual(re.sig[i], sig) {
-			re.val[i] = re.sc.est.blockLen(b, re.asg, re.home, re.lc, re.mcfg)
-			re.sig[i] = append(re.sig[i][:0], sig...)
-			re.valid[i] = true
-		}
-		total += re.freqs[i] * re.val[i]
-	}
-	return total
+	re.dirtyList = re.dirtyList[:0]
+	return re.total
 }
 
 func (re *regionEval) markDirty(bi int32) {
@@ -1055,42 +728,27 @@ func (re *regionEval) markDirty(bi int32) {
 	}
 }
 
-func sigEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // refineRegion performs estimate-driven local moves: each pass visits the
-// region's unlocked ops in deterministic order and migrates an op to the
-// cluster minimizing the region's estimated cost, keeping strict
-// improvements only. Candidate evaluation goes through a regionEval so
-// only the blocks a tentative move touches are re-estimated.
-func refineRegion(sc *scratch, f *ir.Func, region *cfg.Region, lc *sched.LoopCtx, prof *interp.Profile,
-	mcfg *machine.Config, locks Locks, opts Options, asg []int) {
-
+// region's unlocked ops in op-ID order and migrates an op to the cluster
+// minimizing the region's estimated cost, keeping strict improvements only.
+// Candidate evaluation goes through a regionEval so only the blocks a
+// tentative move touches are re-estimated.
+func (fp *FuncPartitioner) refineRegion(pre *regionPre, locks Locks, asg []int) {
+	sc, mcfg := fp.sc, fp.mcfg
 	k := mcfg.NumClusters()
-	var regionOps []*ir.Op
-	for _, b := range region.Blocks {
-		for _, op := range b.Ops {
-			if _, locked := locks[op.ID]; !locked {
-				regionOps = append(regionOps, op)
-			}
+	unlocked := sc.unlocked[:0]
+	for _, op := range pre.byID {
+		if _, locked := locks[op.ID]; !locked {
+			unlocked = append(unlocked, op)
 		}
 	}
-	sort.Slice(regionOps, func(i, j int) bool { return regionOps[i].ID < regionOps[j].ID })
+	sc.unlocked = unlocked
 
-	re := newRegionEval(sc, f, region, lc, prof, mcfg, opts, asg)
+	re := fp.newRegionEval(pre, asg)
 	cur := re.cost()
-	for pass := 0; pass < opts.passes(); pass++ {
+	for pass := 0; pass < fp.opts.passes(); pass++ {
 		improved := false
-		for _, op := range regionOps {
+		for _, op := range unlocked {
 			orig := asg[op.ID]
 			bestC, bestCost := orig, cur
 			for c := 0; c < k; c++ {
@@ -1122,47 +780,39 @@ func refineRegion(sc *scratch, f *ir.Func, region *cfg.Region, lc *sched.LoopCtx
 // pairRefineRegion moves pairs of ops joined by their heaviest dependence
 // edge between clusters together, accepting strict estimate improvements.
 // This emulates a coarser level of RHOP's uncoarsening hierarchy.
-func pairRefineRegion(sc *scratch, f *ir.Func, region *cfg.Region, du *cfg.DefUse, ops []*ir.Op,
-	lc *sched.LoopCtx, prof *interp.Profile, mcfg *machine.Config, locks Locks, opts Options, asg []int) {
-
-	k := mcfg.NumClusters()
-	inRegion := map[int]bool{}
-	for _, b := range region.Blocks {
-		for _, op := range b.Ops {
-			inRegion[op.ID] = true
-		}
-	}
-	// Heaviest-neighbor matching over unlocked region ops.
+func (fp *FuncPartitioner) pairRefineRegion(pre *regionPre, locks Locks, asg []int) {
+	sc := fp.sc
+	k := fp.mcfg.NumClusters()
+	// Heaviest-neighbor matching over unlocked region ops: an op pairs
+	// with the first in-region def among its arguments that is itself
+	// unlocked and unmatched.
 	type pair struct{ a, b *ir.Op }
 	var pairs []pair
 	matched := map[int]bool{}
-	for _, b := range region.Blocks {
-		for _, op := range b.Ops {
-			if matched[op.ID] {
+	for u, op := range pre.regionOps {
+		if matched[op.ID] {
+			continue
+		}
+		if _, locked := locks[op.ID]; locked {
+			continue
+		}
+		for _, a := range pre.arcs[pre.arcStart[u]:pre.arcStart[u+1]] {
+			if a.kind != arcIntra {
 				continue
 			}
-			if _, locked := locks[op.ID]; locked {
+			def := pre.regionOps[a.other]
+			if matched[def.ID] {
 				continue
 			}
-			for argI := range op.Args {
-				for _, defID := range du.DefsOf[op.ID][argI] {
-					if !inRegion[defID] || matched[defID] {
-						continue
-					}
-					if _, locked := locks[defID]; locked {
-						continue
-					}
-					pairs = append(pairs, pair{ops[defID], op})
-					matched[defID], matched[op.ID] = true, true
-					break
-				}
-				if matched[op.ID] {
-					break
-				}
+			if _, locked := locks[def.ID]; locked {
+				continue
 			}
+			pairs = append(pairs, pair{def, op})
+			matched[def.ID], matched[op.ID] = true, true
+			break
 		}
 	}
-	re := newRegionEval(sc, f, region, lc, prof, mcfg, opts, asg)
+	re := fp.newRegionEval(pre, asg)
 	cur := re.cost()
 	for pass := 0; pass < 2; pass++ {
 		improved := false

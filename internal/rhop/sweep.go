@@ -4,73 +4,78 @@ import (
 	"fmt"
 	"sort"
 
-	"mcpart/internal/cfg"
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
 	"mcpart/internal/sched"
 )
 
-// FuncPartitioner partitions one function repeatedly under varying lock
-// maps, as a data-mapping sweep does: the function-shaped work (def-use
-// chains, regions, dependence slack, loop context, scratch tables) is built
-// once, and per-region results are cached across calls.
+// FuncPartitioner partitions one prepared function on one machine under
+// options fixed at construction. A one-shot partitioner (Prepared.Partition)
+// carries no memo of its own; a sweep partitioner (Prepared.NewPartitioner)
+// partitions the function repeatedly under varying lock maps, as a
+// data-mapping sweep does, and caches per-region results across calls on
+// top of the Prepared's shared min-cut memo.
 //
-// The cache is exact, not heuristic. PartitionFunc processes regions in a
-// fixed heat order, and each region's outcome is a pure function of (a) the
-// locks on that region's ops and (b) the assignment of previously-placed
-// ops (which anchor live-in/live-out values) — everything else is function
-// structure fixed at construction. The cache key encodes exactly (a) and
-// (b), so a hit replays a byte-identical region result and Partition
-// returns exactly what PartitionFunc would for the same locks (pinned by
-// TestFuncPartitionerMatchesPartitionFunc).
+// The sweep caches are exact, not heuristic, and all three are per machine.
+// Partition processes regions in a fixed heat order, and each region's
+// outcome is a pure function of (a) the locks on that region's ops and (b)
+// the assignment of previously-placed ops (which anchor live-in/live-out
+// values) — everything else is function structure fixed in the Prepared.
+// The region-result key encodes exactly (a) and (b), so a hit replays a
+// byte-identical region result and Partition returns exactly what
+// PartitionFunc would for the same locks (pinned by
+// TestFuncPartitionerMatchesPartitionFunc). Below that, the real-cost
+// scorer and the refinement loops memoize by their own exact inputs (see
+// regionMemo).
 //
 // A FuncPartitioner is not safe for concurrent use; sweeps create one per
-// worker (or per function, processed by one worker at a time).
+// worker (or per function, processed by one worker at a time). Any number
+// of them may share one Prepared.
 type FuncPartitioner struct {
-	f    *ir.Func
-	prof *interp.Profile
+	p    *Prepared
 	mcfg *machine.Config
 	opts Options
-
-	du  *cfg.DefUse
-	ops []*ir.Op
-	lc  *sched.LoopCtx
-	pre []*regionPre // heat order, same as PartitionFunc
-
-	sc     *scratch
-	caches []map[string][]int // per region: key -> regionOps' clusters
-	keyBuf []byte
+	sc   *scratch
+	// memo holds the per-region sweep caches; nil for one-shot use.
+	memo []regionMemo
 
 	hits, misses int64
-	// last-flushed observability tallies, so each Partition call flushes
-	// only its own delta like one-shot PartitionFunc does.
-	obsRegions, obsMoves, obsEvals int64
-	obsKWay, obsRefine             int64
 }
 
-// NewFuncPartitioner prepares f for repeated partitioning. The preparation
-// mirrors PartitionFunc's preamble exactly (including the heat-ordered
-// region sort) so cached and uncached calls traverse regions identically.
-func NewFuncPartitioner(f *ir.Func, prof *interp.Profile, mcfg *machine.Config, opts Options) *FuncPartitioner {
+// regionMemo is a sweep partitioner's per-machine memo for one region, keyed
+// like FuncPartitioner.regionKey.
+type regionMemo struct {
+	// results maps the full region key to the region ops' clusters.
+	results map[string][]int
+	// cost memoizes realRegionCost, which is a function of the assignments
+	// of the region's ops and the home clusters of the blocks' live-in
+	// registers; a home cluster in turn depends only on the assignments of
+	// the register's defining ops, so (region ops, extHomeRefs) keys it.
+	cost map[string]int64
+	// refined memoizes refinement outcomes (the region layout a starting
+	// candidate converges to) under the same key space, plus a leading byte
+	// separating the pair-refined candidate from the plain one: the
+	// refinement loop's decisions read exactly the inputs cost's key covers.
+	refined map[string][]int
+}
+
+// Partition assigns every op of f to a cluster, byte-identical to
+// PartitionFunc(f, prof, mcfg, locks, opts) but reusing p's structure and
+// min-cut memo.
+func (p *Prepared) Partition(mcfg *machine.Config, locks Locks, opts Options) ([]int, error) {
+	fp := FuncPartitioner{p: p, mcfg: mcfg, opts: opts, sc: &scratch{sched: sched.NewScratch()}}
+	return fp.Partition(locks)
+}
+
+// NewPartitioner returns a sweep partitioner for p on mcfg under opts.
+func (p *Prepared) NewPartitioner(mcfg *machine.Config, opts Options) *FuncPartitioner {
 	fp := &FuncPartitioner{
-		f: f, prof: prof, mcfg: mcfg, opts: opts,
-		du: cfg.ComputeDefUse(f),
-		lc: sched.NewLoopCtx(f),
-		sc: &scratch{sched: sched.NewScratch(), dirtyEval: true},
+		p: p, mcfg: mcfg, opts: opts,
+		sc:   &scratch{sched: sched.NewScratch(), blockCost: map[string]int{}},
+		memo: make([]regionMemo, len(p.pre)),
 	}
-	fp.ops = f.OpsByID()
-	regions := cfg.FormRegions(f)
-	order := make([]*cfg.Region, len(regions))
-	copy(order, regions)
-	sort.SliceStable(order, func(i, j int) bool {
-		return regionHeat(prof, order[i]) > regionHeat(prof, order[j])
-	})
-	fp.pre = make([]*regionPre, len(order))
-	fp.caches = make([]map[string][]int, len(order))
-	for i, region := range order {
-		fp.pre[i] = newRegionPre(f, region, fp.du, fp.ops, mcfg)
-		fp.caches[i] = map[string][]int{}
+	for i := range fp.memo {
+		fp.memo[i] = regionMemo{results: map[string][]int{}, cost: map[string]int64{}, refined: map[string][]int{}}
 	}
 	return fp
 }
@@ -79,7 +84,7 @@ func NewFuncPartitioner(f *ir.Func, prof *interp.Profile, mcfg *machine.Config, 
 // the given locks, byte-identical to PartitionFunc(f, prof, mcfg, locks,
 // opts). The returned slice is freshly allocated and owned by the caller.
 func (fp *FuncPartitioner) Partition(locks Locks) ([]int, error) {
-	f := fp.f
+	f := fp.p.f
 	k := fp.mcfg.NumClusters()
 	asg := make([]int, f.NOps)
 	for i := range asg {
@@ -90,46 +95,42 @@ func (fp *FuncPartitioner) Partition(locks Locks) ([]int, error) {
 			return nil, fmt.Errorf("rhop: %s op %d locked to cluster %d of %d", f.Name, id, c, k)
 		}
 	}
-	for ri, pre := range fp.pre {
+	for ri, pre := range fp.p.pre {
 		if len(pre.regionOps) == 0 {
 			continue
 		}
-		pre.ensureExtRefs(fp.du)
-		pre.ensureHomeRefs(f, fp.du, fp.ops, fp.prof)
-		buf := fp.regionKey(pre, locks, asg)
-		if snap, ok := fp.caches[ri][string(buf)]; ok {
-			for i, op := range pre.regionOps {
-				asg[op.ID] = snap[i]
+		var rm *regionMemo
+		var key string
+		if fp.memo != nil {
+			rm = &fp.memo[ri]
+			buf := fp.regionKey(pre, locks, asg)
+			if snap, ok := rm.results[string(buf)]; ok {
+				for i, op := range pre.regionOps {
+					asg[op.ID] = snap[i]
+				}
+				fp.hits++
+				continue
 			}
-			fp.hits++
-			continue
+			key = string(buf)
 		}
-		key := string(buf)
-		if err := partitionRegion(fp.sc, pre, f, fp.du, fp.ops, fp.lc, fp.prof, fp.mcfg, locks, fp.opts, asg); err != nil {
+		if err := fp.partitionRegion(ri, pre, rm, locks, asg); err != nil {
 			return nil, err
 		}
-		snap := make([]int, len(pre.regionOps))
-		for i, op := range pre.regionOps {
-			snap[i] = asg[op.ID]
+		if rm != nil {
+			snap := make([]int, len(pre.regionOps))
+			for i, op := range pre.regionOps {
+				snap[i] = asg[op.ID]
+			}
+			rm.results[key] = snap
+			fp.misses++
 		}
-		fp.caches[ri][key] = snap
-		fp.misses++
 	}
 	for id, c := range asg {
 		if c < 0 {
 			return nil, fmt.Errorf("rhop: %s op %d left unassigned", f.Name, id)
 		}
 	}
-	if o := fp.opts.Obs; o != nil {
-		o.Counter("rhop_functions").Add(1)
-		o.Counter("rhop_regions").Add(fp.sc.tRegions - fp.obsRegions)
-		o.Counter("rhop_moves_accepted").Add(fp.sc.tMoves - fp.obsMoves)
-		o.Counter("rhop_cost_evals").Add(fp.sc.tEvals - fp.obsEvals)
-		o.Counter("rhop_kway_runs").Add(fp.sc.tKWay - fp.obsKWay)
-		o.Counter("rhop_refine_runs").Add(fp.sc.tRefine - fp.obsRefine)
-		fp.obsRegions, fp.obsMoves, fp.obsEvals = fp.sc.tRegions, fp.sc.tMoves, fp.sc.tEvals
-		fp.obsKWay, fp.obsRefine = fp.sc.tKWay, fp.sc.tRefine
-	}
+	fp.sc.flush(fp.opts)
 	return asg, nil
 }
 
@@ -144,7 +145,7 @@ func (fp *FuncPartitioner) Partition(locks Locks) ([]int, error) {
 // by fp and valid until the next call; callers look up with a zero-copy
 // string conversion and materialize the key only to store.
 func (fp *FuncPartitioner) regionKey(pre *regionPre, locks Locks, asg []int) []byte {
-	buf := fp.keyBuf[:0]
+	buf := fp.sc.keyBuf[:0]
 	for _, op := range pre.regionOps {
 		if c, ok := locks[op.ID]; ok {
 			buf = append(buf, byte(c))
@@ -158,7 +159,7 @@ func (fp *FuncPartitioner) regionKey(pre *regionPre, locks Locks, asg []int) []b
 	for _, id := range pre.extHomeRefs {
 		buf = append(buf, byte(asg[id]+1))
 	}
-	fp.keyBuf = buf
+	fp.sc.keyBuf = buf
 	return buf
 }
 

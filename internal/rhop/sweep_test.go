@@ -13,10 +13,15 @@ import (
 // returns — the region-result cache and the dirty-block evaluator change
 // speed, never outcomes. Lock signatures are swept exhaustively over the
 // functions' memory ops mapped by a 2-cluster object mask, interleaved so
-// cache hits and misses both occur.
+// cache hits and misses both occur. One Prepared per function serves every
+// machine and option set, so its min-cut memo is shared across them.
 func TestFuncPartitionerMatchesPartitionFunc(t *testing.T) {
 	for _, src := range []string{wideSrc, multiFuncSrc} {
 		mod, prof := compileAndProfile(t, src)
+		preps := map[string]*Prepared{}
+		for _, f := range mod.Funcs {
+			preps[f.Name] = Prepare(f, prof, nil)
+		}
 		for _, mcfg := range []*machine.Config{
 			machine.Paper2Cluster(5), machine.FourCluster(5),
 		} {
@@ -46,7 +51,7 @@ func TestFuncPartitionerMatchesPartitionFunc(t *testing.T) {
 						}
 						lockSets = append(lockSets, locks)
 					}
-					fp := NewFuncPartitioner(f, prof, mcfg, opts)
+					fp := preps[f.Name].NewPartitioner(mcfg, opts)
 					// Two passes: the second is served largely from cache
 					// and must still match.
 					for pass := 0; pass < 2; pass++ {

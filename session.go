@@ -84,6 +84,12 @@ type SessionStats struct {
 
 // Session is a long-lived facade instance serving many concurrent
 // requests. All methods are safe for concurrent use.
+//
+// A cached program keeps its memoized results across requests but not its
+// shared partitioning state (eval.Compiled.ReleasePrepared): each request
+// drops that state when it returns, since repeats are served from the
+// memo and holding the state for every resident program would multiply
+// the session's memory.
 type Session struct {
 	opts SessionOptions
 
@@ -281,6 +287,7 @@ func (s *Session) Evaluate(ctx context.Context, name, source string, m *Machine,
 	if err != nil {
 		return nil, err
 	}
+	defer p.c.ReleasePrepared()
 	return EvaluateCtx(ctx, p, m, scheme, req.evalOptions(s))
 }
 
@@ -293,6 +300,7 @@ func (s *Session) EvaluateAll(ctx context.Context, name, source string, m *Machi
 	if err != nil {
 		return nil, err
 	}
+	defer p.c.ReleasePrepared()
 	return EvaluateAllCtx(ctx, p, m, req.evalOptions(s))
 }
 
@@ -305,6 +313,7 @@ func (s *Session) Sweep(ctx context.Context, name, source string, m *Machine, ma
 	if err != nil {
 		return nil, err
 	}
+	defer p.c.ReleasePrepared()
 	return ExhaustiveSearchCtx(ctx, p, m, req.evalOptions(s), maxObjects)
 }
 
@@ -317,6 +326,7 @@ func (s *Session) Best(ctx context.Context, name, source string, m *Machine, max
 	if err != nil {
 		return nil, err
 	}
+	defer p.c.ReleasePrepared()
 	return BestMappingCtx(ctx, p, m, req.evalOptions(s), maxObjects)
 }
 

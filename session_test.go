@@ -173,6 +173,47 @@ func TestSessionReleaseMemory(t *testing.T) {
 	}
 }
 
+// TestSessionRequestReleasesPrepared pins that a finished Session request
+// drops its program's shared partitioning state while the program and its
+// memo stay cached: the one-shot facade keeps the state for the Program's
+// lifetime, a session request does not.
+func TestSessionRequestReleasesPrepared(t *testing.T) {
+	s := NewSession(SessionOptions{})
+	defer s.Close()
+	name, src := sessionBench(t, "fir")
+	m := Paper2Cluster(5)
+
+	p, err := s.Compile(context.Background(), name, src, Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Evaluate(p, m, SchemeGDP, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if !p.c.HoldsPrepared() {
+		t.Fatal("a one-shot evaluation left no prepared state")
+	}
+	for _, call := range []func() error{
+		func() error {
+			_, err := s.Evaluate(context.Background(), name, src, m, SchemeNaive, Request{})
+			return err
+		},
+		func() error { _, err := s.EvaluateAll(context.Background(), name, src, m, Request{}); return err },
+		func() error { _, err := s.Sweep(context.Background(), name, src, m, 0, Request{}); return err },
+		func() error { _, err := s.Best(context.Background(), name, src, m, 0, Request{}); return err },
+	} {
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+		if p.c.HoldsPrepared() {
+			t.Fatal("a finished session request kept the prepared state")
+		}
+		if p.MemoStats().Entries == 0 {
+			t.Fatal("releasing the prepared state dropped the memo")
+		}
+	}
+}
+
 // TestSessionMatchesOneShotFacade pins that a Session evaluation returns
 // the same deterministic result fields as the one-shot facade for every
 // scheme — sharing caches across requests must never change answers.
