@@ -53,7 +53,7 @@ cover:
 # parser, (source, unroll) pairs through the full front end with an IR
 # verifier oracle, progen seeds through the whole pipeline with the
 # checksum-preservation and independent-validator oracles, mclang
-# source through both profiling engines with the tree-walker as the
+# source through the bytecode VM with the tree-walking interpreter as the
 # differential oracle (FuzzVM), progen seeds through the Gray-code
 # delta sweep with the full per-mask engine and the branch-and-bound
 # search as differential oracles (FuzzSweep), and progen programs ×
@@ -76,15 +76,16 @@ bench:
 	$(GO) test -run XXX -bench . -benchtime 1x . | tee bench_output.txt
 
 # One-iteration smoke pass over the headline benchmarks (Table 1, the
-# Figure 9 search, and the memoization A/B) — quick signal that the
-# evaluation engine still runs end to end.
+# Figure 9 search, and the cold-cache memoized exhaustive search) — quick
+# signal that the evaluation engine still runs end to end.
 bench-quick:
 	$(GO) test -run XXX -benchtime 1x \
 		-bench 'BenchmarkTable1|BenchmarkFigure9|BenchmarkExhaustiveMemo' .
 
-# Partitioner microbenchmarks: the fast CSR/FM path vs the legacy path
-# on 1k/10k/100k synthetic graphs, plus the raw numbers refreshed into
-# BENCH_partition.json (see that file for the recorded analysis).
+# Partitioner microbenchmarks: bisection and 4-way partitioning on
+# 1k/10k/100k synthetic graphs (time, allocations, cut weight). The
+# legacy-path rows of BENCH_partition.json predate the removal of that
+# path and are not reproduced here (see EXPERIMENTS.md).
 bench-partition:
 	$(GO) test ./internal/partition/ -run XXX \
 		-bench 'BenchmarkBisect|BenchmarkKWay' -benchtime 5x \
@@ -108,13 +109,12 @@ bench-store:
 	$(GO) test -run XXX -bench BenchmarkStoreWarmRestart -benchtime 5x . \
 		| tee bench_store_output.txt
 
-# Sweep-engine A/B: the Gray-code delta sweep vs the full per-mask
-# engine on the Figure 9 benchmarks (cold cache per engine per
-# iteration, paired order-alternating runs, median-reduced), plus the
+# Sweep-engine benchmarks: the Gray-code delta sweep on the Figure 9
+# benchmarks (cold cache per iteration, median-reduced), plus the
 # branch-and-bound best-mapping search on a 22-object instance with a
-# time-budgeted enumeration attempt for contrast. The raw numbers are
-# refreshed into BENCH_sweep.json (see that file for the recorded
-# analysis and the >=3x acceptance target).
+# time-budgeted enumeration attempt through the delta sweep for contrast.
+# The per-mask rows of BENCH_sweep.json predate the removal of that A/B
+# arm and are not reproduced here (see EXPERIMENTS.md).
 bench-sweep:
 	$(GO) test -run XXX \
 		-bench 'BenchmarkExhaustiveSweep|BenchmarkBestMapping' \

@@ -220,57 +220,37 @@ func BenchmarkExhaustiveParallel(b *testing.B) {
 }
 
 // BenchmarkExhaustiveMemo measures the memoized exhaustive mapping search
-// (lock-signature caching + complement-symmetry pruning, this PR's engine)
-// against the uncached full enumeration on rawcaudio, serially, and reports
-// the speedup (recorded in BENCH_memo.json). Each iteration compiles a
-// fresh program so the memo run starts from a cold cache — the speedup is
-// what a single Figure 9 regeneration sees, not a warm-cache artifact —
-// and the two results are checked deeply equal every iteration.
+// (lock-signature caching + complement-symmetry pruning) on rawcaudio,
+// serially. Each iteration compiles a fresh program so the run starts from
+// a cold cache: the time is what a single Figure 9 regeneration sees, not
+// a warm-cache artifact.
 func BenchmarkExhaustiveMemo(b *testing.B) {
 	cfg := machine.Paper2Cluster(5)
 	bm, err := bench.Get("rawcaudio")
 	if err != nil {
 		b.Fatal(err)
 	}
-	var uncached, memoized time.Duration
+	var memoized time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := eval.Prepare(bm.Name, bm.Source) // fresh: cold memo cache
 		if err != nil {
 			b.Fatal(err)
 		}
-		// NoMemo leaves c's cache untouched, so running it first keeps the
-		// memoized run cold.
 		t0 := time.Now()
-		exU, err := eval.Exhaustive(c, cfg, eval.Options{Workers: 1, NoMemo: true, NoSymPrune: true}, 14)
-		if err != nil {
+		if _, err := eval.Exhaustive(c, cfg, eval.Options{Workers: 1}, 14); err != nil {
 			b.Fatal(err)
 		}
-		uncached += time.Since(t0)
-		t1 := time.Now()
-		exM, err := eval.Exhaustive(c, cfg, eval.Options{Workers: 1}, 14)
-		if err != nil {
-			b.Fatal(err)
-		}
-		memoized += time.Since(t1)
-		if !reflect.DeepEqual(exU, exM) {
-			b.Fatal("memoized exhaustive search differs from uncached")
-		}
+		memoized += time.Since(t0)
 	}
-	b.ReportMetric(uncached.Seconds()/float64(b.N), "uncached-s/op")
 	b.ReportMetric(memoized.Seconds()/float64(b.N), "memo-s/op")
-	b.ReportMetric(uncached.Seconds()/memoized.Seconds(), "speedup-x")
 }
 
-// BenchmarkExhaustiveSweep measures the Gray-code delta sweep against the
-// full per-mask engine (Options.NoDelta) on the two Figure 9 benchmarks,
-// serially, and reports the speedup (recorded in BENCH_sweep.json). Honest
-// cold-cache accounting: each iteration compiles one fresh program per
-// engine, so neither run is served from the other's memo entries and the
-// speedup is what a single cold Figure 9 regeneration sees. Per-iteration
-// times are reduced by median, which shrugs off scheduler noise on shared
-// runners better than the mean; the two results are checked deeply equal
-// every iteration.
+// BenchmarkExhaustiveSweep measures the Gray-code delta sweep on the two
+// Figure 9 benchmarks, serially. Each iteration compiles a fresh program,
+// so the time is what a single cold Figure 9 regeneration sees.
+// Per-iteration times are reduced by median, which shrugs off scheduler
+// noise on shared runners better than the mean.
 func BenchmarkExhaustiveSweep(b *testing.B) {
 	cfg := machine.Paper2Cluster(5)
 	for _, name := range []string{"rawcaudio", "rawdaudio"} {
@@ -280,54 +260,22 @@ func BenchmarkExhaustiveSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			deltaT := make([]time.Duration, 0, b.N)
-			fullT := make([]time.Duration, 0, b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cd, err := eval.Prepare(bm.Name, bm.Source) // fresh: cold caches
+				c, err := eval.Prepare(bm.Name, bm.Source) // fresh: cold caches
 				if err != nil {
 					b.Fatal(err)
 				}
-				cf, err := eval.Prepare(bm.Name, bm.Source)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Collect the Prepare garbage now so neither timed run pays
-				// the other setup's GC debt.
+				// Collect the Prepare garbage now so the timed run does not
+				// pay the setup's GC debt.
 				runtime.GC()
-				// Alternate which engine runs first so drift in machine load
-				// cancels out across the pair instead of biasing one side.
-				runDelta := func() *eval.ExhaustiveResult {
-					t0 := time.Now()
-					ex, err := eval.Exhaustive(cd, cfg, eval.Options{Workers: 1}, 14)
-					if err != nil {
-						b.Fatal(err)
-					}
-					deltaT = append(deltaT, time.Since(t0))
-					return ex
+				t0 := time.Now()
+				if _, err := eval.Exhaustive(c, cfg, eval.Options{Workers: 1}, 14); err != nil {
+					b.Fatal(err)
 				}
-				runFull := func() *eval.ExhaustiveResult {
-					t0 := time.Now()
-					ex, err := eval.Exhaustive(cf, cfg, eval.Options{Workers: 1, NoDelta: true}, 14)
-					if err != nil {
-						b.Fatal(err)
-					}
-					fullT = append(fullT, time.Since(t0))
-					return ex
-				}
-				var exD, exF *eval.ExhaustiveResult
-				if i%2 == 0 {
-					exD, exF = runDelta(), runFull()
-				} else {
-					exF, exD = runFull(), runDelta()
-				}
-				if !reflect.DeepEqual(exD, exF) {
-					b.Fatal("delta sweep differs from full engine")
-				}
+				deltaT = append(deltaT, time.Since(t0))
 			}
-			d, f := medianDuration(deltaT), medianDuration(fullT)
-			b.ReportMetric(d.Seconds(), "delta-s/op")
-			b.ReportMetric(f.Seconds(), "full-s/op")
-			b.ReportMetric(f.Seconds()/d.Seconds(), "speedup-x")
+			b.ReportMetric(medianDuration(deltaT).Seconds(), "delta-s/op")
 		})
 	}
 }
@@ -341,8 +289,8 @@ func medianDuration(ds []time.Duration) time.Duration {
 // BenchmarkBestMapping measures the branch-and-bound best-mapping search on
 // a generated 22-object program — 2^21 canonical mappings, past what the
 // sweep will enumerate under its default cap — and, once per run, attempts
-// the full per-mask enumeration of the same program under a 20-second
-// budget to record that it does not finish (recorded in BENCH_sweep.json).
+// the full enumeration of the same program through the delta sweep under a
+// 20-second budget, reporting whether it finished and how long it ran.
 // The search result is verified against the sweep's optimum on all suite
 // benchmarks by TestBestMappingOptimal; here the instance is too large to
 // cross-check, which is the point.
@@ -360,7 +308,7 @@ func BenchmarkBestMapping(b *testing.B) {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
 		t0 := time.Now()
-		_, err := eval.ExhaustiveCtx(ctx, probe, cfg, eval.Options{Workers: 1, NoDelta: true}, 22)
+		_, err := eval.ExhaustiveCtx(ctx, probe, cfg, eval.Options{Workers: 1}, 22)
 		enumSecs, enumDone = time.Since(t0).Seconds(), err == nil
 	})
 	times := make([]time.Duration, 0, b.N)

@@ -29,8 +29,7 @@
 // -cachestats appends, after the selected output, one line per compiled
 // benchmark with the memoization cache's hit/miss/entry counters (the
 // internal/memo cache that deduplicates per-function partition and
-// schedule computations across schemes; disable it with -nomemo to
-// measure the uncached engine).
+// schedule computations across schemes).
 //
 // Persistent caching:
 //
@@ -106,9 +105,6 @@ func run(args []string, out io.Writer) (err error) {
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		cacheStats  = fs.Bool("cachestats", false, "print per-benchmark memoization cache statistics after the output")
-		noMemo      = fs.Bool("nomemo", false, "disable the partition-result memoization cache (for timing the uncached engine)")
-		legacyPart  = fs.Bool("legacypartition", false, "use the legacy graph partitioner instead of the gain-bucket FM fast path (for A/B comparison)")
-		legacyInt   = fs.Bool("legacyinterp", false, "profile with the tree-walking interpreter instead of the bytecode VM (for A/B comparison)")
 		validate    = fs.Bool("validate", false, "re-check every result with the independent schedule validator")
 		timeout     = fs.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		traceFile   = fs.String("trace", "", "write the pipeline span trace to this file as sorted JSON lines")
@@ -145,7 +141,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	h := &harness{ctx: ctx, filter: *filter, workers: *jobs, noMemo: *noMemo, legacyPart: *legacyPart, legacyInterp: *legacyInt, validate: *validate, cacheDir: *cacheDir, cacheMax: *cacheMax, observer: sinks.Observer(), cache: map[string]*eval.Compiled{}, out: out}
+	h := &harness{ctx: ctx, filter: *filter, workers: *jobs, validate: *validate, cacheDir: *cacheDir, cacheMax: *cacheMax, observer: sinks.Observer(), cache: map[string]*eval.Compiled{}, out: out}
 	err = h.emit(*jsonOut, *svgDir, *table, *figure, *compileTime, *topology, *all)
 	if stopErr := prof.Stop(); err == nil {
 		err = stopErr
@@ -235,25 +231,20 @@ func (h *harness) emit(jsonOut bool, svgDir, table, figure string, compileTime, 
 }
 
 type harness struct {
-	ctx        context.Context
-	filter     string
-	workers    int  // -j: worker pool bound, 0 = GOMAXPROCS
-	noMemo     bool // -nomemo: bypass the partition-result cache
-	legacyPart bool // -legacypartition: route bisections through the legacy path
-	// legacyInterp (-legacyinterp) profiles with the tree-walking
-	// interpreter instead of the bytecode VM.
-	legacyInterp bool
-	validate     bool   // -validate: independent re-check of every result
-	cacheDir     string // -cachedir: persistent artifact store (empty = off)
-	cacheMax     int64  // -cachemaxbytes: artifact log size bound
-	observer     *obs.Observer
-	cache        map[string]*eval.Compiled
-	out          io.Writer
+	ctx      context.Context
+	filter   string
+	workers  int    // -j: worker pool bound, 0 = GOMAXPROCS
+	validate bool   // -validate: independent re-check of every result
+	cacheDir string // -cachedir: persistent artifact store (empty = off)
+	cacheMax int64  // -cachemaxbytes: artifact log size bound
+	observer *obs.Observer
+	cache    map[string]*eval.Compiled
+	out      io.Writer
 }
 
 // options builds the evaluation options every scheme run shares.
 func (h *harness) options() eval.Options {
-	return eval.Options{Workers: h.workers, NoMemo: h.noMemo, LegacyPartition: h.legacyPart, Validate: h.validate, CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax, Observer: h.observer}
+	return eval.Options{Workers: h.workers, Validate: h.validate, CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax, Observer: h.observer}
 }
 
 // emitCacheStats prints one memoization-counter line per compiled
@@ -291,7 +282,7 @@ func (h *harness) compiled(b bench.Benchmark) (*eval.Compiled, error) {
 	if c, ok := h.cache[b.Name]; ok {
 		return c, nil
 	}
-	c, err := eval.PrepareOpts(h.ctx, b.Name, b.Source, eval.Options{LegacyInterp: h.legacyInterp, CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax})
+	c, err := eval.PrepareOpts(h.ctx, b.Name, b.Source, eval.Options{CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax})
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +302,7 @@ func (h *harness) prepareAll(bs []bench.Benchmark) ([]*eval.Compiled, error) {
 			missing = append(missing, eval.BenchSpec{Name: b.Name, Src: b.Source})
 		}
 	}
-	cs, err := eval.PrepareAllOpts(h.ctx, missing, h.workers, eval.Options{LegacyInterp: h.legacyInterp, CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax})
+	cs, err := eval.PrepareAllOpts(h.ctx, missing, h.workers, eval.Options{CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax})
 	if err != nil {
 		return nil, err
 	}

@@ -91,11 +91,15 @@ func TestCacheStats(t *testing.T) {
 	}
 }
 
-func TestNoMemoMatchesDefault(t *testing.T) {
-	memoed := runBenchCmd(t, "-figure", "8a", "-run", "fir")
-	plain := runBenchCmd(t, "-figure", "8a", "-run", "fir", "-nomemo")
-	if memoed != plain {
-		t.Errorf("-nomemo changed the output:\n%s\nvs\n%s", memoed, plain)
+// TestRemovedFlagsRejected pins that the engine switches the tool no
+// longer has fail as undefined flags instead of being silently accepted.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, flag := range []string{"-nomemo", "-legacypartition", "-legacyinterp"} {
+		var sb strings.Builder
+		err := run([]string{"-figure", "8a", "-run", "fir", flag}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", flag, err)
+		}
 	}
 }
 

@@ -66,7 +66,6 @@ func run(args []string, out io.Writer) (err error) {
 		traceFile = fs.String("trace", "", "write the pipeline span trace to this file as sorted JSON lines")
 		metrics   = fs.Bool("metrics", false, "print the metric registry summary after the output")
 		promFile  = fs.String("prom", "", "write the metrics in Prometheus text format to this file")
-		legacyInt = fs.Bool("legacyinterp", false, "profile with the tree-walking interpreter instead of the bytecode VM (for A/B comparison)")
 		cacheDir  = fs.String("cachedir", "", "persistent artifact-cache directory: partition/schedule/profile results survive process restarts (empty = disabled)")
 		cacheMax  = fs.Int64("cachemaxbytes", 0, "artifact-cache size bound in bytes (0 = 1 GiB default)")
 		cacheStat = fs.Bool("cachestats", false, "print memoization and artifact-store cache statistics after the output")
@@ -106,7 +105,7 @@ func run(args []string, out io.Writer) (err error) {
 		return nil
 	}
 
-	prog, err := load(ctx, *srcPath, *benchN, *unroll, *legacyInt, *cacheDir, *cacheMax)
+	prog, err := load(ctx, *srcPath, *benchN, *unroll, *cacheDir, *cacheMax)
 	if err != nil {
 		return err
 	}
@@ -186,8 +185,8 @@ func run(args []string, out io.Writer) (err error) {
 	return nil
 }
 
-func load(ctx context.Context, srcPath, benchName string, unroll int, legacyInterp bool, cacheDir string, cacheMax int64) (*mcpart.Program, error) {
-	copts := mcpart.CompileOptions{Unroll: unroll, LegacyInterp: legacyInterp, CacheDir: cacheDir, CacheMaxBytes: cacheMax}
+func load(ctx context.Context, srcPath, benchName string, unroll int, cacheDir string, cacheMax int64) (*mcpart.Program, error) {
+	copts := mcpart.CompileOptions{Unroll: unroll, CacheDir: cacheDir, CacheMaxBytes: cacheMax}
 	switch {
 	case srcPath != "" && benchName != "":
 		return nil, fmt.Errorf("use only one of -src and -bench")

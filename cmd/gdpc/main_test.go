@@ -35,14 +35,15 @@ func TestEvaluateBenchmarkAllSchemes(t *testing.T) {
 	}
 }
 
-// TestLegacyInterpIdenticalOutput pins that the profiling-engine switch
-// is invisible end to end: gdpc's full scheme evaluation (checksums,
-// cycles, data maps) is byte-identical with and without -legacyinterp.
-func TestLegacyInterpIdenticalOutput(t *testing.T) {
-	vm := runCmd(t, "-bench", "halftone", "-validate")
-	tree := runCmd(t, "-bench", "halftone", "-validate", "-legacyinterp")
-	if vm != tree {
-		t.Errorf("-legacyinterp changed the output:\nvm:\n%s\ntree:\n%s", vm, tree)
+// TestRemovedFlagsRejected pins that the engine switches the tool no
+// longer has fail as undefined flags instead of being silently accepted.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, flag := range []string{"-legacyinterp"} {
+		var sb strings.Builder
+		err := run([]string{"-bench", "halftone", "-validate", flag}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", flag, err)
+		}
 	}
 }
 

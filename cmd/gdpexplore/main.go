@@ -18,16 +18,14 @@
 //
 //	gdpexplore -bench rawcaudio -cpuprofile cpu.pprof -memprofile mem.pprof
 //	gdpexplore -bench rawcaudio -cachestats  # memoization hit rates
-//	gdpexplore -bench rawcaudio -nomemo      # time the uncached engine
 //
 // The exhaustive sweep leans hard on the memoization cache (every mask
 // shares per-function lock signatures with many others) and on
-// complement-symmetry pruning; -nomemo disables the former for A/B
-// timing, and -cachestats reports what the cache did (to stderr, so CSV
-// output stays clean). The sweep itself runs as a Gray-code delta
-// enumeration over per-function cost tables (DESIGN.md §13); -nodelta
-// falls back to the full per-mask engine for A/B timing — the output is
-// byte-identical either way.
+// complement-symmetry pruning; -cachestats reports what the cache did
+// (to stderr, so CSV output stays clean). The sweep itself runs as a
+// Gray-code delta enumeration over per-function cost tables (DESIGN.md
+// §13); -validate sweeps evaluate every mask through the full per-mask
+// pipeline so each point can be re-checked.
 //
 // For programs with too many objects to sweep, -best runs a
 // branch-and-bound search that returns only the optimal mapping (the
@@ -35,7 +33,6 @@
 // cap from 14 to 24 unless -maxobjects is given explicitly:
 //
 //	gdpexplore -bench rawcaudio -best
-//	gdpexplore -bench rawcaudio -nodelta   # time the per-mask engine
 //
 // Observability (DESIGN.md §10): -metrics prints the sweep's metric
 // summary (eval_masks, memo hits, FM moves, ...), -trace FILE the
@@ -88,11 +85,7 @@ func run(args []string, out io.Writer) (err error) {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		stats    = fs.Bool("cachestats", false, "print memoization cache statistics to stderr")
-		noMemo   = fs.Bool("nomemo", false, "disable the partition-result memoization cache")
-		noDelta  = fs.Bool("nodelta", false, "evaluate every mask through the full per-mask engine instead of the Gray-code delta sweep")
 		bestOnly = fs.Bool("best", false, "find only the optimal mapping by branch and bound (no full sweep; default object cap rises to the -best limit)")
-		legacy   = fs.Bool("legacypartition", false, "use the legacy graph partitioner instead of the gain-bucket FM fast path")
-		legInt   = fs.Bool("legacyinterp", false, "profile with the tree-walking interpreter instead of the bytecode VM")
 		validate = fs.Bool("validate", false, "re-check every mapping's result with the independent schedule validator")
 		timeout  = fs.Duration("timeout", 0, "abort the search after this duration (0 = no limit)")
 		traceF   = fs.String("trace", "", "write the pipeline span trace to this file as sorted JSON lines")
@@ -143,7 +136,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	p, err := mcpart.CompileCtx(ctx, *benchN, src, mcpart.CompileOptions{LegacyInterp: *legInt, CacheDir: *cacheDir, CacheMaxBytes: *cacheMax})
+	p, err := mcpart.CompileCtx(ctx, *benchN, src, mcpart.CompileOptions{CacheDir: *cacheDir, CacheMaxBytes: *cacheMax})
 	if err != nil {
 		return err
 	}
@@ -151,7 +144,7 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	opts := mcpart.Options{Workers: *jobs, NoMemo: *noMemo, NoDelta: *noDelta, LegacyPartition: *legacy, Validate: *validate, CacheDir: *cacheDir, CacheMaxBytes: *cacheMax, Observer: sinks.Observer()}
+	opts := mcpart.Options{Workers: *jobs, Validate: *validate, CacheDir: *cacheDir, CacheMaxBytes: *cacheMax, Observer: sinks.Observer()}
 	if *bestOnly {
 		// -best raises the object cap to the branch-and-bound default
 		// unless the user pinned -maxobjects explicitly.

@@ -70,29 +70,15 @@ func TestExploreBest(t *testing.T) {
 	}
 }
 
-func TestExploreNoDeltaMatchesDefault(t *testing.T) {
-	var delta, full strings.Builder
-	if err := run([]string{"-bench", "fir", "-csv"}, &delta); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-bench", "fir", "-csv", "-nodelta"}, &full); err != nil {
-		t.Fatal(err)
-	}
-	if delta.String() != full.String() {
-		t.Error("-nodelta changed the CSV output")
-	}
-}
-
-func TestExploreNoMemoMatchesDefault(t *testing.T) {
-	var memoed, plain strings.Builder
-	if err := run([]string{"-bench", "fir", "-csv"}, &memoed); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-bench", "fir", "-csv", "-nomemo"}, &plain); err != nil {
-		t.Fatal(err)
-	}
-	if memoed.String() != plain.String() {
-		t.Error("-nomemo changed the CSV output")
+// TestRemovedFlagsRejected pins that the engine switches the tool no
+// longer has fail as undefined flags instead of being silently accepted.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, flag := range []string{"-nomemo", "-nodelta", "-legacypartition", "-legacyinterp"} {
+		var sb strings.Builder
+		err := run([]string{"-bench", "fir", "-csv", flag}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", flag, err)
+		}
 	}
 }
 

@@ -220,8 +220,8 @@ func PrepareCtx(ctx context.Context, name, src string) (*Compiled, error) {
 	return PrepareFullCtx(ctx, name, src, DefaultUnroll, true)
 }
 
-// PrepareOpts is PrepareCtx with explicit profiling knobs (MaxSteps, the
-// LegacyInterp engine switch, and the CacheDir/CacheMaxBytes disk-cache
+// PrepareOpts is PrepareCtx with explicit profiling knobs (the
+// MaxSteps/MaxBytes budgets and the CacheDir/CacheMaxBytes disk-cache
 // knobs — a cached profile replaces the profiling execution; other
 // Options fields are ignored here).
 func PrepareOpts(ctx context.Context, name, src string, opts Options) (*Compiled, error) {
@@ -240,10 +240,8 @@ func PrepareFullCtx(ctx context.Context, name, src string, unroll int, optimize 
 }
 
 // PrepareFullOpts is the full Prepare implementation: front end, points-to
-// analysis, and one profiling execution. The profiler is the bytecode VM
-// (internal/bytecode) unless opts.LegacyInterp selects the tree-walking
-// interpreter; both produce identical checksums and Profiles, and both
-// charge the same step/byte/deadline budgets.
+// analysis, and one profiling execution on the bytecode VM
+// (internal/bytecode), which charges the step/byte/deadline budgets.
 func PrepareFullOpts(ctx context.Context, name, src string, unroll int, optimize bool, opts Options) (*Compiled, error) {
 	iopts := interp.Options{MaxSteps: opts.maxSteps(), MaxBytes: opts.MaxBytes}
 	if ctx != nil {
@@ -294,30 +292,16 @@ func PrepareFullOpts(ctx context.Context, name, src string, unroll int, optimize
 		}
 	}
 	sp = po.Span("profile")
-	var v interp.Value
-	var prof *interp.Profile
-	if opts.LegacyInterp {
-		in := interp.New(mod, iopts)
-		v, err = in.RunMain()
-		prof = in.Profile()
-		// The tree walker executes one op per dispatch by definition, so
-		// its counters mirror the VM's exactly.
-		po.Counter("interp_steps").Add(prof.Steps)
-		po.Counter("interp_dispatches").Add(prof.Steps)
-		po.Counter("interp_alloc_bytes").Add(in.AllocBytes())
-	} else {
-		var prog *bytecode.Program
-		prog, err = bytecode.Compile(mod)
-		if err != nil {
-			sp.End()
-			psp.End()
-			return nil, fmt.Errorf("eval: %s: %w", name, err)
-		}
-		vm := bytecode.NewVM(prog, iopts)
-		vm.SetObserver(po)
-		v, err = vm.RunMain()
-		prof = vm.Profile()
+	prog, err := bytecode.Compile(mod)
+	if err != nil {
+		sp.End()
+		psp.End()
+		return nil, fmt.Errorf("eval: %s: %w", name, err)
 	}
+	vm := bytecode.NewVM(prog, iopts)
+	vm.SetObserver(po)
+	v, err := vm.RunMain()
+	prof := vm.Profile()
 	sp.End()
 	psp.End()
 	o.Counter("prepare_programs").Add(1)
@@ -396,12 +380,6 @@ type Options struct {
 	// *interp.BudgetError. Non-positive means no byte budget. A per-request
 	// byte budget is the daemon's containment against allocation bombs.
 	MaxBytes int64
-	// LegacyInterp routes Prepare's profiling run through the tree-walking
-	// interpreter instead of the bytecode VM (ablation and differential
-	// debugging; see -legacyinterp). Checksum and Profile are identical
-	// either way — the VM is differentially tested against the tree walker
-	// — so only wall time changes.
-	LegacyInterp bool
 	// Workers bounds the evaluation worker pool used by Exhaustive,
 	// RunAllSchemes and RunMatrix. Zero or negative selects
 	// runtime.GOMAXPROCS(0) — the repository-wide sentinel convention
@@ -419,25 +397,6 @@ type Options struct {
 	// are shed (reads keep working). Non-positive selects
 	// store.DefaultMaxBytes.
 	CacheMaxBytes int64
-	// NoMemo disables the per-Compiled memoization cache for this run
-	// (ablation / benchmarking). Results are identical either way; only
-	// wall time and the MemoHits counters change.
-	NoMemo bool
-	// NoDelta makes Exhaustive evaluate every mask through the full
-	// per-mask pipeline (RunWithDataMap per point) instead of the
-	// Gray-code delta sweep. Point values are byte-identical either way —
-	// both paths sum the same memoized per-function results — so this is
-	// the A/B keep for differential tests and the sweep benchmarks.
-	NoDelta bool
-	// NoSymPrune makes Exhaustive evaluate every mask instead of half the
-	// space on cluster-symmetric machines. Point values are identical
-	// either way: symmetric machines canonicalize each mask to its
-	// even-complement representative before evaluation in both modes.
-	NoSymPrune bool
-	// LegacyPartition routes every graph bisection (GDP's object graph and
-	// RHOP's op graphs) through the legacy partitioner path instead of the
-	// CSR + gain-bucket FM fast path (ablation; see -legacypartition).
-	LegacyPartition bool
 	// Validate runs the independent schedule-level validator
 	// (internal/check) over every scheme result before it is returned; an
 	// invalid result becomes an error (and, under Fallback, triggers the
@@ -535,12 +494,10 @@ func (o Options) pmaxTol() float64 { return defaults.Float(o.ProfileMaxTol, 0.10
 func (o Options) maxSteps() int64 { return defaults.Int64(o.MaxSteps, 10_000_000) }
 
 // rhopOpts returns o.RHOP with the run-wide partitioner knobs applied:
-// LegacyPartition is sticky (either level can set it) and the evaluation
-// worker budget doubles as the partitioner's multi-start fan-out unless
-// RHOP names its own.
+// the evaluation worker budget doubles as the partitioner's multi-start
+// fan-out unless RHOP names its own.
 func (o Options) rhopOpts() rhop.Options {
 	r := o.RHOP
-	r.LegacyPartition = r.LegacyPartition || o.LegacyPartition
 	if r.Workers == 0 {
 		r.Workers = o.Workers
 	}
@@ -553,7 +510,6 @@ func (o Options) rhopOpts() rhop.Options {
 // gdpOpts applies the same run-wide knobs to o.GDP.
 func (o Options) gdpOpts() gdp.Options {
 	g := o.GDP
-	g.LegacyPartition = g.LegacyPartition || o.LegacyPartition
 	if g.Workers == 0 {
 		g.Workers = o.Workers
 	}
@@ -578,7 +534,7 @@ var noopDone = func(*Result, error) {}
 // everything here is a no-op.
 func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error)) {
 	parent := opts.Observer
-	if opts.useMemo(c) && opts.CacheDir != "" {
+	if c.useMemo() && opts.CacheDir != "" {
 		// A failed open degrades to memory-only caching: a broken cache
 		// directory must never break an evaluation. The CLI tools open the
 		// store up front to surface such errors to the user.
@@ -590,7 +546,7 @@ func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error
 	// The memoization cache is shared across every run over this Compiled,
 	// so its counters belong to the parent (global) registry, not the
 	// scoped per-run one.
-	if opts.useMemo(c) {
+	if c.useMemo() {
 		c.memo.SetObserver(parent)
 	}
 	sp := parent.Span(string(s), "bench", c.Name)
@@ -617,8 +573,9 @@ func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error
 	return opts, done
 }
 
-// useMemo reports whether this run should consult c's memoization cache.
-func (o Options) useMemo(c *Compiled) bool { return !o.NoMemo && c.memo != nil }
+// useMemo reports whether runs over c consult its memoization cache
+// (false only for hand-built Compiled values).
+func (c *Compiled) useMemo() bool { return c.memo != nil }
 
 // lockSigKey appends f's projected lock signature under dm: the home
 // cluster of each object f's memory operations may touch, in sorted object
@@ -633,7 +590,7 @@ func lockSigKey(k *memo.Key, c *Compiled, f *ir.Func, dm gdp.DataMap) *memo.Key 
 // caching. Every caller gets private copies of the lock maps (schemes and
 // callers may hold them in Results while other runs share the cache).
 func computeLocks(c *Compiled, dm gdp.DataMap, opts Options) map[*ir.Func]rhop.Locks {
-	if !opts.useMemo(c) {
+	if !c.useMemo() {
 		return gdp.ComputeLocks(c.Mod, dm, c.Prof)
 	}
 	out := make(map[*ir.Func]rhop.Locks, len(c.Mod.Funcs))
@@ -706,7 +663,7 @@ func partitionModule(c *Compiled, cfg *machine.Config, dm gdp.DataMap,
 		res.PartitionTime += time.Since(start)
 		res.DetailedRuns++
 	}()
-	if !opts.useMemo(c) {
+	if !c.useMemo() {
 		return rhop.PartitionModule(c.Mod, c.Prof, cfg, locks, ropts)
 	}
 	mkey := cfg.CacheKey()
@@ -750,7 +707,7 @@ func programCycles(c *Compiled, cfg *machine.Config, asg map[*ir.Func][]int,
 	}
 	sp := opts.Observer.Span("sched")
 	defer sp.End()
-	if !opts.useMemo(c) {
+	if !c.useMemo() {
 		// ProgramCycles is exactly this per-function loop (pinned in the
 		// sched tests); running it through an owned Scratch lets the
 		// observer's sched counters attach.

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,6 +25,19 @@ func prepBench(t *testing.T, name string) *Compiled {
 		t.Fatalf("%s: unrolled checksum %d, want %d", name, c.Ret, b.Want)
 	}
 	return c
+}
+
+// memoless returns a copy of c without a memoization cache: the path
+// hand-built Compiled values take, on which every per-function result is
+// computed afresh.
+func memoless(c *Compiled) *Compiled {
+	return &Compiled{Name: c.Name, Mod: c.Mod, Prof: c.Prof, Ret: c.Ret}
+}
+
+// exhaustivePerMask runs Exhaustive on the per-mask engine (RunWithDataMap
+// per point), the delta sweep's differential oracle.
+func exhaustivePerMask(c *Compiled, cfg *machine.Config, opts Options, maxObjects int) (*ExhaustiveResult, error) {
+	return exhaustive(context.Background(), c, cfg, opts, maxObjects, true)
 }
 
 func TestAllSchemesProduceValidResults(t *testing.T) {

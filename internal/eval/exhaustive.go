@@ -14,7 +14,7 @@ import (
 // registerSweepCounters pre-registers the sweep and branch-and-bound
 // counters so a clean -metrics run reports explicit zeros instead of
 // silently omitting paths that never fired (e.g. bb_* without -best, or
-// sweep_* under -nodelta).
+// sweep_* on a -validate sweep, which runs the per-mask engine).
 func registerSweepCounters(o *obs.Observer) {
 	o.Counter("sweep_masks_delta").Add(0)
 	o.Counter("sweep_funcs_recomputed").Add(0)
@@ -70,12 +70,10 @@ type ExhaustiveResult struct {
 // cluster 0. Canonicalization makes cycles(mask) == cycles(^mask) hold
 // exactly (the partitioner's lower-cluster tie-breaks would otherwise
 // skew complements slightly) and lets the sweep evaluate only the 2^(n-1)
-// canonical masks and mirror the rest; Options.NoSymPrune forces the full
-// enumeration but keeps canonicalization, so both modes return identical
-// points. Asymmetric machines — and every machine with more than two
-// clusters, where the relabeling orbit is the full k! group and mirroring
-// is no longer a cheap complement — always sweep every mask
-// uncanonicalized.
+// canonical masks and mirror the rest. Asymmetric machines — and every
+// machine with more than two clusters, where the relabeling orbit is the
+// full k! group and mirroring is no longer a cheap complement — always
+// sweep every mask uncanonicalized.
 func Exhaustive(c *Compiled, cfg *machine.Config, opts Options, maxObjects int) (*ExhaustiveResult, error) {
 	return ExhaustiveCtx(context.Background(), c, cfg, opts, maxObjects)
 }
@@ -83,6 +81,14 @@ func Exhaustive(c *Compiled, cfg *machine.Config, opts Options, maxObjects int) 
 // ExhaustiveCtx is Exhaustive under a context: cancellation stops the mask
 // sweep between items and propagates ctx's error.
 func ExhaustiveCtx(ctx context.Context, c *Compiled, cfg *machine.Config, opts Options, maxObjects int) (*ExhaustiveResult, error) {
+	return exhaustive(ctx, c, cfg, opts, maxObjects, false)
+}
+
+// exhaustive implements ExhaustiveCtx. The points come from the Gray-code
+// delta sweep unless fault injection or per-point validation needs the
+// full per-mask pipeline; perMask forces the per-mask engine, which the
+// differential tests use as the sweep's oracle.
+func exhaustive(ctx context.Context, c *Compiled, cfg *machine.Config, opts Options, maxObjects int, perMask bool) (*ExhaustiveResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -141,22 +147,21 @@ func ExhaustiveCtx(ctx context.Context, c *Compiled, cfg *machine.Config, opts O
 	}
 
 	res := &ExhaustiveResult{}
-	delta := !opts.NoDelta && opts.Inject == nil && !opts.Validate && n > 0
+	delta := !perMask && opts.Inject == nil && !opts.Validate && n > 0
 	if !delta {
-		// The per-mask engines partition whole modules mask after mask:
+		// The per-mask engine partitions whole modules mask after mask:
 		// share the prepared structure across them.
 		defer c.lease()()
 	}
 	if delta {
 		// Gray-code delta sweep (see sweep.go): byte-identical points at a
-		// fraction of the per-mask cost. Fault injection and per-point
-		// validation need the full per-mask pipeline, so they fall through.
+		// fraction of the per-mask cost.
 		points, err := sweepPoints(ctx, c, cfg, opts, rad, bytes, totalBytes, canon, n)
 		if err != nil {
 			return nil, err
 		}
 		res.Points = points
-	} else if canon && !opts.NoSymPrune && n > 0 {
+	} else if canon && n > 0 {
 		// Evaluate only the canonical (even) half; mirror each point onto
 		// its odd complement. Mirrored values are exactly what evaluating
 		// the odd mask would have produced, since evalMask canonicalizes.

@@ -67,7 +67,7 @@ func FuzzSweep(f *testing.F) {
 		if err != nil {
 			t.Fatalf("seed %d: delta sweep failed: %v\n%s", seed, err, src)
 		}
-		full, err := Exhaustive(c, cfg, Options{Workers: 2, NoDelta: true}, 10)
+		full, err := exhaustivePerMask(c, cfg, Options{Workers: 2}, 10)
 		if err != nil {
 			t.Fatalf("seed %d: full engine failed: %v\n%s", seed, err, src)
 		}

@@ -112,7 +112,7 @@ func FuzzTopology(f *testing.F) {
 		if err != nil {
 			t.Fatalf("seed %d machine %s: delta sweep failed: %v\n%s", seed, cfg.Name, err, src)
 		}
-		full, err := Exhaustive(c, cfg, Options{Workers: 2, NoDelta: true}, 10)
+		full, err := exhaustivePerMask(c, cfg, Options{Workers: 2}, 10)
 		if err != nil {
 			t.Fatalf("seed %d machine %s: full engine failed: %v\n%s", seed, cfg.Name, err, src)
 		}

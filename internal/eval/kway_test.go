@@ -38,7 +38,7 @@ func TestDeltaSweepMatchesFullKWay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s j%d delta: %v", cfg.Name, j, err)
 			}
-			full, err := Exhaustive(c, cfg, Options{Workers: j, NoDelta: true}, 14)
+			full, err := exhaustivePerMask(c, cfg, Options{Workers: j}, 14)
 			if err != nil {
 				t.Fatalf("%s j%d full: %v", cfg.Name, j, err)
 			}

@@ -9,17 +9,18 @@ import (
 
 // TestMemoEquivalenceAllSchemes pins the tentpole determinism contract:
 // every scheme returns reflect.DeepEqual-identical deterministic fields
-// with the memoization cache enabled (default) and disabled (NoMemo) —
-// including a warm cache, where prior runs of other schemes have filled
-// shared entries.
+// with the memoization cache (default) and without it (a memo-less copy of
+// the program) — including a warm cache, where prior runs of other schemes
+// have filled shared entries.
 func TestMemoEquivalenceAllSchemes(t *testing.T) {
 	c := prepBench(t, "rawcaudio")
+	bare := memoless(c)
 	for _, cfg := range []*machine.Config{machine.Paper2Cluster(5), machine.Heterogeneous2(5)} {
 		memoed, err := RunAllSchemes(c, cfg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := RunAllSchemes(c, cfg, Options{NoMemo: true})
+		plain, err := RunAllSchemes(bare, cfg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,13 +99,6 @@ func TestMemoHitsAccounting(t *testing.T) {
 	if st.Hits == 0 || st.Misses == 0 || st.Entries == 0 {
 		t.Errorf("cache stats look dead: %+v", st)
 	}
-	// NoMemo runs must bypass the cache entirely.
-	if _, err := RunUnified(c, cfg, Options{Workers: 1, NoMemo: true}); err != nil {
-		t.Fatal(err)
-	}
-	if after := c.MemoStats(); after != st {
-		t.Errorf("NoMemo run touched the cache: %+v -> %+v", st, after)
-	}
 }
 
 // TestMemoCacheIsNotCorruptedByNaive pins the copy-on-hit contract:
@@ -135,7 +129,7 @@ func TestMemoCacheIsNotCorruptedByNaive(t *testing.T) {
 // Compiled built without Prepare evaluates correctly with no memoization.
 func TestHandBuiltCompiledHasNoCache(t *testing.T) {
 	p := prepBench(t, "fir")
-	bare := &Compiled{Name: p.Name, Mod: p.Mod, Prof: p.Prof, Ret: p.Ret}
+	bare := memoless(p)
 	cfg := machine.Paper2Cluster(5)
 	r, err := RunUnified(bare, cfg, Options{Workers: 1})
 	if err != nil {

@@ -9,12 +9,15 @@ import (
 
 	"mcpart/internal/bench"
 	"mcpart/internal/interp"
+	"mcpart/internal/mclang"
+	"mcpart/internal/opt"
+	"mcpart/internal/pointsto"
 )
 
-// TestPrepareEngineEquivalence pins that the profiling engine switch is
-// invisible in Prepare's output: the bytecode VM (default) and the
-// tree-walking interpreter (LegacyInterp) produce the same checksum and a
-// DeepEqual-identical Profile through the public entry point.
+// TestPrepareEngineEquivalence pins Prepare's profile to the tree-walking
+// interpreter, the profiler's test oracle: the same front end run by hand
+// and executed by interp.New must give the same checksum and a
+// DeepEqual-identical Profile as Prepare's bytecode VM run.
 func TestPrepareEngineEquivalence(t *testing.T) {
 	bm, err := bench.Get("fir")
 	if err != nil {
@@ -24,17 +27,24 @@ func TestPrepareEngineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := PrepareOpts(context.Background(), bm.Name, bm.Source, Options{LegacyInterp: true})
+	mod, err := mclang.CompileUnrolled(bm.Source, bm.Name, DefaultUnroll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vm.Ret != tree.Ret {
-		t.Fatalf("checksum mismatch: vm %d, tree %d", vm.Ret, tree.Ret)
+	opt.Optimize(mod)
+	pointsto.Analyze(mod)
+	in := interp.New(mod, interp.Options{MaxSteps: Options{}.maxSteps()})
+	v, err := in.RunMain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vm.Ret != v.I {
+		t.Fatalf("checksum mismatch: vm %d, tree %d", vm.Ret, v.I)
 	}
 	if vm.Ret != bm.Want {
 		t.Fatalf("checksum %d, want %d", vm.Ret, bm.Want)
 	}
-	if !reflect.DeepEqual(normProfile(vm.Prof), normProfile(tree.Prof)) {
+	if !reflect.DeepEqual(normProfile(vm.Prof), normProfile(in.Profile())) {
 		t.Fatal("profiles diverge between engines")
 	}
 }
@@ -63,39 +73,33 @@ func normProfile(p *interp.Profile) map[string]int64 {
 }
 
 // TestPrepareMaxStepsHonored pins that Options.MaxSteps reaches the
-// profiler on both engines: a cap far below the benchmark's step count
-// must fail Prepare with a typed step-budget error.
+// profiler: a cap far below the benchmark's step count must fail Prepare
+// with a typed step-budget error.
 func TestPrepareMaxStepsHonored(t *testing.T) {
 	bm, err := bench.Get("fir")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, legacy := range []bool{false, true} {
-		_, err := PrepareOpts(context.Background(), bm.Name, bm.Source,
-			Options{MaxSteps: 100, LegacyInterp: legacy})
-		var be *interp.BudgetError
-		if !errors.As(err, &be) || be.Resource != "step" {
-			t.Errorf("legacy=%v: want step BudgetError, got %v", legacy, err)
-		}
+	_, err = PrepareOpts(context.Background(), bm.Name, bm.Source, Options{MaxSteps: 100})
+	var be *interp.BudgetError
+	if !errors.As(err, &be) || be.Resource != "step" {
+		t.Errorf("want step BudgetError, got %v", err)
 	}
 }
 
 // TestPrepareMaxBytesHonored pins that Options.MaxBytes reaches the
-// profiler on both engines: a heap cap below the benchmark's footprint must
-// fail Prepare with a typed byte-budget error, and a generous cap must not
-// change the result.
+// profiler: a heap cap below the benchmark's footprint must fail Prepare
+// with a typed byte-budget error, and a generous cap must not change the
+// result.
 func TestPrepareMaxBytesHonored(t *testing.T) {
 	bm, err := bench.Get("fir")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, legacy := range []bool{false, true} {
-		_, err := PrepareOpts(context.Background(), bm.Name, bm.Source,
-			Options{MaxBytes: 8, LegacyInterp: legacy})
-		var be *interp.BudgetError
-		if !errors.As(err, &be) || be.Resource != "byte" {
-			t.Errorf("legacy=%v: want byte BudgetError, got %v", legacy, err)
-		}
+	_, err = PrepareOpts(context.Background(), bm.Name, bm.Source, Options{MaxBytes: 8})
+	var be *interp.BudgetError
+	if !errors.As(err, &be) || be.Resource != "byte" {
+		t.Errorf("want byte BudgetError, got %v", err)
 	}
 	c, err := PrepareOpts(context.Background(), bm.Name, bm.Source, Options{MaxBytes: 1 << 30})
 	if err != nil {

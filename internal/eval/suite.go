@@ -212,8 +212,8 @@ func PrepareAllCtx(ctx context.Context, specs []BenchSpec, workers int) ([]*Comp
 	return PrepareAllOpts(ctx, specs, workers, Options{})
 }
 
-// PrepareAllOpts is PrepareAllCtx with explicit profiling knobs (MaxSteps
-// and the LegacyInterp engine switch).
+// PrepareAllOpts is PrepareAllCtx with explicit profiling knobs (the
+// budgets and the disk-cache knobs; see PrepareOpts).
 func PrepareAllOpts(ctx context.Context, specs []BenchSpec, workers int, opts Options) ([]*Compiled, error) {
 	return parallel.MapStage(ctx, "prepare", len(specs), workers,
 		func(ctx context.Context, i int) (*Compiled, error) {

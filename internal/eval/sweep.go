@@ -98,7 +98,7 @@ func sweepErr(c *Compiled, err error) error {
 func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 	opts Options, rad *radix, canon bool, n int, res *Result) ([]costTable, error) {
 
-	useMemo := opts.useMemo(c)
+	useMemo := c.useMemo()
 	ropts := opts.rhopOpts()
 	mkey := cfg.CacheKey()
 	okey := ropts.CacheKey()

@@ -11,7 +11,7 @@ import (
 // TestDeltaSweepMatchesFull is the delta engine's acceptance property: on
 // every benchmark in the suite, across move-latency presets and worker
 // counts, the Gray-code delta sweep returns an ExhaustiveResult
-// reflect.DeepEqual to the full per-mask engine's (Options.NoDelta). The
+// reflect.DeepEqual to the full per-mask engine's (exhaustivePerMask). The
 // delta run goes first on a shared Compiled, so the full engine is served
 // from the same memo entries — any disagreement is therefore in the sweep
 // machinery itself (table indexing, Gray stepping, chunk seeding,
@@ -30,7 +30,7 @@ func TestDeltaSweepMatchesFull(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s lat%d j%d delta: %v", b.Name, lat, j, err)
 				}
-				full, err := Exhaustive(c, cfg, Options{Workers: j, NoDelta: true}, 16)
+				full, err := exhaustivePerMask(c, cfg, Options{Workers: j}, 16)
 				if err != nil {
 					t.Fatalf("%s lat%d j%d full: %v", b.Name, lat, j, err)
 				}
@@ -47,25 +47,26 @@ func TestDeltaSweepMatchesFull(t *testing.T) {
 	}
 }
 
-// TestDeltaSweepMatchesFullNoMemo repeats the comparison with the memo
-// cache disabled on a representative benchmark, so shared cache entries
-// cannot paper over a divergence between the two pipelines' computations.
+// TestDeltaSweepMatchesFullNoMemo repeats the comparison without a memo
+// cache on a representative benchmark: each engine runs on its own
+// memo-less copy of the program, so shared cache entries cannot paper over
+// a divergence between the two pipelines' computations.
 func TestDeltaSweepMatchesFullNoMemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive search is slow")
 	}
 	c := prepBench(t, "fir")
 	cfg := machine.Paper2Cluster(5)
-	delta, err := Exhaustive(c, cfg, Options{NoMemo: true}, 14)
+	delta, err := Exhaustive(memoless(c), cfg, Options{}, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Exhaustive(c, cfg, Options{NoMemo: true, NoDelta: true}, 14)
+	full, err := exhaustivePerMask(memoless(c), cfg, Options{}, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(delta, full) {
-		t.Fatal("NoMemo delta sweep differs from full engine")
+		t.Fatal("memo-less delta sweep differs from full engine")
 	}
 }
 
@@ -82,7 +83,7 @@ func TestDeltaSweepAsymmetricMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Exhaustive(c, cfg, Options{NoDelta: true}, 14)
+	full, err := exhaustivePerMask(c, cfg, Options{}, 14)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 package eval
 
 import (
-	"reflect"
 	"testing"
 
+	"mcpart/internal/gdp"
 	"mcpart/internal/machine"
 )
 
@@ -43,10 +43,12 @@ func TestExhaustiveComplementSymmetry(t *testing.T) {
 	}
 }
 
-// TestExhaustivePrunedMatchesFullSweep pins that the half-space sweep and
-// the full enumeration produce identical ExhaustiveResult point sets —
-// the pruning satellite's acceptance property. NoMemo rules out the cache
-// accidentally papering over a pruning bug.
+// TestExhaustivePrunedMatchesFullSweep pins that the half-space sweep
+// matches a full enumeration: every even (canonical) mask is evaluated
+// here through RunWithDataMap, and both it and its odd complement must
+// report that evaluation's cycles and imbalance. The enumeration runs on a
+// memo-less copy of the program, so the cache cannot paper over a pruning
+// bug.
 func TestExhaustivePrunedMatchesFullSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive search is slow")
@@ -57,17 +59,34 @@ func TestExhaustivePrunedMatchesFullSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullSweep, err := Exhaustive(c, cfg, Options{NoSymPrune: true, NoMemo: true}, 14)
-	if err != nil {
-		t.Fatal(err)
+	bare := memoless(c)
+	defer bare.lease()()
+	n := len(c.Mod.Objects)
+	full := uint64(1)<<uint(n) - 1
+	if len(pruned.Points) != 1<<uint(n) {
+		t.Fatalf("got %d points, want 2^%d", len(pruned.Points), n)
 	}
-	if !reflect.DeepEqual(pruned, fullSweep) {
-		t.Fatal("pruned sweep differs from full enumeration")
+	var totalBytes int64
+	for i := 0; i < n; i++ {
+		totalBytes += objectBytes(c, i)
 	}
-	// The mask-order invariant Find relies on must hold in both modes.
-	for i, p := range pruned.Points {
-		if p.Mask != uint64(i) {
-			t.Fatalf("Points[%d].Mask = %d; mask-order invariant broken", i, p.Mask)
+	for mask := uint64(0); mask <= full; mask += 2 {
+		dm := make(gdp.DataMap, n)
+		clusterBytes := make([]int64, 2)
+		for j := range dm {
+			dm[j] = int(mask >> uint(j) & 1)
+			clusterBytes[dm[j]] += objectBytes(c, j)
+		}
+		r, err := RunWithDataMap(bare, cfg, dm, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		imb := imbalanceOf(clusterBytes, totalBytes)
+		for _, m := range []uint64{mask, ^mask & full} {
+			// Points[m].Mask == m is the mask-order invariant Find relies on.
+			if p := pruned.Points[m]; p.Mask != m || p.Cycles != r.Cycles || p.Imbalance != imb {
+				t.Fatalf("Points[%d] = %+v, enumeration has (%d, %v)", m, p, r.Cycles, imb)
+			}
 		}
 	}
 }
@@ -92,14 +111,6 @@ func TestExhaustiveAsymmetricKeepsFullSweep(t *testing.T) {
 	n := len(c.Mod.Objects)
 	if len(ex.Points) != 1<<uint(n) {
 		t.Fatalf("got %d points, want full 2^%d", len(ex.Points), n)
-	}
-	// NoSymPrune is a no-op on an asymmetric machine.
-	again, err := Exhaustive(c, cfg, Options{NoSymPrune: true}, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ex, again) {
-		t.Fatal("asymmetric sweep changed under NoSymPrune")
 	}
 	// On this machine the big cluster genuinely beats the small one for
 	// at least one mapping pair, which canonicalization would have hidden.

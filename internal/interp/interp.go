@@ -1,8 +1,16 @@
-// Package interp executes IR modules. It serves two roles in the pipeline:
-// it is the profiler that supplies the data partitioner with dynamic block
-// frequencies, per-operation object access counts, and heap allocation
-// sizes; and it is the correctness oracle the test suite uses to validate
-// the front end and the points-to analysis.
+// Package interp defines the runtime values, the Profile (dynamic block
+// frequencies, per-operation object access counts, heap allocation sizes)
+// and the budget types the profiling pipeline shares, and holds a
+// tree-walking executor for IR modules.
+//
+// The production profiler is the bytecode VM (internal/bytecode), which
+// reuses these types. The tree-walking executor (New, Interp) is the test
+// oracle: FuzzVM, TestSuiteEquivalence and the other equivalence tests in
+// internal/bytecode check the VM against it, eval's
+// TestPrepareEngineEquivalence checks Prepare's profile against it, and
+// the root integration test and the tests of the front end, optimizer,
+// points-to analysis, scheduler and partitioners use it to execute
+// programs directly. No production path runs it.
 package interp
 
 import (

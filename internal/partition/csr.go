@@ -135,11 +135,12 @@ func (c *CSR) Validate() error {
 
 // coarsenCSR performs one round of heavy-edge matching over the CSR graph
 // and returns the coarse graph, the fine-to-coarse map, and whether the
-// graph actually shrank. The matching rules are identical to the legacy
-// path's coarsen (descending-incident-weight visit order, merged-weight cap
-// of total/3+1 per dimension, fixed-compatibility), but the coarse graph is
-// assembled in O(V+E) with a stamp table instead of per-edge adjacency
-// scans, and every table is a flat array.
+// graph actually shrank. Nodes are visited in descending incident-weight
+// order and matched to their heaviest unmatched neighbor, subject to a
+// merged-weight cap of total/3+1 per dimension and fixed-compatibility;
+// the coarse graph is assembled in O(V+E) with a stamp table, and every
+// table is a flat array. TestCoarsenCSRMatchesLegacy pins the matching
+// to a plain per-node reference implementation.
 // Coarsening conserves node weight, so the caller passes one total
 // vector that serves every level instead of re-summing W per round.
 func coarsenCSR(fs *fmScratch, c *CSR, total []int64) (*CSR, []int32, bool) {
@@ -236,7 +237,7 @@ func coarsenCSR(fs *fmScratch, c *CSR, total []int64) (*CSR, []int32, bool) {
 	if matched < n/10 {
 		return nil, nil, false
 	}
-	// Number the coarse nodes in ascending fine order (same as legacy).
+	// Number the coarse nodes in ascending fine order.
 	cmap := fs.getCmap(n)
 	for i := range cmap {
 		cmap[i] = -1

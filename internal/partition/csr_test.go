@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -135,14 +136,124 @@ func TestGraphValidateMalformed(t *testing.T) {
 	}
 }
 
-// TestCoarsenCSRMatchesLegacy pins the fast coarsening to the legacy one:
+// legacyCoarsen is the original partitioner engine's heavy-edge matching
+// round over per-node adjacency lists, kept as coarsenCSR's exact
+// reference. It returns the coarse graph, the fine-to-coarse map, and
+// whether the graph actually shrank.
+func legacyCoarsen(g *Graph) (*Graph, []int, bool) {
+	n := g.Len()
+	total := g.TotalW()
+	// Limit merged node weight so coarse nodes stay partitionable.
+	maxW := make([]int64, g.NumW)
+	for d, t := range total {
+		maxW[d] = t/3 + 1
+	}
+	match := make([]int, n)
+	for i := range match {
+		match[i] = -1
+	}
+	// Visit nodes in descending order of incident edge weight so heavy
+	// structures merge first; ties break on index for determinism.
+	order := make([]int, n)
+	incident := make([]int64, n)
+	for u := range order {
+		order[u] = u
+		for _, e := range g.Adj[u] {
+			incident[u] += e.W
+		}
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if incident[a] != incident[b] {
+			return incident[a] > incident[b]
+		}
+		return a < b
+	})
+	matched := 0
+	for _, u := range order {
+		if match[u] != -1 {
+			continue
+		}
+		best, bestW := -1, int64(-1)
+		for _, e := range g.Adj[u] {
+			v := e.To
+			if match[v] != -1 {
+				continue
+			}
+			if g.Fixed[u] != -1 && g.Fixed[v] != -1 && g.Fixed[u] != g.Fixed[v] {
+				continue // cannot merge nodes locked to different parts
+			}
+			ok := true
+			for d := range maxW {
+				if g.W[u][d]+g.W[v][d] > maxW[d] {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			if e.W > bestW || (e.W == bestW && v < best) {
+				best, bestW = v, e.W
+			}
+		}
+		if best >= 0 {
+			match[u] = best
+			match[best] = u
+			matched += 2
+		} else {
+			match[u] = u
+		}
+	}
+	if matched < n/10 {
+		return nil, nil, false
+	}
+	// Build the coarse graph.
+	cmap := make([]int, n)
+	for i := range cmap {
+		cmap[i] = -1
+	}
+	cn := 0
+	for u := 0; u < n; u++ {
+		if cmap[u] != -1 {
+			continue
+		}
+		cmap[u] = cn
+		if match[u] != u {
+			cmap[match[u]] = cn
+		}
+		cn++
+	}
+	cg := NewGraph(cn, g.NumW)
+	for u := 0; u < n; u++ {
+		cu := cmap[u]
+		for d, w := range g.W[u] {
+			cg.W[cu][d] += w
+		}
+		if g.Fixed[u] != -1 {
+			cg.Fixed[cu] = g.Fixed[u]
+		}
+	}
+	for u := 0; u < n; u++ {
+		cu := cmap[u]
+		for _, e := range g.Adj[u] {
+			cv := cmap[e.To]
+			if cu < cv {
+				cg.Connect(cu, cv, e.W)
+			}
+		}
+	}
+	return cg, cmap, true
+}
+
+// TestCoarsenCSRMatchesLegacy pins the CSR coarsening to legacyCoarsen:
 // identical matchings produce an identical coarse graph up to adjacency
 // order, so compare node count, weights, fixed flags, and the merged
 // neighbor weight maps.
 func TestCoarsenCSRMatchesLegacy(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randGraph(200, 6, 2, seed, seed%2 == 0)
-		cgLegacy, cmapLegacy, okLegacy := coarsen(&bscratch{}, g)
+		cgLegacy, cmapLegacy, okLegacy := legacyCoarsen(g)
 		csr := BuildCSR(g)
 		cgFast, cmapFast, okFast := coarsenCSR(&fmScratch{}, csr, csr.TotalW())
 		if okLegacy != okFast {

@@ -9,9 +9,9 @@ import (
 	"mcpart/internal/parallel"
 )
 
-// The fast partitioner path: the same multilevel structure as the legacy
-// engine (heavy-edge-matching coarsening, multi-start greedy growing,
-// move-based refinement at every level), rebuilt around three mechanisms:
+// The partitioner: a METIS-style multilevel engine (heavy-edge-matching
+// coarsening, multi-start greedy growing, move-based refinement at every
+// level), built around three mechanisms:
 //
 //   - a CSR graph per level (csr.go) so every phase iterates flat arrays;
 //   - Fiduccia–Mattheyses refinement: per-node gains computed once per
@@ -31,9 +31,8 @@ import (
 // matches the node's current bucket key. Ties between equal gains always
 // resolve to the lowest node index, which keeps every pass deterministic.
 
-// fmTries is the fast path's multi-start width at the coarsest level. The
-// legacy engine uses 4 tries; FM tries are cheap enough to quadruple the
-// starts, and with parallel multi-start the extra tries cost little wall
+// fmTries is the multi-start width at the coarsest level. FM tries are
+// cheap, and with parallel multi-start the extra tries cost little wall
 // time.
 const fmTries = 16
 
@@ -425,11 +424,10 @@ func bisectTiny(g *Graph, opts Options) []int {
 	return part
 }
 
-// bisectFast is the fast-path counterpart of bisectRec: build the CSR
-// once, coarsen over flat arrays, then seed candidates from two depths of
-// the hierarchy — a deep multi-start at the legacy coarsening floor
-// (whose level chain matches the legacy path's exactly) and a shallow one
-// at the fast floor, where the larger graph yields genuinely distinct
+// bisectFast is the multilevel bisection: build the CSR once, coarsen
+// over flat arrays, then seed candidates from two depths of the hierarchy
+// — a deep multi-start at the coarseTarget floor and a shallow one at the
+// coarseTargetFast floor, where the larger graph yields genuinely distinct
 // starts. The merged top fmTrajectories candidates are carried
 // independently back up the fine levels — each projected and FM-refined —
 // and the finest-level winner is chosen by (balance violation, cut,
@@ -662,9 +660,8 @@ func bestInitialFM(fs *fmScratch, c *CSR, total []int64, opts Options) [][]int32
 
 // growInitial grows one part greedily from a seed until it holds its
 // target fraction of the combined normalized weight, honoring fixed nodes
-// — the same policy as the legacy initialBisection, but the frontier is a
-// lazy max-heap keyed by (connection weight into the growing part, node
-// index) instead of an O(V·E) rescan per placed node. try selects among
+// — the frontier is a lazy max-heap keyed by (connection weight into the
+// growing part, node index), so no placement rescans the graph. try selects among
 // deterministic seed-spread choices; even tries grow part 1 and odd tries
 // grow part 0, so the multi-start explores complementary regions even
 // when the seed nodes coincide.
@@ -755,7 +752,7 @@ func growInitial(fs *fmScratch, c *CSR, total []int64, opts Options, try, tries 
 		}
 		if u < 0 {
 			// Empty frontier (disconnected remainder): fall back to the
-			// lowest-index free node, as the legacy rescan would.
+			// lowest-index free node.
 			for cursor < n && (inOne[cursor] || int(c.Fixed[cursor]) == other) {
 				cursor++
 			}
@@ -776,15 +773,13 @@ func growInitial(fs *fmScratch, c *CSR, total []int64, opts Options, try, tries 
 	return part
 }
 
-// refineFM improves part in place with gain-bucket FM passes, preserving
-// the legacy refine's balance semantics exactly: only moves that do not
-// worsen the balance violation are applied in the hill-climb phase, and an
+// refineFM improves part in place with gain-bucket FM passes under these
+// balance semantics: only moves that do not worsen the balance violation are applied in the hill-climb phase, and an
 // over-limit part sheds best-gain weight-bearing nodes (even at negative
 // gain) until balanced or stuck. Gains are computed once per level and
 // maintained incrementally on each move; the hill-climb always takes the
-// current best candidate from the buckets instead of walking a stale
-// sorted list.
-// refineFM runs the full-budget FM refinement on part.
+// current best candidate from the buckets. refineFM runs the full pass
+// budget.
 func refineFM(fs *fmScratch, c *CSR, total []int64, part []int32, opts Options) {
 	refineFMPasses(fs, c, total, part, opts, 0)
 }
@@ -932,7 +927,7 @@ func refineFMPasses(fs *fmScratch, c *CSR, total []int64, part []int32, opts Opt
 	// FM on the quality-critical coarse levels.
 	boundaryOnly := n > boundaryMin
 	// An FM pass sweeps every eligible node with rollback, so it converges
-	// in far fewer passes than the legacy positive-gain sweep. The small
+	// in far fewer passes than a positive-gain-only sweep. The small
 	// levels (through boundaryMin) keep the full pass budget — that is
 	// where multi-start quality is decided and passes are cheap; mid
 	// levels get three passes and the big levels two (one productive, one

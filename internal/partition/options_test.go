@@ -85,16 +85,13 @@ func TestBisectMalformedOptions(t *testing.T) {
 		{Tol: []float64{}},
 		{Fractions: []float64{1}, Tol: []float64{-1, 0.15}},
 	} {
-		for _, legacy := range []bool{false, true} {
-			opts.Legacy = legacy
-			part, err := Bisect(g, opts)
-			if err != nil {
-				t.Fatalf("legacy=%v: %v", legacy, err)
-			}
-			for u, f := range g.Fixed {
-				if f != -1 && part[u] != f {
-					t.Fatalf("legacy=%v: fixed node %d moved", legacy, u)
-				}
+		part, err := Bisect(g, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		for u, f := range g.Fixed {
+			if f != -1 && part[u] != f {
+				t.Fatalf("%+v: fixed node %d moved", opts, u)
 			}
 		}
 	}

@@ -169,6 +169,34 @@ func TestKWayRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
+// TestKWayRejectsBadInputAtEveryK pins that KWay checks its input before
+// any shortcut: a node fixed outside [0,k) and an asymmetric adjacency are
+// rejected at k=1 exactly as at k=2 and k=4.
+func TestKWayRejectsBadInputAtEveryK(t *testing.T) {
+	cases := []struct {
+		name string
+		mk   func() *Graph
+	}{
+		{"fixed out of range", func() *Graph {
+			g := pathGraph(6)
+			g.Fixed[2] = 5
+			return g
+		}},
+		{"asymmetric adjacency", func() *Graph {
+			g := pathGraph(6)
+			g.Adj[0] = append(g.Adj[0], Edge{To: 3, W: 1})
+			return g
+		}},
+	}
+	for _, tc := range cases {
+		for _, k := range []int{1, 2, 4} {
+			if part, err := KWay(tc.mk(), k, Options{}); err == nil {
+				t.Errorf("%s: KWay accepted k=%d (got %v)", tc.name, k, part)
+			}
+		}
+	}
+}
+
 func TestKWayRespectsFixed(t *testing.T) {
 	g := pathGraph(16)
 	g.Fixed[0] = 3

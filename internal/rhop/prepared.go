@@ -277,9 +277,6 @@ func (sc *scratch) cutKey(ri int, pre *regionPre, k int, opts Options, locks Loc
 	if opts.UniformEdges {
 		flags |= 1
 	}
-	if opts.LegacyPartition {
-		flags |= 2
-	}
 	buf := append(binary.AppendUvarint(sc.keyBuf[:0], uint64(ri)), byte(k), flags)
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(opts.tol()))
 	for _, id := range pre.extRefs {

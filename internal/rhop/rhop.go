@@ -54,21 +54,9 @@ type Options struct {
 	// coarser levels; single-op moves sometimes cannot escape the local
 	// minima pair moves can.
 	PairRefine bool
-	// NoIncremental disables the incremental per-block estimate cache in
-	// the refinement loops and recomputes every region estimate from
-	// scratch (ablation / debugging aid). Results are identical either
-	// way — the cache is exact — so this knob only affects speed and is
-	// excluded from CacheKey.
-	NoIncremental bool
-	// LegacyPartition routes the underlying graph bisection through the
-	// legacy partitioner path instead of the CSR + gain-bucket FM fast
-	// path (ablation). The two paths can pick different equal-quality
-	// partitions, so this is part of CacheKey.
-	LegacyPartition bool
-	// Workers bounds the fast partitioner's multi-start fan-out; 0 means
+	// Workers bounds the graph partitioner's multi-start fan-out; 0 means
 	// runtime.GOMAXPROCS(0). Value-neutral (results are identical for
-	// every worker count), so — like NoIncremental — it is excluded from
-	// CacheKey.
+	// every worker count), so it is excluded from CacheKey.
 	Workers int
 	// Obs, when non-nil, receives the refinement metrics (rhop_regions,
 	// rhop_moves_accepted, rhop_cost_evals) and is threaded into the
@@ -84,15 +72,13 @@ func (o Options) tol() float64 { return defaults.Float(o.BalanceTol, 0.4) }
 // CacheKey returns a canonical encoding of every option that can change a
 // partitioning outcome, with defaults resolved (so the zero Options and an
 // explicit {RefinePasses: 4, BalanceTol: 0.4} share memoized results).
-// NoIncremental and Workers are excluded: both are value-neutral by
-// construction.
+// Workers and Obs are excluded: both are value-neutral by construction.
 func (o Options) CacheKey() string {
 	return memo.NewKey("rhopopts").
 		Int(int64(o.passes())).
 		Float(o.tol()).
 		Bool(o.UniformEdges).
 		Bool(o.PairRefine).
-		Bool(o.LegacyPartition).
 		String()
 }
 
@@ -396,7 +382,6 @@ func (fp *FuncPartitioner) minCut(pre *regionPre, locks Locks, asg []int) ([]uin
 	sc.tKWay++
 	part, err := partition.KWay(g, fp.mcfg.NumClusters(), partition.Options{
 		Tol:     []float64{opts.tol()},
-		Legacy:  opts.LegacyPartition,
 		Workers: opts.Workers,
 		Obs:     opts.Obs,
 	})
@@ -611,14 +596,9 @@ func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op) map[edgeKey]
 // live-in registers, the dirtied set covers every block where either
 // changed, and MoveDef reproduces the dominant-cluster rule bit for bit,
 // so incremental and from-scratch evaluation return identical costs
-// (pinned by TestIncrementalRefinementEquivalence).
-//
-// In full mode (Options.NoIncremental) move is a plain assignment write
-// and cost recomputes the whole region estimate from scratch.
+// (pinned by TestRegionEvalMatchesScratch).
 type regionEval struct {
-	full bool
 	sc   *scratch
-	f    *ir.Func
 	pre  *regionPre
 	lc   *sched.LoopCtx
 	prof *interp.Profile
@@ -640,14 +620,10 @@ func (fp *FuncPartitioner) newRegionEval(pre *regionPre, asg []int) *regionEval 
 	sc, p := fp.sc, fp.p
 	re := &sc.re
 	*re = regionEval{
-		full: fp.opts.NoIncremental,
-		sc:   sc, f: p.f, pre: pre, lc: p.lc, prof: p.prof, mcfg: fp.mcfg,
+		sc: sc, pre: pre, lc: p.lc, prof: p.prof, mcfg: fp.mcfg,
 		asg: asg, k: fp.mcfg.NumClusters(),
 		opBlock: p.opBlock,
 		val:     re.val[:0], dirty: re.dirty[:0], dirtyList: re.dirtyList[:0],
-	}
-	if re.full {
-		return re
 	}
 	re.home = sc.homeInc.HomeClustersFreq(p.f, asg, re.k, func(b *ir.Block) int64 {
 		return blockFreq(p.prof, b)
@@ -689,9 +665,6 @@ func (re *regionEval) move(op *ir.Op, to int) {
 		return
 	}
 	re.asg[op.ID] = to
-	if re.full {
-		return
-	}
 	re.markDirty(re.opBlock[op.ID])
 	if op.Dst != ir.NoReg {
 		old := re.home[op.Dst]
@@ -707,9 +680,6 @@ func (re *regionEval) move(op *ir.Op, to int) {
 // cost returns the region's estimated profile-weighted cycle count under
 // the current assignment.
 func (re *regionEval) cost() int64 {
-	if re.full {
-		return estimateRegionCostScratch(re.sc, re.f, re.pre.region, re.lc, re.prof, re.mcfg, re.asg)
-	}
 	blocks := re.pre.region.Blocks
 	for _, i := range re.dirtyList {
 		v := re.sc.est.blockLen(blocks[i], re.asg, re.home, re.lc, re.mcfg)
@@ -850,12 +820,7 @@ func (fp *FuncPartitioner) pairRefineRegion(pre *regionPre, locks Locks, asg []i
 // bus bound, and the dependence-critical path including move latencies.
 func EstimateRegionCost(f *ir.Func, region *cfg.Region, prof *interp.Profile,
 	mcfg *machine.Config, asg []int) int64 {
-	return estimateRegionCostScratch(&scratch{}, f, region, sched.NewLoopCtx(f), prof, mcfg, asg)
-}
-
-func estimateRegionCostScratch(sc *scratch, f *ir.Func, region *cfg.Region, lc *sched.LoopCtx,
-	prof *interp.Profile, mcfg *machine.Config, asg []int) int64 {
-
+	sc, lc := &scratch{}, sched.NewLoopCtx(f)
 	home := sc.home.HomeClustersFreq(f, asg, mcfg.NumClusters(), func(b *ir.Block) int64 {
 		return blockFreq(prof, b)
 	})

@@ -243,10 +243,6 @@ type CompileOptions struct {
 	// MaxSteps bounds the profiling run (the usual sentinel: non-positive
 	// means the default of 10 million steps).
 	MaxSteps int64
-	// LegacyInterp profiles with the tree-walking interpreter instead of
-	// the bytecode VM (ablation and differential debugging; results are
-	// identical, only wall time changes).
-	LegacyInterp bool
 	// CacheDir names a persistent artifact-store directory (see
 	// Options.CacheDir): when the store holds a profile for this exact
 	// module, compilation skips the profiling execution entirely. Empty
@@ -282,8 +278,7 @@ func CompileCtx(ctx context.Context, name, source string, opts CompileOptions) (
 	}
 	c, err := eval.PrepareFullOpts(ctx, name, source, unroll, !opts.NoOptimize,
 		eval.Options{MaxSteps: opts.MaxSteps, MaxBytes: opts.MaxBytes,
-			LegacyInterp: opts.LegacyInterp,
-			CacheDir:     opts.CacheDir, CacheMaxBytes: opts.CacheMaxBytes})
+			CacheDir: opts.CacheDir, CacheMaxBytes: opts.CacheMaxBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -334,8 +329,7 @@ func (p *Program) Objects() []ObjectInfo {
 
 // MemoStats are the counters of the program's partition-result memoization
 // cache (internal/memo): how many per-function partition/schedule/lock
-// computations were answered from cache versus computed. All-zero when
-// memoization is disabled (Options.NoMemo, or a Program built without it).
+// computations were answered from cache versus computed.
 // The counters describe work saved, never results: cached and uncached
 // evaluations are byte-identical.
 type MemoStats struct {

@@ -55,11 +55,10 @@ type Request struct {
 	// MaxSteps / MaxBytes bound the profiling run (see CompileOptions).
 	MaxSteps int64
 	MaxBytes int64
-	// Unroll / NoOptimize / LegacyInterp select the front-end variant; they
-	// are part of the program-cache key, so variants never collide.
-	Unroll       int
-	NoOptimize   bool
-	LegacyInterp bool
+	// Unroll / NoOptimize select the front-end variant; they are part of
+	// the program-cache key, so variants never collide.
+	Unroll     int
+	NoOptimize bool
 	// Validate re-checks every scheme result with the independent
 	// validator; Fallback enables the GDP→ProfileMax→Naive degradation
 	// chain (recorded in Result.Degraded). Workers bounds the evaluation
@@ -130,9 +129,8 @@ var errSessionClosed = errors.New("mcpart: session closed")
 // budget must keep failing for requests that ask for that budget.
 func compileKey(name, source string, req Request) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00u%d o%v l%v s%d b%d",
-		name, source, req.Unroll, req.NoOptimize, req.LegacyInterp,
-		req.MaxSteps, req.MaxBytes)
+	fmt.Fprintf(h, "%s\x00%s\x00u%d o%v s%d b%d",
+		name, source, req.Unroll, req.NoOptimize, req.MaxSteps, req.MaxBytes)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -151,7 +149,6 @@ func (r Request) compileOptions(s *Session) CompileOptions {
 		NoOptimize:    r.NoOptimize,
 		MaxSteps:      r.MaxSteps,
 		MaxBytes:      r.MaxBytes,
-		LegacyInterp:  r.LegacyInterp,
 		CacheDir:      s.opts.CacheDir,
 		CacheMaxBytes: s.opts.CacheMaxBytes,
 	}
