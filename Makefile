@@ -110,11 +110,12 @@ bench-store:
 		| tee bench_store_output.txt
 
 # Sweep-engine benchmarks: the Gray-code delta sweep on the Figure 9
-# benchmarks (cold cache per iteration, median-reduced), plus the
-# branch-and-bound best-mapping search on a 22-object instance with a
-# time-budgeted enumeration attempt through the delta sweep for contrast.
-# The per-mask rows of BENCH_sweep.json predate the removal of that A/B
-# arm and are not reproduced here (see EXPERIMENTS.md).
+# benchmarks, plain (delta-s/op) and validated (validated-s/op), cold
+# cache per iteration, median-reduced; plus the branch-and-bound
+# best-mapping search on a 22-object instance with a time-budgeted
+# enumeration attempt through the delta sweep for contrast. The per-mask
+# rows of BENCH_sweep.json predate the removal of that A/B arm and are not
+# reproduced here (see EXPERIMENTS.md).
 bench-sweep:
 	$(GO) test -run XXX \
 		-bench 'BenchmarkExhaustiveSweep|BenchmarkBestMapping' \

@@ -247,7 +247,8 @@ func BenchmarkExhaustiveMemo(b *testing.B) {
 }
 
 // BenchmarkExhaustiveSweep measures the Gray-code delta sweep on the two
-// Figure 9 benchmarks, serially. Each iteration compiles a fresh program,
+// Figure 9 benchmarks, serially, plain (delta-s/op) and validated
+// (validated-s/op). Each timed run starts on a freshly compiled program,
 // so the time is what a single cold Figure 9 regeneration sees.
 // Per-iteration times are reduced by median, which shrugs off scheduler
 // noise on shared runners better than the mean.
@@ -259,23 +260,31 @@ func BenchmarkExhaustiveSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			deltaT := make([]time.Duration, 0, b.N)
+			arms := []struct {
+				metric   string
+				validate bool
+			}{{"delta-s/op", false}, {"validated-s/op", true}}
+			times := make([][]time.Duration, len(arms))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := eval.Prepare(bm.Name, bm.Source) // fresh: cold caches
-				if err != nil {
-					b.Fatal(err)
+				for a, arm := range arms {
+					c, err := eval.Prepare(bm.Name, bm.Source) // fresh: cold caches
+					if err != nil {
+						b.Fatal(err)
+					}
+					// Collect the Prepare garbage now so the timed run does
+					// not pay the setup's GC debt.
+					runtime.GC()
+					t0 := time.Now()
+					if _, err := eval.Exhaustive(c, cfg, eval.Options{Workers: 1, Validate: arm.validate}, 14); err != nil {
+						b.Fatal(err)
+					}
+					times[a] = append(times[a], time.Since(t0))
 				}
-				// Collect the Prepare garbage now so the timed run does not
-				// pay the setup's GC debt.
-				runtime.GC()
-				t0 := time.Now()
-				if _, err := eval.Exhaustive(c, cfg, eval.Options{Workers: 1}, 14); err != nil {
-					b.Fatal(err)
-				}
-				deltaT = append(deltaT, time.Since(t0))
 			}
-			b.ReportMetric(medianDuration(deltaT).Seconds(), "delta-s/op")
+			for a, arm := range arms {
+				b.ReportMetric(medianDuration(times[a]).Seconds(), arm.metric)
+			}
 		})
 	}
 }

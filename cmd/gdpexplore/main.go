@@ -24,8 +24,9 @@
 // complement-symmetry pruning; -cachestats reports what the cache did
 // (to stderr, so CSV output stays clean). The sweep itself runs as a
 // Gray-code delta enumeration over per-function cost tables (DESIGN.md
-// §13); -validate sweeps evaluate every mask through the full per-mask
-// pipeline so each point can be re-checked.
+// §13); -validate re-checks every table entry with the independent
+// validator once and every point's cycle accounting against the checked
+// entries, leaving the output unchanged.
 //
 // For programs with too many objects to sweep, -best runs a
 // branch-and-bound search that returns only the optimal mapping (the
@@ -36,7 +37,7 @@
 //
 // Observability (DESIGN.md §10): -metrics prints the sweep's metric
 // summary (eval_masks, memo hits, FM moves, ...), -trace FILE the
-// deterministic per-mask span trace as sorted JSON lines, -prom FILE
+// deterministic span trace as sorted JSON lines, -prom FILE
 // the metrics in Prometheus text format. Traces are byte-identical at
 // every -j; pin -j 1 to make the memo hit counts in -metrics
 // reproducible too.
@@ -86,7 +87,7 @@ func run(args []string, out io.Writer) (err error) {
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		stats    = fs.Bool("cachestats", false, "print memoization cache statistics to stderr")
 		bestOnly = fs.Bool("best", false, "find only the optimal mapping by branch and bound (no full sweep; default object cap rises to the -best limit)")
-		validate = fs.Bool("validate", false, "re-check every mapping's result with the independent schedule validator")
+		validate = fs.Bool("validate", false, "re-check every cost-table entry with the independent schedule validator and every mapping's cycle accounting against the checked entries")
 		timeout  = fs.Duration("timeout", 0, "abort the search after this duration (0 = no limit)")
 		traceF   = fs.String("trace", "", "write the pipeline span trace to this file as sorted JSON lines")
 		metrics  = fs.Bool("metrics", false, "print the metric registry summary after the output")

@@ -195,15 +195,21 @@ func (v *Recorder) full() bool { return len(v.vs) >= v.max }
 // Validate checks r against the machine model from first principles and
 // returns a *Error listing every violated invariant (nil if the result is
 // clean). mod and prof must be the module and profile the result was
-// computed from.
+// computed from. The module-level invariants (homes, capacity, the
+// program's cycle and move totals) are checked here; every function goes
+// through the same per-function check ValidateFunc runs.
 func Validate(mod *ir.Module, prof *interp.Profile, cfg *machine.Config, r Result, opts Options) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	v := NewRecorder(opts.MaxViolations)
-	k := cfg.NumClusters()
 
 	checkHomes(v, mod, prof, cfg, r, opts)
+	// Without recorded locks there is nothing to check memory ops against.
+	dm := r.DataMap
+	if r.Locks == nil {
+		dm = nil
+	}
 	var cycles, moves int64
 	complete := true // every function's schedule was re-derived
 	for _, f := range mod.Funcs {
@@ -213,23 +219,14 @@ func Validate(mod *ir.Module, prof *interp.Profile, cfg *machine.Config, r Resul
 			complete = false
 			continue
 		}
-		if len(asg) < f.NOps {
-			v.add(ClassAssign, f.Name, -1, "assignment covers %d of %d ops", len(asg), f.NOps)
-			complete = false
-			continue
-		}
-		assignable := checkAssignment(v, f, asg, cfg)
-		checkLocks(v, f, asg, r, k)
+		fc, fm, ok := validateFunc(v, f, asg, r.Locks[f], dm, cfg, prof)
 		if v.full() {
 			break
 		}
-		if !assignable {
-			// The scheduler cannot materialize an unexecutable assignment;
-			// the assign violations above already condemn the result.
+		if !ok {
 			complete = false
 			continue
 		}
-		fc, fm := checkSchedules(v, f, asg, cfg, prof)
 		cycles += fc
 		moves += fm
 	}
@@ -245,6 +242,46 @@ func Validate(mod *ir.Module, prof *interp.Profile, cfg *machine.Config, r Resul
 		return nil
 	}
 	return &Error{Scheme: r.Scheme, Violations: v.vs}
+}
+
+// ValidateFunc checks one function's computation partition asg against the
+// machine model: every op on an existing cluster with a unit of its kind,
+// §3.4 locks honoring the data map dm (dm nil means unified memory: no
+// homes, no lock checks), and every re-materialized block schedule slot
+// by slot. It returns the independently recomputed profile-weighted cycle
+// and move totals, which a caller compares against the costs it reported,
+// and a *Error (with an empty Scheme, for the caller to fill in) listing
+// the violations, or nil. Validate runs this same check for every function
+// of a module.
+func ValidateFunc(f *ir.Func, asg []int, locks rhop.Locks, dm []int, cfg *machine.Config, prof *interp.Profile) (cycles, moves int64, err error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, 0, err
+	}
+	v := NewRecorder(0)
+	cycles, moves, _ = validateFunc(v, f, asg, locks, dm, cfg, prof)
+	if len(v.vs) > 0 {
+		return cycles, moves, &Error{Violations: v.vs}
+	}
+	return cycles, moves, nil
+}
+
+// validateFunc is the per-function check behind Validate and ValidateFunc.
+// ok reports whether f's schedules were re-derived, i.e. whether cycles and
+// moves are its complete recomputed totals.
+func validateFunc(v *Recorder, f *ir.Func, asg []int, locks rhop.Locks, dm []int, cfg *machine.Config, prof *interp.Profile) (cycles, moves int64, ok bool) {
+	if len(asg) < f.NOps {
+		v.add(ClassAssign, f.Name, -1, "assignment covers %d of %d ops", len(asg), f.NOps)
+		return 0, 0, false
+	}
+	assignable := checkAssignment(v, f, asg, cfg)
+	checkLocks(v, f, asg, locks, dm)
+	if v.full() || !assignable {
+		// The scheduler cannot materialize an unexecutable assignment;
+		// the assign violations above already condemn the result.
+		return 0, 0, false
+	}
+	cycles, moves = checkSchedules(v, f, asg, cfg, prof)
+	return cycles, moves, true
 }
 
 // checkHomes verifies the data map: full coverage, homes in range, and
@@ -353,11 +390,10 @@ func checkAssignment(v *Recorder, f *ir.Func, asg []int, cfg *machine.Config) bo
 // is locked to a home cluster of an object it may access, and the
 // computation partition executes it there. Ops whose access set spans a
 // single home must sit exactly on that home.
-func checkLocks(v *Recorder, f *ir.Func, asg []int, r Result, k int) {
-	if r.DataMap == nil || r.Locks == nil || len(r.DataMap) == 0 {
+func checkLocks(v *Recorder, f *ir.Func, asg []int, locks rhop.Locks, dm []int) {
+	if len(dm) == 0 {
 		return
 	}
-	locks := r.Locks[f]
 	for _, b := range f.Blocks {
 		for _, op := range b.Ops {
 			if !op.Opcode.IsMem() || len(op.MayAccess) == 0 {
@@ -366,8 +402,8 @@ func checkLocks(v *Recorder, f *ir.Func, asg []int, r Result, k int) {
 			// The home clusters this op's accessible objects live on.
 			homes := map[int]bool{}
 			for _, objID := range op.MayAccess {
-				if objID >= 0 && objID < len(r.DataMap) {
-					homes[r.DataMap[objID]] = true
+				if objID >= 0 && objID < len(dm) {
+					homes[dm[objID]] = true
 				}
 			}
 			lock, locked := locks[op.ID]
@@ -394,12 +430,17 @@ func checkLocks(v *Recorder, f *ir.Func, asg []int, r Result, k int) {
 	}
 }
 
+// materializeFunc re-derives a function's block schedules. The mutation
+// tests swap in a corrupting wrapper (export_test.go) to drive damaged
+// schedules through ValidateFunc.
+var materializeFunc = sched.MaterializeFunc
+
 // checkSchedules re-materializes every block schedule of f and verifies it
 // slot by slot, returning the independently recomputed profile-weighted
 // cycle and move totals.
 func checkSchedules(v *Recorder, f *ir.Func, asg []int, cfg *machine.Config, prof *interp.Profile) (cycles, moves int64) {
 	lc := sched.NewLoopCtx(f)
-	schedules, hoisted := sched.MaterializeFunc(f, asg, lc, cfg, prof.Freq)
+	schedules, hoisted := materializeFunc(f, asg, lc, cfg, prof.Freq)
 	for _, b := range f.Blocks {
 		bs := schedules[b.ID]
 		length, blockMoves := VerifyBlock(v, b, bs, asg, cfg)
@@ -421,12 +462,6 @@ func checkSchedules(v *Recorder, f *ir.Func, asg []int, cfg *machine.Config, pro
 	return cycles, moves
 }
 
-// VerifyBlock checks one materialized block schedule against the machine
-// model, recording violations into v, and returns the independently
-// recomputed schedule length and move count. Exposed (with Recorder) so
-// mutation tests can corrupt a BlockSchedule directly and watch each
-// invariant class fire; Validate uses it on schedules it materializes
-// itself.
 // moveLatency re-derives the per-hop move cost from the machine topology
 // from first principles. It deliberately does not call cfg.MoveLat — the
 // whole point is to catch a bug in the production distance computation, so
@@ -462,6 +497,12 @@ func moveLatency(cfg *machine.Config, a, b int) int {
 	}
 }
 
+// VerifyBlock checks one materialized block schedule against the machine
+// model, recording violations into v, and returns the independently
+// recomputed schedule length and move count. Exposed (with Recorder) so
+// mutation tests can corrupt a BlockSchedule directly and watch each
+// invariant class fire; Validate uses it on schedules it materializes
+// itself.
 func VerifyBlock(v *Recorder, b *ir.Block, bs *sched.BlockSchedule, asg []int, cfg *machine.Config) (length, moveCount int) {
 	length = 1
 	if bs == nil {

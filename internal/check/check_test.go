@@ -253,10 +253,17 @@ func hasMove(bs *sched.BlockSchedule) bool {
 	return false
 }
 
-// TestMutationBusOversubscribed injects a second move into a cycle that
-// already carries one on a bandwidth-1 bus.
-func TestMutationBusOversubscribed(t *testing.T) {
-	b, bs, asg, cfg := materializedBlock(t, hasMove)
+// The slot-level corruptions below are shared by the VerifyBlock mutation
+// tests here and the ValidateFunc ones (func_test.go). Each returns a
+// corrupted copy of bs, or nil when bs lacks the corruption's
+// precondition.
+
+// oversubscribeBus injects a second move into a cycle that already carries
+// one on a bandwidth-1 bus.
+func oversubscribeBus(bs *sched.BlockSchedule) *sched.BlockSchedule {
+	if !hasMove(bs) {
+		return nil
+	}
 	mut := *bs
 	mut.Slots = append([]sched.Slot(nil), bs.Slots...)
 	var src *sched.Slot
@@ -272,64 +279,82 @@ func TestMutationBusOversubscribed(t *testing.T) {
 	extra.Cluster = 1 - extra.Cluster
 	extra.Preds = nil
 	mut.Slots = append(mut.Slots, extra)
+	return &mut
+}
+
+// oversubscribeFU stacks more issues onto one (cycle, cluster, kind) cell
+// than cfg has units.
+func oversubscribeFU(cfg *machine.Config) func(*sched.BlockSchedule) *sched.BlockSchedule {
+	return func(bs *sched.BlockSchedule) *sched.BlockSchedule {
+		if len(bs.Slots) == 0 {
+			return nil
+		}
+		mut := *bs
+		mut.Slots = append([]sched.Slot(nil), bs.Slots...)
+		seed := mut.Slots[0]
+		units := cfg.Units(seed.Cluster, seed.Kind)
+		for i := 0; i <= units; i++ {
+			extra := seed
+			extra.Op = nil
+			extra.IsMove = true // slots past the block's ops must be moves
+			extra.Preds = nil
+			mut.Slots = append(mut.Slots, extra)
+		}
+		return &mut
+	}
+}
+
+// retimeEarly issues the first op whose operand arrives after cycle 0 at
+// cycle 0, before that operand is ready.
+func retimeEarly(bs *sched.BlockSchedule) *sched.BlockSchedule {
+	for si := range bs.Block.Ops {
+		for _, p := range bs.Slots[si].Preds {
+			if bs.Slots[p.From].Cycle+p.Lat > 0 {
+				mut := *bs
+				mut.Slots = append([]sched.Slot(nil), bs.Slots...)
+				mut.Slots[si].Cycle = 0
+				return &mut
+			}
+		}
+	}
+	return nil
+}
+
+// stretchLength tampers with the reported block length.
+func stretchLength(bs *sched.BlockSchedule) *sched.BlockSchedule {
+	if len(bs.Slots) == 0 {
+		return nil
+	}
+	mut := *bs
+	mut.Length += 5
+	return &mut
+}
+
+// verifyMutated corrupts the first block of rawcaudio's GDP partition that
+// mutate applies to and verifies it.
+func verifyMutated(t *testing.T, mutate func(*sched.BlockSchedule) *sched.BlockSchedule) *check.Recorder {
+	t.Helper()
+	b, bs, asg, cfg := materializedBlock(t, func(bs *sched.BlockSchedule) bool { return mutate(bs) != nil })
 	rec := check.NewRecorder(0)
-	check.VerifyBlock(rec, b, &mut, asg, cfg)
-	if !rec.Has(check.ClassBus) {
+	check.VerifyBlock(rec, b, mutate(bs), asg, cfg)
+	return rec
+}
+
+func TestMutationBusOversubscribed(t *testing.T) {
+	if rec := verifyMutated(t, oversubscribeBus); !rec.Has(check.ClassBus) {
 		t.Errorf("oversubscribed bus not caught: %v", rec.Violations())
 	}
 }
 
-// TestMutationFUOversubscribed stacks more issues onto one (cycle,
-// cluster, kind) cell than the machine has units.
 func TestMutationFUOversubscribed(t *testing.T) {
-	b, bs, asg, cfg := materializedBlock(t, func(bs *sched.BlockSchedule) bool {
-		return len(bs.Slots) > 0
-	})
-	mut := *bs
-	mut.Slots = append([]sched.Slot(nil), bs.Slots...)
-	seed := mut.Slots[0]
-	units := cfg.Units(seed.Cluster, seed.Kind)
-	for i := 0; i <= units; i++ {
-		extra := seed
-		extra.Op = nil
-		extra.IsMove = true // slots past the block's ops must be moves
-		extra.Preds = nil
-		mut.Slots = append(mut.Slots, extra)
-	}
-	rec := check.NewRecorder(0)
-	check.VerifyBlock(rec, b, &mut, asg, cfg)
-	if !rec.Has(check.ClassFU) {
+	if rec := verifyMutated(t, oversubscribeFU(machine.Paper2Cluster(5))); !rec.Has(check.ClassFU) {
 		t.Errorf("oversubscribed FU not caught: %v", rec.Violations())
 	}
 }
 
-// TestMutationRetimedMove issues a dependent slot before its operand is
-// ready.
 func TestMutationRetimedMove(t *testing.T) {
-	b, bs, asg, cfg := materializedBlock(t, func(bs *sched.BlockSchedule) bool {
-		for si, s := range bs.Slots {
-			for _, p := range s.Preds {
-				if bs.Slots[p.From].Cycle+p.Lat > 0 && si < len(bs.Block.Ops) {
-					return true
-				}
-			}
-		}
-		return false
-	})
-	mut := *bs
-	mut.Slots = append([]sched.Slot(nil), bs.Slots...)
-	for si := range mut.Slots {
-		for _, p := range mut.Slots[si].Preds {
-			if ready := mut.Slots[p.From].Cycle + p.Lat; ready > 0 {
-				mut.Slots[si].Cycle = 0
-				rec := check.NewRecorder(0)
-				check.VerifyBlock(rec, b, &mut, asg, cfg)
-				if !rec.Has(check.ClassReady) {
-					t.Errorf("early issue not caught: %v", rec.Violations())
-				}
-				return
-			}
-		}
+	if rec := verifyMutated(t, retimeEarly); !rec.Has(check.ClassReady) {
+		t.Errorf("early issue not caught: %v", rec.Violations())
 	}
 }
 
@@ -362,16 +387,8 @@ func TestMutationDroppedMove(t *testing.T) {
 	}
 }
 
-// TestMutationBlockLength tampered with the reported block length.
 func TestMutationBlockLength(t *testing.T) {
-	b, bs, asg, cfg := materializedBlock(t, func(bs *sched.BlockSchedule) bool {
-		return len(bs.Slots) > 0
-	})
-	mut := *bs
-	mut.Length += 5
-	rec := check.NewRecorder(0)
-	check.VerifyBlock(rec, b, &mut, asg, cfg)
-	if !rec.Has(check.ClassAccount) {
+	if rec := verifyMutated(t, stretchLength); !rec.Has(check.ClassAccount) {
 		t.Errorf("tampered length not caught: %v", rec.Violations())
 	}
 }

@@ -73,7 +73,9 @@ const bbTableBudget = 1 << 25
 // k clusters without enumerating the k^n mapping space. maxObjects guards
 // the search like Exhaustive's cap (non-positive selects
 // defaults.DefaultBestMaxObjects); the result's Cycles always equals the
-// minimum the exhaustive sweep would report.
+// minimum the exhaustive sweep would report. Validation and fault
+// injection follow Exhaustive: under opts.Validate every cost-table entry
+// is validated once, and the optimum gets the sweep's per-point check.
 func BestMapping(c *Compiled, cfg *machine.Config, opts Options, maxObjects int) (*BestResult, error) {
 	return BestMappingCtx(context.Background(), c, cfg, opts, maxObjects)
 }
@@ -202,13 +204,11 @@ func BestMappingCtx(ctx context.Context, c *Compiled, cfg *machine.Config, opts 
 		NodesVisited: search.visited,
 		NodesPruned:  search.pruned,
 	}
-	for ti := range tables {
-		t := &tables[ti]
-		sig := 0
-		for bi, o := range t.objs {
-			sig += rad.digit(out.Mask, o) * int(rad.pow[bi])
+	_, out.Moves = pointCost(tables, rad, out.Mask)
+	if opts.Validate {
+		if err := opts.checkPoint(c, tables, rad, n, out.Mask, out.Cycles, out.Moves); err != nil {
+			return nil, err
 		}
-		out.Moves += t.cost[sig].Moves
 	}
 	opts.Observer.Counter("bb_nodes_visited").Add(search.visited)
 	opts.Observer.Counter("bb_nodes_pruned").Add(search.pruned)

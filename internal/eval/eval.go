@@ -470,7 +470,7 @@ func (o Options) validateResult(c *Compiled, cfg *machine.Config, res *Result) e
 	sp := o.Observer.Span("validate")
 	defer sp.End()
 	o.Observer.Counter("eval_validations").Add(1)
-	err := check.Validate(c.Mod, c.Prof, cfg, check.Result{
+	return o.countViolations(check.Validate(c.Mod, c.Prof, cfg, check.Result{
 		Scheme:        string(res.Scheme),
 		DataMap:       res.DataMap,
 		Assign:        res.Assign,
@@ -479,12 +479,57 @@ func (o Options) validateResult(c *Compiled, cfg *machine.Config, res *Result) e
 		Moves:         res.Moves,
 		Groups:        res.Groups,
 		CheckCapacity: res.Scheme == SchemeGDP,
-	}, check.Options{})
+	}, check.Options{}))
+}
+
+// validateEntry runs the independent validator over one sweep cost-table
+// entry when Options.Validate is set: f's partition asg under locks, with
+// f's objects homed by dm, must pass check.ValidateFunc and recompute to
+// the cycles and moves the table recorded.
+func (o Options) validateEntry(c *Compiled, cfg *machine.Config, f *ir.Func, asg []int, locks rhop.Locks, dm gdp.DataMap, cost sched.Cost) error {
+	if !o.Validate {
+		return nil
+	}
+	if err := o.inject(SchemeFixed, "validate"); err != nil {
+		return fmt.Errorf("validate: %w", err)
+	}
+	sp := o.Observer.Span("validate", "func", f.Name)
+	defer sp.End()
+	o.Observer.Counter("eval_validations").Add(1)
+	cycles, moves, err := check.ValidateFunc(f, asg, locks, dm, cfg, c.Prof)
 	if err != nil {
 		var ce *check.Error
 		if errors.As(err, &ce) {
-			o.Observer.Counter("eval_validation_violations").Add(int64(len(ce.Violations)))
+			ce.Scheme = string(SchemeFixed)
 		}
+		return o.countViolations(err)
+	}
+	if vs := appendAccount(nil, f.Name, cost.Cycles, cycles, cost.Moves, moves); vs != nil {
+		return o.countViolations(&check.Error{Scheme: string(SchemeFixed), Violations: vs})
+	}
+	return nil
+}
+
+// appendAccount appends an accounting violation for each reported total
+// that differs from its recomputed value.
+func appendAccount(vs []check.Violation, fn string, cycles, wantCycles, moves, wantMoves int64) []check.Violation {
+	if cycles != wantCycles {
+		vs = append(vs, check.Violation{Class: check.ClassAccount, Func: fn, Block: -1,
+			Detail: fmt.Sprintf("reported %d cycles, recomputed %d", cycles, wantCycles)})
+	}
+	if moves != wantMoves {
+		vs = append(vs, check.Violation{Class: check.ClassAccount, Func: fn, Block: -1,
+			Detail: fmt.Sprintf("reported %d moves, recomputed %d", moves, wantMoves)})
+	}
+	return vs
+}
+
+// countViolations adds a validator error's violations to the
+// eval_validation_violations counter and returns err unchanged.
+func (o Options) countViolations(err error) error {
+	var ce *check.Error
+	if errors.As(err, &ce) {
+		o.Observer.Counter("eval_validation_violations").Add(int64(len(ce.Violations)))
 	}
 	return err
 }

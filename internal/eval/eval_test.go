@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -32,12 +31,6 @@ func prepBench(t *testing.T, name string) *Compiled {
 // computed afresh.
 func memoless(c *Compiled) *Compiled {
 	return &Compiled{Name: c.Name, Mod: c.Mod, Prof: c.Prof, Ret: c.Ret}
-}
-
-// exhaustivePerMask runs Exhaustive on the per-mask engine (RunWithDataMap
-// per point), the delta sweep's differential oracle.
-func exhaustivePerMask(c *Compiled, cfg *machine.Config, opts Options, maxObjects int) (*ExhaustiveResult, error) {
-	return exhaustive(context.Background(), c, cfg, opts, maxObjects, true)
 }
 
 func TestAllSchemesProduceValidResults(t *testing.T) {

@@ -13,8 +13,7 @@ import (
 
 // registerSweepCounters pre-registers the sweep and branch-and-bound
 // counters so a clean -metrics run reports explicit zeros instead of
-// silently omitting paths that never fired (e.g. bb_* without -best, or
-// sweep_* on a -validate sweep, which runs the per-mask engine).
+// silently omitting paths that never fired (e.g. bb_* without -best).
 func registerSweepCounters(o *obs.Observer) {
 	o.Counter("sweep_masks_delta").Add(0)
 	o.Counter("sweep_funcs_recomputed").Add(0)
@@ -57,11 +56,13 @@ type ExhaustiveResult struct {
 // Max picked. The mapping-point count must be at most 2^maxObjects (guard
 // against blowup); at k=2 that is the familiar object-count cap.
 //
-// The masks are fanned across opts.Workers goroutines; every worker owns
-// its own DataMap and (through RunWithDataMap) its own scheduler and
-// partitioner scratch state, and the points are stitched back in mask
-// order, so the result is byte-identical to the serial evaluation.
-// Points[i].Mask == i always holds (Find exploits this).
+// The points come from the Gray-code delta sweep (sweep.go), fanned across
+// opts.Workers goroutines and stitched back in mask order, so the result
+// is byte-identical to evaluating every mask serially through
+// RunWithDataMap. Points[i].Mask == i always holds (Find exploits this).
+// Under opts.Validate the independent validator checks every per-function
+// cost-table entry once and every point's accounting against the table;
+// opts.Inject is consulted once per table entry.
 //
 // On cluster-symmetric 2-cluster machines (machine.Config.SymmetricClusters)
 // a mask and its bitwise complement describe the same placement up to a
@@ -81,19 +82,35 @@ func Exhaustive(c *Compiled, cfg *machine.Config, opts Options, maxObjects int) 
 // ExhaustiveCtx is Exhaustive under a context: cancellation stops the mask
 // sweep between items and propagates ctx's error.
 func ExhaustiveCtx(ctx context.Context, c *Compiled, cfg *machine.Config, opts Options, maxObjects int) (*ExhaustiveResult, error) {
-	return exhaustive(ctx, c, cfg, opts, maxObjects, false)
+	opts, sp, err := beginExhaustive(ctx, c, cfg, opts, maxObjects)
+	if err != nil {
+		return nil, err
+	}
+	points, err := sweepPoints(opts.ctx, c, cfg, opts, sp)
+	if err != nil {
+		return nil, err
+	}
+	return finishExhaustive(c, cfg, opts, sp, points)
 }
 
-// exhaustive implements ExhaustiveCtx. The points come from the Gray-code
-// delta sweep unless fault injection or per-point validation needs the
-// full per-mask pipeline; perMask forces the per-mask engine, which the
-// differential tests use as the sweep's oracle.
-func exhaustive(ctx context.Context, c *Compiled, cfg *machine.Config, opts Options, maxObjects int, perMask bool) (*ExhaustiveResult, error) {
+// sweepSpace is the mapping space of one exhaustive search.
+type sweepSpace struct {
+	rad        *radix
+	n          int     // data objects
+	bytes      []int64 // per object
+	totalBytes int64
+	// canon: enumerate canonical masks (object 0 on cluster 0) and mirror
+	// their complements.
+	canon bool
+}
+
+// beginExhaustive attaches ctx and the search's observer scope to opts and
+// sizes the mapping space under the caps.
+func beginExhaustive(ctx context.Context, c *Compiled, cfg *machine.Config, opts Options, maxObjects int) (Options, *sweepSpace, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx = obs.With(ctx, opts.Observer)
-	opts.ctx = ctx
+	opts.ctx = obs.With(ctx, opts.Observer)
 	opts.Observer = opts.Observer.Named("exhaustive").Named(c.Name)
 	k := cfg.NumClusters()
 	registerSweepCounters(opts.Observer)
@@ -102,95 +119,28 @@ func exhaustive(ctx context.Context, c *Compiled, cfg *machine.Config, opts Opti
 		maxObjects = defaults.DefaultMaxObjects
 	}
 	if n > maxObjects {
-		return nil, fmt.Errorf("eval: %s has %d objects; exhaustive search capped at %d", c.Name, n, maxObjects)
+		return opts, nil, fmt.Errorf("eval: %s has %d objects; exhaustive search capped at %d", c.Name, n, maxObjects)
 	}
 	rad, err := newRadix(k, n)
 	if err != nil {
-		return nil, err
+		return opts, nil, err
 	}
 	if maxObjects < 63 && rad.pow[n] > uint64(1)<<uint(maxObjects) {
-		return nil, fmt.Errorf("eval: %s has %d mapping points on %d clusters; exhaustive search capped at %d points", c.Name, rad.pow[n], k, uint64(1)<<uint(maxObjects))
+		return opts, nil, fmt.Errorf("eval: %s has %d mapping points on %d clusters; exhaustive search capped at %d points", c.Name, rad.pow[n], k, uint64(1)<<uint(maxObjects))
 	}
-	pointCount := rad.count(n)
-	var totalBytes int64
-	bytes := make([]int64, n)
-	for i := range bytes {
-		bytes[i] = objectBytes(c, i)
-		totalBytes += bytes[i]
+	sp := &sweepSpace{rad: rad, n: n, bytes: make([]int64, n), canon: k == 2 && cfg.SymmetricClusters() && n > 0}
+	for i := range sp.bytes {
+		sp.bytes[i] = objectBytes(c, i)
+		sp.totalBytes += sp.bytes[i]
 	}
-	canon := k == 2 && cfg.SymmetricClusters()
-	full := uint64(1)<<uint(n) - 1
-	evalMask := func(mask uint64) (MappingPoint, error) {
-		sp := opts.Observer.Span(fmt.Sprintf("mask%04x", mask))
-		defer sp.End()
-		opts.Observer.Counter("eval_masks").Add(1)
-		emask := mask
-		if canon && emask&1 == 1 {
-			emask = ^emask & full // cluster-swap to the canonical representative
-		}
-		dm := make(gdp.DataMap, n)
-		clusterBytes := make([]int64, k)
-		for j := 0; j < n; j++ {
-			dm[j] = rad.digit(emask, j)
-			clusterBytes[dm[j]] += bytes[j]
-		}
-		mopts := opts
-		mopts.Observer = sp.Observer()
-		r, err := RunWithDataMap(c, cfg, dm, mopts)
-		if err != nil {
-			return MappingPoint{}, &CellError{Bench: c.Name, Scheme: SchemeFixed, Mask: mask, HasMask: true, Err: err}
-		}
-		// The byte imbalance (max-min)/total is invariant under cluster
-		// relabeling, so computing it from emask equals computing it from
-		// mask.
-		return MappingPoint{Mask: mask, Cycles: r.Cycles, Imbalance: imbalanceOf(clusterBytes, totalBytes)}, nil
-	}
+	return opts, sp, nil
+}
 
-	res := &ExhaustiveResult{}
-	delta := !perMask && opts.Inject == nil && !opts.Validate && n > 0
-	if !delta {
-		// The per-mask engine partitions whole modules mask after mask:
-		// share the prepared structure across them.
-		defer c.lease()()
-	}
-	if delta {
-		// Gray-code delta sweep (see sweep.go): byte-identical points at a
-		// fraction of the per-mask cost.
-		points, err := sweepPoints(ctx, c, cfg, opts, rad, bytes, totalBytes, canon, n)
-		if err != nil {
-			return nil, err
-		}
-		res.Points = points
-	} else if canon && n > 0 {
-		// Evaluate only the canonical (even) half; mirror each point onto
-		// its odd complement. Mirrored values are exactly what evaluating
-		// the odd mask would have produced, since evalMask canonicalizes.
-		evens, err := parallel.MapStage(ctx, "exhaustive", 1<<uint(n-1), opts.Workers,
-			func(_ context.Context, i int) (MappingPoint, error) {
-				return evalMask(uint64(i) << 1)
-			})
-		if err != nil {
-			return nil, err
-		}
-		points := make([]MappingPoint, 1<<uint(n))
-		for _, p := range evens {
-			points[p.Mask] = p
-		}
-		for m := uint64(1); m < uint64(len(points)); m += 2 {
-			src := points[^m&full]
-			points[m] = MappingPoint{Mask: m, Cycles: src.Cycles, Imbalance: src.Imbalance}
-		}
-		res.Points = points
-	} else {
-		points, err := parallel.MapStage(ctx, "exhaustive", pointCount, opts.Workers,
-			func(_ context.Context, i int) (MappingPoint, error) {
-				return evalMask(uint64(i))
-			})
-		if err != nil {
-			return nil, err
-		}
-		res.Points = points
-	}
+// finishExhaustive completes the result from the full point slice: the
+// worst and best cycles, each point's performance against the worst, and
+// the masks GDP and Profile Max chose.
+func finishExhaustive(c *Compiled, cfg *machine.Config, opts Options, sp *sweepSpace, points []MappingPoint) (*ExhaustiveResult, error) {
+	res := &ExhaustiveResult{Points: points}
 	res.Worst, res.Best = res.Points[0].Cycles, res.Points[0].Cycles
 	for _, p := range res.Points {
 		if p.Cycles > res.Worst {
@@ -206,7 +156,7 @@ func exhaustive(ctx context.Context, c *Compiled, cfg *machine.Config, opts Opti
 	// Mark the schemes' choices (independent of the scatter and of each
 	// other, so they can share the pool too).
 	var gdpRes, pmaxRes *Result
-	err = parallel.Do(ctx, opts.Workers,
+	err := parallel.Do(opts.ctx, opts.Workers,
 		func(context.Context) error {
 			r, err := RunGDP(c, cfg, opts)
 			if err != nil {
@@ -226,8 +176,8 @@ func exhaustive(ctx context.Context, c *Compiled, cfg *machine.Config, opts Opti
 	if err != nil {
 		return nil, err
 	}
-	res.GDPMask = maskOf(gdpRes.DataMap, rad)
-	res.PMaxMask = maskOf(pmaxRes.DataMap, rad)
+	res.GDPMask = maskOf(gdpRes.DataMap, sp.rad)
+	res.PMaxMask = maskOf(pmaxRes.DataMap, sp.rad)
 	return res, nil
 }
 
@@ -238,13 +188,6 @@ func maskOf(dm gdp.DataMap, rad *radix) uint64 {
 		mask += uint64(cl) * rad.pow[i]
 	}
 	return mask
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Find returns the point with the given mask, or nil. Exhaustive stores

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcpart/internal/gdp"
 	"mcpart/internal/machine"
 	"mcpart/internal/parallel"
 )
@@ -260,28 +261,43 @@ func TestPrepareCancellation(t *testing.T) {
 }
 
 // TestExhaustiveCellAttribution: a failure deep in the mask sweep names the
-// benchmark and the exact mask.
+// benchmark and an exact mask, at every pipeline stage the sweep consults,
+// and that mask reproduces the failure through RunWithDataMap.
 func TestExhaustiveCellAttribution(t *testing.T) {
 	c := prepBench(t, "fir")
-	opts := Options{}
-	opts.Inject = func(s Scheme, stage string) error {
-		if s == SchemeFixed && stage == "sched" {
-			return fmt.Errorf("injected sweep failure")
+	cfg := machine.Paper2Cluster(5)
+	for _, stage := range []string{"sched", "partition", "validate"} {
+		opts := Options{Validate: stage == "validate"}
+		opts.Inject = func(s Scheme, st string) error {
+			if s == SchemeFixed && st == stage {
+				return fmt.Errorf("injected sweep failure")
+			}
+			return nil
 		}
-		return nil
-	}
-	_, err := Exhaustive(c, machine.Paper2Cluster(5), opts, 0)
-	if err == nil {
-		t.Fatal("want error")
-	}
-	var ce *CellError
-	if !errors.As(err, &ce) {
-		t.Fatalf("error = %T %v, want *CellError", err, err)
-	}
-	if !ce.HasMask || ce.Scheme != SchemeFixed || ce.Bench != "fir" {
-		t.Errorf("CellError = %+v", ce)
-	}
-	if !strings.Contains(ce.Error(), "mask") {
-		t.Errorf("CellError.Error() = %q", ce.Error())
+		_, err := Exhaustive(c, cfg, opts, 0)
+		if err == nil {
+			t.Fatalf("%s: want error", stage)
+		}
+		var ce *CellError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: error = %T %v, want *CellError", stage, err, err)
+		}
+		if !ce.HasMask || ce.Scheme != SchemeFixed || ce.Bench != "fir" {
+			t.Errorf("%s: CellError = %+v", stage, ce)
+		}
+		if !strings.Contains(ce.Error(), "mask") {
+			t.Errorf("%s: CellError.Error() = %q", stage, ce.Error())
+		}
+		n := len(c.Mod.Objects)
+		if ce.Mask >= 1<<uint(n) {
+			t.Fatalf("%s: mask %#x outside the %d-object mapping space", stage, ce.Mask, n)
+		}
+		dm := make(gdp.DataMap, n)
+		for i := range dm {
+			dm[i] = int(ce.Mask >> uint(i) & 1)
+		}
+		if _, err := RunWithDataMap(c, cfg, dm, opts); err == nil || !strings.Contains(err.Error(), "injected sweep failure") {
+			t.Errorf("%s: mask %#x through RunWithDataMap: error = %v, want the injected failure", stage, ce.Mask, err)
+		}
 	}
 }

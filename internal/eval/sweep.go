@@ -3,8 +3,10 @@ package eval
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
+	"mcpart/internal/check"
 	"mcpart/internal/gdp"
 	"mcpart/internal/machine"
 	"mcpart/internal/memo"
@@ -20,22 +22,33 @@ import (
 // ProgramCycles is exactly the sum of per-function FuncCycles (pinned in
 // the sched tests), and a function's locks — hence its partition and cycle
 // cost — depend only on the data map projected onto its touched-object set.
-// So instead of evaluating 2^n masks through the full per-mask pipeline,
-// the sweep (1) tabulates each function's cost for each of its at most 2^t
-// reachable lock signatures, then (2) enumerates the masks in reflected
-// Gray-code order, where consecutive masks flip exactly one object: only
-// the functions touching the flipped object change table index, and the
-// program total moves by an exact integer delta. The point values are
-// byte-identical to the per-mask engine's — both are the same sums of the
-// same memoized per-function results — which TestDeltaSweepMatchesFull
-// pins across benchmarks, latencies and worker counts.
+// So instead of evaluating 2^n masks through the whole-module pipeline
+// (RunWithDataMap), the sweep (1) tabulates each function's cost for each
+// of its at most 2^t reachable lock signatures, then (2) enumerates the
+// masks in reflected Gray-code order, where consecutive masks flip exactly
+// one object: only the functions touching the flipped object change table
+// index, and the program total moves by an exact integer delta. The point values are
+// byte-identical to evaluating each mask through RunWithDataMap — both are
+// the same sums of the same memoized per-function results — which
+// TestDeltaSweepMatchesFull pins against the tests' per-mask oracle across
+// benchmarks, latencies and worker counts.
 //
 // Phase 1 computes per-signature results through the same memo keys the
-// per-mask engine uses ("locks", "part", "sched"), so the in-memory cache
-// and the persistent artifact store stay fully shared between the two
-// paths; partition misses run through a rhop.FuncPartitioner, which builds
-// on the Compiled's shared rhop.Prepared (region structure and min-cut
-// memo) and caches per-machine region results across signatures.
+// scheme runs use ("locks", "part", "sched"), so the in-memory cache and
+// the persistent artifact store stay fully shared with them; partition
+// misses run through a rhop.FuncPartitioner, which builds on the
+// Compiled's shared rhop.Prepared (region structure and min-cut memo) and
+// caches per-machine region results across signatures.
+//
+// Validation decomposes the same way the cost does. Under
+// Options.Validate phase 1 runs the independent validator
+// (check.ValidateFunc) once per table entry, right after its partition and
+// schedule cost are known, and phase 2 checks every enumerated point's
+// program-level invariants: the mask homes every object on an existing
+// cluster, and its cycles and moves equal the validated entries its own
+// digits select, summed afresh rather than read off the delta state.
+// Options.Inject is consulted per table entry at the "partition", "sched"
+// and "validate" stages; an entry's failure names a mask that reaches it.
 //
 // Phase 2 parallelism splits the Gray sequence into contiguous chunks, one
 // delta-state per worker, each seeded in O(n + #functions) at its chunk
@@ -72,8 +85,8 @@ type tableStats struct {
 
 // chunkStats aggregates one Gray-chunk's telemetry: delta-advanced masks,
 // per-function table updates, and the summed cycle/move values of the
-// enumerated points (the same totals the per-mask engine folds into its
-// observability registry one run at a time).
+// enumerated points (the same totals RunWithDataMap would fold into the
+// observability registry one mask at a time).
 type chunkStats struct {
 	delta  int64
 	funcs  int64
@@ -81,9 +94,8 @@ type chunkStats struct {
 	moves  int64
 }
 
-// sweepErr mirrors the per-mask engine's error wrapping: pipeline failures
-// surface as CellErrors naming the benchmark and the Fixed scheme (without
-// a mask — a table entry serves many masks).
+// sweepErr wraps a sweep failure as a CellError naming the benchmark and
+// the Fixed scheme; failures already attributed to a mask pass through.
 func sweepErr(c *Compiled, err error) error {
 	var ce *CellError
 	if errors.As(err, &ce) {
@@ -92,9 +104,60 @@ func sweepErr(c *Compiled, err error) error {
 	return &CellError{Bench: c.Name, Scheme: SchemeFixed, Err: err}
 }
 
+// sigOf is the signature mask selects in t: mask's digits at t's objects.
+func (t *costTable) sigOf(mask uint64, rad *radix) int {
+	sig := 0
+	for i, o := range t.objs {
+		sig += rad.digit(mask, o) * int(rad.pow[i])
+	}
+	return sig
+}
+
+// sigMask is a mapping mask that reaches signature sig of t: sig's digits
+// at t's objects, cluster 0 everywhere else.
+func (t *costTable) sigMask(sig int, rad *radix) uint64 {
+	var mask uint64
+	for i, o := range t.objs {
+		mask += uint64(rad.digit(uint64(sig), i)) * rad.pow[o]
+	}
+	return mask
+}
+
+// pointCost sums the table entries the mapping mask selects, reading each
+// function's signature straight from mask's digits.
+func pointCost(tables []costTable, rad *radix, mask uint64) (cycles, moves int64) {
+	for ti := range tables {
+		cost := tables[ti].cost[tables[ti].sigOf(mask, rad)]
+		cycles += cost.Cycles
+		moves += cost.Moves
+	}
+	return cycles, moves
+}
+
+// checkPoint validates one reported mapping point at the program level:
+// mask must lie inside the n-object mapping space (every object homed on
+// one of the k clusters), and cycles and moves must equal pointCost over
+// the validated tables. A failure is a CellError naming mask.
+func (o Options) checkPoint(c *Compiled, tables []costTable, rad *radix, n int, mask uint64, cycles, moves int64) error {
+	var vs []check.Violation
+	if mask >= rad.pow[n] {
+		vs = append(vs, check.Violation{Class: check.ClassHome, Block: -1,
+			Detail: fmt.Sprintf("mask %#x homes an object beyond the %d objects on %d clusters", mask, n, rad.k)})
+	} else {
+		wantCycles, wantMoves := pointCost(tables, rad, mask)
+		vs = appendAccount(vs, "", cycles, wantCycles, moves, wantMoves)
+	}
+	if vs == nil {
+		return nil
+	}
+	err := o.countViolations(&check.Error{Scheme: string(SchemeFixed), Violations: vs})
+	return &CellError{Bench: c.Name, Scheme: SchemeFixed, Mask: mask, HasMask: true, Err: err}
+}
+
 // buildCostTables runs phase 1: one cost table per function, built through
 // the standard memoized per-function pipeline (locks → partition →
-// schedule cost), fanned across workers function-by-function.
+// schedule cost → validation under opts.Validate), fanned across workers
+// function-by-function.
 func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 	opts Options, rad *radix, canon bool, n int, res *Result) ([]costTable, error) {
 
@@ -120,16 +183,8 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 			var lc *sched.LoopCtx
 			var bc *sched.BlockCache
 			dm := make(gdp.DataMap, n)
-			for sig := range ts.table.cost {
-				if fixed0 && sig%rad.k != 0 {
-					continue
-				}
-				if err := opts.ctxErr(); err != nil {
-					return ts, err
-				}
-				for i, o := range objs {
-					dm[o] = rad.digit(uint64(sig), i)
-				}
+			// fill computes the entry for signature sig, whose homes dm holds.
+			fill := func(sig int) error {
 				var locks rhop.Locks
 				if useMemo {
 					key := lockSigKey(memo.NewKey("locks").Str(f.Name), c, f, dm).String()
@@ -139,6 +194,9 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 					locks = v.(rhop.Locks)
 				} else {
 					locks = gdp.ComputeLocksFunc(f, dm, c.Prof)
+				}
+				if err := opts.inject(SchemeFixed, "partition"); err != nil {
+					return fmt.Errorf("partition: %w", err)
 				}
 				partition := func() (any, error) {
 					if fp == nil {
@@ -156,7 +214,7 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 				if useMemo {
 					v, hit, err := c.memo.DoCodec(partitionKey(c, f, dm, locks, mkey, okey), partCodec{}, partition)
 					if err != nil {
-						return ts, err
+						return err
 					}
 					if hit {
 						ts.partHits++
@@ -165,9 +223,12 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 				} else {
 					v, err := partition()
 					if err != nil {
-						return ts, err
+						return err
 					}
 					asg = v.([]int)
+				}
+				if err := opts.inject(SchemeFixed, "sched"); err != nil {
+					return fmt.Errorf("schedule: %w", err)
 				}
 				cost := func() (any, error) {
 					if sc == nil {
@@ -191,6 +252,21 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 					pair = v.([2]int64)
 				}
 				ts.table.cost[sig] = sched.Cost{Cycles: pair[0], Moves: pair[1]}
+				return opts.validateEntry(c, cfg, f, asg, locks, dm, ts.table.cost[sig])
+			}
+			for sig := range ts.table.cost {
+				if fixed0 && sig%rad.k != 0 {
+					continue
+				}
+				if err := opts.ctxErr(); err != nil {
+					return ts, err
+				}
+				for i, o := range objs {
+					dm[o] = rad.digit(uint64(sig), i)
+				}
+				if err := fill(sig); err != nil {
+					return ts, &CellError{Bench: c.Name, Scheme: SchemeFixed, Mask: ts.table.sigMask(sig, rad), HasMask: true, Err: err}
+				}
 			}
 			return ts, nil
 		})
@@ -208,14 +284,12 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 
 // sweepPoints runs the delta sweep end to end and returns the full point
 // slice (mirrored odd masks included on symmetric machines), identical to
-// what the per-mask engine's evalMask fan-out produces. outer is the
+// what evaluating every mask through RunWithDataMap produces. outer is the
 // ExhaustiveCtx-level Options; one SchemeFixed observability scope wraps
-// the whole sweep, folding the same summed eval_cycles/eval_moves and
-// logical DetailedRuns accounting the per-mask engine reports one run at a
-// time.
-func sweepPoints(ctx context.Context, c *Compiled, cfg *machine.Config, outer Options,
-	rad *radix, bytes []int64, totalBytes int64, canon bool, n int) (points []MappingPoint, err error) {
-
+// the whole sweep, folding the summed eval_cycles/eval_moves over the
+// enumerated points and the logical DetailedRuns accounting.
+func sweepPoints(ctx context.Context, c *Compiled, cfg *machine.Config, outer Options, sp *sweepSpace) (points []MappingPoint, err error) {
+	rad, n, canon := sp.rad, sp.n, sp.canon
 	opts, done := beginRun(c, SchemeFixed, outer)
 	res := &Result{Scheme: SchemeFixed}
 	defer func() {
@@ -282,26 +356,26 @@ func sweepPoints(ctx context.Context, c *Compiled, cfg *machine.Config, outer Op
 			curDigit := make([]int, n)
 			clusterBytes := make([]int64, rad.k)
 			sigIdx := make([]int, len(tables))
-			var cycles, moves int64
 			for ti := range tables {
-				sig := 0
-				for bi, o := range tables[ti].objs {
-					sig += rad.digit(cur, o) * int(rad.pow[bi])
-				}
-				sigIdx[ti] = sig
-				cycles += tables[ti].cost[sig].Cycles
-				moves += tables[ti].cost[sig].Moves
+				sigIdx[ti] = tables[ti].sigOf(cur, rad)
 			}
+			cycles, moves := pointCost(tables, rad, cur)
 			for j := 0; j < n; j++ {
 				curDigit[j] = rad.digit(cur, j)
-				clusterBytes[curDigit[j]] += bytes[j]
+				clusterBytes[curDigit[j]] += sp.bytes[j]
 			}
-			emit := func() {
-				points[cur] = MappingPoint{Mask: cur, Cycles: cycles, Imbalance: imbalanceOf(clusterBytes, totalBytes)}
+			emit := func() error {
+				points[cur] = MappingPoint{Mask: cur, Cycles: cycles, Imbalance: imbalanceOf(clusterBytes, sp.totalBytes)}
 				st.cycles += cycles
 				st.moves += moves
+				if opts.Validate {
+					return opts.checkPoint(c, tables, rad, n, cur, cycles, moves)
+				}
+				return nil
 			}
-			emit()
+			if err := emit(); err != nil {
+				return st, err
+			}
 			for i := uint64(lo) + 1; i < uint64(hi); i++ {
 				obj := rad.grayStep(i) + int(shift)
 				old := curDigit[obj]
@@ -315,8 +389,8 @@ func sweepPoints(ctx context.Context, c *Compiled, cfg *machine.Config, outer Op
 				} else {
 					cur += rad.pow[obj]
 				}
-				clusterBytes[old] -= bytes[obj]
-				clusterBytes[nw] += bytes[obj]
+				clusterBytes[old] -= sp.bytes[obj]
+				clusterBytes[nw] += sp.bytes[obj]
 				for _, ref := range objFuncs[obj] {
 					oldSig := sigIdx[ref.ti]
 					var nwSig int
@@ -331,7 +405,9 @@ func sweepPoints(ctx context.Context, c *Compiled, cfg *machine.Config, outer Op
 					st.funcs++
 				}
 				st.delta++
-				emit()
+				if err := emit(); err != nil {
+					return st, err
+				}
 			}
 			return st, nil
 		})

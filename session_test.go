@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -241,6 +242,38 @@ func TestSessionMatchesOneShotFacade(t *testing.T) {
 			t.Fatalf("%s: session (%d cycles, %d moves, %v) != one-shot (%d, %d, %v)",
 				scheme, got.Cycles, got.Moves, got.DataMap, want.Cycles, want.Moves, want.DataMap)
 		}
+	}
+}
+
+// TestSessionBestValidates pins that Session.Best forwards Request.Validate
+// and Request.Inject: the validated search returns the plain optimum, and
+// a validator fault injected into it fails the request.
+func TestSessionBestValidates(t *testing.T) {
+	s := NewSession(SessionOptions{})
+	defer s.Close()
+	name, src := sessionBench(t, "fir")
+	m := Paper2Cluster(5)
+
+	want, err := s.Best(context.Background(), name, src, m, 0, Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Best(context.Background(), name, src, m, 0, Request{Validate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Fatalf("validated best %+v, plain %+v", got, want)
+	}
+	inject := func(scheme Scheme, stage string) error {
+		if stage == "validate" {
+			return errors.New("injected validator failure")
+		}
+		return nil
+	}
+	if _, err := s.Best(context.Background(), name, src, m, 0, Request{Validate: true, Inject: inject}); err == nil ||
+		!strings.Contains(err.Error(), "injected validator failure") {
+		t.Fatalf("err = %v, want the injected validator failure", err)
 	}
 }
 
