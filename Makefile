@@ -82,10 +82,13 @@ bench-quick:
 	$(GO) test -run XXX -benchtime 1x \
 		-bench 'BenchmarkTable1|BenchmarkFigure9|BenchmarkExhaustiveMemo' .
 
-# Partitioner microbenchmarks: bisection and 4-way partitioning on
-# 1k/10k/100k synthetic graphs (time, allocations, cut weight). The
-# legacy-path rows of BENCH_partition.json predate the removal of that
-# path and are not reproduced here (see EXPERIMENTS.md).
+# Partitioner microbenchmarks: bisection of region-sized graphs (batches
+# of 100 seeded graphs of 16/48/96 nodes, half of them fixed anchors, the
+# sizes RHOP partitions) and of 1k/10k/100k synthetic graphs, plus 4-way
+# partitioning (time, allocations, cut weight). The legacy-path rows of
+# BENCH_partition.json predate the removal of that path and are not
+# reproduced here, and the region arms have no rows there (see
+# EXPERIMENTS.md).
 bench-partition:
 	$(GO) test ./internal/partition/ -run XXX \
 		-bench 'BenchmarkBisect|BenchmarkKWay' -benchtime 5x \

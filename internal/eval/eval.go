@@ -75,6 +75,11 @@ type Compiled struct {
 	touched map[*ir.Func][]int
 	// shared is the shared RHOP state (see prepared).
 	shared rhopState
+	// dataParts memoizes GDP's data partition per cluster count and
+	// partitioning knobs (gdp.DataPartitions), so every machine with the
+	// same count and memory shares reuses one partition. Its entries are
+	// tens of bytes per object, so only ShrinkMemo drops it.
+	dataParts gdp.DataPartitions
 }
 
 // rhopState is a Compiled's share of rhop's reusable partitioning state.
@@ -184,12 +189,14 @@ func (c *Compiled) MemoStats() memo.Stats { return c.memo.Stats() }
 
 // ShrinkMemo evicts least-recently-used memoization entries until at most n
 // remain (a no-op when caching is disabled) and drops the shared RHOP state
-// (ReleasePrepared). It is the memory-pressure release valve for
-// long-lived Compiled values: results are unaffected — evicted entries
-// recompute (or reload from the disk tier) on next use.
+// (ReleasePrepared) and the GDP data-partition memo. It is the
+// memory-pressure release valve for long-lived Compiled values: results
+// are unaffected — evicted entries recompute (or reload from the disk
+// tier) on next use.
 func (c *Compiled) ShrinkMemo(n int) {
 	c.memo.Shrink(n)
 	c.ReleasePrepared()
+	c.dataParts.Clear()
 }
 
 // SetMemoCapacity rebounds the memoization cache (non-positive selects the
@@ -827,12 +834,8 @@ func RunGDP(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err erro
 	if err := opts.inject(SchemeGDP, "data"); err != nil {
 		return nil, fmt.Errorf("data partition: %w", err)
 	}
-	gopts := opts.gdpOpts()
-	if gopts.MemFractions == nil {
-		gopts.MemFractions = cfg.MemFractions()
-	}
 	dsp := opts.Observer.Span("data")
-	dp, err := gdp.PartitionDataOn(c.Mod, c.Prof, cfg, gopts)
+	dp, err := gdp.PartitionDataOn(c.Mod, c.Prof, cfg, opts.gdpOpts(), &c.dataParts)
 	dsp.End()
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcpart/internal/machine"
+	"mcpart/internal/obs"
 )
 
 // sharingMachines is the sequence one Compiled is run through: the paper's
@@ -36,8 +37,9 @@ func TestPreparedSharedAcrossMachines(t *testing.T) {
 		}
 		for _, workers := range []int{1, parallelProbe} {
 			c := prepBench(t, name)
+			reg := obs.NewRegistry()
 			for _, cfg := range sharingMachines() {
-				got, err := RunAllSchemes(c, cfg, Options{Workers: workers})
+				got, err := RunAllSchemes(c, cfg, Options{Workers: workers, Observer: obs.New(reg, nil, nil)})
 				if err != nil {
 					t.Fatalf("%s %s -j%d shared: %v", name, cfg.Name, workers, err)
 				}
@@ -47,6 +49,9 @@ func TestPreparedSharedAcrossMachines(t *testing.T) {
 			}
 			if !c.HoldsPrepared() {
 				t.Errorf("%s -j%d: scheme runs left no prepared state to share", name, workers)
+			}
+			if n := reg.Snapshot().Value("gdp_data_hits"); n <= 0 {
+				t.Errorf("%s -j%d: gdp_data_hits = %d, want the later machines to reuse the data partition", name, workers, n)
 			}
 		}
 	}
@@ -75,14 +80,31 @@ func TestPreparedSharedAcrossMachines(t *testing.T) {
 }
 
 // TestShrinkMemoReleasesPrepared pins the release point: ShrinkMemo drops
-// the shared RHOP state, and the next run rebuilds it with identical
-// results.
+// the shared RHOP state and the GDP data-partition memo, and the next runs
+// rebuild them with identical results.
 func TestShrinkMemoReleasesPrepared(t *testing.T) {
 	c := prepBench(t, "fir")
 	cfg := machine.Paper2Cluster(5)
 	before, err := RunAllSchemes(c, cfg, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// gdpHits runs GDP alone and reports whether its data partition came
+	// from the memo; the result must match the first matrix's.
+	gdpHits := func(when string) int64 {
+		t.Helper()
+		reg := obs.NewRegistry()
+		r, err := RunGDP(c, cfg, Options{Workers: 1, Observer: obs.New(reg, nil, nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(flatResult(before.GDP), flatResult(r)) {
+			t.Errorf("%s: GDP result differs from the first run", when)
+		}
+		return reg.Snapshot().Value("gdp_data_hits")
+	}
+	if gdpHits("before ShrinkMemo") != 1 {
+		t.Fatal("a repeated GDP run did not reuse the data partition")
 	}
 	if !c.HoldsPrepared() {
 		t.Fatal("no prepared state after a scheme run")
@@ -96,4 +118,12 @@ func TestShrinkMemoReleasesPrepared(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffMatrices(t, "after ShrinkMemo", []*BenchResult{before}, []*BenchResult{after})
+
+	c.ShrinkMemo(0)
+	if gdpHits("first run after ShrinkMemo") != 0 {
+		t.Error("ShrinkMemo(0) kept the data-partition memo")
+	}
+	if gdpHits("second run after ShrinkMemo") != 1 {
+		t.Error("the rebuilt data-partition memo was not reused")
+	}
 }

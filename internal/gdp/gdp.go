@@ -10,8 +10,11 @@
 package gdp
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 
 	"mcpart/internal/cfg"
 	"mcpart/internal/defaults"
@@ -74,6 +77,8 @@ type Result struct {
 	DataMap DataMap
 	// Groups lists the access-pattern-merged object groups (each a sorted
 	// slice of object IDs); every object appears in exactly one group.
+	// Results served by one DataPartitions share Groups and GroupBytes, so
+	// callers must not modify them.
 	Groups [][]int
 	// GroupBytes is the total profiled byte size per group.
 	GroupBytes []int64
@@ -191,7 +196,7 @@ func objectGroups(m *ir.Module, uf *unionFind) [][]int {
 // PartitionData performs the first pass of Global Data Partitioning:
 // assign every data object a home cluster on a k-cluster machine.
 func PartitionData(m *ir.Module, prof *interp.Profile, k int, opts Options) (*Result, error) {
-	return partitionData(m, prof, k, opts, nil)
+	return partitionData(m, prof, k, opts, nil, nil)
 }
 
 // PartitionDataOn is PartitionData for a concrete machine: the cluster
@@ -202,17 +207,135 @@ func PartitionData(m *ir.Module, prof *interp.Profile, k int, opts Options) (*Re
 // every cluster pair as equidistant; on a mesh or NUMA machine, *which*
 // cluster each part lands on then decides how many cycles every cut edge
 // costs, so the label assignment is optimized here as a second step.
-func PartitionDataOn(m *ir.Module, prof *interp.Profile, mcfg *machine.Config, opts Options) (*Result, error) {
+//
+// memo is the data-partition memo to use: one that earlier calls on the
+// same module and profile filled, or nil to partition afresh.
+func PartitionDataOn(m *ir.Module, prof *interp.Profile, mcfg *machine.Config, opts Options, memo *DataPartitions) (*Result, error) {
 	if opts.MemFractions == nil {
 		opts.MemFractions = mcfg.MemFractions()
 	}
-	return partitionData(m, prof, mcfg.NumClusters(), opts, mcfg)
+	return partitionData(m, prof, mcfg.NumClusters(), opts, mcfg, memo)
 }
 
-func partitionData(m *ir.Module, prof *interp.Profile, k int, opts Options, mcfg *machine.Config) (*Result, error) {
+// DataPartitions is one program's data-partition memo: the machine-
+// independent outcome of partitioning its program-level graph, keyed by
+// the cluster count, the memory-share targets and the partitioning knobs
+// (dataKey). The graph is a function of the module, the profile and those
+// knobs alone — move latency and topology reach only the relabelling that
+// follows, which every call reruns from the entry's part-pair cut weights
+// — so a hit returns exactly the Result a fresh call would. The memo must
+// only ever see one module and profile. The zero value is an empty memo;
+// it is safe for concurrent use.
+type DataPartitions struct {
+	mu      sync.Mutex
+	entries map[string]*dataEntry
+}
+
+// dataEntry is one partitioning outcome before relabelling.
+type dataEntry struct {
+	part       []int // object ID -> part
+	groups     [][]int
+	groupBytes []int64
+	cut        int64
+	pairW      []int64 // k×k cut data-flow weight between part pairs
+}
+
+func (d *DataPartitions) get(key string) *dataEntry {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.entries[key]
+}
+
+// put records an entry. Concurrent misses on one key store equal values,
+// so the last write wins harmlessly.
+func (d *DataPartitions) put(key string, e *dataEntry) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.entries == nil {
+		d.entries = map[string]*dataEntry{}
+	}
+	d.entries[key] = e
+}
+
+// Clear empties the memo; later calls recompute.
+func (d *DataPartitions) Clear() {
+	d.mu.Lock()
+	d.entries = nil
+	d.mu.Unlock()
+}
+
+// dataKey encodes every input of the graph partitioning besides the module
+// and profile: k, the exact bits of the memory fractions and tolerances,
+// and the graph-shaping flags. Workers and Obs are left out because the
+// result is identical for every value of either.
+func dataKey(k int, opts Options) string {
+	buf := make([]byte, 0, 8*(len(opts.MemFractions)+4)+1)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(opts.MemFractions)))
+	for _, f := range opts.MemFractions {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(opts.memTol()))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(opts.opTol()))
+	var flags byte
+	for i, on := range []bool{opts.BalanceOps, opts.NoMerge, opts.NoSinkWeighting, opts.SlackMerge} {
+		if on {
+			flags |= 1 << i
+		}
+	}
+	return string(append(buf, flags))
+}
+
+func partitionData(m *ir.Module, prof *interp.Profile, k int, opts Options, mcfg *machine.Config, memo *DataPartitions) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("gdp: need at least 1 cluster, got %d", k)
 	}
+	if opts.MemFractions != nil && len(opts.MemFractions) != k {
+		return nil, fmt.Errorf("gdp: %d memory fractions for %d clusters", len(opts.MemFractions), k)
+	}
+	var key string
+	var e *dataEntry
+	if memo != nil {
+		key = dataKey(k, opts)
+		e = memo.get(key)
+	}
+	if e == nil {
+		var err error
+		if e, err = partitionGraph(m, prof, k, opts); err != nil {
+			return nil, err
+		}
+		if memo != nil {
+			memo.put(key, e)
+		}
+	} else if opts.Obs != nil {
+		opts.Obs.Counter("gdp_data_hits").Add(1)
+	}
+
+	res := &Result{
+		DataMap:    make(DataMap, len(e.part)),
+		Groups:     e.groups,
+		GroupBytes: e.groupBytes,
+		CutWeight:  e.cut,
+	}
+	copy(res.DataMap, e.part)
+	if mcfg != nil {
+		if perm := topologyPerm(e.pairW, mcfg, opts.MemFractions); perm != nil {
+			for id, p := range res.DataMap {
+				res.DataMap[id] = perm[p]
+			}
+		}
+	}
+	if opts.Obs != nil {
+		opts.Obs.Counter("gdp_partitions").Add(1)
+		opts.Obs.Counter("gdp_groups").Add(int64(len(res.Groups)))
+		opts.Obs.Counter("gdp_cut_weight").Add(res.CutWeight)
+	}
+	return res, nil
+}
+
+// partitionGraph builds the program-level graph, partitions it k ways and
+// returns the outcome before any topology relabelling.
+func partitionGraph(m *ir.Module, prof *interp.Profile, k int, opts Options) (*dataEntry, error) {
 	uf, oi := buildMerge(m, opts)
 
 	if opts.SlackMerge {
@@ -294,9 +417,6 @@ func partitionData(m *ir.Module, prof *interp.Profile, k int, opts Options, mcfg
 	if opts.BalanceOps {
 		tols = append(tols, opts.opTol())
 	}
-	if opts.MemFractions != nil && len(opts.MemFractions) != k {
-		return nil, fmt.Errorf("gdp: %d memory fractions for %d clusters", len(opts.MemFractions), k)
-	}
 	part, err := partition.KWay(g, k, partition.Options{
 		Tol:       tols,
 		Fractions: opts.MemFractions,
@@ -306,49 +426,49 @@ func partitionData(m *ir.Module, prof *interp.Profile, k int, opts Options, mcfg
 	if err != nil {
 		return nil, err
 	}
-	if k == 1 {
-		part = make([]int, g.Len())
-	}
-	if mcfg != nil {
-		part = remapToTopology(g, part, mcfg, opts.MemFractions)
-	}
 
-	res := &Result{
-		DataMap:   make(DataMap, len(m.Objects)),
-		CutWeight: partition.CutWeight(g, part),
+	e := &dataEntry{
+		part:   make([]int, len(m.Objects)),
+		pairW:  make([]int64, k*k),
+		groups: objectGroups(m, uf),
 	}
 	for _, o := range m.Objects {
-		res.DataMap[o.ID] = part[nodeID(o.ID)]
+		e.part[o.ID] = part[nodeID(o.ID)]
 	}
-	res.Groups = objectGroups(m, uf)
-	res.GroupBytes = make([]int64, len(res.Groups))
-	for gi, grp := range res.Groups {
-		for _, objID := range grp {
-			res.GroupBytes[gi] += objBytes(m.Objects[objID], prof)
+	for u := range g.Adj {
+		for _, ed := range g.Adj[u] {
+			if p, q := part[u], part[ed.To]; u < ed.To && p != q {
+				e.cut += ed.W
+				e.pairW[p*k+q] += ed.W
+				e.pairW[q*k+p] += ed.W
+			}
 		}
 	}
-	if opts.Obs != nil {
-		opts.Obs.Counter("gdp_partitions").Add(1)
-		opts.Obs.Counter("gdp_groups").Add(int64(len(res.Groups)))
-		opts.Obs.Counter("gdp_cut_weight").Add(res.CutWeight)
+	e.groupBytes = make([]int64, len(e.groups))
+	for gi, grp := range e.groups {
+		for _, objID := range grp {
+			e.groupBytes[gi] += objBytes(m.Objects[objID], prof)
+		}
 	}
-	return res, nil
+	return e, nil
 }
 
-// remapToTopology relabels the k parts of a finished partition onto the
+// topologyPerm relabels the k parts of a finished partition onto the
 // machine's k clusters to minimize the latency-weighted cut cost
-// Σ_{p<q} W[p][q] · MoveLat(π(p), π(q)), where W is the cut data-flow
-// weight between parts. Only memory-share-preserving permutations are
-// considered (part p was balanced to cluster p's byte target, so it may
-// only move to a cluster with the same target). The permutations are
-// enumerated in lexicographic order with strict improvement, so on
-// uniform-latency machines (every pair equidistant — bus, or any machine
-// expressed as a uniform matrix) the identity labeling always wins and the
-// result is bit-identical to the plain PartitionData path.
-func remapToTopology(g *partition.Graph, part []int, mcfg *machine.Config, fractions []float64) []int {
+// Σ_{p<q} W[p][q] · MoveLat(π(p), π(q)), where W (pairW, k×k row-major) is
+// the cut data-flow weight between parts. It returns π (part -> cluster),
+// or nil to keep the identity labelling. Only memory-share-preserving
+// permutations are considered (part p was balanced to cluster p's byte
+// target, so it may only move to a cluster with the same target). The
+// permutations are enumerated in lexicographic order with strict
+// improvement, so on uniform-latency machines (every pair equidistant —
+// bus, or any machine expressed as a uniform matrix) the identity labeling
+// always wins and the result is bit-identical to the plain PartitionData
+// path.
+func topologyPerm(pairW []int64, mcfg *machine.Config, fractions []float64) []int {
 	k := mcfg.NumClusters()
 	if k < 2 || k > 8 { // k! search; no preset exceeds 8 clusters
-		return part
+		return nil
 	}
 	lat := mcfg.LatencyTable()
 	uniform := true
@@ -361,20 +481,7 @@ func remapToTopology(g *partition.Graph, part []int, mcfg *machine.Config, fract
 		}
 	}
 	if uniform {
-		return part
-	}
-	// Cut weight between each unordered part pair.
-	w := make([][]int64, k)
-	for p := range w {
-		w[p] = make([]int64, k)
-	}
-	for u := range g.Adj {
-		for _, e := range g.Adj[u] {
-			if u < e.To && part[u] != part[e.To] {
-				w[part[u]][part[e.To]] += e.W
-				w[part[e.To]][part[u]] += e.W
-			}
-		}
+		return nil
 	}
 	perm := make([]int, k) // part -> cluster
 	best := make([]int, k)
@@ -399,7 +506,7 @@ func remapToTopology(g *partition.Graph, part []int, mcfg *machine.Config, fract
 			}
 			add := int64(0)
 			for q := 0; q < p; q++ {
-				add += w[p][q] * int64(lat[c][perm[q]])
+				add += pairW[p*k+q] * int64(lat[c][perm[q]])
 			}
 			used[c] = true
 			perm[p] = c
@@ -409,13 +516,9 @@ func remapToTopology(g *partition.Graph, part []int, mcfg *machine.Config, fract
 	}
 	dfs(0, 0)
 	if bestCost < 0 {
-		return part // no fraction-preserving permutation: keep identity
+		return nil // no fraction-preserving permutation: keep identity
 	}
-	out := make([]int, len(part))
-	for u, p := range part {
-		out[u] = best[p]
-	}
-	return out
+	return best
 }
 
 // linkCall adds affinity edges between a call op and the callee's

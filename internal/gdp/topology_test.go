@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mcpart/internal/machine"
-	"mcpart/internal/partition"
 )
 
 // TestPartitionDataOnUniformMatchesPlain pins the conformance guarantee:
@@ -23,7 +22,7 @@ func TestPartitionDataOnUniformMatchesPlain(t *testing.T) {
 		machine.FourCluster(5),
 		machine.AsMatrix(machine.FourCluster(5)),
 	} {
-		on, err := PartitionDataOn(mod, prof, cfg, Options{})
+		on, err := PartitionDataOn(mod, prof, cfg, Options{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
@@ -36,23 +35,26 @@ func TestPartitionDataOnUniformMatchesPlain(t *testing.T) {
 	}
 }
 
-// remapGraph builds a k-node graph with one node per part and the given
-// inter-part edge weights, so remapToTopology's W matrix equals exactly
-// the weights passed in.
-func remapGraph(t *testing.T, k int, edges []struct {
+// remap runs the topology relabelling on a k-part partition whose
+// part-pair cut weights are exactly the given edges, and returns each
+// part's cluster.
+func remap(k int, edges []struct {
 	u, v int
 	w    int64
-}) (*partition.Graph, []int) {
-	t.Helper()
-	g := partition.NewGraph(k, 1)
+}, cfg *machine.Config, fractions []float64) []int {
+	pairW := make([]int64, k*k)
 	for _, e := range edges {
-		g.Connect(e.u, e.v, e.w)
+		pairW[e.u*k+e.v] += e.w
+		pairW[e.v*k+e.u] += e.w
 	}
-	part := make([]int, k)
-	for i := range part {
-		part[i] = i
+	if perm := topologyPerm(pairW, cfg, fractions); perm != nil {
+		return perm
 	}
-	return g, part
+	out := make([]int, k)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // TestRemapToTopologyMovesHeavyPairAdjacent: with one dominant
@@ -62,11 +64,10 @@ func TestRemapToTopologyMovesHeavyPairAdjacent(t *testing.T) {
 	ring := machine.RingFour(5)
 	// Parts 0 and 2 exchange 100 units; under identity they sit 2 hops
 	// apart (10 cycles); any adjacent pair costs 5.
-	g, part := remapGraph(t, 4, []struct {
+	out := remap(4, []struct {
 		u, v int
 		w    int64
-	}{{0, 2, 100}, {0, 1, 1}})
-	out := remapToTopology(g, part, ring, nil)
+	}{{0, 2, 100}, {0, 1, 1}}, ring, nil)
 	if got := ring.MoveLat(out[0], out[2]); got != 5 {
 		t.Errorf("heavy pair landed %d cycles apart, want adjacent (5): labeling %v", got, out)
 	}
@@ -85,17 +86,15 @@ func TestRemapToTopologyMovesHeavyPairAdjacent(t *testing.T) {
 // identity itself, to keep uniform machines byte-identical to the plain
 // path).
 func TestRemapToTopologyUniformIsIdentity(t *testing.T) {
-	g, part := remapGraph(t, 4, []struct {
-		u, v int
-		w    int64
-	}{{0, 2, 100}, {1, 3, 50}})
 	for _, cfg := range []*machine.Config{
 		machine.FourCluster(5),
 		machine.AsMatrix(machine.FourCluster(5)),
 	} {
-		out := remapToTopology(g, part, cfg, nil)
-		if !reflect.DeepEqual(out, []int{0, 1, 2, 3}) {
-			t.Errorf("%s: uniform machine relabeled to %v", cfg.Name, out)
+		pairW := make([]int64, 16)
+		pairW[0*4+2], pairW[2*4+0] = 100, 100
+		pairW[1*4+3], pairW[3*4+1] = 50, 50
+		if perm := topologyPerm(pairW, cfg, nil); perm != nil {
+			t.Errorf("%s: uniform machine relabeled to %v", cfg.Name, perm)
 		}
 	}
 }
@@ -109,11 +108,10 @@ func TestRemapToTopologyRespectsFractions(t *testing.T) {
 	// Parts 0 (big memory) and 2 (small memory) communicate heavily.
 	// Unconstrained, the remap would co-locate them inside one node; the
 	// fraction guard only allows {0,1} and {2,3} to trade places.
-	g, part := remapGraph(t, 4, []struct {
+	out := remap(4, []struct {
 		u, v int
 		w    int64
-	}{{0, 2, 100}})
-	out := remapToTopology(g, part, numa, fractions)
+	}{{0, 2, 100}}, numa, fractions)
 	for p := 0; p < 4; p++ {
 		if fractions[p] != fractions[out[p]] {
 			t.Fatalf("part %d (share %v) relabeled to cluster %d (share %v): %v",
@@ -133,7 +131,7 @@ func TestRemapToTopologyRespectsFractions(t *testing.T) {
 func TestPartitionDataOnNUMA4(t *testing.T) {
 	mod, prof := prep(t, balancedSrc)
 	numa := machine.NUMA4(5)
-	res, err := PartitionDataOn(mod, prof, numa, Options{})
+	res, err := PartitionDataOn(mod, prof, numa, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -15,23 +16,75 @@ var benchGraphs = []struct {
 	{100_000, 8, 2},
 }
 
+// regionSizes are the sizes the evaluation pipeline actually partitions:
+// RHOP's region graphs, tens of nodes of which about half are fixed
+// anchors. Each region arm bisects regionBatch seeded graphs per op, so a
+// handful of iterations still measures more than timer noise.
+var regionSizes = []int{16, 48, 96}
+
+const regionBatch = 100
+
+// regionGraph builds a region-like graph of n nodes: n - n/2 free ops
+// weighted by one of a few block frequencies and chained by dependence
+// edges with a few random cross arcs, plus n/2 weightless anchors fixed
+// alternately to parts 0 and 1, each tied to one or two ops.
+func regionGraph(n int, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	ops := n - n/2
+	g := NewGraph(n, 1)
+	freqs := []int64{1, 10, 100, 1000}
+	for u := 0; u < ops; u++ {
+		g.W[u][0] = freqs[u*len(freqs)/ops]
+		if u > 0 {
+			g.Connect(u-1, u, 1+int64(rng.Intn(8)))
+		}
+	}
+	for e := 0; e < ops/2; e++ {
+		if u, v := rng.Intn(ops), rng.Intn(ops); u != v {
+			g.Connect(u, v, 1+int64(rng.Intn(8)))
+		}
+	}
+	for a := ops; a < n; a++ {
+		g.Fixed[a] = a % 2
+		for i := 0; i <= rng.Intn(2); i++ {
+			g.Connect(a, rng.Intn(ops), 1+int64(rng.Intn(8)))
+		}
+	}
+	return g
+}
+
+// BenchmarkBisect times bisection on batches of region-sized graphs and on
+// single 1k-100k node graphs; "cut" is the batch's total cut weight.
 func BenchmarkBisect(b *testing.B) {
-	for _, bg := range benchGraphs {
-		g := randGraph(bg.n, bg.deg, bg.dims, 1, true)
-		name := fmt.Sprintf("n=%d/deg=%d/dims=%d", bg.n, bg.deg, bg.dims)
+	run := func(name string, gs []*Graph, opts Options) {
 		b.Run(name, func(b *testing.B) {
-			opts := Options{Tol: []float64{0.15}, Workers: 1}
 			b.ReportAllocs()
 			var cut int64
 			for i := 0; i < b.N; i++ {
-				part, err := Bisect(g, opts)
-				if err != nil {
-					b.Fatal(err)
+				cut = 0
+				for _, g := range gs {
+					part, err := Bisect(g, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cut += CutWeight(g, part)
 				}
-				cut = CutWeight(g, part)
 			}
 			b.ReportMetric(float64(cut), "cut")
 		})
+	}
+	for _, n := range regionSizes {
+		gs := make([]*Graph, regionBatch)
+		for i := range gs {
+			gs[i] = regionGraph(n, int64(i+1))
+		}
+		name := fmt.Sprintf("region/n=%d/anchors=%d/graphs=%d", n, n/2, regionBatch)
+		run(name, gs, Options{Tol: []float64{0.4}, Workers: 1})
+	}
+	for _, bg := range benchGraphs {
+		g := randGraph(bg.n, bg.deg, bg.dims, 1, true)
+		name := fmt.Sprintf("n=%d/deg=%d/dims=%d", bg.n, bg.deg, bg.dims)
+		run(name, []*Graph{g}, Options{Tol: []float64{0.15}, Workers: 1})
 	}
 }
 

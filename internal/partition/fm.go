@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -16,9 +17,9 @@ import (
 //   - a CSR graph per level (csr.go) so every phase iterates flat arrays;
 //   - Fiduccia–Mattheyses refinement: per-node gains computed once per
 //     level and maintained incrementally on each move, organized in gain
-//     buckets (doubly-linked lists indexed by gain with a max-gain cursor)
-//     so selecting the best candidate and re-ranking its neighbors is O(1)
-//     amortized instead of a full re-sort per pass;
+//     buckets (a lazy max-heap, or a live-node bitset scan on graphs of at
+//     most scanSelectMax nodes) so selecting the best candidate and
+//     re-ranking its neighbors never re-sorts the pass;
 //   - heap-based region growing for the initial bisection, replacing the
 //     O(V·E) frontier rescans, with the same deterministic seed-spread
 //     scheme, plus parallel multi-start at the coarsest level.
@@ -115,6 +116,7 @@ type fmScratch struct {
 	inOne []bool
 	conn  []int64
 	grow  []heapEnt
+	tries []int32 // bestInitialFM: every try's grown bisection, back to back
 	// recycled multilevel buffers: coarse CSRs and fine-to-coarse maps
 	// built during a bisectFast call. Nothing built from these escapes the
 	// call (the winning partition is copied out), so the next call resets
@@ -245,10 +247,11 @@ func siftDown(h []heapEnt, i int) {
 
 // scanSelectMax is the graph size at or below which the gain buckets use
 // a linear-scan backend instead of the lazy heap. Selecting the best live
-// node by scanning a flat int64 gain array beats heap maintenance up to a
-// few hundred nodes, and the paper's region graphs — the fast path's
-// hottest callers — live entirely in that range. Both backends select the
-// identical node (max gain, lowest index), so results are bit-identical.
+// node by walking a live-node bitset over a flat int64 gain array beats
+// heap maintenance up to a few hundred nodes, and the paper's region
+// graphs — the fast path's hottest callers — live entirely in that range.
+// Both backends select the identical node (max gain, lowest index), so
+// results are bit-identical.
 const scanSelectMax = 128
 
 // buckets is the FM gain-bucket structure, organized as a lazy max-heap
@@ -260,15 +263,17 @@ const scanSelectMax = 128
 // index, so selection order is deterministic.
 //
 // At or below scanSelectMax nodes the heap is bypassed entirely: insert
-// and remove only toggle the membership bit, and popMax scans the gain
-// array (wired in reset) for the best live node. The selection rule is
-// the same, only the mechanism changes.
+// and remove only toggle the membership bit and its twin in a live-node
+// bitset, and popMax walks the set bits in ascending order, reading the
+// gain array (wired in reset) for the best live node. The selection rule
+// is the same, only the mechanism changes.
 type buckets struct {
 	h    []heapEnt
-	key  []int64 // node's bucket key as of its latest insert
-	in   []bool  // node currently belongs to a bucket
-	scan bool    // linear-scan backend (tiny graphs)
-	gain []int64 // current gains, read directly by the scan backend
+	key  []int64  // node's bucket key as of its latest insert
+	in   []bool   // node currently belongs to a bucket
+	scan bool     // linear-scan backend (tiny graphs)
+	live []uint64 // scan backend: bit u set iff in[u]
+	gain []int64  // current gains, read directly by the scan backend
 }
 
 func (b *buckets) reset(n int, gain []int64) {
@@ -277,6 +282,10 @@ func (b *buckets) reset(n int, gain []int64) {
 	clear(b.in)
 	b.h = b.h[:0]
 	b.scan = n <= scanSelectMax
+	if b.scan {
+		b.live = growTo(b.live, (n+63)/64)
+		clear(b.live)
+	}
 	b.gain = gain
 }
 
@@ -285,6 +294,7 @@ func (b *buckets) reset(n int, gain []int64) {
 func (b *buckets) insert(u int, g int64) {
 	b.in[u] = true
 	if b.scan {
+		b.live[u>>6] |= 1 << (u & 63)
 		return
 	}
 	b.key[u] = g
@@ -296,6 +306,7 @@ func (b *buckets) insert(u int, g int64) {
 func (b *buckets) append(u int, g int64) {
 	b.in[u] = true
 	if b.scan {
+		b.live[u>>6] |= 1 << (u & 63)
 		return
 	}
 	b.key[u] = g
@@ -308,12 +319,13 @@ func (b *buckets) heapify() {
 	}
 }
 
-// remove takes u out of gain bucket g (its current gain). No-op when u is
-// not in a bucket; its stale heap entries are discarded by later popMax
-// calls.
-func (b *buckets) remove(u int, g int64) {
-	_ = g
+// remove takes u out of its gain bucket. No-op when u is not in a bucket;
+// its stale heap entries are discarded by later popMax calls.
+func (b *buckets) remove(u int) {
 	b.in[u] = false
+	if b.scan {
+		b.live[u>>6] &^= 1 << (u & 63)
+	}
 }
 
 // popMax returns the node of the highest live bucket entry (without
@@ -321,9 +333,13 @@ func (b *buckets) remove(u int, g int64) {
 func (b *buckets) popMax() int {
 	if b.scan {
 		best, bestG := -1, int64(0)
-		for u, live := range b.in {
-			if live && (best == -1 || b.gain[u] > bestG) {
-				best, bestG = u, b.gain[u]
+		for w, word := range b.live {
+			for word != 0 {
+				u := w<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				if best == -1 || b.gain[u] > bestG {
+					best, bestG = u, b.gain[u]
+				}
 			}
 		}
 		return best
@@ -622,19 +638,25 @@ func bestInitialFM(fs *fmScratch, c *CSR, total []int64, opts Options) [][]int32
 		triagePasses = 2
 		triageKeep   = fmTries - 2
 	)
-	par := c.Len() >= parallelTryMin && parallel.Workers(opts.Workers) > 1
+	n := c.Len()
+	par := n >= parallelTryMin && parallel.Workers(opts.Workers) > 1
+	// Every try grows into its own n-slice of one scratch buffer; only the
+	// surviving candidates are copied out.
+	grown := growTo(fs.tries, fmTries*n)
+	fs.tries = grown
+	tryPart := func(try int) []int32 { return grown[try*n : (try+1)*n : (try+1)*n] }
 	var parts [][]int32
 	if par {
 		parts, _ = parallel.Map(context.Background(), fmTries, opts.Workers,
 			func(_ context.Context, try int) ([]int32, error) {
 				tfs := scratchPool.Get().(*fmScratch)
 				defer scratchPool.Put(tfs)
-				return growInitial(tfs, c, total, opts, try, fmTries), nil
+				return growInitial(tfs, c, total, opts, try, fmTries, tryPart(try)), nil
 			})
 	} else {
 		parts = make([][]int32, fmTries)
 		for try := 0; try < fmTries; try++ {
-			parts[try] = growInitial(fs, c, total, opts, try, fmTries)
+			parts[try] = growInitial(fs, c, total, opts, try, fmTries, tryPart(try))
 		}
 	}
 	parts = rankCandidatesN(c, total, parts, opts, triageKeep)
@@ -655,19 +677,26 @@ func bestInitialFM(fs *fmScratch, c *CSR, total []int64, opts Options) [][]int32
 	for _, p := range kept {
 		refineFM(fs, c, total, p, opts)
 	}
-	return rankCandidates(c, total, kept, opts)
+	kept = rankCandidates(c, total, kept, opts)
+	out := make([]int32, len(kept)*n)
+	for i, p := range kept {
+		dst := out[i*n : (i+1)*n : (i+1)*n]
+		copy(dst, p)
+		kept[i] = dst
+	}
+	return kept
 }
 
 // growInitial grows one part greedily from a seed until it holds its
-// target fraction of the combined normalized weight, honoring fixed nodes
-// — the frontier is a lazy max-heap keyed by (connection weight into the
+// target fraction of the combined normalized weight, honoring fixed nodes,
+// writes the bisection into part (length c.Len()) and returns it. The
+// frontier is a lazy max-heap keyed by (connection weight into the
 // growing part, node index), so no placement rescans the graph. try selects among
 // deterministic seed-spread choices; even tries grow part 1 and odd tries
 // grow part 0, so the multi-start explores complementary regions even
 // when the seed nodes coincide.
-func growInitial(fs *fmScratch, c *CSR, total []int64, opts Options, try, tries int) []int32 {
+func growInitial(fs *fmScratch, c *CSR, total []int64, opts Options, try, tries int, part []int32) []int32 {
 	n := c.Len()
-	part := make([]int32, n)
 	dims := c.Dims
 	side := 1 - try%2 // the part being grown
 	other := 1 - side
@@ -890,7 +919,7 @@ func refineFMPasses(fs *fmScratch, c *CSR, total []int64, part []int32, opts Opt
 			w2 := 2 * c.AdjW[i]
 			wasIn := bucketLive && bk.in[v]
 			if wasIn {
-				bk.remove(v, gain[v]) // unlink before the key changes
+				bk.remove(v) // unlink before the key changes
 			}
 			if int(part[v]) == to {
 				gain[v] -= w2
@@ -974,7 +1003,7 @@ func refineFMPasses(fs *fmScratch, c *CSR, total []int64, part []int32, opts Opt
 				break
 			}
 			g := gain[u]
-			bk.remove(u, g)
+			bk.remove(u)
 			locked[u] = true
 			if moveDelta(u) > 0 {
 				// Infeasible for now: parked until the destination part
@@ -1064,7 +1093,12 @@ func csrCut(c *CSR, part []int32) int64 {
 // under opts' fractions and tolerances.
 func csrViolation(c *CSR, total []int64, part []int32, opts Options) int64 {
 	dims := c.Dims
-	pw := make([]int64, 2*dims)
+	var buf [4]int64 // two parts × up to two dimensions: no allocation
+	pw := buf[:]
+	if 2*dims > len(buf) {
+		pw = make([]int64, 2*dims)
+	}
+	pw = pw[:2*dims]
 	for u := 0; u < c.Len(); u++ {
 		for d := 0; d < dims; d++ {
 			pw[int(part[u])*dims+d] += c.W[u*dims+d]

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -160,18 +161,18 @@ func TestBucketsBasic(t *testing.T) {
 			if got := b.popMax(); got != 2 {
 				t.Fatalf("popMax = %d, want 2 (lowest index of gain 2)", got)
 			}
-			b.remove(2, 2)
+			b.remove(2)
 			if got := b.popMax(); got != 5 {
 				t.Fatalf("popMax after removing 2 = %d, want 5", got)
 			}
 			// Relink node 5 from gain 2 to gain 10.
-			b.remove(5, 2)
+			b.remove(5)
 			gains[5] = 10
 			b.insert(5, 10)
 			if got := b.popMax(); got != 5 {
 				t.Fatalf("popMax after relink = %d, want 5", got)
 			}
-			b.remove(5, 10)
+			b.remove(5)
 			gains[5] = 2
 			// Drain: gain-1 nodes then gain-0 nodes, ascending within a bucket.
 			var order []int
@@ -181,12 +182,75 @@ func TestBucketsBasic(t *testing.T) {
 					break
 				}
 				order = append(order, u)
-				b.remove(u, gains[u])
+				b.remove(u)
 			}
 			want := []int{1, 4, 7, 0, 3, 6}
 			if fmt.Sprint(order) != fmt.Sprint(want) {
 				t.Fatalf("drain order %v, want %v", order, want)
 			}
 		})
+	}
+}
+
+// TestBucketsScanMatchesHeap drives the scan and heap backends through one
+// seeded random sequence of insert/append/remove/relink/popMax at sizes on
+// both sides of the live-node bitset's word boundaries, and requires the
+// same popMax at every step.
+func TestBucketsScanMatchesHeap(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 127, 128} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		gains := make([]int64, n)
+		var scan, heap buckets
+		scan.reset(n, gains)
+		heap.reset(n, gains)
+		heap.scan = false // force the heap backend at this size
+		if !scan.scan {
+			t.Fatalf("n=%d: scan backend not selected", n)
+		}
+		dirty := false // appended since the last heapify
+		for step := 0; step < 40*n+200; step++ {
+			u := rng.Intn(n)
+			switch op := rng.Intn(10); {
+			case op < 2: // insert
+				if !scan.in[u] {
+					scan.insert(u, gains[u])
+					heap.insert(u, gains[u])
+				}
+			case op < 3: // append (initial fill); heapified before the next pop
+				if !scan.in[u] {
+					scan.append(u, gains[u])
+					heap.append(u, gains[u])
+					dirty = true
+				}
+			case op < 5: // remove
+				scan.remove(u)
+				heap.remove(u)
+			case op < 7: // relink to a new gain (a plain change when out)
+				in := scan.in[u]
+				if in {
+					scan.remove(u)
+					heap.remove(u)
+				}
+				gains[u] = int64(rng.Intn(9) - 4)
+				if in {
+					scan.insert(u, gains[u])
+					heap.insert(u, gains[u])
+				}
+			default: // popMax, then usually take the winner out as FM does
+				if dirty {
+					scan.heapify()
+					heap.heapify()
+					dirty = false
+				}
+				s, h := scan.popMax(), heap.popMax()
+				if s != h {
+					t.Fatalf("n=%d step %d: scan popMax %d, heap %d", n, step, s, h)
+				}
+				if s >= 0 && rng.Intn(4) > 0 {
+					scan.remove(s)
+					heap.remove(s)
+				}
+			}
+		}
 	}
 }
