@@ -60,7 +60,7 @@ type Options struct {
 	// before partitioning — approximating the "merge dependent operations
 	// with low slack" variant the paper evaluated and rejected (§3.3.1).
 	SlackMerge bool
-	// Workers bounds the fast partitioner's multi-start fan-out; 0 means
+	// Workers bounds the partitioner's multi-start fan-out; 0 means
 	// runtime.GOMAXPROCS(0). Results are identical for every value.
 	Workers int
 	// Obs, when non-nil, records the data-partitioning metrics

@@ -88,6 +88,16 @@ func BenchmarkBisect(b *testing.B) {
 	}
 }
 
+// sweepGroups is the number of anchor groups a region sweep homes
+// independently: like the data objects of a data-mapping search, each
+// group's anchors move together, one base-4 digit of the mask per group.
+const sweepGroups = 3
+
+// BenchmarkKWay times 4-way splits of single 1k and 10k node graphs, and
+// of region-sized graphs under a base-4 sweep of anchor homes (every mask
+// of sweepGroups groups, sweepBatch graphs per op) with no memo ("fresh")
+// and with one split memo per graph's sweep ("shared"), as RHOP's
+// data-mapping search runs them; "cut" is the total cut weight.
 func BenchmarkKWay(b *testing.B) {
 	for _, bg := range benchGraphs[:2] {
 		g := randGraph(bg.n, bg.deg, bg.dims, 1, true)
@@ -105,5 +115,59 @@ func BenchmarkKWay(b *testing.B) {
 			}
 			b.ReportMetric(float64(cut), "cut")
 		})
+	}
+	const sweepBatch = 4
+	masks := 1
+	for i := 0; i < sweepGroups; i++ {
+		masks *= 4
+	}
+	for _, n := range regionSizes[1:] {
+		var sweeps [][]*Graph // [graph][mask]
+		for s := 0; s < sweepBatch; s++ {
+			g := regionGraph(n, int64(s+1))
+			var sweep []*Graph
+			for m := 0; m < masks; m++ {
+				h := *g
+				h.Fixed = append([]int(nil), g.Fixed...)
+				for a := n - n/2; a < n; a++ {
+					digits := m
+					for i := 0; i < a%sweepGroups; i++ {
+						digits /= 4
+					}
+					h.Fixed[a] = digits % 4
+				}
+				sweep = append(sweep, &h)
+			}
+			sweeps = append(sweeps, sweep)
+		}
+		for _, shared := range []bool{false, true} {
+			mode := "fresh"
+			if shared {
+				mode = "shared"
+			}
+			name := fmt.Sprintf("k=4/region/n=%d/anchors=%d/masks=%d/graphs=%d/%s", n, n/2, masks, sweepBatch, mode)
+			b.Run(name, func(b *testing.B) {
+				opts := Options{Tol: []float64{0.4}, Workers: 1}
+				b.ReportAllocs()
+				var cut int64
+				for i := 0; i < b.N; i++ {
+					cut = 0
+					for _, sweep := range sweeps {
+						var memo *SplitMemo
+						if shared {
+							memo = &SplitMemo{}
+						}
+						for _, g := range sweep {
+							part, err := memo.KWay(g, nil, 4, opts)
+							if err != nil {
+								b.Fatal(err)
+							}
+							cut += CutWeight(g, part)
+						}
+					}
+				}
+				b.ReportMetric(float64(cut), "cut")
+			})
+		}
 	}
 }

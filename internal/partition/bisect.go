@@ -99,9 +99,14 @@ func bisectUnchecked(g *Graph, opts Options) []int {
 }
 
 // kwayScratch holds KWay's reusable fine-to-subgraph remap table, shared
-// across every level of the recursion (each level rebuilds it from zero).
+// across every level of the recursion (each level rebuilds it from zero),
+// and, for a memoized split, the memo, the key of the current recursion
+// node (a stack: each level appends and truncates back) and the hit tally.
 type kwayScratch struct {
 	back []int
+	memo *SplitMemo
+	key  []byte
+	hits int64
 }
 
 // remap returns the remap table resized to n and zeroed. Entries hold
@@ -118,18 +123,8 @@ func (sc *kwayScratch) remap(n int) []int {
 // KWay partitions g into k parts (k a power of two) by recursive bisection.
 // Fixed assignments must be in [0,k).
 func KWay(g *Graph, k int, opts Options) ([]int, error) {
-	if k < 1 || k&(k-1) != 0 {
-		return nil, fmt.Errorf("partition: k=%d is not a power of two", k)
-	}
-	for u, f := range g.Fixed {
-		if f < -1 || f >= k {
-			return nil, fmt.Errorf("partition: node %d fixed to %d, want -1..%d", u, f, k-1)
-		}
-	}
-	// Validate once here; the recursion's subgraphs are symmetric by
-	// construction, so revalidating at every level would only repeat work.
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
+	if err := checkKWay(g, k); err != nil {
+		return nil, err
 	}
 	if k == 1 {
 		return make([]int, g.Len()), nil
@@ -137,9 +132,30 @@ func KWay(g *Graph, k int, opts Options) ([]int, error) {
 	return kwayRec(&kwayScratch{}, g, k, opts), nil
 }
 
+// checkKWay validates a k-way split's inputs. It runs once per entry
+// point; the recursion's subgraphs are symmetric by construction, so
+// revalidating at every level would only repeat work.
+func checkKWay(g *Graph, k int) error {
+	if k < 1 || k&(k-1) != 0 {
+		return fmt.Errorf("partition: k=%d is not a power of two", k)
+	}
+	for u, f := range g.Fixed {
+		if f < -1 || f >= k {
+			return fmt.Errorf("partition: node %d fixed to %d, want -1..%d", u, f, k-1)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("partition: %w", err)
+	}
+	return nil
+}
+
 func kwayRec(sc *kwayScratch, g *Graph, k int, opts Options) []int {
+	mark := len(sc.key)
 	if k == 2 {
-		return bisectUnchecked(g, opts)
+		half := sc.bisect(g, opts)
+		sc.key = sc.key[:mark]
+		return half
 	}
 	// First split: parts < k/2 vs >= k/2, with fraction targets summed per
 	// half when provided.
@@ -170,7 +186,8 @@ func kwayRec(sc *kwayScratch, g *Graph, k int, opts Options) []int {
 			top.Fixed[u] = 1
 		}
 	}
-	half := bisectUnchecked(top, topOpts)
+	half := sc.bisect(top, topOpts)
+	own := len(sc.key)
 	out := make([]int, g.Len())
 	for side := 0; side < 2; side++ {
 		idx := make([]int, 0, g.Len())
@@ -205,10 +222,14 @@ func kwayRec(sc *kwayScratch, g *Graph, k int, opts Options) []int {
 		} else {
 			subOpts.Fractions = nil
 		}
+		if sc.memo != nil {
+			sc.key = append(sc.key[:own], byte(side))
+		}
 		subPart := kwayRec(sc, sub, k/2, subOpts)
 		for i, u := range idx {
 			out[u] = side*(k/2) + subPart[i]
 		}
 	}
+	sc.key = sc.key[:mark]
 	return out
 }

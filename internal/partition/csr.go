@@ -8,10 +8,10 @@ import (
 // CSR is a compressed-sparse-row view of an undirected weighted graph with
 // vector node weights: node u's edges occupy Adj[XAdj[u]:XAdj[u+1]] (both
 // directions of every undirected edge are present, exactly as in
-// Graph.Adj), and its weight vector is W[u*Dims : (u+1)*Dims]. The fast
-// partitioner path builds one CSR per Bisect/KWay call and then coarsens,
-// grows, and refines over flat int32/int64 arrays instead of chasing
-// per-node []Edge slices.
+// Graph.Adj), and its weight vector is W[u*Dims : (u+1)*Dims]. The
+// partitioner builds one CSR per bisection and then coarsens, grows, and
+// refines over flat int32/int64 arrays instead of chasing per-node []Edge
+// slices.
 type CSR struct {
 	Dims  int     // weight dimensions per node
 	XAdj  []int32 // len n+1; prefix offsets into Adj/AdjW

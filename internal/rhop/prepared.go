@@ -9,6 +9,7 @@ import (
 	"mcpart/internal/cfg"
 	"mcpart/internal/interp"
 	"mcpart/internal/ir"
+	"mcpart/internal/partition"
 	"mcpart/internal/sched"
 )
 
@@ -24,11 +25,11 @@ import (
 // its static graph plus three per-call inputs: the locks on the region's
 // ops, the clusters of the already-placed ops outside the region that
 // anchor its live-in and live-out values (regionPre.extRefs), and the
-// partitioning knobs (cluster count, balance tolerance, edge weighting,
-// partitioner path). The memo key encodes exactly those, so a hit returns
-// the partition the run would have computed. Move latency and topology
-// never reach the min-cut, which is why the memo is shared across
-// machines with the same cluster count.
+// partitioning knobs (cluster count, balance tolerance, edge weighting).
+// The memo key encodes exactly those, so a hit returns the partition the
+// run would have computed. Move latency and topology never reach the
+// min-cut, which is why the memo is shared across machines with the same
+// cluster count.
 //
 // The memo lives in a MinCuts, which may outlive the Prepared: a caller
 // can drop the structure between runs and hand the memo to the next
@@ -52,11 +53,15 @@ type Prepared struct {
 // region's ops, keyed as scratch.cutKey describes (the key starts with the
 // region's index in Prepare's heat order). Region order is a deterministic
 // function of the function and its profile, so one MinCuts serves every
-// Prepare of the same pair — and only that pair. The zero value is an
-// empty memo; it is safe for concurrent use.
+// Prepare of the same pair — and only that pair. Below the whole-cut memo
+// it holds the split memo of the k-way recursion (k > 2 only), whose
+// bisections repeat where whole cuts do not: a top split sees only which
+// side each lock and anchor is on. The zero value is an empty memo; it is
+// safe for concurrent use.
 type MinCuts struct {
-	mu   sync.Mutex
-	cuts map[string][]uint8
+	mu    sync.Mutex
+	cuts  map[string][]uint8
+	split partition.SplitMemo
 }
 
 // get returns the memoized min-cut for key, or nil.
@@ -266,11 +271,11 @@ func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op
 
 // cutKey builds the min-cut memo key of region ri in sc.keyBuf: the
 // region index, the partitioning knobs (cluster count, edge weighting,
-// partitioner path, balance tolerance), one byte per external reference
-// for its current cluster (0 when unassigned, so its anchors are absent),
-// then a (uvarint region-op index, cluster) pair per locked region op. All
-// but the last part have a fixed length per region and the indices
-// increase, so the key is injective. Clusters fit one byte: machine
+// balance tolerance), one byte per external reference for its current
+// cluster (0 when unassigned, so its anchors are absent), then a (uvarint
+// region-op index, cluster) pair per locked region op. All but the last
+// part have a fixed length per region and the indices increase, so the
+// key is injective. Clusters fit one byte: machine
 // configs bound k well below 255.
 func (sc *scratch) cutKey(ri int, pre *regionPre, k int, opts Options, locks Locks, asg []int) []byte {
 	var flags byte
@@ -290,5 +295,28 @@ func (sc *scratch) cutKey(ri int, pre *regionPre, k int, opts Options, locks Loc
 		}
 	}
 	sc.keyBuf = buf
+	return buf
+}
+
+// graphID builds, in sc.idBuf, the identity of region ri's min-cut graph
+// for the split memo: the region index, the edge-weighting flag, and one
+// byte per external reference, 1 if it is placed and 0 if not. Those fix
+// the node set (region ops, then one anchor per placed reference's arc
+// kind, in arc order), the node weights and every edge; the anchors'
+// homes and the locks reach the memo through the graph's fixed nodes.
+func (sc *scratch) graphID(ri int, pre *regionPre, opts Options, asg []int) []byte {
+	var flags byte
+	if opts.UniformEdges {
+		flags |= 1
+	}
+	buf := append(binary.AppendUvarint(sc.idBuf[:0], uint64(ri)), flags)
+	for _, id := range pre.extRefs {
+		var placed byte
+		if asg[id] >= 0 {
+			placed = 1
+		}
+		buf = append(buf, placed)
+	}
+	sc.idBuf = buf
 	return buf
 }

@@ -108,6 +108,7 @@ type scratch struct {
 	// covers every input exactly.
 	blockCost map[string]int
 	keyBuf    []byte
+	idBuf     []byte
 	// graph-build buffers, reused across partitionRegion calls.
 	edges     []regionEdge
 	anchors   []regionAnchor
@@ -215,7 +216,7 @@ func (fp *FuncPartitioner) partitionRegion(ri int, pre *regionPre, rm *regionMem
 	} else {
 		key := string(keyBuf)
 		var err error
-		if part, err = fp.minCut(pre, locks, asg); err != nil {
+		if part, err = fp.minCut(ri, pre, locks, asg); err != nil {
 			return err
 		}
 		p.cuts.put(key, part)
@@ -308,8 +309,9 @@ func (fp *FuncPartitioner) partitionRegion(ri int, pre *regionPre, rm *regionMem
 // minCut builds the region's min-cut graph — region ops, then one anchor
 // per live-in/live-out value already placed outside the region — from its
 // static arcs and partitions it k ways. It returns the clusters of the
-// region ops only.
-func (fp *FuncPartitioner) minCut(pre *regionPre, locks Locks, asg []int) ([]uint8, error) {
+// region ops only. Above two clusters the k-way split runs through the
+// MinCuts' split memo under the graph's identity (see graphID).
+func (fp *FuncPartitioner) minCut(ri int, pre *regionPre, locks Locks, asg []int) ([]uint8, error) {
 	sc, p, opts := fp.sc, fp.p, fp.opts
 	regionOps := pre.regionOps
 	if sc.anchorIdx == nil {
@@ -380,11 +382,19 @@ func (fp *FuncPartitioner) minCut(pre *regionPre, locks Locks, asg []int) ([]uin
 	}
 
 	sc.tKWay++
-	part, err := partition.KWay(g, fp.mcfg.NumClusters(), partition.Options{
+	k := fp.mcfg.NumClusters()
+	popts := partition.Options{
 		Tol:     []float64{opts.tol()},
 		Workers: opts.Workers,
 		Obs:     opts.Obs,
-	})
+	}
+	var part []int
+	var err error
+	if k > 2 {
+		part, err = p.cuts.split.KWay(g, sc.graphID(ri, pre, opts, asg), k, popts)
+	} else {
+		part, err = partition.KWay(g, k, popts)
+	}
 	if err != nil {
 		return nil, err
 	}
