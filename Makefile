@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
+.PHONY: all build test test-short race check deps-check cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
 
 all: build test
 
@@ -22,10 +22,18 @@ test-short:
 race:
 	$(GO) test -race ./...
 
-# The default verification gate: formatting, build, vet, plain tests,
-# race tests. fmt-check fails (listing the offending files) if any file
-# is not gofmt-clean.
-check: fmt-check build vet test race
+# The default verification gate: formatting, build, vet, the dependency
+# gate, plain tests, race tests. fmt-check fails (listing the offending
+# files) if any file is not gofmt-clean.
+check: fmt-check build vet deps-check test race
+
+# The tree-walking interpreter (internal/interp) is a test oracle: no tool
+# or example may link it. Fails, naming the importers, if one does.
+deps-check:
+	@if $(GO) list -deps ./cmd/... ./examples/... | grep -qx 'mcpart/internal/interp'; then \
+		echo "mcpart/internal/interp is linked into a tool or example:"; \
+		$(GO) list -f '{{.ImportPath}}: {{join .Deps " "}}' ./cmd/... ./examples/... | \
+			grep -w 'mcpart/internal/interp' | cut -d: -f1; exit 1; fi
 
 .PHONY: fmt-check
 fmt-check:

@@ -66,13 +66,11 @@ import (
 	"strings"
 
 	"mcpart/internal/bench"
+	"mcpart/internal/cli"
 	"mcpart/internal/eval"
 	"mcpart/internal/machine"
-	"mcpart/internal/obs"
 	"mcpart/internal/parallel"
 	"mcpart/internal/plot"
-	"mcpart/internal/profutil"
-	"mcpart/internal/store"
 )
 
 func main() {
@@ -80,6 +78,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gdpbench:", err)
 		os.Exit(1)
 	}
+}
+
+// config is gdpbench's flag surface: the shared cli table plus the
+// harness's own selection flags.
+type config struct {
+	cli.Flags
+	table, figure, filter, svgDir       string
+	compileTime, topology, all, jsonOut bool
+}
+
+func newFlagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("gdpbench", flag.ContinueOnError)
+	fs.StringVar(&c.table, "table", "", "table to regenerate (1)")
+	fs.StringVar(&c.figure, "figure", "", "figure to regenerate (2, 7, 8a, 8b, 9, 10)")
+	fs.BoolVar(&c.compileTime, "compiletime", false, "regenerate §4.5 compile-time comparison")
+	fs.BoolVar(&c.topology, "topology", false, "emit the cluster-count x topology comparison (GDP vs unified on every machine preset)")
+	fs.BoolVar(&c.all, "all", false, "regenerate every table and figure")
+	fs.StringVar(&c.filter, "run", "", "only benchmarks whose name contains this substring")
+	fs.BoolVar(&c.jsonOut, "json", false, "emit machine-readable JSON (per-benchmark, all latencies) instead of text")
+	fs.StringVar(&c.svgDir, "svg", "", "write every figure as an SVG file into this directory")
+	c.Register(fs, cli.Workers)
+	return fs
 }
 
 // run executes the harness against args, writing to out. A panic escaping
@@ -91,138 +111,59 @@ func run(args []string, out io.Writer) (err error) {
 			err = pe
 		}
 	}()
-	fs := flag.NewFlagSet("gdpbench", flag.ContinueOnError)
-	var (
-		table       = fs.String("table", "", "table to regenerate (1)")
-		figure      = fs.String("figure", "", "figure to regenerate (2, 7, 8a, 8b, 9, 10)")
-		compileTime = fs.Bool("compiletime", false, "regenerate §4.5 compile-time comparison")
-		topology    = fs.Bool("topology", false, "emit the cluster-count x topology comparison (GDP vs unified on every machine preset)")
-		all         = fs.Bool("all", false, "regenerate every table and figure")
-		filter      = fs.String("run", "", "only benchmarks whose name contains this substring")
-		jsonOut     = fs.Bool("json", false, "emit machine-readable JSON (per-benchmark, all latencies) instead of text")
-		svgDir      = fs.String("svg", "", "write every figure as an SVG file into this directory")
-		jobs        = fs.Int("j", 0, "evaluation worker count (0 = GOMAXPROCS)")
-		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		cacheStats  = fs.Bool("cachestats", false, "print per-benchmark memoization cache statistics after the output")
-		validate    = fs.Bool("validate", false, "re-check every result with the independent schedule validator")
-		timeout     = fs.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
-		traceFile   = fs.String("trace", "", "write the pipeline span trace to this file as sorted JSON lines")
-		metrics     = fs.Bool("metrics", false, "print the metric registry summary after the output")
-		promFile    = fs.String("prom", "", "write the metrics in Prometheus text format to this file")
-		cacheDir    = fs.String("cachedir", "", "persistent artifact-cache directory: partition/schedule/profile results survive process restarts (empty = disabled)")
-		cacheMax    = fs.Int64("cachemaxbytes", 0, "artifact-cache size bound in bytes (0 = 1 GiB default)")
-	)
-	if err := fs.Parse(args); err != nil {
+	var c config
+	if err := newFlagSet(&c).Parse(args); err != nil {
 		return err
 	}
-	if *cacheDir != "" {
-		// Open eagerly so a broken cache directory is a visible error here
-		// instead of a silent cold cache inside the pipeline.
-		if _, err := store.OpenShared(*cacheDir, store.Options{MaxBytes: *cacheMax}); err != nil {
-			return fmt.Errorf("-cachedir: %w", err)
+	tool, err := c.Start()
+	if err != nil {
+		return err
+	}
+	h := &harness{config: &c, Run: tool, cache: map[string]*eval.Compiled{}, out: out}
+	defer func() {
+		// The cache statistics follow the metrics summary Finish prints.
+		if err = tool.Finish(out, err); err == nil && c.CacheStats {
+			h.emitCacheStats()
 		}
-		defer func() {
-			if ferr := store.FlushShared(*cacheDir); err == nil {
-				err = ferr
-			}
-		}()
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	sinks := &obs.ToolSinks{TracePath: *traceFile, Summary: *metrics, PromPath: *promFile}
-	ctx = obs.With(ctx, sinks.Observer())
-	prof, err := profutil.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	h := &harness{ctx: ctx, filter: *filter, workers: *jobs, validate: *validate, cacheDir: *cacheDir, cacheMax: *cacheMax, observer: sinks.Observer(), cache: map[string]*eval.Compiled{}, out: out}
-	err = h.emit(*jsonOut, *svgDir, *table, *figure, *compileTime, *topology, *all)
-	if stopErr := prof.Stop(); err == nil {
-		err = stopErr
-	}
-	// Flush the observability sinks even when the run failed: a partial
-	// trace is exactly what a failed run should leave behind.
-	if ferr := sinks.Flush(out); err == nil {
-		err = ferr
-	}
-	if err != nil {
-		return err
-	}
-	if *cacheStats {
-		h.emitCacheStats()
-	}
-	return nil
+	}()
+	return h.emit()
 }
 
 // emit runs whatever output the flags selected. -topology is not part of
 // -all: the preset sweep multiplies the whole matrix by the machine count,
 // and -all's output is pinned by determinism tests.
-func (h *harness) emit(jsonOut bool, svgDir, table, figure string, compileTime, topology, all bool) error {
-	out := h.out
-	if jsonOut {
+func (h *harness) emit() error {
+	if h.jsonOut {
 		return h.emitJSON()
 	}
-	if svgDir != "" {
-		return h.emitSVGs(svgDir)
+	if h.svgDir != "" {
+		return h.emitSVGs(h.svgDir)
+	}
+	perf := func(fig string, lat int) func() error {
+		return func() error { return h.perfFigure(perfTitle(fig, lat), lat) }
+	}
+	sections := []struct {
+		on  bool
+		run func() error
+	}{
+		{h.all || h.table == "1", func() error { fmt.Fprintln(h.out, eval.FormatTable1()); return nil }},
+		{h.all || h.figure == "2", h.figure2},
+		{h.all || h.figure == "7", perf("7", 1)},
+		{h.all || h.figure == "8a", perf("8a", 5)},
+		{h.all || h.figure == "8b", perf("8b", 10)},
+		{h.all || h.figure == "9", h.figure9},
+		{h.all || h.figure == "10", h.figure10},
+		{h.all || h.compileTime, h.compileTimeTable},
+		{h.topology, h.topologyFigure},
 	}
 	any := false
-	if all || table == "1" {
-		fmt.Fprintln(out, eval.FormatTable1())
-		any = true
-	}
-	if all || figure == "2" {
-		if err := h.figure2(); err != nil {
-			return err
+	for _, sec := range sections {
+		if sec.on {
+			if err := sec.run(); err != nil {
+				return err
+			}
+			any = true
 		}
-		any = true
-	}
-	if all || figure == "7" {
-		if err := h.perfFigure("Figure 7: performance relative to unified memory (1-cycle moves)", 1); err != nil {
-			return err
-		}
-		any = true
-	}
-	if all || figure == "8a" {
-		if err := h.perfFigure("Figure 8a: performance relative to unified memory (5-cycle moves)", 5); err != nil {
-			return err
-		}
-		any = true
-	}
-	if all || figure == "8b" {
-		if err := h.perfFigure("Figure 8b: performance relative to unified memory (10-cycle moves)", 10); err != nil {
-			return err
-		}
-		any = true
-	}
-	if all || figure == "9" {
-		if err := h.figure9(); err != nil {
-			return err
-		}
-		any = true
-	}
-	if all || figure == "10" {
-		if err := h.figure10(); err != nil {
-			return err
-		}
-		any = true
-	}
-	if all || compileTime {
-		if err := h.compileTime(); err != nil {
-			return err
-		}
-		any = true
-	}
-	if topology {
-		if err := h.topologyFigure(); err != nil {
-			return err
-		}
-		any = true
 	}
 	if !any {
 		return fmt.Errorf("nothing selected; use -all, -table, -figure, -topology, or -compiletime")
@@ -231,20 +172,15 @@ func (h *harness) emit(jsonOut bool, svgDir, table, figure string, compileTime, 
 }
 
 type harness struct {
-	ctx      context.Context
-	filter   string
-	workers  int    // -j: worker pool bound, 0 = GOMAXPROCS
-	validate bool   // -validate: independent re-check of every result
-	cacheDir string // -cachedir: persistent artifact store (empty = off)
-	cacheMax int64  // -cachemaxbytes: artifact log size bound
-	observer *obs.Observer
-	cache    map[string]*eval.Compiled
-	out      io.Writer
+	*config
+	*cli.Run
+	cache map[string]*eval.Compiled
+	out   io.Writer
 }
 
 // options builds the evaluation options every scheme run shares.
 func (h *harness) options() eval.Options {
-	return eval.Options{Workers: h.workers, Validate: h.validate, CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax, Observer: h.observer}
+	return eval.Options{Workers: h.Jobs, Validate: h.Validate, CacheDir: h.CacheDir, CacheMaxBytes: h.CacheMaxBytes, Observer: h.Observer}
 }
 
 // emitCacheStats prints one memoization-counter line per compiled
@@ -260,12 +196,7 @@ func (h *harness) emitCacheStats() {
 		fmt.Fprintf(h.out, "  %-12s hits %6d  misses %6d  rate %5.1f%%  promotions %5d  entries %5d  evictions %d\n",
 			b.Name, s.Hits, s.Misses, 100*s.HitRate(), s.Promotions, s.Entries, s.Evictions)
 	}
-	if h.cacheDir != "" {
-		if st, ok := store.SharedStats(h.cacheDir); ok {
-			fmt.Fprintf(h.out, "artifact store (shared): hits %d  misses %d  rate %.1f%%  writes %d  corrupt %d  bytes %d\n",
-				st.Hits, st.Misses, 100*st.HitRate(), st.Writes, st.CorruptSkipped, st.LogBytes)
-		}
-	}
+	h.WriteStoreStats(h.out, "artifact store (shared)")
 }
 
 func (h *harness) benchmarks() []bench.Benchmark {
@@ -282,7 +213,7 @@ func (h *harness) compiled(b bench.Benchmark) (*eval.Compiled, error) {
 	if c, ok := h.cache[b.Name]; ok {
 		return c, nil
 	}
-	c, err := eval.PrepareOpts(h.ctx, b.Name, b.Source, eval.Options{CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax})
+	c, err := eval.PrepareOpts(h.Ctx, b.Name, b.Source, eval.Options{CacheDir: h.CacheDir, CacheMaxBytes: h.CacheMaxBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +233,7 @@ func (h *harness) prepareAll(bs []bench.Benchmark) ([]*eval.Compiled, error) {
 			missing = append(missing, eval.BenchSpec{Name: b.Name, Src: b.Source})
 		}
 	}
-	cs, err := eval.PrepareAllOpts(h.ctx, missing, h.workers, eval.Options{CacheDir: h.cacheDir, CacheMaxBytes: h.cacheMax})
+	cs, err := eval.PrepareAllOpts(h.Ctx, missing, h.Jobs, eval.Options{CacheDir: h.CacheDir, CacheMaxBytes: h.CacheMaxBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +257,7 @@ func (h *harness) runAll(lat int) ([]*eval.BenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return eval.RunMatrixCtx(h.ctx, cs, cfg, h.options())
+	return eval.RunMatrixCtx(h.Ctx, cs, cfg, h.options())
 }
 
 func (h *harness) figure2() error {
@@ -343,6 +274,11 @@ func (h *harness) figure2() error {
 	return nil
 }
 
+// perfTitle titles Figures 7, 8a and 8b.
+func perfTitle(fig string, lat int) string {
+	return fmt.Sprintf("Figure %s: performance relative to unified memory (%d-cycle moves)", fig, lat)
+}
+
 func (h *harness) perfFigure(title string, lat int) error {
 	rs, err := h.runAll(lat)
 	if err != nil {
@@ -353,6 +289,16 @@ func (h *harness) perfFigure(title string, lat int) error {
 }
 
 func (h *harness) figure9() error {
+	return h.exhaustive(func(name string, ex *eval.ExhaustiveResult) error {
+		fmt.Fprintln(h.out, eval.FormatFigure9(name, ex))
+		return nil
+	})
+}
+
+// exhaustive runs the Figure 9 search (5-cycle moves, at most 14 objects)
+// on each selected exhaustive benchmark in suite order and hands every
+// result to emit.
+func (h *harness) exhaustive(emit func(name string, ex *eval.ExhaustiveResult) error) error {
 	cfg := machine.Paper2Cluster(5)
 	for _, b := range h.benchmarks() {
 		if !b.Exhaustive {
@@ -362,11 +308,13 @@ func (h *harness) figure9() error {
 		if err != nil {
 			return err
 		}
-		ex, err := eval.ExhaustiveCtx(h.ctx, c, cfg, h.options(), 14)
+		ex, err := eval.ExhaustiveCtx(h.Ctx, c, cfg, h.options(), 14)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(h.out, eval.FormatFigure9(b.Name, ex))
+		if err := emit(b.Name, ex); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -394,7 +342,7 @@ func (h *harness) topologyFigure() error {
 		return fmt.Errorf("no benchmarks match -run %q", h.filter)
 	}
 	type cell struct{ unified, gdp *eval.Result }
-	cells, err := parallel.MapStage(h.ctx, "topology", len(presets)*len(cs), h.workers,
+	cells, err := parallel.MapStage(h.Ctx, "topology", len(presets)*len(cs), h.Jobs,
 		func(ctx context.Context, i int) (cell, error) {
 			cfg, c := cfgs[i/len(cs)], cs[i%len(cs)]
 			u, err := eval.RunSchemeCtx(ctx, c, cfg, eval.SchemeUnified, h.options())
@@ -536,32 +484,16 @@ func (h *harness) emitSVGs(dir string) error {
 		return []plot.Series{{Name: "GDP", Values: g}, {Name: "ProfileMax", Values: p}}
 	}
 	for _, fig := range []struct {
-		name, title string
-		lat         int
-	}{
-		{"figure7.svg", "Figure 7: performance relative to unified memory (1-cycle moves)", 1},
-		{"figure8a.svg", "Figure 8a: performance relative to unified memory (5-cycle moves)", 5},
-		{"figure8b.svg", "Figure 8b: performance relative to unified memory (10-cycle moves)", 10},
-	} {
-		if err := write(fig.name, plot.BarChart(fig.title, "% of unified",
+		name string
+		lat  int
+	}{{"7", 1}, {"8a", 5}, {"8b", 10}} {
+		if err := write("figure"+fig.name+".svg", plot.BarChart(perfTitle(fig.name, fig.lat), "% of unified",
 			labels, perf(byLat[fig.lat]), 115, 100)); err != nil {
 			return err
 		}
 	}
 	// Figure 9 scatters.
-	cfg := machine.Paper2Cluster(5)
-	for _, b := range h.benchmarks() {
-		if !b.Exhaustive {
-			continue
-		}
-		c, err := h.compiled(b)
-		if err != nil {
-			return err
-		}
-		ex, err := eval.ExhaustiveCtx(h.ctx, c, cfg, h.options(), 14)
-		if err != nil {
-			return err
-		}
+	err := h.exhaustive(func(name string, ex *eval.ExhaustiveResult) error {
 		pts := make([]plot.Point, len(ex.Points))
 		for i, pt := range ex.Points {
 			mark := ""
@@ -572,11 +504,12 @@ func (h *harness) emitSVGs(dir string) error {
 			}
 			pts[i] = plot.Point{X: pt.Imbalance, Y: pt.PerfVsWorst, Shade: pt.Imbalance, Mark: mark}
 		}
-		if err := write("figure9-"+b.Name+".svg", plot.Scatter(
-			"Figure 9 ("+b.Name+"): exhaustive data mappings",
-			"data size imbalance", "performance vs worst mapping", pts)); err != nil {
-			return err
-		}
+		return write("figure9-"+name+".svg", plot.Scatter(
+			"Figure 9 ("+name+"): exhaustive data mappings",
+			"data size imbalance", "performance vs worst mapping", pts))
+	})
+	if err != nil {
+		return err
 	}
 	// Figure 10: move increase.
 	rs := byLat[5]
@@ -592,7 +525,7 @@ func (h *harness) emitSVGs(dir string) error {
 		[]plot.Series{{Name: "GDP", Values: g10}, {Name: "ProfileMax", Values: p10}}, 0, 0))
 }
 
-func (h *harness) compileTime() error {
+func (h *harness) compileTimeTable() error {
 	rs, err := h.runAll(5)
 	if err != nil {
 		return err

@@ -25,11 +25,10 @@ import (
 	"os"
 
 	"mcpart"
+	"mcpart/internal/cli"
 	"mcpart/internal/ir"
-	"mcpart/internal/obs"
 	"mcpart/internal/parallel"
 	"mcpart/internal/sched"
-	"mcpart/internal/store"
 )
 
 func main() {
@@ -37,6 +36,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gdpc:", err)
 		os.Exit(1)
 	}
+}
+
+// config is gdpc's flag surface: the shared cli table plus the driver's
+// own flags.
+type config struct {
+	cli.Flags
+	src, bench, scheme, dumpSched string
+	list, dumpIR, objects         bool
+	clusters, unroll              int
+}
+
+func newFlagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("gdpc", flag.ContinueOnError)
+	fs.StringVar(&c.src, "src", "", "path to an mclang source file")
+	fs.StringVar(&c.bench, "bench", "", "name of a bundled benchmark (see -list)")
+	fs.BoolVar(&c.list, "list", false, "list bundled benchmarks and exit")
+	fs.StringVar(&c.scheme, "scheme", "all", "gdp | profilemax | naive | unified | all")
+	fs.IntVar(&c.clusters, "clusters", 2, "number of clusters (2 or 4; ignored when -machine is set)")
+	fs.IntVar(&c.unroll, "unroll", 0, "loop unrolling factor (0 = default)")
+	fs.BoolVar(&c.dumpIR, "dump-ir", false, "print the compiled IR and exit")
+	fs.StringVar(&c.dumpSched, "dump-sched", "", "print the VLIW schedule of this function under the chosen scheme")
+	fs.BoolVar(&c.objects, "objects", true, "print the data-object table")
+	c.Register(fs, cli.Machine)
+	return fs
 }
 
 // run executes the driver against args, writing output to out. Panics
@@ -48,91 +71,50 @@ func run(args []string, out io.Writer) (err error) {
 			err = pe
 		}
 	}()
-	fs := flag.NewFlagSet("gdpc", flag.ContinueOnError)
-	var (
-		srcPath   = fs.String("src", "", "path to an mclang source file")
-		benchN    = fs.String("bench", "", "name of a bundled benchmark (see -list)")
-		list      = fs.Bool("list", false, "list bundled benchmarks and exit")
-		scheme    = fs.String("scheme", "all", "gdp | profilemax | naive | unified | all")
-		latency   = fs.Int("latency", 5, "intercluster move latency in cycles")
-		clusters  = fs.Int("clusters", 2, "number of clusters (2 or 4; ignored when -machine is set)")
-		machineN  = fs.String("machine", "", "machine preset: paper2 | four | eight | hetero2 | ring4 | ring8 | mesh4 | mesh8 | numa4 (overrides -clusters)")
-		unroll    = fs.Int("unroll", 0, "loop unrolling factor (0 = default)")
-		dumpIR    = fs.Bool("dump-ir", false, "print the compiled IR and exit")
-		dumpSched = fs.String("dump-sched", "", "print the VLIW schedule of this function under the chosen scheme")
-		objects   = fs.Bool("objects", true, "print the data-object table")
-		validate  = fs.Bool("validate", false, "re-check every result with the independent schedule validator")
-		timeout   = fs.Duration("timeout", 0, "abort after this duration (0 = no limit)")
-		traceFile = fs.String("trace", "", "write the pipeline span trace to this file as sorted JSON lines")
-		metrics   = fs.Bool("metrics", false, "print the metric registry summary after the output")
-		promFile  = fs.String("prom", "", "write the metrics in Prometheus text format to this file")
-		cacheDir  = fs.String("cachedir", "", "persistent artifact-cache directory: partition/schedule/profile results survive process restarts (empty = disabled)")
-		cacheMax  = fs.Int64("cachemaxbytes", 0, "artifact-cache size bound in bytes (0 = 1 GiB default)")
-		cacheStat = fs.Bool("cachestats", false, "print memoization and artifact-store cache statistics after the output")
-	)
-	if err := fs.Parse(args); err != nil {
+	var c config
+	if err := newFlagSet(&c).Parse(args); err != nil {
 		return err
 	}
-	if *cacheDir != "" {
-		if _, err := store.OpenShared(*cacheDir, store.Options{MaxBytes: *cacheMax}); err != nil {
-			return fmt.Errorf("-cachedir: %w", err)
-		}
-		defer func() {
-			if ferr := store.FlushShared(*cacheDir); err == nil {
-				err = ferr
-			}
-		}()
+	tool, err := c.Start()
+	if err != nil {
+		return err
 	}
+	defer func() { err = tool.Finish(out, err) }()
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	sinks := &obs.ToolSinks{TracePath: *traceFile, Summary: *metrics, PromPath: *promFile}
-	ctx = mcpart.ObserveContext(ctx, sinks.Observer())
-	defer func() {
-		if ferr := sinks.Flush(out); err == nil {
-			err = ferr
-		}
-	}()
-
-	if *list {
+	if c.list {
 		for _, n := range mcpart.BenchmarkNames() {
 			fmt.Fprintln(out, n)
 		}
 		return nil
 	}
 
-	prog, err := load(ctx, *srcPath, *benchN, *unroll, *cacheDir, *cacheMax)
+	prog, err := c.load(tool.Ctx)
 	if err != nil {
 		return err
 	}
-	if *dumpIR {
+	if c.dumpIR {
 		fmt.Fprint(out, ir.Print(prog.Module()))
 		return nil
 	}
 
-	var m *mcpart.Machine
-	if *machineN != "" {
-		m, err = mcpart.MachinePreset(*machineN, *latency)
-		if err != nil {
-			return err
-		}
-	} else {
-		switch *clusters {
+	name := c.Machine
+	if name == "" {
+		switch c.clusters {
 		case 2:
-			m = mcpart.Paper2Cluster(*latency)
+			name = "paper2"
 		case 4:
-			m = mcpart.FourCluster(*latency)
+			name = "four"
 		default:
-			return fmt.Errorf("unsupported cluster count %d (use 2 or 4, or -machine for topology presets)", *clusters)
+			return fmt.Errorf("unsupported cluster count %d (use 2 or 4, or -machine for topology presets)", c.clusters)
 		}
+	}
+	m, err := mcpart.MachinePreset(name, c.Latency)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "program %s  checksum %d  machine %s\n", prog.Name(), prog.Checksum(), m.Name)
-	if *objects {
+	if c.objects {
 		fmt.Fprintln(out, "data objects:")
 		for _, o := range prog.Objects() {
 			kind := "global"
@@ -144,20 +126,20 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 
-	schemes, err := pickSchemes(*scheme)
-	if err != nil {
-		return err
+	schemes, ok := schemeSets[c.scheme]
+	if !ok {
+		return fmt.Errorf("unknown scheme %q", c.scheme)
 	}
 	var unified *mcpart.Result
 	for _, s := range schemes {
-		r, err := mcpart.EvaluateCtx(ctx, prog, m, s, mcpart.Options{Validate: *validate, CacheDir: *cacheDir, CacheMaxBytes: *cacheMax, Observer: sinks.Observer()})
+		r, err := mcpart.EvaluateCtx(tool.Ctx, prog, m, s, mcpart.Options{Validate: c.Validate, CacheDir: c.CacheDir, CacheMaxBytes: c.CacheMaxBytes, Observer: tool.Observer})
 		if err != nil {
 			return err
 		}
-		if *dumpSched != "" && s == schemes[len(schemes)-1] {
-			f := prog.Module().Func(*dumpSched)
+		if c.dumpSched != "" && s == schemes[len(schemes)-1] {
+			f := prog.Module().Func(c.dumpSched)
 			if f == nil {
-				return fmt.Errorf("no function %q", *dumpSched)
+				return fmt.Errorf("no function %q", c.dumpSched)
 			}
 			fmt.Fprint(out, sched.FormatFunc(f, r.Assign[f], m))
 		}
@@ -172,55 +154,45 @@ func run(args []string, out io.Writer) (err error) {
 		}
 		fmt.Fprintln(out, line)
 	}
-	if *cacheStat {
+	if c.CacheStats {
 		s := prog.MemoStats()
 		fmt.Fprintf(out, "memo cache: hits %d  misses %d  promotions %d  entries %d  evictions %d\n",
 			s.Hits, s.Misses, s.Promotions, s.Entries, s.Evictions)
-		if *cacheDir != "" {
-			st := prog.StoreStats()
-			fmt.Fprintf(out, "artifact store: hits %d  misses %d  rate %.1f%%  writes %d  corrupt %d  bytes %d\n",
-				st.Hits, st.Misses, 100*st.HitRate(), st.Writes, st.CorruptSkipped, st.LogBytes)
-		}
+		tool.WriteStoreStats(out, "artifact store")
 	}
 	return nil
 }
 
-func load(ctx context.Context, srcPath, benchName string, unroll int, cacheDir string, cacheMax int64) (*mcpart.Program, error) {
-	copts := mcpart.CompileOptions{Unroll: unroll, CacheDir: cacheDir, CacheMaxBytes: cacheMax}
+// load compiles the -src file or the -bench program.
+func (c *config) load(ctx context.Context) (*mcpart.Program, error) {
+	copts := mcpart.CompileOptions{Unroll: c.unroll, CacheDir: c.CacheDir, CacheMaxBytes: c.CacheMaxBytes}
 	switch {
-	case srcPath != "" && benchName != "":
+	case c.src != "" && c.bench != "":
 		return nil, fmt.Errorf("use only one of -src and -bench")
-	case srcPath != "":
-		data, err := os.ReadFile(srcPath)
+	case c.src != "":
+		data, err := os.ReadFile(c.src)
 		if err != nil {
 			return nil, err
 		}
-		return mcpart.CompileCtx(ctx, srcPath, string(data), copts)
-	case benchName != "":
-		src, err := mcpart.BenchmarkSource(benchName)
+		return mcpart.CompileCtx(ctx, c.src, string(data), copts)
+	case c.bench != "":
+		src, err := mcpart.BenchmarkSource(c.bench)
 		if err != nil {
 			return nil, err
 		}
-		return mcpart.CompileCtx(ctx, benchName, src, copts)
+		return mcpart.CompileCtx(ctx, c.bench, src, copts)
 	}
 	return nil, fmt.Errorf("need -src FILE or -bench NAME (try -list)")
 }
 
-func pickSchemes(s string) ([]mcpart.Scheme, error) {
-	switch s {
-	case "gdp":
-		return []mcpart.Scheme{mcpart.SchemeUnified, mcpart.SchemeGDP}, nil
-	case "profilemax":
-		return []mcpart.Scheme{mcpart.SchemeUnified, mcpart.SchemeProfileMax}, nil
-	case "naive":
-		return []mcpart.Scheme{mcpart.SchemeUnified, mcpart.SchemeNaive}, nil
-	case "unified":
-		return []mcpart.Scheme{mcpart.SchemeUnified}, nil
-	case "all":
-		return []mcpart.Scheme{mcpart.SchemeUnified, mcpart.SchemeGDP,
-			mcpart.SchemeProfileMax, mcpart.SchemeNaive}, nil
-	}
-	return nil, fmt.Errorf("unknown scheme %q", s)
+// schemeSets maps each -scheme value to the schemes gdpc evaluates, the
+// unified bound first.
+var schemeSets = map[string][]mcpart.Scheme{
+	"gdp":        {mcpart.SchemeUnified, mcpart.SchemeGDP},
+	"profilemax": {mcpart.SchemeUnified, mcpart.SchemeProfileMax},
+	"naive":      {mcpart.SchemeUnified, mcpart.SchemeNaive},
+	"unified":    {mcpart.SchemeUnified},
+	"all":        {mcpart.SchemeUnified, mcpart.SchemeGDP, mcpart.SchemeProfileMax, mcpart.SchemeNaive},
 }
 
 func mapString(dm mcpart.DataMap) string {

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"mcpart"
+	"mcpart/internal/cli"
 	"mcpart/internal/obs"
 	"mcpart/internal/serve"
 	"mcpart/internal/serve/loadtest"
@@ -89,9 +90,8 @@ type flags struct {
 	out      string
 }
 
-func run(args []string, w io.Writer) error {
+func newFlagSet(f *flags) *flag.FlagSet {
 	fs := flag.NewFlagSet("gdpd", flag.ContinueOnError)
-	var f flags
 	fs.StringVar(&f.addr, "addr", ":8137", "listen address")
 	fs.StringVar(&f.cacheDir, "cachedir", "", "persistent artifact store directory (empty: memory only)")
 	fs.Int64Var(&f.cacheMaxBytes, "cachemaxbytes", 0, "artifact store size bound in bytes (0: store default)")
@@ -114,7 +114,17 @@ func run(args []string, w io.Writer) error {
 	fs.IntVar(&f.faultPct, "faultpct", 25, "loadtest percentage of requests with injected faults")
 	fs.DurationVar(&f.pacing, "pacing", 0, "loadtest per-worker think time between requests (0: none)")
 	fs.StringVar(&f.out, "o", "", "loadtest JSON report path (empty: stdout summary only)")
-	if err := fs.Parse(args); err != nil {
+	return fs
+}
+
+func run(args []string, w io.Writer) error {
+	var f flags
+	if err := newFlagSet(&f).Parse(args); err != nil {
+		return err
+	}
+	// Fail at start-up, as the other tools do, rather than serving every
+	// request uncached from an unusable store.
+	if err := cli.OpenStore(f.cacheDir, f.cacheMaxBytes); err != nil {
 		return err
 	}
 

@@ -75,3 +75,17 @@ func TestLoadtestMode(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheDirBadPathErrors pins that an unusable -cachedir fails at
+// start-up, as it does in the other tools, instead of every request
+// silently running uncached.
+func TestCacheDirBadPathErrors(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-cachedir", filepath.Join(file, "x"), "-loadtest", "-levels", "1", "-requests", "4"}, new(bytes.Buffer))
+	if err == nil || !strings.HasPrefix(err.Error(), "-cachedir: ") {
+		t.Fatalf("err = %v, want a -cachedir start-up error", err)
+	}
+}

@@ -44,19 +44,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"mcpart"
+	"mcpart/internal/cli"
 	"mcpart/internal/defaults"
 	"mcpart/internal/eval"
-	"mcpart/internal/obs"
 	"mcpart/internal/parallel"
-	"mcpart/internal/profutil"
-	"mcpart/internal/store"
 )
 
 func main() {
@@ -64,6 +61,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gdpexplore:", err)
 		os.Exit(1)
 	}
+}
+
+// config is gdpexplore's flag surface: the shared cli table plus the
+// explorer's own flags.
+type config struct {
+	cli.Flags
+	bench         string
+	maxObj        int
+	csv, bestOnly bool
+}
+
+func newFlagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("gdpexplore", flag.ContinueOnError)
+	fs.StringVar(&c.bench, "bench", "rawcaudio", "benchmark to explore")
+	fs.IntVar(&c.maxObj, "maxobjects", defaults.DefaultMaxObjects, "refuse programs with more data objects")
+	fs.BoolVar(&c.csv, "csv", false, "emit CSV instead of a text scatter")
+	fs.BoolVar(&c.bestOnly, "best", false, "find only the optimal mapping by branch and bound (no full sweep; default object cap rises to the -best limit)")
+	c.Machine = "paper2"
+	c.Register(fs, cli.Workers|cli.Machine)
+	return fs
 }
 
 // run executes the explorer against args, writing to out. Panics escaping
@@ -75,116 +92,56 @@ func run(args []string, out io.Writer) (err error) {
 			err = pe
 		}
 	}()
-	fs := flag.NewFlagSet("gdpexplore", flag.ContinueOnError)
-	var (
-		benchN   = fs.String("bench", "rawcaudio", "benchmark to explore")
-		machineN = fs.String("machine", "paper2", "machine preset: paper2 | four | eight | hetero2 | ring4 | ring8 | mesh4 | mesh8 | numa4")
-		latency  = fs.Int("latency", 5, "intercluster move latency")
-		maxObj   = fs.Int("maxobjects", defaults.DefaultMaxObjects, "refuse programs with more data objects")
-		csv      = fs.Bool("csv", false, "emit CSV instead of a text scatter")
-		jobs     = fs.Int("j", 0, "search worker count (0 = GOMAXPROCS)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		stats    = fs.Bool("cachestats", false, "print memoization cache statistics to stderr")
-		bestOnly = fs.Bool("best", false, "find only the optimal mapping by branch and bound (no full sweep; default object cap rises to the -best limit)")
-		validate = fs.Bool("validate", false, "re-check every cost-table entry with the independent schedule validator and every mapping's cycle accounting against the checked entries")
-		timeout  = fs.Duration("timeout", 0, "abort the search after this duration (0 = no limit)")
-		traceF   = fs.String("trace", "", "write the pipeline span trace to this file as sorted JSON lines")
-		metrics  = fs.Bool("metrics", false, "print the metric registry summary after the output")
-		promF    = fs.String("prom", "", "write the metrics in Prometheus text format to this file")
-		cacheDir = fs.String("cachedir", "", "persistent artifact-cache directory: partition/schedule/profile results survive process restarts (empty = disabled)")
-		cacheMax = fs.Int64("cachemaxbytes", 0, "artifact-cache size bound in bytes (0 = 1 GiB default)")
-	)
+	var c config
+	fs := newFlagSet(&c)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cacheDir != "" {
-		if _, err := store.OpenShared(*cacheDir, store.Options{MaxBytes: *cacheMax}); err != nil {
-			return fmt.Errorf("-cachedir: %w", err)
-		}
-		defer func() {
-			if ferr := store.FlushShared(*cacheDir); err == nil {
-				err = ferr
-			}
-		}()
+	tool, err := c.Start()
+	if err != nil {
+		return err
 	}
+	defer func() { err = tool.Finish(out, err) }()
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	sinks := &obs.ToolSinks{TracePath: *traceF, Summary: *metrics, PromPath: *promF}
-	ctx = mcpart.ObserveContext(ctx, sinks.Observer())
-	defer func() {
-		if ferr := sinks.Flush(out); err == nil {
-			err = ferr
-		}
-	}()
-
-	prof, err := profutil.Start(*cpuProf, *memProf)
+	src, err := mcpart.BenchmarkSource(c.bench)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if serr := prof.Stop(); err == nil {
-			err = serr
-		}
-	}()
-
-	src, err := mcpart.BenchmarkSource(*benchN)
+	p, err := mcpart.CompileCtx(tool.Ctx, c.bench, src, mcpart.CompileOptions{CacheDir: c.CacheDir, CacheMaxBytes: c.CacheMaxBytes})
 	if err != nil {
 		return err
 	}
-	p, err := mcpart.CompileCtx(ctx, *benchN, src, mcpart.CompileOptions{CacheDir: *cacheDir, CacheMaxBytes: *cacheMax})
+	m, err := mcpart.MachinePreset(c.Machine, c.Latency)
 	if err != nil {
 		return err
 	}
-	m, err := mcpart.MachinePreset(*machineN, *latency)
-	if err != nil {
-		return err
-	}
-	opts := mcpart.Options{Workers: *jobs, Validate: *validate, CacheDir: *cacheDir, CacheMaxBytes: *cacheMax, Observer: sinks.Observer()}
-	if *bestOnly {
+	opts := mcpart.Options{Workers: c.Jobs, Validate: c.Validate, CacheDir: c.CacheDir, CacheMaxBytes: c.CacheMaxBytes, Observer: tool.Observer}
+	if c.bestOnly {
 		// -best raises the object cap to the branch-and-bound default
 		// unless the user pinned -maxobjects explicitly.
 		capObj := 0
 		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "maxobjects" {
-				capObj = *maxObj
+				capObj = c.maxObj
 			}
 		})
-		br, err := mcpart.BestMappingCtx(ctx, p, m, opts, capObj)
+		br, err := mcpart.BestMappingCtx(tool.Ctx, p, m, opts, capObj)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "%s: optimal mapping mask %b (%#x)\n", *benchN, br.Mask, br.Mask)
+		c.writeCacheStats(tool, p)
+		fmt.Fprintf(out, "%s: optimal mapping mask %b (%#x)\n", c.bench, br.Mask, br.Mask)
 		fmt.Fprintf(out, "cycles %d  moves %d\n", br.Cycles, br.Moves)
 		fmt.Fprintf(out, "search: %d nodes visited, %d subtrees pruned\n", br.NodesVisited, br.NodesPruned)
 		return nil
 	}
-	ex, err := mcpart.ExhaustiveSearchCtx(ctx, p, m, opts, *maxObj)
+	ex, err := mcpart.ExhaustiveSearchCtx(tool.Ctx, p, m, opts, c.maxObj)
 	if err != nil {
 		return err
 	}
-	if *stats {
-		s := p.MemoStats()
-		total := s.Hits + s.Misses
-		rate := 0.0
-		if total > 0 {
-			rate = float64(s.Hits) / float64(total)
-		}
-		fmt.Fprintf(os.Stderr, "memo cache: hits %d  misses %d  rate %.1f%%  promotions %d  entries %d  evictions %d\n",
-			s.Hits, s.Misses, 100*rate, s.Promotions, s.Entries, s.Evictions)
-		if *cacheDir != "" {
-			st := p.StoreStats()
-			fmt.Fprintf(os.Stderr, "artifact store: hits %d  misses %d  rate %.1f%%  writes %d  corrupt %d  bytes %d\n",
-				st.Hits, st.Misses, 100*st.HitRate(), st.Writes, st.CorruptSkipped, st.LogBytes)
-		}
-	}
+	c.writeCacheStats(tool, p)
 
-	if *csv {
+	if c.csv {
 		fmt.Fprintln(out, "mask,cycles,perf_vs_worst,imbalance,is_gdp,is_pmax")
 		for _, pt := range ex.Points {
 			fmt.Fprintf(out, "%d,%d,%.6f,%.6f,%v,%v\n",
@@ -193,7 +150,7 @@ func run(args []string, out io.Writer) (err error) {
 		}
 		return nil
 	}
-	fmt.Fprint(out, eval.FormatFigure9(*benchN, ex))
+	fmt.Fprint(out, eval.FormatFigure9(c.bench, ex))
 	if g := ex.Find(ex.GDPMask); g != nil {
 		fmt.Fprintf(out, "\nGDP chose mask %b: %.3fx of worst, imbalance %.2f\n",
 			g.Mask, g.PerfVsWorst, g.Imbalance)
@@ -205,4 +162,16 @@ func run(args []string, out io.Writer) (err error) {
 	best := float64(ex.Worst) / float64(ex.Best)
 	fmt.Fprintf(out, "best achievable: %.3fx of worst\n", best)
 	return nil
+}
+
+// writeCacheStats prints the -cachestats lines after a successful search,
+// in either mode. They go to stderr, so CSV output stays clean.
+func (c *config) writeCacheStats(tool *cli.Run, p *mcpart.Program) {
+	if !c.CacheStats {
+		return
+	}
+	s := p.MemoStats()
+	fmt.Fprintf(os.Stderr, "memo cache: hits %d  misses %d  rate %.1f%%  promotions %d  entries %d  evictions %d\n",
+		s.Hits, s.Misses, 100*s.HitRate(), s.Promotions, s.Entries, s.Evictions)
+	tool.WriteStoreStats(os.Stderr, "artifact store")
 }

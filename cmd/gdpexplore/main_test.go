@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -96,6 +97,35 @@ func TestExploreProfileFlags(t *testing.T) {
 		}
 		if st.Size() == 0 {
 			t.Errorf("%s is empty", path)
+		}
+	}
+}
+
+// TestBestCacheStats pins that -cachestats reports in -best mode as it
+// does after a sweep: the memo line on stderr, stdout unchanged.
+func TestBestCacheStats(t *testing.T) {
+	for _, mode := range [][]string{{"-csv"}, {"-best"}} {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stderr := os.Stderr
+		os.Stderr = w
+		var sb strings.Builder
+		args := append([]string{"-bench", "fir", "-j", "1", "-cachestats"}, mode...)
+		runErr := run(args, &sb)
+		os.Stderr = stderr
+		w.Close()
+		errOut, _ := io.ReadAll(r)
+		r.Close()
+		if runErr != nil {
+			t.Fatalf("%v: %v", mode, runErr)
+		}
+		if !strings.HasPrefix(string(errOut), "memo cache: hits ") {
+			t.Errorf("%v: stderr %q lacks the memo cache line", mode, errOut)
+		}
+		if strings.Contains(sb.String(), "memo cache") {
+			t.Errorf("%v: cache stats leaked into stdout:\n%s", mode, sb.String())
 		}
 	}
 }

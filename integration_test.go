@@ -9,6 +9,7 @@ import (
 	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/profile"
 	"mcpart/internal/sched"
 )
 
@@ -45,7 +46,7 @@ func TestPipelineInvariantsAllBenchmarks(t *testing.T) {
 }
 
 // checkResult validates scheme-independent invariants of one result.
-func checkResult(t *testing.T, mod *ir.Module, prof *interp.Profile, m *Machine, r *Result) {
+func checkResult(t *testing.T, mod *ir.Module, prof *profile.Profile, m *Machine, r *Result) {
 	t.Helper()
 	// 1. Every op assigned to a real cluster with units for its kind.
 	for _, f := range mod.Funcs {

@@ -7,9 +7,10 @@ import (
 	"mcpart/internal/ir"
 	"mcpart/internal/mclang"
 	"mcpart/internal/pointsto"
+	"mcpart/internal/profile"
 )
 
-func runBench(t *testing.T, b Benchmark) (interp.Value, *interp.Profile, *ir.Module) {
+func runBench(t *testing.T, b Benchmark) (profile.Value, *profile.Profile, *ir.Module) {
 	t.Helper()
 	mod, err := mclang.Compile(b.Source, b.Name)
 	if err != nil {
@@ -32,7 +33,7 @@ func TestAllBenchmarksCompileAndRun(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			v, prof, mod := runBench(t, b)
-			if v.Kind != interp.ValInt {
+			if v.Kind != profile.ValInt {
 				t.Fatalf("main returned %s, want int", v)
 			}
 			t.Logf("%s: checksum=%d steps=%d objects=%d", b.Name, v.I, prof.Steps, len(mod.Objects))

@@ -1,6 +1,6 @@
 // Package bytecode compiles IR modules to a compact flat bytecode and
 // executes it in a table-driven dispatch-loop VM. It is the fast profiler
-// behind eval.Prepare: the VM accumulates exactly the same interp.Profile
+// behind eval.Prepare: the VM accumulates exactly the same profile.Profile
 // (block frequencies, per-op object access counts, allocation sizes, step
 // count) as the tree-walking interpreter, byte for byte, at roughly an
 // order of magnitude higher throughput (BENCH_interp.json).
@@ -20,7 +20,7 @@
 //     stay a dense-array increment);
 //   - memory operations carry interned (memory-op, object) indices, so
 //     profiling a load is two int64 increments into flat arrays, with the
-//     map-keyed interp.Profile rebuilt once at the end.
+//     map-keyed profile.Profile rebuilt once at the end.
 //
 // The tree-walking interpreter remains the differential-testing oracle:
 // the VM must produce the same checksum and a DeepEqual-identical Profile
@@ -32,8 +32,8 @@ import (
 	"fmt"
 	"math"
 
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
+	"mcpart/internal/profile"
 )
 
 // instr is one bytecode instruction. All operand fields are register
@@ -118,9 +118,9 @@ const (
 type fnCode struct {
 	name    string
 	nParams int
-	nRegs   int            // IR virtual registers (window prefix)
-	frame   int            // window size: nRegs + len(consts)
-	consts  []interp.Value // materialized into regs[nRegs:] at frame setup
+	nRegs   int             // IR virtual registers (window prefix)
+	frame   int             // window size: nRegs + len(consts)
+	consts  []profile.Value // materialized into regs[nRegs:] at frame setup
 	code    []instr
 	argPool []int32     // flattened call-argument register lists
 	blocks  []*ir.Block // dense block index -> block (profile reconstruction)
@@ -293,13 +293,13 @@ func (c *funcCompiler) reg(a ir.Operand) int32 {
 	case ir.OperReg:
 		return int32(a.Reg)
 	case ir.OperFloat:
-		return c.intern(constKey{isFloat: true, bits: math.Float64bits(a.Float)}, interp.FloatVal(a.Float))
+		return c.intern(constKey{isFloat: true, bits: math.Float64bits(a.Float)}, profile.FloatVal(a.Float))
 	default:
-		return c.intern(constKey{bits: uint64(a.Int)}, interp.IntVal(a.Int))
+		return c.intern(constKey{bits: uint64(a.Int)}, profile.IntVal(a.Int))
 	}
 }
 
-func (c *funcCompiler) intern(k constKey, v interp.Value) int32 {
+func (c *funcCompiler) intern(k constKey, v profile.Value) int32 {
 	if idx, ok := c.constIdx[k]; ok {
 		return idx
 	}

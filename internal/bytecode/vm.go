@@ -4,19 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/obs"
+	"mcpart/internal/profile"
 )
-
-// deadlineStride mirrors internal/interp: wall-clock deadline checks run
-// every 2^16 steps, frequent enough to stop promptly while keeping
-// time.Now off the hot path.
-const deadlineStride = 1 << 16
-
-// maxCallDepth mirrors internal/interp's recursion bound so runaway
-// programs fail with the same clean error on either engine.
-const maxCallDepth = 10000
 
 // frame is one suspended caller: where to resume (pc is already past the
 // call instruction) and where the callee's result goes in the caller's
@@ -33,12 +24,12 @@ type frame struct {
 // profile state is cumulative, exactly like interp.Interp.
 type VM struct {
 	p       *Program
-	globals []*interp.Instance // by object ID; nil for heap sites
+	globals []*profile.Instance // by object ID; nil for heap sites
 
-	regs   []interp.Value // register slab; frames carve windows
-	frames []frame        // suspended callers (depth = len+1 while running)
+	regs   []profile.Value // register slab; frames carve windows
+	frames []frame         // suspended callers (depth = len+1 while running)
 
-	// Dense profile accumulators; the map-keyed interp.Profile is
+	// Dense profile accumulators; the map-keyed profile.Profile is
 	// materialized from these by Profile().
 	blockFreq [][]int64 // [fn index][block index]
 	memCounts []int64   // [mem-op index * nObjs + object ID]
@@ -65,11 +56,11 @@ type VM struct {
 // NewVM prepares a VM for one compiled program, allocating and
 // initializing global storage exactly as interp.New does (same instance
 // IDs, same initial word values, same initial byte accounting).
-func NewVM(p *Program, opts interp.Options) *VM {
+func NewVM(p *Program, opts profile.Options) *VM {
 	nObjs := len(p.mod.Objects)
 	vm := &VM{
 		p:         p,
-		globals:   make([]*interp.Instance, nObjs),
+		globals:   make([]*profile.Instance, nObjs),
 		blockFreq: make([][]int64, len(p.fns)),
 		memCounts: make([]int64, len(p.memOps)*nObjs),
 		objAccess: make([]int64, nObjs),
@@ -82,7 +73,7 @@ func NewVM(p *Program, opts interp.Options) *VM {
 		trace:     opts.TraceMem,
 	}
 	if vm.maxSteps == 0 {
-		vm.maxSteps = 50_000_000
+		vm.maxSteps = profile.DefaultMaxSteps
 	}
 	for i, fc := range p.fns {
 		vm.blockFreq[i] = make([]int64, len(fc.blocks))
@@ -91,21 +82,8 @@ func NewVM(p *Program, opts interp.Options) *VM {
 		if o.Kind != ir.ObjGlobal {
 			continue
 		}
-		inst := &interp.Instance{Obj: o, ID: vm.nextInst, Words: make([]interp.Value, o.Words())}
+		vm.globals[o.ID] = profile.NewGlobal(o, vm.nextInst)
 		vm.nextInst++
-		if o.IsFloat {
-			for i := range inst.Words {
-				inst.Words[i] = interp.FloatVal(0)
-			}
-			for i, f := range o.FloatInit {
-				inst.Words[i] = interp.FloatVal(f)
-			}
-		} else {
-			for i, v := range o.Init {
-				inst.Words[i] = interp.IntVal(v)
-			}
-		}
-		vm.globals[o.ID] = inst
 		vm.objBytes[o.ID] = o.Size
 		vm.allocBytes += o.Size
 	}
@@ -141,13 +119,13 @@ func (vm *VM) Steps() int64 { return vm.steps }
 // malloc, matching the interpreter's byte-budget accounting.
 func (vm *VM) AllocBytes() int64 { return vm.allocBytes }
 
-// Profile materializes the accumulated observations as an interp.Profile
+// Profile materializes the accumulated observations as an profile.Profile
 // keyed by the same IR pointers the tree-walking interpreter uses, so
 // every downstream consumer (gdp, rhop, sched, check) is oblivious to
 // which engine profiled the program. The result of a completed run is
 // DeepEqual-identical to the tree walker's.
-func (vm *VM) Profile() *interp.Profile {
-	prof := interp.NewProfile()
+func (vm *VM) Profile() *profile.Profile {
+	prof := profile.NewProfile()
 	prof.Steps = vm.steps
 	for fi, fc := range vm.p.fns {
 		for bi, n := range vm.blockFreq[fi] {
@@ -187,21 +165,21 @@ func (vm *VM) Profile() *interp.Profile {
 }
 
 // RunMain executes main().
-func (vm *VM) RunMain() (interp.Value, error) { return vm.Run("main") }
+func (vm *VM) RunMain() (profile.Value, error) { return vm.Run("main") }
 
 // Run executes the named function with the given arguments and returns
 // its result (zero int for void functions).
-func (vm *VM) Run(fn string, args ...interp.Value) (v interp.Value, err error) {
+func (vm *VM) Run(fn string, args ...profile.Value) (v profile.Value, err error) {
 	fi := vm.p.funcIndex(fn)
 	if fi < 0 {
-		return interp.Value{}, fmt.Errorf("bytecode: no function %q", fn)
+		return profile.Value{}, fmt.Errorf("bytecode: no function %q", fn)
 	}
 	defer vm.flush()
 	return vm.exec(fi, args)
 }
 
 // errAt wraps a runtime fault with its location. Budget errors bypass
-// this so callers can match the typed *interp.BudgetError directly.
+// this so callers can match the typed *profile.BudgetError directly.
 func (vm *VM) errAt(fc *fnCode, pc int32, err error) error {
 	return fmt.Errorf("bytecode: in %s pc %d: %w", fc.name, pc, err)
 }
@@ -215,7 +193,7 @@ func (vm *VM) grow(need int32) {
 	if n < int(need) {
 		n = int(need)
 	}
-	fresh := make([]interp.Value, n)
+	fresh := make([]profile.Value, n)
 	copy(fresh, vm.regs)
 	vm.regs = fresh
 }
@@ -227,17 +205,17 @@ func (vm *VM) setupFrame(fc *fnCode, base int32) {
 	vm.grow(base + int32(fc.frame))
 	win := vm.regs[base : base+int32(fc.frame)]
 	for i := 0; i < fc.nRegs; i++ {
-		win[i] = interp.Value{}
+		win[i] = profile.Value{}
 	}
 	copy(win[fc.nRegs:], fc.consts)
 }
 
 // exec is the dispatch loop: one flat loop over the whole call tree, with
 // an explicit frame stack instead of host recursion.
-func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
+func (vm *VM) exec(fi int32, args []profile.Value) (profile.Value, error) {
 	fc := vm.p.fns[fi]
 	if len(args) != fc.nParams {
-		return interp.Value{}, fmt.Errorf("bytecode: %s expects %d args, got %d",
+		return profile.Value{}, fmt.Errorf("bytecode: %s expects %d args, got %d",
 			fc.name, fc.nParams, len(args))
 	}
 	vm.frames = vm.frames[:0]
@@ -254,46 +232,46 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 		in := &code[pc]
 		vm.steps++
 		if vm.steps > vm.maxSteps {
-			return interp.Value{}, &interp.BudgetError{Resource: "step", Limit: vm.maxSteps, Fn: fc.name}
+			return profile.Value{}, &profile.BudgetError{Resource: "step", Limit: vm.maxSteps, Fn: fc.name}
 		}
-		if vm.hasDeadl && vm.steps%deadlineStride == 0 && time.Now().After(vm.deadline) {
-			return interp.Value{}, &interp.BudgetError{Resource: "deadline", Fn: fc.name}
+		if vm.hasDeadl && vm.steps%profile.DeadlineStride == 0 && time.Now().After(vm.deadline) {
+			return profile.Value{}, &profile.BudgetError{Resource: "deadline", Fn: fc.name}
 		}
 		switch in.op {
 
 		case bcAdd:
 			x, y := &regs[in.a], &regs[in.b]
-			if x.Kind == interp.ValInt && y.Kind == interp.ValInt {
-				regs[in.dst] = interp.IntVal(x.I + y.I)
-			} else if x.Kind == interp.ValPtr && y.Kind == interp.ValInt {
-				regs[in.dst] = interp.Value{Kind: interp.ValPtr, Inst: x.Inst, Off: x.Off + y.I}
-			} else if y.Kind == interp.ValPtr && x.Kind == interp.ValInt {
-				regs[in.dst] = interp.Value{Kind: interp.ValPtr, Inst: y.Inst, Off: y.Off + x.I}
+			if x.Kind == profile.ValInt && y.Kind == profile.ValInt {
+				regs[in.dst] = profile.IntVal(x.I + y.I)
+			} else if x.Kind == profile.ValPtr && y.Kind == profile.ValInt {
+				regs[in.dst] = profile.Value{Kind: profile.ValPtr, Inst: x.Inst, Off: x.Off + y.I}
+			} else if y.Kind == profile.ValPtr && x.Kind == profile.ValInt {
+				regs[in.dst] = profile.Value{Kind: profile.ValPtr, Inst: y.Inst, Off: y.Off + x.I}
 			} else {
-				return interp.Value{}, vm.errAt(fc, pc, kindErr("add", *x, *y))
+				return profile.Value{}, vm.errAt(fc, pc, kindErr("add", *x, *y))
 			}
 
 		case bcSub:
 			x, y := &regs[in.a], &regs[in.b]
-			if x.Kind == interp.ValInt && y.Kind == interp.ValInt {
-				regs[in.dst] = interp.IntVal(x.I - y.I)
-			} else if x.Kind == interp.ValPtr && y.Kind == interp.ValInt {
-				regs[in.dst] = interp.Value{Kind: interp.ValPtr, Inst: x.Inst, Off: x.Off - y.I}
-			} else if x.Kind == interp.ValPtr && y.Kind == interp.ValPtr {
+			if x.Kind == profile.ValInt && y.Kind == profile.ValInt {
+				regs[in.dst] = profile.IntVal(x.I - y.I)
+			} else if x.Kind == profile.ValPtr && y.Kind == profile.ValInt {
+				regs[in.dst] = profile.Value{Kind: profile.ValPtr, Inst: x.Inst, Off: x.Off - y.I}
+			} else if x.Kind == profile.ValPtr && y.Kind == profile.ValPtr {
 				if x.Inst != y.Inst {
-					return interp.Value{}, vm.errAt(fc, pc,
+					return profile.Value{}, vm.errAt(fc, pc,
 						fmt.Errorf("subtraction of pointers into different objects"))
 				}
-				regs[in.dst] = interp.IntVal(x.Off - y.Off)
+				regs[in.dst] = profile.IntVal(x.Off - y.Off)
 			} else {
-				return interp.Value{}, vm.errAt(fc, pc, kindErr("sub", *x, *y))
+				return profile.Value{}, vm.errAt(fc, pc, kindErr("sub", *x, *y))
 			}
 
 		case bcMul, bcDiv, bcRem, bcAnd, bcOr, bcXor, bcShl, bcShr,
 			bcCmpLT, bcCmpLE, bcCmpGT, bcCmpGE:
 			x, y := &regs[in.a], &regs[in.b]
-			if x.Kind != interp.ValInt || y.Kind != interp.ValInt {
-				return interp.Value{}, vm.errAt(fc, pc, kindErr(opName(in.op), *x, *y))
+			if x.Kind != profile.ValInt || y.Kind != profile.ValInt {
+				return profile.Value{}, vm.errAt(fc, pc, kindErr(opName(in.op), *x, *y))
 			}
 			var r int64
 			switch in.op {
@@ -301,12 +279,12 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 				r = x.I * y.I
 			case bcDiv:
 				if y.I == 0 {
-					return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("division by zero"))
+					return profile.Value{}, vm.errAt(fc, pc, fmt.Errorf("division by zero"))
 				}
 				r = x.I / y.I
 			case bcRem:
 				if y.I == 0 {
-					return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("remainder by zero"))
+					return profile.Value{}, vm.errAt(fc, pc, fmt.Errorf("remainder by zero"))
 				}
 				r = x.I % y.I
 			case bcAnd:
@@ -328,40 +306,40 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 			case bcCmpGE:
 				r = b2i(x.I >= y.I)
 			}
-			regs[in.dst] = interp.IntVal(r)
+			regs[in.dst] = profile.IntVal(r)
 
 		case bcCmpEQ, bcCmpNE:
 			x, y := &regs[in.a], &regs[in.b]
-			if x.Kind == interp.ValPtr || y.Kind == interp.ValPtr {
-				eq := x.Kind == interp.ValPtr && y.Kind == interp.ValPtr &&
+			if x.Kind == profile.ValPtr || y.Kind == profile.ValPtr {
+				eq := x.Kind == profile.ValPtr && y.Kind == profile.ValPtr &&
 					x.Inst == y.Inst && x.Off == y.Off
 				if in.op == bcCmpNE {
 					eq = !eq
 				}
-				regs[in.dst] = interp.IntVal(b2i(eq))
+				regs[in.dst] = profile.IntVal(b2i(eq))
 				break
 			}
-			if x.Kind != interp.ValInt || y.Kind != interp.ValInt {
-				return interp.Value{}, vm.errAt(fc, pc, kindErr(opName(in.op), *x, *y))
+			if x.Kind != profile.ValInt || y.Kind != profile.ValInt {
+				return profile.Value{}, vm.errAt(fc, pc, kindErr(opName(in.op), *x, *y))
 			}
 			if in.op == bcCmpEQ {
-				regs[in.dst] = interp.IntVal(b2i(x.I == y.I))
+				regs[in.dst] = profile.IntVal(b2i(x.I == y.I))
 			} else {
-				regs[in.dst] = interp.IntVal(b2i(x.I != y.I))
+				regs[in.dst] = profile.IntVal(b2i(x.I != y.I))
 			}
 
 		case bcNeg, bcNot, bcIToF:
 			x := &regs[in.a]
-			if x.Kind != interp.ValInt {
-				return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("expected int, got %s", x))
+			if x.Kind != profile.ValInt {
+				return profile.Value{}, vm.errAt(fc, pc, fmt.Errorf("expected int, got %s", x))
 			}
 			switch in.op {
 			case bcNeg:
-				regs[in.dst] = interp.IntVal(-x.I)
+				regs[in.dst] = profile.IntVal(-x.I)
 			case bcNot:
-				regs[in.dst] = interp.IntVal(^x.I)
+				regs[in.dst] = profile.IntVal(^x.I)
 			case bcIToF:
-				regs[in.dst] = interp.FloatVal(float64(x.I))
+				regs[in.dst] = profile.FloatVal(float64(x.I))
 			}
 
 		case bcMov:
@@ -370,72 +348,72 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 		case bcFAdd, bcFSub, bcFMul, bcFDiv,
 			bcFCmpEQ, bcFCmpNE, bcFCmpLT, bcFCmpLE, bcFCmpGT, bcFCmpGE:
 			x, y := &regs[in.a], &regs[in.b]
-			if x.Kind != interp.ValFloat || y.Kind != interp.ValFloat {
-				return interp.Value{}, vm.errAt(fc, pc, kindErrF(opName(in.op), *x, *y))
+			if x.Kind != profile.ValFloat || y.Kind != profile.ValFloat {
+				return profile.Value{}, vm.errAt(fc, pc, kindErrF(opName(in.op), *x, *y))
 			}
 			switch in.op {
 			case bcFAdd:
-				regs[in.dst] = interp.FloatVal(x.F + y.F)
+				regs[in.dst] = profile.FloatVal(x.F + y.F)
 			case bcFSub:
-				regs[in.dst] = interp.FloatVal(x.F - y.F)
+				regs[in.dst] = profile.FloatVal(x.F - y.F)
 			case bcFMul:
-				regs[in.dst] = interp.FloatVal(x.F * y.F)
+				regs[in.dst] = profile.FloatVal(x.F * y.F)
 			case bcFDiv:
-				regs[in.dst] = interp.FloatVal(x.F / y.F)
+				regs[in.dst] = profile.FloatVal(x.F / y.F)
 			case bcFCmpEQ:
-				regs[in.dst] = interp.IntVal(b2i(x.F == y.F))
+				regs[in.dst] = profile.IntVal(b2i(x.F == y.F))
 			case bcFCmpNE:
-				regs[in.dst] = interp.IntVal(b2i(x.F != y.F))
+				regs[in.dst] = profile.IntVal(b2i(x.F != y.F))
 			case bcFCmpLT:
-				regs[in.dst] = interp.IntVal(b2i(x.F < y.F))
+				regs[in.dst] = profile.IntVal(b2i(x.F < y.F))
 			case bcFCmpLE:
-				regs[in.dst] = interp.IntVal(b2i(x.F <= y.F))
+				regs[in.dst] = profile.IntVal(b2i(x.F <= y.F))
 			case bcFCmpGT:
-				regs[in.dst] = interp.IntVal(b2i(x.F > y.F))
+				regs[in.dst] = profile.IntVal(b2i(x.F > y.F))
 			case bcFCmpGE:
-				regs[in.dst] = interp.IntVal(b2i(x.F >= y.F))
+				regs[in.dst] = profile.IntVal(b2i(x.F >= y.F))
 			}
 
 		case bcFNeg:
 			x := &regs[in.a]
-			if x.Kind != interp.ValFloat {
-				return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("expected float, got %s", x))
+			if x.Kind != profile.ValFloat {
+				return profile.Value{}, vm.errAt(fc, pc, fmt.Errorf("expected float, got %s", x))
 			}
-			regs[in.dst] = interp.FloatVal(-x.F)
+			regs[in.dst] = profile.FloatVal(-x.F)
 
 		case bcFToI:
 			x := &regs[in.a]
-			if x.Kind != interp.ValFloat {
-				return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("expected float, got %s", x))
+			if x.Kind != profile.ValFloat {
+				return profile.Value{}, vm.errAt(fc, pc, fmt.Errorf("expected float, got %s", x))
 			}
-			regs[in.dst] = interp.IntVal(int64(x.F))
+			regs[in.dst] = profile.IntVal(int64(x.F))
 
 		case bcAddr:
-			regs[in.dst] = interp.Value{Kind: interp.ValPtr, Inst: vm.globals[in.c]}
+			regs[in.dst] = profile.Value{Kind: profile.ValPtr, Inst: vm.globals[in.c]}
 
 		case bcMalloc:
 			size := &regs[in.a]
-			if size.Kind != interp.ValInt || size.I < 0 {
-				return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("malloc of bad size %s", size))
+			if size.Kind != profile.ValInt || size.I < 0 {
+				return profile.Value{}, vm.errAt(fc, pc, fmt.Errorf("malloc of bad size %s", size))
 			}
 			vm.allocBytes += size.I
 			if vm.maxBytes > 0 && vm.allocBytes > vm.maxBytes {
-				return interp.Value{}, &interp.BudgetError{Resource: "byte", Limit: vm.maxBytes, Fn: fc.name}
+				return profile.Value{}, &profile.BudgetError{Resource: "byte", Limit: vm.maxBytes, Fn: fc.name}
 			}
 			words := (size.I + 7) / 8
-			inst := &interp.Instance{Obj: vm.p.mod.Objects[in.c], ID: vm.nextInst,
-				Words: make([]interp.Value, words)}
+			inst := &profile.Instance{Obj: vm.p.mod.Objects[in.c], ID: vm.nextInst,
+				Words: make([]profile.Value, words)}
 			vm.nextInst++
 			vm.objBytes[in.c] += size.I
 			vm.heapSeen[in.c] = true
 			vm.count(in.aux, int(in.c))
-			regs[in.dst] = interp.Value{Kind: interp.ValPtr, Inst: inst}
+			regs[in.dst] = profile.Value{Kind: profile.ValPtr, Inst: inst}
 
 		case bcLoad:
 			p := &regs[in.a]
 			w, err := deref(p)
 			if err != nil {
-				return interp.Value{}, vm.errAt(fc, pc, err)
+				return profile.Value{}, vm.errAt(fc, pc, err)
 			}
 			objID := p.Inst.Obj.ID
 			vm.count(in.aux, objID)
@@ -448,7 +426,7 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 			p := &regs[in.a]
 			w, err := deref(p)
 			if err != nil {
-				return interp.Value{}, vm.errAt(fc, pc, err)
+				return profile.Value{}, vm.errAt(fc, pc, err)
 			}
 			objID := p.Inst.Obj.ID
 			vm.count(in.aux, objID)
@@ -466,8 +444,8 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 
 		case bcBrCond:
 			cond := &regs[in.a]
-			if cond.Kind != interp.ValInt {
-				return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("brcond on non-int %s", cond))
+			if cond.Kind != profile.ValInt {
+				return profile.Value{}, vm.errAt(fc, pc, fmt.Errorf("brcond on non-int %s", cond))
 			}
 			if cond.I != 0 {
 				freq[in.dst]++
@@ -480,9 +458,9 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 
 		case bcCall:
 			callee := vm.p.fns[in.aux]
-			if len(vm.frames)+2 > maxCallDepth {
-				return interp.Value{}, fmt.Errorf(
-					"bytecode: call depth exceeds %d in %s", maxCallDepth, callee.name)
+			if len(vm.frames)+2 > profile.MaxCallDepth {
+				return profile.Value{}, fmt.Errorf(
+					"bytecode: call depth exceeds %d in %s", profile.MaxCallDepth, callee.name)
 			}
 			newBase := base + int32(fc.frame)
 			vm.setupFrame(callee, newBase) // may grow (and move) the slab
@@ -499,11 +477,11 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 			continue
 
 		case bcRet:
-			var res interp.Value
+			var res profile.Value
 			if in.a >= 0 {
 				res = regs[in.a]
 			} else {
-				res = interp.IntVal(0)
+				res = profile.IntVal(0)
 			}
 			if len(vm.frames) == 0 {
 				return res, nil
@@ -521,7 +499,7 @@ func (vm *VM) exec(fi int32, args []interp.Value) (interp.Value, error) {
 			continue
 
 		default:
-			return interp.Value{}, vm.errAt(fc, pc, fmt.Errorf("bad opcode %d", in.op))
+			return profile.Value{}, vm.errAt(fc, pc, fmt.Errorf("bad opcode %d", in.op))
 		}
 		pc++
 	}
@@ -536,8 +514,8 @@ func (vm *VM) count(mi int32, objID int) {
 
 // deref resolves a pointer value to its storage word with the same
 // alignment and bounds checks as the tree walker.
-func deref(p *interp.Value) (*interp.Value, error) {
-	if p.Kind != interp.ValPtr || p.Inst == nil {
+func deref(p *profile.Value) (*profile.Value, error) {
+	if p.Kind != profile.ValPtr || p.Inst == nil {
 		return nil, fmt.Errorf("dereference of non-pointer %s", p)
 	}
 	if p.Off%8 != 0 {
@@ -558,15 +536,15 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-func kindErr(op string, x, y interp.Value) error {
-	if x.Kind != interp.ValInt {
+func kindErr(op string, x, y profile.Value) error {
+	if x.Kind != profile.ValInt {
 		return fmt.Errorf("%s: expected int, got %s", op, x)
 	}
 	return fmt.Errorf("%s: expected int, got %s", op, y)
 }
 
-func kindErrF(op string, x, y interp.Value) error {
-	if x.Kind != interp.ValFloat {
+func kindErrF(op string, x, y profile.Value) error {
+	if x.Kind != profile.ValFloat {
 		return fmt.Errorf("%s: expected float, got %s", op, x)
 	}
 	return fmt.Errorf("%s: expected float, got %s", op, y)

@@ -14,6 +14,7 @@ import (
 	"mcpart/internal/obs"
 	"mcpart/internal/opt"
 	"mcpart/internal/pointsto"
+	"mcpart/internal/profile"
 	"mcpart/internal/progen"
 )
 
@@ -36,7 +37,7 @@ func mustModule(t testing.TB, src, name string, unroll int, optimize bool) *ir.M
 // they agree: same success/failure, same budget resource on failure, and on
 // success the same checksum and a DeepEqual-identical Profile. It returns
 // the tree-walker's result for further pinning by the caller.
-func diffRun(t testing.TB, mod *ir.Module, opts interp.Options) (interp.Value, error) {
+func diffRun(t testing.TB, mod *ir.Module, opts interp.Options) (profile.Value, error) {
 	t.Helper()
 	tree := interp.New(mod, opts)
 	tv, terr := tree.RunMain()
@@ -52,7 +53,7 @@ func diffRun(t testing.TB, mod *ir.Module, opts interp.Options) (interp.Value, e
 		t.Fatalf("engines disagree on failure: tree err=%v, vm err=%v", terr, verr)
 	}
 	if terr != nil {
-		var tb, vb *interp.BudgetError
+		var tb, vb *profile.BudgetError
 		if errors.As(terr, &tb) {
 			if !errors.As(verr, &vb) {
 				t.Fatalf("tree hit %s budget but vm failed with %v", tb.Resource, verr)
@@ -156,7 +157,7 @@ func TestByteBudgetEquivalence(t *testing.T) {
 	if _, err := diffRun(t, mod, interp.Options{MaxBytes: 32}); err == nil {
 		t.Fatal("64-byte malloc under a 32-byte budget succeeded")
 	} else {
-		var be *interp.BudgetError
+		var be *profile.BudgetError
 		if !errors.As(err, &be) || be.Resource != "byte" {
 			t.Fatalf("want byte BudgetError, got %v", err)
 		}

@@ -1,7 +1,7 @@
 // Package cache implements the paper's stated future work (§5): evaluating
 // data partitioning when the per-cluster memories are caches rather than
 // perfect scratchpads. It provides a set-associative LRU cache simulator,
-// memory-trace collection through the interpreter, and an experiment that
+// memory-trace collection through the bytecode VM, and an experiment that
 // compares a data partition's per-cluster miss behavior against a unified
 // cache of the combined capacity.
 //
@@ -20,9 +20,10 @@ package cache
 import (
 	"fmt"
 
+	"mcpart/internal/bytecode"
 	"mcpart/internal/gdp"
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
+	"mcpart/internal/profile"
 )
 
 // Config describes one cache.
@@ -125,16 +126,21 @@ type Access struct {
 // Trace is a whole-program memory reference stream.
 type Trace []Access
 
-// Collect executes the module and records every load and store.
+// Collect executes the module on the bytecode VM and records every load
+// and store.
 func Collect(m *ir.Module, maxSteps int64) (Trace, error) {
+	prog, err := bytecode.Compile(m)
+	if err != nil {
+		return nil, err
+	}
 	var tr Trace
-	in := interp.New(m, interp.Options{
+	vm := bytecode.NewVM(prog, profile.Options{
 		MaxSteps: maxSteps,
 		TraceMem: func(objID int, inst, off int64, isStore bool) {
 			tr = append(tr, Access{Obj: objID, Inst: inst, Off: off, Store: isStore})
 		},
 	})
-	if _, err := in.RunMain(); err != nil {
+	if _, err := vm.RunMain(); err != nil {
 		return nil, err
 	}
 	return tr, nil

@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"strings"
 
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/profile"
 	"mcpart/internal/rhop"
 	"mcpart/internal/sched"
 )
@@ -198,7 +198,7 @@ func (v *Recorder) full() bool { return len(v.vs) >= v.max }
 // computed from. The module-level invariants (homes, capacity, the
 // program's cycle and move totals) are checked here; every function goes
 // through the same per-function check ValidateFunc runs.
-func Validate(mod *ir.Module, prof *interp.Profile, cfg *machine.Config, r Result, opts Options) error {
+func Validate(mod *ir.Module, prof *profile.Profile, cfg *machine.Config, r Result, opts Options) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -253,7 +253,7 @@ func Validate(mod *ir.Module, prof *interp.Profile, cfg *machine.Config, r Resul
 // and a *Error (with an empty Scheme, for the caller to fill in) listing
 // the violations, or nil. Validate runs this same check for every function
 // of a module.
-func ValidateFunc(f *ir.Func, asg []int, locks rhop.Locks, dm []int, cfg *machine.Config, prof *interp.Profile) (cycles, moves int64, err error) {
+func ValidateFunc(f *ir.Func, asg []int, locks rhop.Locks, dm []int, cfg *machine.Config, prof *profile.Profile) (cycles, moves int64, err error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, 0, err
 	}
@@ -268,7 +268,7 @@ func ValidateFunc(f *ir.Func, asg []int, locks rhop.Locks, dm []int, cfg *machin
 // validateFunc is the per-function check behind Validate and ValidateFunc.
 // ok reports whether f's schedules were re-derived, i.e. whether cycles and
 // moves are its complete recomputed totals.
-func validateFunc(v *Recorder, f *ir.Func, asg []int, locks rhop.Locks, dm []int, cfg *machine.Config, prof *interp.Profile) (cycles, moves int64, ok bool) {
+func validateFunc(v *Recorder, f *ir.Func, asg []int, locks rhop.Locks, dm []int, cfg *machine.Config, prof *profile.Profile) (cycles, moves int64, ok bool) {
 	if len(asg) < f.NOps {
 		v.add(ClassAssign, f.Name, -1, "assignment covers %d of %d ops", len(asg), f.NOps)
 		return 0, 0, false
@@ -287,7 +287,7 @@ func validateFunc(v *Recorder, f *ir.Func, asg []int, locks rhop.Locks, dm []int
 // checkHomes verifies the data map: full coverage, homes in range, and
 // (when the result promises balance) per-cluster bytes within the
 // machine's scratchpad shares.
-func checkHomes(v *Recorder, mod *ir.Module, prof *interp.Profile, cfg *machine.Config, r Result, opts Options) {
+func checkHomes(v *Recorder, mod *ir.Module, prof *profile.Profile, cfg *machine.Config, r Result, opts Options) {
 	if r.DataMap == nil {
 		return // unified memory: no homes to check
 	}
@@ -350,7 +350,7 @@ func checkHomes(v *Recorder, mod *ir.Module, prof *interp.Profile, cfg *machine.
 // objBytes is the validator's byte size of one object: the profiled
 // allocation total when available (heap sites), the static size otherwise —
 // the same accounting the data partitioner balances.
-func objBytes(o *ir.Object, prof *interp.Profile) int64 {
+func objBytes(o *ir.Object, prof *profile.Profile) int64 {
 	if pb, ok := prof.ObjBytes[o.ID]; ok && pb > 0 {
 		return pb
 	}
@@ -438,7 +438,7 @@ var materializeFunc = sched.MaterializeFunc
 // checkSchedules re-materializes every block schedule of f and verifies it
 // slot by slot, returning the independently recomputed profile-weighted
 // cycle and move totals.
-func checkSchedules(v *Recorder, f *ir.Func, asg []int, cfg *machine.Config, prof *interp.Profile) (cycles, moves int64) {
+func checkSchedules(v *Recorder, f *ir.Func, asg []int, cfg *machine.Config, prof *profile.Profile) (cycles, moves int64) {
 	lc := sched.NewLoopCtx(f)
 	schedules, hoisted := materializeFunc(f, asg, lc, cfg, prof.Freq)
 	for _, b := range f.Blocks {

@@ -19,7 +19,6 @@ import (
 	"mcpart/internal/check"
 	"mcpart/internal/defaults"
 	"mcpart/internal/gdp"
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
 	"mcpart/internal/mclang"
@@ -27,6 +26,7 @@ import (
 	"mcpart/internal/obs"
 	"mcpart/internal/opt"
 	"mcpart/internal/pointsto"
+	"mcpart/internal/profile"
 	"mcpart/internal/rhop"
 	"mcpart/internal/sched"
 	"mcpart/internal/store"
@@ -52,7 +52,7 @@ const (
 type Compiled struct {
 	Name string
 	Mod  *ir.Module
-	Prof *interp.Profile
+	Prof *profile.Profile
 	Ret  int64 // main's checksum, for validation
 
 	// memo caches per-function partition, lock, and schedule results
@@ -220,17 +220,12 @@ func PrepareUnrolled(name, src string, unroll int) (*Compiled, error) {
 	return PrepareFull(name, src, unroll, true)
 }
 
-// PrepareCtx is Prepare with a cancellation context: compilation is skipped
-// if ctx is already done, and a ctx deadline bounds the profiling
-// run's wall clock.
-func PrepareCtx(ctx context.Context, name, src string) (*Compiled, error) {
-	return PrepareFullCtx(ctx, name, src, DefaultUnroll, true)
-}
-
-// PrepareOpts is PrepareCtx with explicit profiling knobs (the
-// MaxSteps/MaxBytes budgets and the CacheDir/CacheMaxBytes disk-cache
-// knobs — a cached profile replaces the profiling execution; other
-// Options fields are ignored here).
+// PrepareOpts is Prepare under a context, with explicit profiling knobs:
+// compilation is skipped if ctx is already done, a ctx deadline bounds the
+// profiling run's wall clock, and opts supplies the MaxSteps/MaxBytes
+// budgets and the CacheDir/CacheMaxBytes disk-cache knobs (a cached
+// profile replaces the profiling execution; other Options fields are
+// ignored here).
 func PrepareOpts(ctx context.Context, name, src string, opts Options) (*Compiled, error) {
 	return PrepareFullOpts(ctx, name, src, DefaultUnroll, true, opts)
 }
@@ -238,19 +233,14 @@ func PrepareOpts(ctx context.Context, name, src string, opts Options) (*Compiled
 // PrepareFull exposes every front-end knob: the unroll factor and whether
 // the classical optimizer (fold/copy-prop/CSE/DCE) runs before analysis.
 func PrepareFull(name, src string, unroll int, optimize bool) (*Compiled, error) {
-	return PrepareFullCtx(context.Background(), name, src, unroll, optimize)
-}
-
-// PrepareFullCtx is PrepareFull under a context.
-func PrepareFullCtx(ctx context.Context, name, src string, unroll int, optimize bool) (*Compiled, error) {
-	return PrepareFullOpts(ctx, name, src, unroll, optimize, Options{})
+	return PrepareFullOpts(context.Background(), name, src, unroll, optimize, Options{})
 }
 
 // PrepareFullOpts is the full Prepare implementation: front end, points-to
 // analysis, and one profiling execution on the bytecode VM
 // (internal/bytecode), which charges the step/byte/deadline budgets.
 func PrepareFullOpts(ctx context.Context, name, src string, unroll int, optimize bool, opts Options) (*Compiled, error) {
-	iopts := interp.Options{MaxSteps: opts.maxSteps(), MaxBytes: opts.MaxBytes}
+	iopts := profile.Options{MaxSteps: opts.maxSteps(), MaxBytes: opts.MaxBytes}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("eval: %s: %w", name, err)
@@ -380,11 +370,11 @@ type Options struct {
 	ProfileMaxTol float64
 	// MaxSteps bounds the profiling run in Prepare (the usual sentinel:
 	// non-positive means the default of 10 million steps). Programs that
-	// exceed it fail Prepare with a typed *interp.BudgetError.
+	// exceed it fail Prepare with a typed *profile.BudgetError.
 	MaxSteps int64
 	// MaxBytes bounds the heap the profiling run may allocate (global
 	// storage plus every malloc); exceeding it fails Prepare with a typed
-	// *interp.BudgetError. Non-positive means no byte budget. A per-request
+	// *profile.BudgetError. Non-positive means no byte budget. A per-request
 	// byte budget is the daemon's containment against allocation bombs.
 	MaxBytes int64
 	// Workers bounds the evaluation worker pool used by Exhaustive,

@@ -12,6 +12,7 @@ import (
 	"mcpart/internal/mclang"
 	"mcpart/internal/opt"
 	"mcpart/internal/pointsto"
+	"mcpart/internal/profile"
 )
 
 // TestPrepareEngineEquivalence pins Prepare's profile to the tree-walking
@@ -53,7 +54,7 @@ func TestPrepareEngineEquivalence(t *testing.T) {
 // names plus dense block/op/object IDs instead of pointers): the two
 // Prepare calls compile separate modules, so pointer-keyed maps can never
 // be compared directly.
-func normProfile(p *interp.Profile) map[string]int64 {
+func normProfile(p *profile.Profile) map[string]int64 {
 	out := map[string]int64{"steps": p.Steps}
 	for b, n := range p.BlockFreq {
 		out[fmt.Sprintf("bf/%s/b%d", b.Func.Name, b.ID)] = n
@@ -81,7 +82,7 @@ func TestPrepareMaxStepsHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = PrepareOpts(context.Background(), bm.Name, bm.Source, Options{MaxSteps: 100})
-	var be *interp.BudgetError
+	var be *profile.BudgetError
 	if !errors.As(err, &be) || be.Resource != "step" {
 		t.Errorf("want step BudgetError, got %v", err)
 	}
@@ -97,7 +98,7 @@ func TestPrepareMaxBytesHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = PrepareOpts(context.Background(), bm.Name, bm.Source, Options{MaxBytes: 8})
-	var be *interp.BudgetError
+	var be *profile.BudgetError
 	if !errors.As(err, &be) || be.Resource != "byte" {
 		t.Errorf("want byte BudgetError, got %v", err)
 	}

@@ -17,9 +17,9 @@ import (
 	"fmt"
 	"sort"
 
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/obs"
+	"mcpart/internal/profile"
 	"mcpart/internal/rhop"
 	"mcpart/internal/store"
 )
@@ -242,8 +242,8 @@ func (schedCodec) Decode(b []byte) (any, error) {
 // — which the module hash in the disk key guarantees.
 
 // encodeProfile serializes a profiling run: the checksum main returned
-// plus the full interp.Profile.
-func encodeProfile(m *ir.Module, p *interp.Profile, ret int64) []byte {
+// plus the full profile.Profile.
+func encodeProfile(m *ir.Module, p *profile.Profile, ret int64) []byte {
 	b := []byte{tagProf}
 	b = binary.AppendVarint(b, ret)
 	b = binary.AppendVarint(b, p.Steps)
@@ -310,13 +310,13 @@ func (r *reader) intMap() map[int]int64 {
 
 // decodeProfile reconstructs a Profile against m. Any structural mismatch
 // (function/block/op counts, unknown op IDs) is a decode error.
-func decodeProfile(m *ir.Module, b []byte) (*interp.Profile, int64, error) {
+func decodeProfile(m *ir.Module, b []byte) (*profile.Profile, int64, error) {
 	if len(b) == 0 || b[0] != tagProf {
 		return nil, 0, decodeErr(tagProf)
 	}
 	r := &reader{b: b[1:]}
 	ret := r.int()
-	p := interp.NewProfile()
+	p := profile.NewProfile()
 	p.Steps = r.int()
 	if nf := r.count(); nf != len(m.Funcs) {
 		return nil, 0, decodeErr(tagProf)
@@ -359,7 +359,7 @@ func decodeProfile(m *ir.Module, b []byte) (*interp.Profile, int64, error) {
 // a run that would exceed maxSteps cold must fail the same way warm, so a
 // larger-budget record never masks a BudgetError (determinism across
 // cache states).
-func cachedProfile(st *store.Store, prefix string, mod *ir.Module, maxSteps int64) (*interp.Profile, int64, bool) {
+func cachedProfile(st *store.Store, prefix string, mod *ir.Module, maxSteps int64) (*profile.Profile, int64, bool) {
 	b, ok := st.Get([]byte(prefix + "prof"))
 	if !ok {
 		return nil, 0, false
@@ -375,6 +375,6 @@ func cachedProfile(st *store.Store, prefix string, mod *ir.Module, maxSteps int6
 }
 
 // putProfile stores a completed profiling run.
-func putProfile(st *store.Store, prefix string, mod *ir.Module, p *interp.Profile, ret int64) {
+func putProfile(st *store.Store, prefix string, mod *ir.Module, p *profile.Profile, ret int64) {
 	st.Put([]byte(prefix+"prof"), encodeProfile(mod, p, ret))
 }

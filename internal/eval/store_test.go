@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"mcpart/internal/bench"
-	"mcpart/internal/interp"
 	"mcpart/internal/machine"
+	"mcpart/internal/profile"
 	"mcpart/internal/rhop"
 	"mcpart/internal/store"
 )
@@ -152,9 +152,9 @@ func TestStoreBudgetErrorReproducedWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = PrepareOpts(nil, b.Name, b.Source, Options{CacheDir: dir, MaxSteps: 10})
-	var be *interp.BudgetError
+	var be *profile.BudgetError
 	if !errors.As(err, &be) {
-		t.Fatalf("warm tight-budget Prepare err = %v, want *interp.BudgetError", err)
+		t.Fatalf("warm tight-budget Prepare err = %v, want *profile.BudgetError", err)
 	}
 }
 

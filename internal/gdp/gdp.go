@@ -18,11 +18,11 @@ import (
 
 	"mcpart/internal/cfg"
 	"mcpart/internal/defaults"
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
 	"mcpart/internal/obs"
 	"mcpart/internal/partition"
+	"mcpart/internal/profile"
 	"mcpart/internal/rhop"
 )
 
@@ -195,7 +195,7 @@ func objectGroups(m *ir.Module, uf *unionFind) [][]int {
 
 // PartitionData performs the first pass of Global Data Partitioning:
 // assign every data object a home cluster on a k-cluster machine.
-func PartitionData(m *ir.Module, prof *interp.Profile, k int, opts Options) (*Result, error) {
+func PartitionData(m *ir.Module, prof *profile.Profile, k int, opts Options) (*Result, error) {
 	return partitionData(m, prof, k, opts, nil, nil)
 }
 
@@ -210,7 +210,7 @@ func PartitionData(m *ir.Module, prof *interp.Profile, k int, opts Options) (*Re
 //
 // memo is the data-partition memo to use: one that earlier calls on the
 // same module and profile filled, or nil to partition afresh.
-func PartitionDataOn(m *ir.Module, prof *interp.Profile, mcfg *machine.Config, opts Options, memo *DataPartitions) (*Result, error) {
+func PartitionDataOn(m *ir.Module, prof *profile.Profile, mcfg *machine.Config, opts Options, memo *DataPartitions) (*Result, error) {
 	if opts.MemFractions == nil {
 		opts.MemFractions = mcfg.MemFractions()
 	}
@@ -286,7 +286,7 @@ func dataKey(k int, opts Options) string {
 	return string(append(buf, flags))
 }
 
-func partitionData(m *ir.Module, prof *interp.Profile, k int, opts Options, mcfg *machine.Config, memo *DataPartitions) (*Result, error) {
+func partitionData(m *ir.Module, prof *profile.Profile, k int, opts Options, mcfg *machine.Config, memo *DataPartitions) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("gdp: need at least 1 cluster, got %d", k)
 	}
@@ -335,7 +335,7 @@ func partitionData(m *ir.Module, prof *interp.Profile, k int, opts Options, mcfg
 
 // partitionGraph builds the program-level graph, partitions it k ways and
 // returns the outcome before any topology relabelling.
-func partitionGraph(m *ir.Module, prof *interp.Profile, k int, opts Options) (*dataEntry, error) {
+func partitionGraph(m *ir.Module, prof *profile.Profile, k int, opts Options) (*dataEntry, error) {
 	uf, oi := buildMerge(m, opts)
 
 	if opts.SlackMerge {
@@ -569,7 +569,7 @@ func mergeDependenceChains(m *ir.Module, uf *unionFind, oi *opIndexer) {
 	}
 }
 
-func objBytes(o *ir.Object, prof *interp.Profile) int64 {
+func objBytes(o *ir.Object, prof *profile.Profile) int64 {
 	if prof != nil {
 		if b, ok := prof.ObjBytes[o.ID]; ok && b > 0 {
 			return b
@@ -578,7 +578,7 @@ func objBytes(o *ir.Object, prof *interp.Profile) int64 {
 	return o.Size
 }
 
-func blockFreq(prof *interp.Profile, b *ir.Block) int64 {
+func blockFreq(prof *profile.Profile, b *ir.Block) int64 {
 	if prof == nil {
 		return 1
 	}
@@ -605,7 +605,7 @@ func scaleFreq(freq int64) int64 {
 // may access. When an operation can reach objects homed on different
 // clusters (possible only when merging was disabled), the lock is the
 // profile-weighted majority home.
-func ComputeLocks(m *ir.Module, dm DataMap, prof *interp.Profile) map[*ir.Func]rhop.Locks {
+func ComputeLocks(m *ir.Module, dm DataMap, prof *profile.Profile) map[*ir.Func]rhop.Locks {
 	out := make(map[*ir.Func]rhop.Locks, len(m.Funcs))
 	for _, f := range m.Funcs {
 		out[f] = ComputeLocksFunc(f, dm, prof)
@@ -617,7 +617,7 @@ func ComputeLocks(m *ir.Module, dm DataMap, prof *interp.Profile) map[*ir.Func]r
 // f depend only on dm's homes for the objects f's memory ops may access, so
 // a mapping sweep can recompute exactly the functions a data-map change
 // touches.
-func ComputeLocksFunc(f *ir.Func, dm DataMap, prof *interp.Profile) rhop.Locks {
+func ComputeLocksFunc(f *ir.Func, dm DataMap, prof *profile.Profile) rhop.Locks {
 	locks := rhop.Locks{}
 	for _, b := range f.Blocks {
 		for _, op := range b.Ops {
@@ -630,7 +630,7 @@ func ComputeLocksFunc(f *ir.Func, dm DataMap, prof *interp.Profile) rhop.Locks {
 	return locks
 }
 
-func homeFor(op *ir.Op, dm DataMap, prof *interp.Profile) int {
+func homeFor(op *ir.Op, dm DataMap, prof *profile.Profile) int {
 	votes := map[int]int64{}
 	for _, objID := range op.MayAccess {
 		w := int64(1)
@@ -658,7 +658,7 @@ func homeFor(op *ir.Op, dm DataMap, prof *interp.Profile) int {
 }
 
 // MemBytesPerCluster sums profiled object bytes per cluster under dm.
-func MemBytesPerCluster(m *ir.Module, dm DataMap, prof *interp.Profile, k int) []int64 {
+func MemBytesPerCluster(m *ir.Module, dm DataMap, prof *profile.Profile, k int) []int64 {
 	out := make([]int64, k)
 	for _, o := range m.Objects {
 		out[dm[o.ID]] += objBytes(o, prof)

@@ -7,9 +7,10 @@ import (
 	"mcpart/internal/ir"
 	"mcpart/internal/mclang"
 	"mcpart/internal/pointsto"
+	"mcpart/internal/profile"
 )
 
-func prep(t *testing.T, src string) (*ir.Module, *interp.Profile) {
+func prep(t *testing.T, src string) (*ir.Module, *profile.Profile) {
 	t.Helper()
 	mod, err := mclang.Compile(src, "t")
 	if err != nil {

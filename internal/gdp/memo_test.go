@@ -13,12 +13,13 @@ import (
 	"mcpart/internal/obs"
 	"mcpart/internal/opt"
 	"mcpart/internal/pointsto"
+	"mcpart/internal/profile"
 )
 
 // prepBundled compiles a bundled benchmark the way the evaluation pipeline
 // does (unrolled by 4, optimized, points-to analyzed) and profiles it on
 // the bytecode VM.
-func prepBundled(t *testing.T, b bench.Benchmark) (*ir.Module, *interp.Profile) {
+func prepBundled(t *testing.T, b bench.Benchmark) (*ir.Module, *profile.Profile) {
 	t.Helper()
 	mod, err := mclang.CompileUnrolled(b.Source, b.Name, 4)
 	if err != nil {

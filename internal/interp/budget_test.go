@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mcpart/internal/mclang"
+	"mcpart/internal/profile"
 )
 
 func TestDeadlineBudget(t *testing.T) {
@@ -15,7 +16,7 @@ func TestDeadlineBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = New(mod, Options{Deadline: time.Now().Add(-time.Second)}).RunMain()
-	var be *BudgetError
+	var be *profile.BudgetError
 	if !errors.As(err, &be) || be.Resource != "deadline" {
 		t.Fatalf("error = %v, want deadline BudgetError", err)
 	}
@@ -55,7 +56,7 @@ func TestByteBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = New(mod, Options{MaxBytes: 64 * 1024}).RunMain()
-	var be *BudgetError
+	var be *profile.BudgetError
 	if !errors.As(err, &be) || be.Resource != "byte" {
 		t.Fatalf("error = %v, want byte BudgetError", err)
 	}
@@ -76,7 +77,7 @@ func TestStepBudgetTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = New(mod, Options{MaxSteps: 1000}).RunMain()
-	var be *BudgetError
+	var be *profile.BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("error = %v, want *BudgetError", err)
 	}

@@ -7,9 +7,10 @@ import (
 
 	"mcpart/internal/ir"
 	"mcpart/internal/mclang"
+	"mcpart/internal/profile"
 )
 
-func run(t *testing.T, src string) (Value, *Profile) {
+func run(t *testing.T, src string) (profile.Value, *profile.Profile) {
 	t.Helper()
 	mod, err := mclang.Compile(src, "t")
 	if err != nil {
@@ -23,9 +24,9 @@ func run(t *testing.T, src string) (Value, *Profile) {
 	return v, in.Profile()
 }
 
-func wantI(t *testing.T, v Value, want int64) {
+func wantI(t *testing.T, v profile.Value, want int64) {
 	t.Helper()
-	if v.Kind != ValInt || v.I != want {
+	if v.Kind != profile.ValInt || v.I != want {
 		t.Fatalf("result = %s, want %d", v, want)
 	}
 }
@@ -280,7 +281,7 @@ func main() int { return f(1, 2); }`, "t")
 	}
 	check := func(a, b int32) bool {
 		in := New(mod, Options{})
-		got, err := in.Run("f", IntVal(int64(a)), IntVal(int64(b)))
+		got, err := in.Run("f", profile.IntVal(int64(a)), profile.IntVal(int64(b)))
 		if err != nil {
 			return false
 		}
@@ -290,7 +291,7 @@ func main() int { return f(1, 2); }`, "t")
 			d = 1
 		}
 		want := (ai+bi)*3 - ai/d + (ai & bi) + (ai ^ 5)
-		return got.Kind == ValInt && got.I == want
+		return got.Kind == profile.ValInt && got.I == want
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
@@ -311,11 +312,11 @@ func main() int { return 0; }`, "t")
 	ref := make([]int64, 32)
 	check := func(i uint16, v int64) bool {
 		idx := int64(i) % 32
-		if _, err := in.Run("set", IntVal(int64(i)), IntVal(v)); err != nil {
+		if _, err := in.Run("set", profile.IntVal(int64(i)), profile.IntVal(v)); err != nil {
 			return false
 		}
 		ref[idx] = v
-		got, err := in.Run("get", IntVal(int64(i)))
+		got, err := in.Run("get", profile.IntVal(int64(i)))
 		return err == nil && got.I == ref[idx]
 	}
 	if err := quick.Check(check, nil); err != nil {
@@ -344,17 +345,17 @@ func main() int {
 }
 
 func TestValueStrings(t *testing.T) {
-	if got := IntVal(-3).String(); got != "-3" {
+	if got := profile.IntVal(-3).String(); got != "-3" {
 		t.Errorf("IntVal = %q", got)
 	}
-	if got := FloatVal(2.5).String(); got != "2.5" {
+	if got := profile.FloatVal(2.5).String(); got != "2.5" {
 		t.Errorf("FloatVal = %q", got)
 	}
-	if got := (Value{Kind: ValPtr}).String(); got != "nil" {
+	if got := (profile.Value{Kind: profile.ValPtr}).String(); got != "nil" {
 		t.Errorf("nil ptr = %q", got)
 	}
-	inst := &Instance{Obj: &ir.Object{Name: "g"}}
-	if got := (Value{Kind: ValPtr, Inst: inst, Off: 16}).String(); got != "&g+16" {
+	inst := &profile.Instance{Obj: &ir.Object{Name: "g"}}
+	if got := (profile.Value{Kind: profile.ValPtr, Inst: inst, Off: 16}).String(); got != "&g+16" {
 		t.Errorf("ptr = %q", got)
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/profile"
 	"mcpart/internal/sched"
 )
 
@@ -110,7 +110,7 @@ func TestIncrementalEquivalenceWithLocks(t *testing.T) {
 // Refinement only compares these costs, so exact costs at every step mean
 // the incremental cache makes the same decisions a from-scratch estimator
 // would.
-func checkRegionEval(t *testing.T, f *ir.Func, prof *interp.Profile, mcfg *machine.Config, locks Locks) {
+func checkRegionEval(t *testing.T, f *ir.Func, prof *profile.Profile, mcfg *machine.Config, locks Locks) {
 	t.Helper()
 	p := Prepare(f, prof, nil)
 	final, err := p.Partition(mcfg, locks, Options{})

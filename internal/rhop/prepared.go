@@ -7,9 +7,9 @@ import (
 	"sync"
 
 	"mcpart/internal/cfg"
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/partition"
+	"mcpart/internal/profile"
 	"mcpart/internal/sched"
 )
 
@@ -40,7 +40,7 @@ import (
 // a mutex.
 type Prepared struct {
 	f    *ir.Func
-	prof *interp.Profile
+	prof *profile.Profile
 	lc   *sched.LoopCtx
 	pre  []*regionPre // heat order: hottest region first
 	// opBlock maps op ID to the index of the op's block within its region
@@ -148,7 +148,7 @@ type homeDef struct {
 // block frequencies (nil-safe: missing blocks count as frequency 1). cuts
 // is the min-cut memo to use: one that earlier Prepares of the same f and
 // prof filled, or nil for a fresh private one.
-func Prepare(f *ir.Func, prof *interp.Profile, cuts *MinCuts) *Prepared {
+func Prepare(f *ir.Func, prof *profile.Profile, cuts *MinCuts) *Prepared {
 	if cuts == nil {
 		cuts = &MinCuts{}
 	}

@@ -24,12 +24,12 @@ package rhop
 import (
 	"mcpart/internal/cfg"
 	"mcpart/internal/defaults"
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
 	"mcpart/internal/memo"
 	"mcpart/internal/obs"
 	"mcpart/internal/partition"
+	"mcpart/internal/profile"
 	"mcpart/internal/sched"
 )
 
@@ -152,13 +152,13 @@ type regionAnchor struct {
 // frequencies (nil-safe: missing blocks count as frequency 1 so cold code
 // still partitions sensibly). It prepares f afresh; callers partitioning
 // one function several times share a Prepared instead.
-func PartitionFunc(f *ir.Func, prof *interp.Profile, mcfg *machine.Config, locks Locks, opts Options) ([]int, error) {
+func PartitionFunc(f *ir.Func, prof *profile.Profile, mcfg *machine.Config, locks Locks, opts Options) ([]int, error) {
 	return Prepare(f, prof, nil).Partition(mcfg, locks, opts)
 }
 
 // PartitionModule partitions every function of m. locks may be nil or miss
 // functions (treated as unlocked).
-func PartitionModule(m *ir.Module, prof *interp.Profile, mcfg *machine.Config, locks map[*ir.Func]Locks, opts Options) (map[*ir.Func][]int, error) {
+func PartitionModule(m *ir.Module, prof *profile.Profile, mcfg *machine.Config, locks map[*ir.Func]Locks, opts Options) (map[*ir.Func][]int, error) {
 	out := make(map[*ir.Func][]int, len(m.Funcs))
 	for _, f := range m.Funcs {
 		var l Locks
@@ -175,7 +175,7 @@ func PartitionModule(m *ir.Module, prof *interp.Profile, mcfg *machine.Config, l
 }
 
 // regionHeat is the hottest block frequency within a region.
-func regionHeat(prof *interp.Profile, r *cfg.Region) int64 {
+func regionHeat(prof *profile.Profile, r *cfg.Region) int64 {
 	var h int64
 	for _, b := range r.Blocks {
 		if fq := blockFreq(prof, b); fq > h {
@@ -187,7 +187,7 @@ func regionHeat(prof *interp.Profile, r *cfg.Region) int64 {
 
 // blockFreq returns the profile frequency of b, treating unexecuted blocks
 // as frequency 1 so static code still partitions deterministically.
-func blockFreq(prof *interp.Profile, b *ir.Block) int64 {
+func blockFreq(prof *profile.Profile, b *ir.Block) int64 {
 	if prof == nil {
 		return 1
 	}
@@ -611,7 +611,7 @@ type regionEval struct {
 	sc   *scratch
 	pre  *regionPre
 	lc   *sched.LoopCtx
-	prof *interp.Profile
+	prof *profile.Profile
 	mcfg *machine.Config
 	asg  []int
 	k    int
@@ -828,7 +828,7 @@ func (fp *FuncPartitioner) pairRefineRegion(pre *regionPre, locks Locks, asg []i
 // region under assignment asg without running the full list scheduler: per
 // block, the maximum of the per-cluster resource bound, the intercluster
 // bus bound, and the dependence-critical path including move latencies.
-func EstimateRegionCost(f *ir.Func, region *cfg.Region, prof *interp.Profile,
+func EstimateRegionCost(f *ir.Func, region *cfg.Region, prof *profile.Profile,
 	mcfg *machine.Config, asg []int) int64 {
 	sc, lc := &scratch{}, sched.NewLoopCtx(f)
 	home := sc.home.HomeClustersFreq(f, asg, mcfg.NumClusters(), func(b *ir.Block) int64 {
@@ -890,14 +890,9 @@ func (es *estScratch) prepare(f *ir.Func, k int) {
 	es.gen++
 }
 
-// EstimateBlockLen is the schedule-length estimate for one block. It tracks
-// the list scheduler's three limiting factors but ignores second-order
+// blockLen is the schedule-length estimate for one block. It tracks the
+// list scheduler's three limiting factors but ignores second-order
 // interactions, which keeps refinement fast.
-func EstimateBlockLen(b *ir.Block, asg []int, home []int, lc *sched.LoopCtx, mcfg *machine.Config) int64 {
-	var es estScratch
-	return es.blockLen(b, asg, home, lc, mcfg)
-}
-
 func (es *estScratch) blockLen(b *ir.Block, asg []int, home []int, lc *sched.LoopCtx, mcfg *machine.Config) int64 {
 	k := mcfg.NumClusters()
 	f := b.Func

@@ -9,10 +9,11 @@ import (
 	"mcpart/internal/machine"
 	"mcpart/internal/mclang"
 	"mcpart/internal/pointsto"
+	"mcpart/internal/profile"
 	"mcpart/internal/sched"
 )
 
-func compileAndProfile(t *testing.T, src string) (*ir.Module, *interp.Profile) {
+func compileAndProfile(t *testing.T, src string) (*ir.Module, *profile.Profile) {
 	t.Helper()
 	mod, err := mclang.Compile(src, "t")
 	if err != nil {

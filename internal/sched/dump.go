@@ -50,7 +50,7 @@ type BlockSchedule struct {
 }
 
 // MaterializeBlock runs the list scheduler and returns the full schedule
-// (ScheduleBlock returns only the summary).
+// (ScheduleBlockCtx returns only the summary).
 func MaterializeBlock(b *ir.Block, asg []int, home []int, lc *LoopCtx, cfg *machine.Config) *BlockSchedule {
 	return NewScratch().MaterializeBlock(b, asg, home, lc, cfg)
 }

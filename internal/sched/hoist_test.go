@@ -8,11 +8,12 @@ import (
 	"mcpart/internal/machine"
 	"mcpart/internal/mclang"
 	"mcpart/internal/pointsto"
+	"mcpart/internal/profile"
 )
 
 // loopMod compiles a two-level loop nest with a loop-invariant base value,
 // a replicable induction variable, and a loop-carried accumulator.
-func loopMod(t *testing.T) (*ir.Func, *interp.Profile) {
+func loopMod(t *testing.T) (*ir.Func, *profile.Profile) {
 	t.Helper()
 	mod, err := mclang.Compile(`
 global int data[64];

@@ -7,11 +7,12 @@ import (
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
 	"mcpart/internal/obs"
+	"mcpart/internal/profile"
 )
 
 // allocFixture builds a small two-function module with a profile, the
 // shared input of the observer-overhead tests.
-func allocFixture(t testing.TB) (*ir.Module, *interp.Profile, map[*ir.Func][]int, *machine.Config) {
+func allocFixture(t testing.TB) (*ir.Module, *profile.Profile, map[*ir.Func][]int, *machine.Config) {
 	t.Helper()
 	m := ir.NewModule("t")
 	bd := ir.NewBuilder(m, "helper", 1)
@@ -42,7 +43,7 @@ func allocFixture(t testing.TB) (*ir.Module, *interp.Profile, map[*ir.Func][]int
 
 // funcCyclesWork returns the scheduler hot loop of every scheme
 // evaluation: FuncCycles over the module through one reusable scratch.
-func funcCyclesWork(m *ir.Module, prof *interp.Profile, asg map[*ir.Func][]int, cfg *machine.Config, sc *Scratch) func() {
+func funcCyclesWork(m *ir.Module, prof *profile.Profile, asg map[*ir.Func][]int, cfg *machine.Config, sc *Scratch) func() {
 	return func() {
 		for _, f := range m.Funcs {
 			sc.FuncCycles(f, asg[f], cfg, prof)

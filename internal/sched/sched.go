@@ -12,10 +12,10 @@ import (
 	"fmt"
 	"sort"
 
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
 	"mcpart/internal/obs"
+	"mcpart/internal/profile"
 )
 
 // EverywhereHome marks a value as available on every cluster at block entry
@@ -256,19 +256,13 @@ func (sc *Scratch) regTables(f *ir.Func) {
 	sc.gen++
 }
 
-// ScheduleBlock schedules block b under assignment asg (op ID -> cluster
-// for b's function), with home giving the block-entry cluster of live-in
-// registers (EverywhereHome when free). It returns the schedule length and
-// the number of moves inserted.
-func ScheduleBlock(b *ir.Block, asg []int, home []int, cfg *machine.Config) BlockResult {
-	res, _ := ScheduleBlockCtx(b, asg, home, nil, cfg)
-	return res
-}
-
-// ScheduleBlockCtx is ScheduleBlock with loop-invariant hoisting: live-in
-// values that are invariant in b's innermost loop are assumed delivered at
-// loop entry (the returned HoistedMoves) instead of re-sent every
-// iteration. A nil LoopCtx disables hoisting.
+// ScheduleBlockCtx schedules block b under assignment asg (op ID ->
+// cluster for b's function), with home giving the block-entry cluster of
+// live-in registers (EverywhereHome when free), and returns the schedule
+// length and the number of moves inserted. Live-in values that are
+// invariant in b's innermost loop are assumed delivered at loop entry (the
+// returned HoistedMoves) instead of re-sent every iteration; a nil LoopCtx
+// disables hoisting.
 func ScheduleBlockCtx(b *ir.Block, asg []int, home []int, lc *LoopCtx, cfg *machine.Config) (BlockResult, []HoistedMove) {
 	return NewScratch().ScheduleBlockCtx(b, asg, home, lc, cfg)
 }
@@ -716,7 +710,7 @@ func (sc *Scratch) ScheduleFuncFreq(f *ir.Func, asg []int, lc *LoopCtx, cfg *mac
 // ProgramCycles computes the profile-weighted dynamic cycle count and move
 // count of a whole module under per-function assignments. Hoisted
 // loop-invariant copies cost one move (and one cycle) per loop entry.
-func ProgramCycles(m *ir.Module, asg map[*ir.Func][]int, cfg *machine.Config, prof *interp.Profile) (cycles, moves int64) {
+func ProgramCycles(m *ir.Module, asg map[*ir.Func][]int, cfg *machine.Config, prof *profile.Profile) (cycles, moves int64) {
 	sc := NewScratch()
 	for _, f := range m.Funcs {
 		fc, fm := sc.FuncCycles(f, asg[f], cfg, prof)
@@ -735,19 +729,13 @@ type Cost struct {
 	Moves  int64
 }
 
-// FuncCost is FuncCycles packaged as a Cost value.
-func (sc *Scratch) FuncCost(f *ir.Func, asg []int, cfg *machine.Config, prof *interp.Profile) Cost {
-	c, m := sc.FuncCycles(f, asg, cfg, prof)
-	return Cost{Cycles: c, Moves: m}
-}
-
 // FuncCycles computes one function's contribution to ProgramCycles: the
 // profile-weighted dynamic cycle and move counts of f under assignment asg,
 // including hoisted loop-entry copies. ProgramCycles is exactly the sum of
 // FuncCycles over the module's functions, which is what lets the
 // evaluation layer cache schedule costs per (function, assignment) pair
 // (see internal/memo).
-func (sc *Scratch) FuncCycles(f *ir.Func, asg []int, cfg *machine.Config, prof *interp.Profile) (cycles, moves int64) {
+func (sc *Scratch) FuncCycles(f *ir.Func, asg []int, cfg *machine.Config, prof *profile.Profile) (cycles, moves int64) {
 	return sc.FuncCyclesCtx(f, asg, NewLoopCtx(f), cfg, prof)
 }
 
@@ -755,7 +743,7 @@ func (sc *Scratch) FuncCycles(f *ir.Func, asg []int, cfg *machine.Config, prof *
 // context depends only on the IR, so callers evaluating many assignments of
 // the same function (the mapping sweep's per-signature loop) hoist the loop
 // analysis out and get identical results.
-func (sc *Scratch) FuncCyclesCtx(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config, prof *interp.Profile) (cycles, moves int64) {
+func (sc *Scratch) FuncCyclesCtx(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config, prof *profile.Profile) (cycles, moves int64) {
 	res := sc.ScheduleFuncFreq(f, asg, lc, cfg, prof.Freq)
 	var busBusy, hoistedMoves int64
 	for _, b := range f.Blocks {
@@ -834,7 +822,7 @@ func NewBlockCache(f *ir.Func) *BlockCache {
 // Results (and the observer fold) are identical to FuncCyclesCtx; only
 // repeated ScheduleBlockCtx work is skipped.
 func (sc *Scratch) FuncCyclesCached(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config,
-	prof *interp.Profile, bc *BlockCache) (cycles, moves int64) {
+	prof *profile.Profile, bc *BlockCache) (cycles, moves int64) {
 
 	home := sc.home.HomeClustersFreq(f, asg, cfg.NumClusters(), prof.Freq)
 	var busBusy, hoistedMoves int64

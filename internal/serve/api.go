@@ -16,8 +16,8 @@ import (
 	"mcpart"
 	"mcpart/internal/bench"
 	"mcpart/internal/check"
-	"mcpart/internal/interp"
 	"mcpart/internal/parallel"
+	"mcpart/internal/profile"
 )
 
 // APIRequest is the body of every /v1/* POST. Source and Bench are
@@ -244,7 +244,7 @@ func (e *InjectedError) Error() string { return "injected fault at stage " + e.S
 // typed domain errors, then the catch-all internal class.
 func classify(err error) (status int, code string) {
 	var (
-		be *interp.BudgetError
+		be *profile.BudgetError
 		ie *InjectedError
 		ve *check.Error
 		pe *parallel.PanicError

@@ -32,12 +32,13 @@ import (
 	"mcpart/internal/check"
 	"mcpart/internal/eval"
 	"mcpart/internal/gdp"
-	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
 	"mcpart/internal/mclang"
+	"mcpart/internal/memo"
 	"mcpart/internal/obs"
 	"mcpart/internal/parallel"
+	"mcpart/internal/profile"
 	"mcpart/internal/rhop"
 	"mcpart/internal/sched"
 	"mcpart/internal/store"
@@ -252,7 +253,7 @@ type CompileOptions struct {
 	// 1 GiB default).
 	CacheMaxBytes int64
 	// MaxBytes bounds the heap the profiling run may allocate; exceeding it
-	// fails compilation with a typed *interp.BudgetError. Non-positive
+	// fails compilation with a typed *profile.BudgetError. Non-positive
 	// means no byte budget.
 	MaxBytes int64
 }
@@ -296,7 +297,7 @@ func (p *Program) Checksum() int64 { return p.c.Ret }
 func (p *Program) Module() *ir.Module { return p.c.Mod }
 
 // Profile exposes the dynamic profile gathered during compilation.
-func (p *Program) Profile() *interp.Profile { return p.c.Prof }
+func (p *Program) Profile() *profile.Profile { return p.c.Prof }
 
 // ObjectInfo summarizes one data object for reporting.
 type ObjectInfo struct {
@@ -329,30 +330,14 @@ func (p *Program) Objects() []ObjectInfo {
 
 // MemoStats are the counters of the program's partition-result memoization
 // cache (internal/memo): how many per-function partition/schedule/lock
-// computations were answered from cache versus computed.
-// The counters describe work saved, never results: cached and uncached
-// evaluations are byte-identical.
-type MemoStats struct {
-	Hits       uint64 // computations answered from the cache
-	Misses     uint64 // computations actually run
-	Waits      uint64 // hits that waited on an in-flight computation
-	Promotions uint64 // hits served by decoding the persistent disk tier
-	Evictions  uint64 // entries dropped by the LRU bound
-	Entries    int    // entries currently resident
-}
+// computations were answered from cache versus computed, how many hits
+// waited on an in-flight computation or were promoted from the disk tier,
+// and the resident entries and LRU evictions. The counters describe work
+// saved, never results: cached and uncached evaluations are byte-identical.
+type MemoStats = memo.Stats
 
 // MemoStats reports the program's memoization-cache counters.
-func (p *Program) MemoStats() MemoStats {
-	s := p.c.MemoStats()
-	return MemoStats{
-		Hits:       s.Hits,
-		Misses:     s.Misses,
-		Waits:      s.Waits,
-		Promotions: s.Promotions,
-		Evictions:  s.Evictions,
-		Entries:    s.Entries,
-	}
-}
+func (p *Program) MemoStats() MemoStats { return p.c.MemoStats() }
 
 // ShrinkMemo evicts least-recently-used memoization entries until at most n
 // remain. Results are unaffected — evicted entries recompute (or reload
