@@ -85,10 +85,10 @@ type Compiled struct {
 // rhopState is a Compiled's share of rhop's reusable partitioning state.
 // The min-cut memos (cuts) live until ReleasePrepared, since they are
 // small and every later run can hit them, whatever its machine. The
-// per-function prepared structure (fns) is larger, so it is kept only
-// while some run holds a lease (see lease) and rebuilt by the next one: a
-// caller that keeps many compiled programs around holds their memos, not
-// their structure.
+// per-function prepared structure (fns), with its per-machine block-schedule
+// caches, is larger, so it is kept only while some run holds a lease (see
+// lease) and rebuilt by the next one: a caller that keeps many compiled
+// programs around holds their memos, not their structure.
 type rhopState struct {
 	mu     sync.Mutex
 	leases int
@@ -104,10 +104,10 @@ type preparedFunc struct {
 }
 
 // prepared returns f's rhop.Prepared, bound to f's shared min-cut memo.
-// Under a lease the structure is built once and shared; without one it is
-// built for this caller alone. Every value the memo holds is a pure
-// function of its key, so sharing it across runs, machines, and worker
-// goroutines leaves results unchanged.
+// Callers hold a lease (every top-level entry takes one), so the structure
+// is built once and shared until the last lease ends. Every value its
+// memos hold is a pure function of its key, so sharing them across runs,
+// machines, and worker goroutines leaves results unchanged.
 func (c *Compiled) prepared(f *ir.Func) *rhop.Prepared {
 	st := &c.shared
 	st.mu.Lock()
@@ -118,10 +118,6 @@ func (c *Compiled) prepared(f *ir.Func) *rhop.Prepared {
 	if cuts == nil {
 		cuts = &rhop.MinCuts{}
 		st.cuts[f] = cuts
-	}
-	if st.leases == 0 {
-		st.mu.Unlock()
-		return rhop.Prepare(f, c.Prof, cuts)
 	}
 	if st.fns == nil {
 		st.fns = make(map[*ir.Func]*preparedFunc, len(c.Mod.Funcs))
@@ -137,8 +133,9 @@ func (c *Compiled) prepared(f *ir.Func) *rhop.Prepared {
 }
 
 // lease keeps the prepared structure alive across the runs of one
-// top-level call (a scheme matrix, a sweep, a search) and returns the
-// function that ends the lease; the last lease to end drops the structure.
+// top-level call (a scheme run or matrix, a sweep, a search) and returns
+// the function that ends the lease; the last lease to end drops the
+// structure, block-schedule caches included.
 func (c *Compiled) lease() (release func()) {
 	st := &c.shared
 	st.mu.Lock()
@@ -561,19 +558,16 @@ func (o Options) gdpOpts() gdp.Options {
 	return g
 }
 
-// noopDone is beginRun's completion callback when no observer is attached;
-// a shared instance keeps the unobserved path allocation-free.
-var noopDone = func(*Result, error) {}
-
-// beginRun opens one scheme run's observability scope: a span named after
+// beginRun opens one scheme run: it leases c's shared RHOP state for the
+// run's lifetime and opens its observability scope — a span named after
 // the scheme (attributed with the benchmark), and a scoped child registry
 // that collects only this run's metrics. The returned Options carry the
 // scoped observer so every downstream layer (gdp, rhop, sched, validate)
 // records into it; the returned done callback — which the RunX functions
-// defer — stamps the headline counters, snapshots the scoped registry into
-// Result.Metrics, and folds the totals back into the parent registry both
-// unlabeled and labeled `bench="...",scheme="..."`. With a nil observer
-// everything here is a no-op.
+// defer — ends the lease, stamps the headline counters, snapshots the
+// scoped registry into Result.Metrics, and folds the totals back into the
+// parent registry both unlabeled and labeled `bench="...",scheme="...".
+// With a nil observer only the lease remains.
 func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error)) {
 	parent := opts.Observer
 	if c.useMemo() && opts.CacheDir != "" {
@@ -582,8 +576,9 @@ func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error
 		// store up front to surface such errors to the user.
 		_ = c.attachStore(opts.CacheDir, opts.CacheMaxBytes, parent)
 	}
+	release := c.lease()
 	if parent == nil {
-		return opts, noopDone
+		return opts, func(*Result, error) { release() }
 	}
 	// The memoization cache is shared across every run over this Compiled,
 	// so its counters belong to the parent (global) registry, not the
@@ -595,6 +590,7 @@ func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error
 	o := parent.Scoped().Named(string(s))
 	opts.Observer = o
 	done := func(r *Result, err error) {
+		release()
 		if err != nil {
 			sp.SetAttr("error", "true")
 		}
@@ -705,9 +701,6 @@ func partitionModule(c *Compiled, cfg *machine.Config, dm gdp.DataMap,
 		res.PartitionTime += time.Since(start)
 		res.DetailedRuns++
 	}()
-	if !c.useMemo() {
-		return rhop.PartitionModule(c.Mod, c.Prof, cfg, locks, ropts)
-	}
 	mkey := cfg.CacheKey()
 	okey := ropts.CacheKey()
 	out := make(map[*ir.Func][]int, len(c.Mod.Funcs))
@@ -715,9 +708,14 @@ func partitionModule(c *Compiled, cfg *machine.Config, dm gdp.DataMap,
 		if err := opts.ctxErr(); err != nil {
 			return nil, err
 		}
-		var l rhop.Locks
-		if locks != nil {
-			l = locks[f]
+		l := locks[f]
+		if !c.useMemo() {
+			asg, err := c.prepared(f).Partition(cfg, l, ropts)
+			if err != nil {
+				return nil, err
+			}
+			out[f] = asg
+			continue
 		}
 		key := partitionKey(c, f, dm, l, mkey, okey)
 		v, hit, err := c.memo.DoCodec(key, partCodec{}, func() (any, error) {
@@ -737,7 +735,9 @@ func partitionModule(c *Compiled, cfg *machine.Config, dm gdp.DataMap,
 // programCycles is sched.ProgramCycles with per-function schedule-cost
 // caching keyed by (function, machine, assignment). ProgramCycles is
 // exactly the sum of sched FuncCycles over functions (pinned in the sched
-// tests), which makes the per-function decomposition lossless.
+// tests), which makes the per-function decomposition lossless. A miss
+// schedules through the function's block cache for cfg on its leased
+// rhop.Prepared, where the partitioner has already scheduled most blocks.
 func programCycles(c *Compiled, cfg *machine.Config, asg map[*ir.Func][]int,
 	opts Options, res *Result) (cycles, moves int64, err error) {
 
@@ -749,30 +749,29 @@ func programCycles(c *Compiled, cfg *machine.Config, asg map[*ir.Func][]int,
 	}
 	sp := opts.Observer.Span("sched")
 	defer sp.End()
+	var sc *sched.Scratch
+	funcCycles := func(f *ir.Func) [2]int64 {
+		if sc == nil {
+			// An owned Scratch lets the observer's sched counters attach.
+			sc = sched.NewScratch()
+			sc.SetObserver(opts.Observer)
+		}
+		cyc, mv := sc.FuncCyclesCached(c.prepared(f).BlockCache(cfg), asg[f], c.Prof)
+		return [2]int64{cyc, mv}
+	}
 	if !c.useMemo() {
-		// ProgramCycles is exactly this per-function loop (pinned in the
-		// sched tests); running it through an owned Scratch lets the
-		// observer's sched counters attach.
-		sc := sched.NewScratch()
-		sc.SetObserver(opts.Observer)
 		for _, f := range c.Mod.Funcs {
-			cyc, mv := sc.FuncCycles(f, asg[f], cfg, c.Prof)
-			cycles += cyc
-			moves += mv
+			pair := funcCycles(f)
+			cycles += pair[0]
+			moves += pair[1]
 		}
 		return cycles, moves, nil
 	}
 	mkey := cfg.CacheKey()
-	var sc *sched.Scratch
 	for _, f := range c.Mod.Funcs {
 		key := memo.NewKey("sched").Str(f.Name).Str(mkey).Ints(asg[f]).String()
 		v, hit, _ := c.memo.DoCodec(key, schedCodec{}, func() (any, error) {
-			if sc == nil {
-				sc = sched.NewScratch()
-				sc.SetObserver(opts.Observer)
-			}
-			cyc, mv := sc.FuncCycles(f, asg[f], cfg, c.Prof)
-			return [2]int64{cyc, mv}, nil
+			return funcCycles(f), nil
 		})
 		if hit {
 			res.MemoScheduleHits++

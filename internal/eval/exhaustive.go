@@ -82,6 +82,9 @@ func Exhaustive(c *Compiled, cfg *machine.Config, opts Options, maxObjects int) 
 // ExhaustiveCtx is Exhaustive under a context: cancellation stops the mask
 // sweep between items and propagates ctx's error.
 func ExhaustiveCtx(ctx context.Context, c *Compiled, cfg *machine.Config, opts Options, maxObjects int) (*ExhaustiveResult, error) {
+	// One lease spans the sweep and the scheme runs that mark its
+	// choices, so they share the prepared state and its block caches.
+	defer c.lease()()
 	opts, sp, err := beginExhaustive(ctx, c, cfg, opts, maxObjects)
 	if err != nil {
 		return nil, err

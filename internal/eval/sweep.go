@@ -38,7 +38,8 @@ import (
 // the persistent artifact store stay fully shared with them; partition
 // misses run through a rhop.FuncPartitioner, which builds on the
 // Compiled's shared rhop.Prepared (region structure and min-cut memo) and
-// caches per-machine region results across signatures.
+// caches per-machine region results across signatures; schedule-cost
+// misses go through the same Prepared's block cache for the machine.
 //
 // Validation decomposes the same way the cost does. Under
 // Options.Validate phase 1 runs the independent validator
@@ -180,7 +181,6 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 			fixed0 := canon && len(objs) > 0 && objs[0] == 0
 			var fp *rhop.FuncPartitioner
 			var sc *sched.Scratch
-			var lc *sched.LoopCtx
 			var bc *sched.BlockCache
 			dm := make(gdp.DataMap, n)
 			// fill computes the entry for signature sig, whose homes dm holds.
@@ -200,13 +200,7 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 				}
 				partition := func() (any, error) {
 					if fp == nil {
-						var p *rhop.Prepared
-						if useMemo {
-							p = c.prepared(f)
-						} else {
-							p = rhop.Prepare(f, c.Prof, nil)
-						}
-						fp = p.NewPartitioner(cfg, ropts)
+						fp = c.prepared(f).NewPartitioner(cfg, ropts)
 					}
 					return fp.Partition(locks)
 				}
@@ -234,10 +228,9 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 					if sc == nil {
 						sc = sched.NewScratch()
 						sc.SetObserver(opts.Observer)
-						lc = sched.NewLoopCtx(f)
-						bc = sched.NewBlockCache(f)
+						bc = c.prepared(f).BlockCache(cfg)
 					}
-					cyc, mv := sc.FuncCyclesCached(f, asg, lc, cfg, c.Prof, bc)
+					cyc, mv := sc.FuncCyclesCached(bc, asg, c.Prof)
 					return [2]int64{cyc, mv}, nil
 				}
 				var pair [2]int64

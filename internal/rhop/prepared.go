@@ -8,6 +8,7 @@ import (
 
 	"mcpart/internal/cfg"
 	"mcpart/internal/ir"
+	"mcpart/internal/machine"
 	"mcpart/internal/partition"
 	"mcpart/internal/profile"
 	"mcpart/internal/sched"
@@ -35,9 +36,12 @@ import (
 // can drop the structure between runs and hand the memo to the next
 // Prepare of the same function and profile.
 //
+// A Prepared also holds one exact block-schedule cache per machine (see
+// BlockCache); it lives and dies with the Prepared.
+//
 // Build one with Prepare. A Prepared is safe for concurrent use: its
-// structure is immutable after Prepare returns and the memo is guarded by
-// a mutex.
+// structure is immutable after Prepare returns and the memos are guarded
+// by mutexes.
 type Prepared struct {
 	f    *ir.Func
 	prof *profile.Profile
@@ -47,6 +51,30 @@ type Prepared struct {
 	// (every block belongs to exactly one region).
 	opBlock []int32
 	cuts    *MinCuts
+
+	mu     sync.Mutex
+	blocks map[string]*sched.BlockCache // by machine.Config.CacheKey
+}
+
+// BlockCache returns the function's block-schedule cache for mcfg, shared
+// by every machine with the same CacheKey (the key covers every machine
+// parameter the scheduler reads) and created on first use. The partitioner
+// scores its candidates through it, and callers computing the function's
+// final cycle count on the same machine should too: a block both schedule
+// under equal inputs is then scheduled once.
+func (p *Prepared) BlockCache(mcfg *machine.Config) *sched.BlockCache {
+	key := mcfg.CacheKey()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	bc := p.blocks[key]
+	if bc == nil {
+		if p.blocks == nil {
+			p.blocks = map[string]*sched.BlockCache{}
+		}
+		bc = sched.NewBlockCache(p.f, p.lc, mcfg)
+		p.blocks[key] = bc
+	}
+	return bc
 }
 
 // MinCuts is one function's min-cut memo: the clusters KWay assigned a
@@ -231,7 +259,7 @@ func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op
 	pre.liveIn = make([][]ir.VReg, len(region.Blocks))
 	pre.regBlocks = map[ir.VReg][]int32{}
 	for i, b := range region.Blocks {
-		pre.liveIn[i] = blockLiveIn(b)
+		pre.liveIn[i] = sched.BlockLiveIn(b)
 		for _, r := range pre.liveIn[i] {
 			pre.regBlocks[r] = append(pre.regBlocks[r], int32(i))
 		}

@@ -85,7 +85,8 @@ func (o Options) CacheKey() string {
 // scratch bundles the reusable working memory one FuncPartitioner (and
 // therefore one worker goroutine) owns: the list scheduler's node tables,
 // the value-home buffers, and the schedule estimator's dense tables. It is
-// never shared and never global, so concurrent partitioners stay
+// never shared by two partitioners at once (one-shot Partition calls take
+// theirs from scratchPool and return it), so concurrent partitioners stay
 // race-free even when they share a Prepared.
 type scratch struct {
 	sched *sched.Scratch
@@ -101,14 +102,8 @@ type scratch struct {
 	homeInc sched.HomeScratch
 	est     estScratch
 	re      regionEval
-	// blockCost caches real-scheduler block lengths across candidates and
-	// lock signatures (sweep partitioners only; nil otherwise).
-	// ScheduleBlockCtx's length depends only on the block, the assignments
-	// of its ops, and the homes of its live-in registers, so the key
-	// covers every input exactly.
-	blockCost map[string]int
-	keyBuf    []byte
-	idBuf     []byte
+	keyBuf  []byte
+	idBuf   []byte
 	// graph-build buffers, reused across partitionRegion calls.
 	edges     []regionEdge
 	anchors   []regionAnchor
@@ -133,6 +128,11 @@ func (sc *scratch) flush(opts Options) {
 		o.Counter("rhop_kway_hits").Add(sc.tKWayHits)
 		o.Counter("rhop_refine_runs").Add(sc.tRefine)
 	}
+	sc.resetTallies()
+}
+
+// resetTallies zeroes the observability tallies.
+func (sc *scratch) resetTallies() {
 	sc.tRegions, sc.tMoves, sc.tEvals = 0, 0, 0
 	sc.tKWay, sc.tKWayHits, sc.tRefine = 0, 0, 0
 }
@@ -421,15 +421,15 @@ func appendLayout(buf []byte, pre *regionPre, asg []int) []byte {
 // realRegionCost scores a candidate with the actual list scheduler (the
 // estimate guides the inner refinement loop; the final choice between
 // refined candidates uses real schedule lengths so estimate error cannot
-// pick a partition the machine executes badly). rm is the region's sweep
-// memo (nil for one-shot use).
+// pick a partition the machine executes badly). Block schedules go through
+// the Prepared's block cache for the machine, so candidates, calls and
+// schemes that agree on a block's inputs share one scheduler run. rm is the
+// region's sweep memo (nil for one-shot use).
 func (fp *FuncPartitioner) realRegionCost(pre *regionPre, rm *regionMemo, asg []int) int64 {
 	sc, mcfg := fp.sc, fp.mcfg
 	f := fp.p.f
-	// A sweep memoizes the whole score by its exact inputs (see
-	// regionPre.extHomeRefs), and below that caches individual block
-	// lengths, so candidates and lock signatures that agree on either
-	// level share scheduler runs.
+	// A sweep also memoizes the whole score by its exact inputs (see
+	// regionPre.extHomeRefs).
 	var costKey string
 	if rm != nil {
 		buf := appendLayout(sc.keyBuf[:0], pre, asg)
@@ -470,28 +470,8 @@ func (fp *FuncPartitioner) realRegionCost(pre *regionPre, rm *regionMemo, asg []
 	}
 	var total int64
 	for bi, b := range pre.region.Blocks {
-		var length int
-		if rm != nil {
-			buf := append(sc.keyBuf[:0], byte(b.ID>>8), byte(b.ID))
-			for _, op := range b.Ops {
-				buf = append(buf, byte(asg[op.ID]+1))
-			}
-			for _, r := range pre.liveIn[bi] {
-				buf = append(buf, byte(home[r]+2))
-			}
-			sc.keyBuf = buf
-			if l, ok := sc.blockCost[string(buf)]; ok {
-				length = l
-			} else {
-				res, _ := sc.sched.ScheduleBlockCtx(b, asg, home, fp.p.lc, mcfg)
-				length = res.Length
-				sc.blockCost[string(buf)] = length
-			}
-		} else {
-			res, _ := sc.sched.ScheduleBlockCtx(b, asg, home, fp.p.lc, mcfg)
-			length = res.Length
-		}
-		total += pre.freqs[bi] * int64(length)
+		res, _ := fp.blocks.Schedule(sc.sched, b, asg, home)
+		total += pre.freqs[bi] * int64(res.Length)
 	}
 	if rm != nil {
 		rm.cost[costKey] = total
@@ -644,27 +624,6 @@ func (fp *FuncPartitioner) newRegionEval(pre *regionPre, asg []int) *regionEval 
 		re.dirtyList = append(re.dirtyList, int32(i))
 	}
 	return re
-}
-
-// blockLiveIn returns the registers b reads before (re)defining them
-// locally — exactly the registers whose home cluster blockLen consults —
-// in deterministic first-read order.
-func blockLiveIn(b *ir.Block) []ir.VReg {
-	defined := map[ir.VReg]bool{}
-	seen := map[ir.VReg]bool{}
-	var out []ir.VReg
-	for _, op := range b.Ops {
-		for _, a := range op.Args {
-			if a.IsReg() && !defined[a.Reg] && !seen[a.Reg] {
-				seen[a.Reg] = true
-				out = append(out, a.Reg)
-			}
-		}
-		if op.Dst != ir.NoReg {
-			defined[op.Dst] = true
-		}
-	}
-	return out
 }
 
 // move reassigns op (an op of the region) to cluster `to`, keeping the home

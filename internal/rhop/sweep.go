@@ -3,6 +3,7 @@ package rhop
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
@@ -32,10 +33,11 @@ import (
 // worker (or per function, processed by one worker at a time). Any number
 // of them may share one Prepared.
 type FuncPartitioner struct {
-	p    *Prepared
-	mcfg *machine.Config
-	opts Options
-	sc   *scratch
+	p      *Prepared
+	mcfg   *machine.Config
+	opts   Options
+	sc     *scratch
+	blocks *sched.BlockCache // p.BlockCache(mcfg)
 	// memo holds the per-region sweep caches; nil for one-shot use.
 	memo []regionMemo
 
@@ -63,16 +65,26 @@ type regionMemo struct {
 // PartitionFunc(f, prof, mcfg, locks, opts) but reusing p's structure and
 // min-cut memo.
 func (p *Prepared) Partition(mcfg *machine.Config, locks Locks, opts Options) ([]int, error) {
-	fp := FuncPartitioner{p: p, mcfg: mcfg, opts: opts, sc: &scratch{sched: sched.NewScratch()}}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	// A call that failed before its flush left tallies behind.
+	sc.resetTallies()
+	fp := FuncPartitioner{p: p, mcfg: mcfg, opts: opts, sc: sc, blocks: p.BlockCache(mcfg)}
 	return fp.Partition(locks)
 }
+
+// scratchPool recycles one-shot partitioners' working memory across
+// Partition calls; every buffer in a scratch is reset or regenerated
+// before it is read.
+var scratchPool = sync.Pool{New: func() any { return &scratch{sched: sched.NewScratch()} }}
 
 // NewPartitioner returns a sweep partitioner for p on mcfg under opts.
 func (p *Prepared) NewPartitioner(mcfg *machine.Config, opts Options) *FuncPartitioner {
 	fp := &FuncPartitioner{
 		p: p, mcfg: mcfg, opts: opts,
-		sc:   &scratch{sched: sched.NewScratch(), blockCost: map[string]int{}},
-		memo: make([]regionMemo, len(p.pre)),
+		sc:     &scratch{sched: sched.NewScratch()},
+		blocks: p.BlockCache(mcfg),
+		memo:   make([]regionMemo, len(p.pre)),
 	}
 	for i := range fp.memo {
 		fp.memo[i] = regionMemo{results: map[string][]int{}, cost: map[string]int64{}, refined: map[string][]int{}}

@@ -9,8 +9,11 @@
 package sched
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
@@ -185,12 +188,14 @@ type Scratch struct {
 	succs    [][]dep
 	npreds   []int
 	earliest []int
-	done     []bool
 	indeg    []int
 	order    []int
+	cand     []int // unissued nodes whose predecessors have all issued
 	ready    []int
-	usage    []int // [cycle][cluster][kind] flattened
-	bus      []int // moves issued per cycle
+	usage    []int // issues this cycle, [cluster][kind] flattened
+
+	fnSeen map[HoistedMove]bool // funcCycles' distinct hoisted copies
+	keyBuf []byte               // BlockCache keys
 
 	// lastBusBusy is the bus-occupied cycle count of the most recent
 	// listSchedule call, tracked incrementally at move-issue time so the
@@ -501,7 +506,7 @@ func memConflict(a, b *ir.Op) bool {
 	return false
 }
 
-// perNode re-slices an int-like per-node table to n entries.
+// resizeInts re-slices an int per-node table to n zeroed entries.
 func resizeInts(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
@@ -512,7 +517,10 @@ func resizeInts(s []int, n int) []int {
 }
 
 // listSchedule performs resource-constrained list scheduling over sc.nodes
-// and returns the schedule length.
+// and returns the schedule length. Each cycle considers, in (priority
+// desc, index asc) order, the candidates whose earliest start has come: a
+// node becomes a candidate when its last predecessor issues and can issue
+// from the next cycle on. A node's start is -1 until it issues.
 func (sc *Scratch) listSchedule(cfg *machine.Config) int {
 	n := len(sc.nodes)
 	if cap(sc.succs) < n {
@@ -543,92 +551,76 @@ func (sc *Scratch) listSchedule(cfg *machine.Config) int {
 	}
 
 	sc.earliest = resizeInts(sc.earliest, n)
-	if cap(sc.done) < n {
-		sc.done = make([]bool, n)
-	}
-	sc.done = sc.done[:n]
-	for i := range sc.done {
-		sc.done[i] = false
-	}
-	unscheduled := n
-
-	// Resource tables grow on demand: usage[t][cluster][kind], bus[t],
-	// flattened and reused across calls (rows are zeroed when re-acquired).
-	stride := cfg.NumClusters() * int(machine.NumFUKinds)
-	sc.usage = sc.usage[:0]
-	sc.bus = sc.bus[:0]
-	cycles := 0
-	ensure := func(t int) {
-		for cycles <= t {
-			if end := (cycles + 1) * stride; end <= cap(sc.usage) {
-				sc.usage = sc.usage[:end]
-				clear(sc.usage[cycles*stride : end])
-			} else {
-				for i := 0; i < stride; i++ {
-					sc.usage = append(sc.usage, 0)
-				}
-			}
-			if cycles < cap(sc.bus) {
-				sc.bus = sc.bus[:cycles+1]
-				sc.bus[cycles] = 0
-			} else {
-				sc.bus = append(sc.bus, 0)
-			}
-			cycles++
+	cand := sc.cand[:0]
+	for i := range sc.nodes {
+		sc.nodes[i].start = -1
+		if sc.npreds[i] == 0 {
+			cand = append(cand, i)
 		}
 	}
-	slot := func(t, cluster int, kind machine.FUKind) *int {
-		return &sc.usage[t*stride+cluster*int(machine.NumFUKinds)+int(kind)]
+	byPrio := func(a, b int) int {
+		if c := cmp.Compare(sc.nodes[b].prio, sc.nodes[a].prio); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	}
-
+	// Only the current cycle's unit usage is ever consulted, so one
+	// [cluster][kind] row serves every cycle.
+	stride := cfg.NumClusters() * int(machine.NumFUKinds)
+	sc.usage = resizeInts(sc.usage, stride)
 	length := 1
 	busBusy := 0
-	for t := 0; unscheduled > 0; t++ {
-		ensure(t)
-		// Gather ready nodes.
+	for t, unscheduled := 0, n; unscheduled > 0; t++ {
+		clear(sc.usage)
+		bus := 0
+		// Drop the candidates that issued last cycle; gather the ready ones.
 		ready := sc.ready[:0]
-		for i := range sc.nodes {
-			if !sc.done[i] && sc.npreds[i] == 0 && sc.earliest[i] <= t {
+		w := 0
+		for _, i := range cand {
+			if sc.nodes[i].start >= 0 {
+				continue
+			}
+			cand[w] = i
+			w++
+			if sc.earliest[i] <= t {
 				ready = append(ready, i)
 			}
 		}
-		sort.Slice(ready, func(a, b int) bool {
-			x, y := &sc.nodes[ready[a]], &sc.nodes[ready[b]]
-			if x.prio != y.prio {
-				return x.prio > y.prio
-			}
-			return ready[a] < ready[b]
-		})
+		cand = cand[:w]
+		slices.SortFunc(ready, byPrio)
 		sc.ready = ready
 		for _, i := range ready {
 			nd := &sc.nodes[i]
-			if *slot(t, nd.cluster, nd.kind) >= cfg.Units(nd.cluster, nd.kind) {
+			slot := &sc.usage[nd.cluster*int(machine.NumFUKinds)+int(nd.kind)]
+			if *slot >= cfg.Units(nd.cluster, nd.kind) {
 				continue
 			}
-			if nd.isMove && sc.bus[t] >= cfg.MoveBandwidth {
+			if nd.isMove && bus >= cfg.MoveBandwidth {
 				continue
 			}
-			*slot(t, nd.cluster, nd.kind)++
+			*slot++
 			if nd.isMove {
-				if sc.bus[t] == 0 {
+				if bus == 0 {
 					busBusy++
 				}
-				sc.bus[t]++
+				bus++
 			}
 			nd.start = t
-			sc.done[i] = true
 			unscheduled--
 			if end := t + nd.lat; end > length {
 				length = end
 			}
 			for _, s := range sc.succs[i] {
-				sc.npreds[s.from]--
+				if sc.npreds[s.from]--; sc.npreds[s.from] == 0 {
+					cand = append(cand, s.from)
+				}
 				if e := t + s.lat; e > sc.earliest[s.from] {
 					sc.earliest[s.from] = e
 				}
 			}
 		}
 	}
+	sc.cand = cand
 	sc.lastBusBusy = busBusy
 	return length
 }
@@ -741,25 +733,53 @@ func (sc *Scratch) FuncCycles(f *ir.Func, asg []int, cfg *machine.Config, prof *
 
 // FuncCyclesCtx is FuncCycles with a caller-supplied loop context. The
 // context depends only on the IR, so callers evaluating many assignments of
-// the same function (the mapping sweep's per-signature loop) hoist the loop
-// analysis out and get identical results.
+// the same function hoist the loop analysis out and get identical results.
 func (sc *Scratch) FuncCyclesCtx(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config, prof *profile.Profile) (cycles, moves int64) {
-	res := sc.ScheduleFuncFreq(f, asg, lc, cfg, prof.Freq)
+	return sc.funcCycles(f, asg, lc, cfg, prof, nil)
+}
+
+// FuncCyclesCached is FuncCyclesCtx on bc's function, loop context and
+// machine, with every block schedule taken through bc. Results (and the
+// observer fold) are identical to FuncCyclesCtx; only repeated
+// ScheduleBlockCtx work is skipped.
+func (sc *Scratch) FuncCyclesCached(bc *BlockCache, asg []int, prof *profile.Profile) (cycles, moves int64) {
+	return sc.funcCycles(bc.f, asg, bc.lc, bc.cfg, prof, bc)
+}
+
+// funcCycles is FuncCyclesCtx, scheduling through bc when it is non-nil.
+func (sc *Scratch) funcCycles(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config,
+	prof *profile.Profile, bc *BlockCache) (cycles, moves int64) {
+
+	home := sc.home.HomeClustersFreq(f, asg, cfg.NumClusters(), prof.Freq)
 	var busBusy, hoistedMoves int64
-	for _, b := range f.Blocks {
-		freq := prof.Freq(b)
-		if freq == 0 {
-			continue
-		}
-		cycles += freq * int64(res.Blocks[b.ID].Length)
-		moves += freq * int64(res.Blocks[b.ID].Moves)
-		busBusy += freq * int64(res.Blocks[b.ID].BusBusy)
+	if sc.fnSeen == nil {
+		sc.fnSeen = map[HoistedMove]bool{}
 	}
-	for _, h := range res.Hoisted {
-		entries := res.LC.EntryFreq(h.Loop, prof.Freq)
-		moves += entries
-		cycles += entries
-		hoistedMoves += entries
+	clear(sc.fnSeen)
+	for _, b := range f.Blocks {
+		var br BlockResult
+		var hoisted []HoistedMove
+		if bc != nil {
+			br, hoisted = bc.Schedule(sc, b, asg, home)
+		} else {
+			br, hoisted = sc.ScheduleBlockCtx(b, asg, home, lc, cfg)
+		}
+		if freq := prof.Freq(b); freq > 0 {
+			cycles += freq * int64(br.Length)
+			moves += freq * int64(br.Moves)
+			busBusy += freq * int64(br.BusBusy)
+		}
+		// Each distinct hoisted copy costs one move and one cycle per
+		// entry of its loop.
+		for _, h := range hoisted {
+			if !sc.fnSeen[h] {
+				sc.fnSeen[h] = true
+				entries := lc.EntryFreq(h.Loop, prof.Freq)
+				moves += entries
+				cycles += entries
+				hoistedMoves += entries
+			}
+		}
 	}
 	if sc.oCycles != nil {
 		sc.oCycles.Add(cycles)
@@ -770,21 +790,47 @@ func (sc *Scratch) FuncCyclesCtx(f *ir.Func, asg []int, lc *LoopCtx, cfg *machin
 	return cycles, moves
 }
 
-// BlockCache memoizes ScheduleBlockCtx outcomes for one function across
-// assignments. A block's schedule reads only the assignments of its own ops
-// and the homes of its read-before-def (live-in) registers — buildNodes
-// consults nothing else — so those inputs key the result exactly. Sweeps
-// evaluating many lock signatures of one function hit the cache whenever a
-// signature change leaves a block's local inputs untouched, which is the
-// common case: a flipped data object relocks a few memory ops and leaves
-// the rest of the function byte-identical.
+// BlockLiveIn returns the registers b reads before (re)defining them
+// locally — exactly the registers whose home cluster ScheduleBlockCtx
+// consults — in first-read order.
+func BlockLiveIn(b *ir.Block) []ir.VReg {
+	defined := map[ir.VReg]bool{}
+	seen := map[ir.VReg]bool{}
+	var out []ir.VReg
+	for _, op := range b.Ops {
+		for _, a := range op.Args {
+			if a.IsReg() && !defined[a.Reg] && !seen[a.Reg] {
+				seen[a.Reg] = true
+				out = append(out, a.Reg)
+			}
+		}
+		if op.Dst != ir.NoReg {
+			defined[op.Dst] = true
+		}
+	}
+	return out
+}
+
+// BlockCache memoizes ScheduleBlockCtx outcomes for one function, loop
+// context and machine across assignments. A block's schedule reads only
+// the assignments of its own ops and the homes of its read-before-def
+// (live-in) registers — buildNodes consults nothing else — so the key
+// (block ID, then one byte per op cluster and per live-in home) covers
+// every input exactly. The candidates a partitioner scores, the lock
+// signatures a sweep evaluates and the final cycle counts of different
+// schemes mostly leave a block's local inputs untouched, so they hit.
 //
-// A BlockCache is bound to one (function, loop context, machine config)
-// triple and is not safe for concurrent use.
+// A BlockCache is safe for concurrent use: callers build keys in their own
+// Scratch, and only the map access is locked. Two callers that miss on one
+// key both schedule it and store equal values.
 type BlockCache struct {
-	liveIn [][]ir.VReg // by block ID: read-before-def registers
-	m      map[string]blockCacheEnt
-	buf    []byte
+	f      *ir.Func
+	lc     *LoopCtx
+	cfg    *machine.Config
+	liveIn [][]ir.VReg // by block ID: BlockLiveIn
+
+	mu sync.Mutex
+	m  map[string]blockCacheEnt
 }
 
 type blockCacheEnt struct {
@@ -792,82 +838,41 @@ type blockCacheEnt struct {
 	hoisted []HoistedMove
 }
 
-// NewBlockCache prepares a cache for f's blocks.
-func NewBlockCache(f *ir.Func) *BlockCache {
-	bc := &BlockCache{
-		liveIn: make([][]ir.VReg, len(f.Blocks)),
-		m:      map[string]blockCacheEnt{},
-	}
+// NewBlockCache returns an empty cache for f's blocks scheduled with loop
+// context lc (nil disables hoisting, as in ScheduleBlockCtx) on cfg.
+func NewBlockCache(f *ir.Func, lc *LoopCtx, cfg *machine.Config) *BlockCache {
+	bc := &BlockCache{f: f, lc: lc, cfg: cfg, liveIn: make([][]ir.VReg, len(f.Blocks)), m: map[string]blockCacheEnt{}}
 	for _, b := range f.Blocks {
-		defined := map[ir.VReg]bool{}
-		seen := map[ir.VReg]bool{}
-		var in []ir.VReg
-		for _, op := range b.Ops {
-			for _, a := range op.Args {
-				if a.IsReg() && !defined[a.Reg] && !seen[a.Reg] {
-					seen[a.Reg] = true
-					in = append(in, a.Reg)
-				}
-			}
-			if op.Dst != ir.NoReg {
-				defined[op.Dst] = true
-			}
-		}
-		bc.liveIn[b.ID] = in
+		bc.liveIn[b.ID] = BlockLiveIn(b)
 	}
 	return bc
 }
 
-// FuncCyclesCached is FuncCyclesCtx with per-block memoization through bc.
-// Results (and the observer fold) are identical to FuncCyclesCtx; only
-// repeated ScheduleBlockCtx work is skipped.
-func (sc *Scratch) FuncCyclesCached(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config,
-	prof *profile.Profile, bc *BlockCache) (cycles, moves int64) {
-
-	home := sc.home.HomeClustersFreq(f, asg, cfg.NumClusters(), prof.Freq)
-	var busBusy, hoistedMoves int64
-	seen := map[HoistedMove]bool{}
-	var allHoisted []HoistedMove
-	for _, b := range f.Blocks {
-		buf := append(bc.buf[:0], byte(b.ID>>8), byte(b.ID))
-		for _, op := range b.Ops {
-			buf = append(buf, byte(asg[op.ID]+1))
-		}
-		for _, r := range bc.liveIn[b.ID] {
-			buf = append(buf, byte(home[r]+2))
-		}
-		bc.buf = buf
-		ent, ok := bc.m[string(buf)]
-		if !ok {
-			br, hoisted := sc.ScheduleBlockCtx(b, asg, home, lc, cfg)
-			ent = blockCacheEnt{br: br, hoisted: append([]HoistedMove(nil), hoisted...)}
-			bc.m[string(buf)] = ent
-		}
-		freq := prof.Freq(b)
-		if freq > 0 {
-			cycles += freq * int64(ent.br.Length)
-			moves += freq * int64(ent.br.Moves)
-			busBusy += freq * int64(ent.br.BusBusy)
-		}
-		for _, h := range ent.hoisted {
-			if !seen[h] {
-				seen[h] = true
-				allHoisted = append(allHoisted, h)
-			}
-		}
+// Schedule returns ScheduleBlockCtx(b, asg, home, lc, cfg) for the cache's
+// loop context and machine, scheduling with sc only on a miss. The hoisted
+// slice is shared with the cache and must not be modified.
+func (bc *BlockCache) Schedule(sc *Scratch, b *ir.Block, asg, home []int) (BlockResult, []HoistedMove) {
+	buf := binary.AppendUvarint(sc.keyBuf[:0], uint64(b.ID))
+	for _, op := range b.Ops {
+		buf = append(buf, byte(asg[op.ID]+1))
 	}
-	SortHoisted(allHoisted)
-	for _, h := range allHoisted {
-		entries := lc.EntryFreq(h.Loop, prof.Freq)
-		moves += entries
-		cycles += entries
-		hoistedMoves += entries
+	for _, r := range bc.liveIn[b.ID] {
+		h := EverywhereHome
+		if int(r) < len(home) {
+			h = home[r]
+		}
+		buf = append(buf, byte(h+2))
 	}
-	if sc.oCycles != nil {
-		sc.oCycles.Add(cycles)
-		sc.oMoves.Add(moves)
-		sc.oBusBusy.Add(busBusy)
-		sc.oHoisted.Add(hoistedMoves)
+	sc.keyBuf = buf
+	bc.mu.Lock()
+	ent, ok := bc.m[string(buf)]
+	bc.mu.Unlock()
+	if !ok {
+		ent.br, ent.hoisted = sc.ScheduleBlockCtx(b, asg, home, bc.lc, bc.cfg)
+		key := string(buf)
+		bc.mu.Lock()
+		bc.m[key] = ent
+		bc.mu.Unlock()
 	}
-	return cycles, moves
+	return ent.br, ent.hoisted
 }
