@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check deps-check cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
+.PHONY: all build test test-short race check deps-check loc cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
 
 all: build test
 
@@ -34,6 +34,14 @@ deps-check:
 		echo "mcpart/internal/interp is linked into a tool or example:"; \
 		$(GO) list -f '{{.ImportPath}}: {{join .Deps " "}}' ./cmd/... ./examples/... | \
 			grep -w 'mcpart/internal/interp' | cut -d: -f1; exit 1; fi
+
+# Go source size outside the benchmark harness (its own module): line and
+# file counts of the non-test and the test files.
+LOC_FIND = find . -path ./benchmark -prune -o -name '*.go'
+
+loc:
+	@echo "non-test Go: $$($(LOC_FIND) ! -name '*_test.go' -exec cat {} + | wc -l) lines in $$($(LOC_FIND) ! -name '*_test.go' -print | wc -l) files"
+	@echo "test Go: $$($(LOC_FIND) -name '*_test.go' -exec cat {} + | wc -l) lines in $$($(LOC_FIND) -name '*_test.go' -print | wc -l) files"
 
 .PHONY: fmt-check
 fmt-check:

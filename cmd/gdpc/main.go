@@ -141,7 +141,7 @@ func run(args []string, out io.Writer) (err error) {
 			if f == nil {
 				return fmt.Errorf("no function %q", c.dumpSched)
 			}
-			fmt.Fprint(out, sched.FormatFunc(f, r.Assign[f], m))
+			fmt.Fprint(out, sched.FormatFunc(f, r.Assign[f], m, prog.Profile()))
 		}
 		line := fmt.Sprintf("%-11s %10d cycles %8d moves", s, r.Cycles, r.Moves)
 		if s == mcpart.SchemeUnified {

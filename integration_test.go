@@ -6,11 +6,11 @@ package mcpart
 import (
 	"testing"
 
+	"mcpart/internal/check"
 	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
 	"mcpart/internal/profile"
-	"mcpart/internal/sched"
 )
 
 func TestPipelineInvariantsAllBenchmarks(t *testing.T) {
@@ -90,12 +90,26 @@ func checkResult(t *testing.T, mod *ir.Module, prof *profile.Profile, m *Machine
 		t.Errorf("%s: %d cycles below hottest block frequency %d", r.Scheme, r.Cycles, maxFreq)
 	}
 	// 3. Rescheduling the stored assignment reproduces the stored cycles
-	// (results are deterministic and self-consistent).
-	cyc, moves := sched.ProgramCycles(mod, r.Assign, m, prof)
-	if cyc != r.Cycles || moves != r.Moves {
-		t.Errorf("%s: stored cycles/moves %d/%d, recomputed %d/%d",
-			r.Scheme, r.Cycles, r.Moves, cyc, moves)
+	// and moves (results are deterministic and self-consistent).
+	if err := validate(mod, prof, m, r); err != nil {
+		t.Errorf("%s: %v", r.Scheme, err)
 	}
+}
+
+// validate runs the independent validator over r: it re-materializes the
+// counted schedules and re-derives function-unit and bus occupancy, ready
+// times, cycles and moves from first principles.
+func validate(mod *ir.Module, prof *profile.Profile, m *Machine, r *Result) error {
+	return check.Validate(mod, prof, m, check.Result{
+		Scheme:        string(r.Scheme),
+		DataMap:       r.DataMap,
+		Assign:        r.Assign,
+		Locks:         r.Locks,
+		Cycles:        r.Cycles,
+		Moves:         r.Moves,
+		Groups:        r.Groups,
+		CheckCapacity: r.Scheme == SchemeGDP,
+	}, check.Options{})
 }
 
 func TestIRRoundTripAllBenchmarks(t *testing.T) {
@@ -208,7 +222,8 @@ func TestHeterogeneousEndToEnd(t *testing.T) {
 }
 
 // TestSchedulerSelfCheckAllBenchmarks validates every produced schedule
-// against resources, bus bandwidth, and dependence latencies.
+// against resources, bus bandwidth, and dependence latencies, through the
+// independent validator.
 func TestSchedulerSelfCheckAllBenchmarks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite self check")
@@ -224,10 +239,8 @@ func TestSchedulerSelfCheckAllBenchmarks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range []*Result{cmp.Unified, cmp.GDP, cmp.PMax, cmp.Naive} {
-			for _, f := range p.Module().Funcs {
-				if err := sched.CheckFunc(f, r.Assign[f], m); err != nil {
-					t.Errorf("%s/%s: %v", name, r.Scheme, err)
-				}
+			if err := validate(p.Module(), p.Profile(), m, r); err != nil {
+				t.Errorf("%s/%s: %v", name, r.Scheme, err)
 			}
 		}
 	}

@@ -60,7 +60,8 @@ type Compiled struct {
 	// and profile are immutable after Prepare, so results keyed by the
 	// remaining inputs — the function's projected lock signature, the
 	// machine, and the partitioner options — are valid for the lifetime
-	// of the Compiled. nil (hand-built Compiled values) disables caching.
+	// of the Compiled. nil (hand-built Compiled values) runs the same code
+	// with every lookup missing.
 	memo *memo.Cache
 	// store is the persistent artifact tier layered under memo when a run
 	// names a cache directory (Options.CacheDir); storeOnce makes the
@@ -72,6 +73,7 @@ type Compiled struct {
 	// influence f's locks, and therefore its partition. A function
 	// touching t of the module's n objects has at most 2^t distinct lock
 	// signatures, which is what collapses the 2^n exhaustive search.
+	// Prepare fills it (EnableMemo); a hand-built Compiled must too.
 	touched map[*ir.Func][]int
 	// shared is the shared RHOP state (see prepared).
 	shared rhopState
@@ -570,7 +572,7 @@ func (o Options) gdpOpts() gdp.Options {
 // With a nil observer only the lease remains.
 func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error)) {
 	parent := opts.Observer
-	if c.useMemo() && opts.CacheDir != "" {
+	if opts.CacheDir != "" {
 		// A failed open degrades to memory-only caching: a broken cache
 		// directory must never break an evaluation. The CLI tools open the
 		// store up front to surface such errors to the user.
@@ -583,9 +585,7 @@ func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error
 	// The memoization cache is shared across every run over this Compiled,
 	// so its counters belong to the parent (global) registry, not the
 	// scoped per-run one.
-	if c.useMemo() {
-		c.memo.SetObserver(parent)
-	}
+	c.memo.SetObserver(parent)
 	sp := parent.Span(string(s), "bench", c.Name)
 	o := parent.Scoped().Named(string(s))
 	opts.Observer = o
@@ -611,10 +611,6 @@ func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error
 	return opts, done
 }
 
-// useMemo reports whether runs over c consult its memoization cache
-// (false only for hand-built Compiled values).
-func (c *Compiled) useMemo() bool { return c.memo != nil }
-
 // lockSigKey appends f's projected lock signature under dm: the home
 // cluster of each object f's memory operations may touch, in sorted object
 // order. Two data maps agreeing on this projection produce identical locks
@@ -628,9 +624,6 @@ func lockSigKey(k *memo.Key, c *Compiled, f *ir.Func, dm gdp.DataMap) *memo.Key 
 // caching. Every caller gets private copies of the lock maps (schemes and
 // callers may hold them in Results while other runs share the cache).
 func computeLocks(c *Compiled, dm gdp.DataMap, opts Options) map[*ir.Func]rhop.Locks {
-	if !c.useMemo() {
-		return gdp.ComputeLocks(c.Mod, dm, c.Prof)
-	}
 	out := make(map[*ir.Func]rhop.Locks, len(c.Mod.Funcs))
 	var full map[*ir.Func]rhop.Locks
 	for _, f := range c.Mod.Funcs {
@@ -709,14 +702,6 @@ func partitionModule(c *Compiled, cfg *machine.Config, dm gdp.DataMap,
 			return nil, err
 		}
 		l := locks[f]
-		if !c.useMemo() {
-			asg, err := c.prepared(f).Partition(cfg, l, ropts)
-			if err != nil {
-				return nil, err
-			}
-			out[f] = asg
-			continue
-		}
 		key := partitionKey(c, f, dm, l, mkey, okey)
 		v, hit, err := c.memo.DoCodec(key, partCodec{}, func() (any, error) {
 			return c.prepared(f).Partition(cfg, l, ropts)
@@ -732,10 +717,9 @@ func partitionModule(c *Compiled, cfg *machine.Config, dm gdp.DataMap,
 	return out, nil
 }
 
-// programCycles is sched.ProgramCycles with per-function schedule-cost
-// caching keyed by (function, machine, assignment). ProgramCycles is
-// exactly the sum of sched FuncCycles over functions (pinned in the sched
-// tests), which makes the per-function decomposition lossless. A miss
+// programCycles computes the program's profile-weighted cycle and move
+// counts under asg: the sum of sched FuncCycles over the module's
+// functions, each cached by (function, machine, assignment). A miss
 // schedules through the function's block cache for cfg on its leased
 // rhop.Prepared, where the partitioner has already scheduled most blocks.
 func programCycles(c *Compiled, cfg *machine.Config, asg map[*ir.Func][]int,
@@ -750,28 +734,17 @@ func programCycles(c *Compiled, cfg *machine.Config, asg map[*ir.Func][]int,
 	sp := opts.Observer.Span("sched")
 	defer sp.End()
 	var sc *sched.Scratch
-	funcCycles := func(f *ir.Func) [2]int64 {
-		if sc == nil {
-			// An owned Scratch lets the observer's sched counters attach.
-			sc = sched.NewScratch()
-			sc.SetObserver(opts.Observer)
-		}
-		cyc, mv := sc.FuncCyclesCached(c.prepared(f).BlockCache(cfg), asg[f], c.Prof)
-		return [2]int64{cyc, mv}
-	}
-	if !c.useMemo() {
-		for _, f := range c.Mod.Funcs {
-			pair := funcCycles(f)
-			cycles += pair[0]
-			moves += pair[1]
-		}
-		return cycles, moves, nil
-	}
 	mkey := cfg.CacheKey()
 	for _, f := range c.Mod.Funcs {
 		key := memo.NewKey("sched").Str(f.Name).Str(mkey).Ints(asg[f]).String()
 		v, hit, _ := c.memo.DoCodec(key, schedCodec{}, func() (any, error) {
-			return funcCycles(f), nil
+			if sc == nil {
+				// An owned Scratch lets the observer's sched counters attach.
+				sc = sched.NewScratch()
+				sc.SetObserver(opts.Observer)
+			}
+			cyc, mv := sc.FuncCycles(c.prepared(f).BlockCache(cfg), asg[f], c.Prof)
+			return [2]int64{cyc, mv}, nil
 		})
 		if hit {
 			res.MemoScheduleHits++

@@ -26,11 +26,10 @@ func prepBench(t *testing.T, name string) *Compiled {
 	return c
 }
 
-// memoless returns a copy of c without a memoization cache: the path
-// hand-built Compiled values take, on which every per-function result is
-// computed afresh.
+// memoless returns a copy of c without a memoization cache: every
+// per-function lookup misses, so every result is computed afresh.
 func memoless(c *Compiled) *Compiled {
-	return &Compiled{Name: c.Name, Mod: c.Mod, Prof: c.Prof, Ret: c.Ret}
+	return &Compiled{Name: c.Name, Mod: c.Mod, Prof: c.Prof, Ret: c.Ret, touched: c.touched}
 }
 
 func TestAllSchemesProduceValidResults(t *testing.T) {

@@ -19,8 +19,8 @@ import (
 
 // This file implements the Gray-code delta sweep behind Exhaustive.
 //
-// ProgramCycles is exactly the sum of per-function FuncCycles (pinned in
-// the sched tests), and a function's locks — hence its partition and cycle
+// A program's cycle count is by definition the sum of per-function
+// sched FuncCycles, and a function's locks — hence its partition and cycle
 // cost — depend only on the data map projected onto its touched-object set.
 // So instead of evaluating 2^n masks through the whole-module pipeline
 // (RunWithDataMap), the sweep (1) tabulates each function's cost for each
@@ -162,19 +162,13 @@ func (o Options) checkPoint(c *Compiled, tables []costTable, rad *radix, n int, 
 func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 	opts Options, rad *radix, canon bool, n int, res *Result) ([]costTable, error) {
 
-	useMemo := c.useMemo()
 	ropts := opts.rhopOpts()
 	mkey := cfg.CacheKey()
 	okey := ropts.CacheKey()
 	items, err := parallel.MapStage(ctx, "sweep_tables", len(c.Mod.Funcs), opts.Workers,
 		func(_ context.Context, fi int) (tableStats, error) {
 			f := c.Mod.Funcs[fi]
-			var objs []int
-			if useMemo {
-				objs = c.touched[f]
-			} else {
-				objs = rhop.TouchedObjects(f)
-			}
+			objs := c.touched[f]
 			ts := tableStats{table: costTable{f: f, objs: objs, k: rad.k, cost: make([]sched.Cost, rad.count(len(objs)))}}
 			// Canonical masks pin object 0 to cluster 0, so signatures
 			// placing it elsewhere can never be asked for.
@@ -185,65 +179,43 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 			dm := make(gdp.DataMap, n)
 			// fill computes the entry for signature sig, whose homes dm holds.
 			fill := func(sig int) error {
-				var locks rhop.Locks
-				if useMemo {
-					key := lockSigKey(memo.NewKey("locks").Str(f.Name), c, f, dm).String()
-					v, _, _ := c.memo.DoCodec(key, lockCodec{}, func() (any, error) {
-						return gdp.ComputeLocksFunc(f, dm, c.Prof), nil
-					})
-					locks = v.(rhop.Locks)
-				} else {
-					locks = gdp.ComputeLocksFunc(f, dm, c.Prof)
-				}
+				key := lockSigKey(memo.NewKey("locks").Str(f.Name), c, f, dm).String()
+				v, _, _ := c.memo.DoCodec(key, lockCodec{}, func() (any, error) {
+					return gdp.ComputeLocksFunc(f, dm, c.Prof), nil
+				})
+				locks := v.(rhop.Locks)
 				if err := opts.inject(SchemeFixed, "partition"); err != nil {
 					return fmt.Errorf("partition: %w", err)
 				}
-				partition := func() (any, error) {
+				v, hit, err := c.memo.DoCodec(partitionKey(c, f, dm, locks, mkey, okey), partCodec{}, func() (any, error) {
 					if fp == nil {
 						fp = c.prepared(f).NewPartitioner(cfg, ropts)
 					}
 					return fp.Partition(locks)
+				})
+				if err != nil {
+					return err
 				}
-				var asg []int
-				if useMemo {
-					v, hit, err := c.memo.DoCodec(partitionKey(c, f, dm, locks, mkey, okey), partCodec{}, partition)
-					if err != nil {
-						return err
-					}
-					if hit {
-						ts.partHits++
-					}
-					asg = v.([]int)
-				} else {
-					v, err := partition()
-					if err != nil {
-						return err
-					}
-					asg = v.([]int)
+				if hit {
+					ts.partHits++
 				}
+				asg := v.([]int)
 				if err := opts.inject(SchemeFixed, "sched"); err != nil {
 					return fmt.Errorf("schedule: %w", err)
 				}
-				cost := func() (any, error) {
+				v, hit, _ = c.memo.DoCodec(memo.NewKey("sched").Str(f.Name).Str(mkey).Ints(asg).String(), schedCodec{}, func() (any, error) {
 					if sc == nil {
 						sc = sched.NewScratch()
 						sc.SetObserver(opts.Observer)
 						bc = c.prepared(f).BlockCache(cfg)
 					}
-					cyc, mv := sc.FuncCyclesCached(bc, asg, c.Prof)
+					cyc, mv := sc.FuncCycles(bc, asg, c.Prof)
 					return [2]int64{cyc, mv}, nil
+				})
+				if hit {
+					ts.schedHits++
 				}
-				var pair [2]int64
-				if useMemo {
-					v, hit, _ := c.memo.DoCodec(memo.NewKey("sched").Str(f.Name).Str(mkey).Ints(asg).String(), schedCodec{}, cost)
-					if hit {
-						ts.schedHits++
-					}
-					pair = v.([2]int64)
-				} else {
-					v, _ := cost()
-					pair = v.([2]int64)
-				}
+				pair := v.([2]int64)
 				ts.table.cost[sig] = sched.Cost{Cycles: pair[0], Moves: pair[1]}
 				return opts.validateEntry(c, cfg, f, asg, locks, dm, ts.table.cost[sig])
 			}

@@ -125,11 +125,16 @@ func TestPipelineOnGeneratedPrograms(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		prof := in.Profile()
-		asg, err := rhop.PartitionModule(mod, prof, cfg, nil, rhop.Options{})
-		if err != nil {
-			t.Fatalf("seed %d: rhop: %v\nsource:\n%s", seed, err, src)
+		var cycles, moves int64
+		for _, f := range mod.Funcs {
+			asg, err := rhop.Prepare(f, prof, nil).Partition(cfg, nil, rhop.Options{})
+			if err != nil {
+				t.Fatalf("seed %d: rhop: %v\nsource:\n%s", seed, err, src)
+			}
+			c, m := sched.NewScratch().FuncCycles(sched.NewBlockCache(f, sched.NewLoopCtx(f), cfg), asg, prof)
+			cycles += c
+			moves += m
 		}
-		cycles, moves := sched.ProgramCycles(mod, asg, cfg, prof)
 		if cycles <= 0 || moves < 0 {
 			t.Fatalf("seed %d: cycles=%d moves=%d", seed, cycles, moves)
 		}

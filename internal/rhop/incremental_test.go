@@ -83,22 +83,27 @@ func TestIncrementalRefinementEquivalence(t *testing.T) {
 
 // TestIncrementalEquivalenceWithLocks repeats the check with memory ops
 // locked (the GDP schemes' configuration), where refinement moves around
-// fixed anchors.
+// fixed anchors, including the multi-block loop bodies whose live-in homes
+// the moves shift.
 func TestIncrementalEquivalenceWithLocks(t *testing.T) {
-	mod, prof := compileAndProfile(t, multiFuncSrc)
-	mcfg := machine.Paper2Cluster(5)
-	for _, f := range mod.Funcs {
-		locks := Locks{}
-		n := 0
-		for _, b := range f.Blocks {
-			for _, op := range b.Ops {
-				if op.Opcode.IsMem() {
-					locks[op.ID] = n % 2
-					n++
+	for _, src := range []string{multiFuncSrc, branchySrc} {
+		mod, prof := compileAndProfile(t, src)
+		for _, mcfg := range []*machine.Config{machine.Paper2Cluster(5), machine.FourCluster(5)} {
+			k := mcfg.NumClusters()
+			for _, f := range mod.Funcs {
+				locks := Locks{}
+				n := 0
+				for _, b := range f.Blocks {
+					for _, op := range b.Ops {
+						if op.Opcode.IsMem() {
+							locks[op.ID] = n % k
+							n++
+						}
+					}
 				}
+				checkRegionEval(t, f, prof, mcfg, locks)
 			}
 		}
-		checkRegionEval(t, f, prof, mcfg, locks)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // TestObserverZeroAllocOverheadPartitionFunc is the partitioner half of
 // the observability zero-overhead guard: a nil Options.Obs must add zero
-// allocations per PartitionFunc call to the hot loop — the region/move/
+// allocations per one-shot function partitioning (Prepare, then
+// Partition) to the hot loop — the region/move/
 // cost-eval tallies are plain scratch integers, and the single flush
 // block is skipped entirely. With an observer attached the only extra
 // work is four counter adds per function, which allocate nothing once
@@ -24,7 +25,7 @@ func TestObserverZeroAllocOverheadPartitionFunc(t *testing.T) {
 
 	run := func(opts Options) func() {
 		return func() {
-			if _, err := PartitionFunc(f, prof, mcfg, nil, opts); err != nil {
+			if _, err := Prepare(f, prof, nil).Partition(mcfg, nil, opts); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -40,7 +41,7 @@ func TestObserverZeroAllocOverheadPartitionFunc(t *testing.T) {
 	withObs() // create the counters
 	attached := testing.AllocsPerRun(20, withObs)
 	if attached != base {
-		t.Errorf("observer changed PartitionFunc allocs: %.1f/op vs %.1f/op baseline", attached, base)
+		t.Errorf("observer changed Partition allocs: %.1f/op vs %.1f/op baseline", attached, base)
 	}
 
 	again := testing.AllocsPerRun(20, nilObs)
@@ -50,7 +51,7 @@ func TestObserverZeroAllocOverheadPartitionFunc(t *testing.T) {
 }
 
 // TestObservedPartitionCountersMatch pins the rhop counter semantics:
-// one rhop_functions increment per PartitionFunc call, and region/eval
+// one rhop_functions increment per Partition call, and region/eval
 // tallies that are positive for a function with real work.
 func TestObservedPartitionCountersMatch(t *testing.T) {
 	mod, prof := compileAndProfile(t, wideSrc)
@@ -59,7 +60,7 @@ func TestObservedPartitionCountersMatch(t *testing.T) {
 	o := obs.New(obs.NewRegistry(), nil, nil)
 	const calls = 3
 	for i := 0; i < calls; i++ {
-		if _, err := PartitionFunc(f, prof, mcfg, nil, Options{Workers: 1, Obs: o}); err != nil {
+		if _, err := Prepare(f, prof, nil).Partition(mcfg, nil, Options{Workers: 1, Obs: o}); err != nil {
 			t.Fatal(err)
 		}
 	}

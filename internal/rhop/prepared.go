@@ -297,6 +297,46 @@ func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op
 	return pre
 }
 
+// liveInHomes fills, in sc.homeT, the home cluster under asg of every
+// register a block of the region reads live-in (homeRegs) — the only homes
+// the schedule estimator and the list scheduler read for these blocks — and
+// returns the table; entries of other registers are stale.
+func (pre *regionPre) liveInHomes(sc *scratch, nregs, k int, asg []int) []int {
+	if cap(sc.homeT) < nregs {
+		sc.homeT = make([]int, nregs)
+	}
+	if cap(sc.cnt) < k {
+		sc.cnt = make([]int64, k)
+	}
+	home, cnt := sc.homeT[:nregs], sc.cnt[:k]
+	for ui, r := range pre.homeRegs {
+		home[r] = pre.home(ui, asg, cnt)
+	}
+	return home
+}
+
+// home returns the home cluster of homeRegs[ui] under asg with
+// HomeClustersFreq's rule: the cluster carrying the largest def weight,
+// ties to the lower index, EverywhereHome when no def is assigned. cnt is
+// a k-entry tally buffer.
+func (pre *regionPre) home(ui int, asg []int, cnt []int64) int {
+	clear(cnt)
+	for _, d := range pre.homeDefs[ui] {
+		if c := asg[d.id]; c >= 0 {
+			cnt[c] += d.w
+		}
+	}
+	h := sched.EverywhereHome
+	var best int64
+	for c, v := range cnt {
+		if v > best {
+			best = v
+			h = c
+		}
+	}
+	return h
+}
+
 // cutKey builds the min-cut memo key of region ri in sc.keyBuf: the
 // region index, the partitioning knobs (cluster count, edge weighting,
 // balance tolerance), one byte per external reference for its current

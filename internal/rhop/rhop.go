@@ -22,6 +22,8 @@
 package rhop
 
 import (
+	"slices"
+
 	"mcpart/internal/cfg"
 	"mcpart/internal/defaults"
 	"mcpart/internal/ir"
@@ -62,7 +64,7 @@ type Options struct {
 	// rhop_moves_accepted, rhop_cost_evals) and is threaded into the
 	// graph partitioner. Value-neutral and excluded from CacheKey; the
 	// refinement loops tally into scratch ints and flush once per
-	// PartitionFunc call, so nil costs nothing on the hot path.
+	// Partition call, so nil costs nothing on the hot path.
 	Obs *obs.Observer
 }
 
@@ -84,35 +86,31 @@ func (o Options) CacheKey() string {
 
 // scratch bundles the reusable working memory one FuncPartitioner (and
 // therefore one worker goroutine) owns: the list scheduler's node tables,
-// the value-home buffers, and the schedule estimator's dense tables. It is
+// the live-in home table, and the schedule estimator's dense tables. It is
 // never shared by two partitioners at once (one-shot Partition calls take
 // theirs from scratchPool and return it), so concurrent partitioners stay
 // race-free even when they share a Prepared.
 type scratch struct {
 	sched *sched.Scratch
-	home  sched.HomeScratch
 	// observability tallies, accumulated by the refinement loops and
 	// flushed once per Partition call when Options.Obs is set.
 	tRegions, tMoves, tEvals  int64
 	tKWay, tKWayHits, tRefine int64
-	// homeInc is the refinement loops' incrementally-maintained home
-	// table. It is separate from home because the from-scratch estimator
-	// clobbers home, while a regionEval needs its table to stay coherent
-	// across an entire refinement loop.
-	homeInc sched.HomeScratch
-	est     estScratch
-	re      regionEval
-	keyBuf  []byte
-	idBuf   []byte
+
+	est    estScratch
+	re     regionEval
+	keyBuf []byte
+	idBuf  []byte
 	// graph-build buffers, reused across partitionRegion calls.
 	edges     []regionEdge
 	anchors   []regionAnchor
 	anchorIdx map[int]int
 	deg       []int
 	unlocked  []*ir.Op
-	// targeted home-computation buffers: homeT is a full NRegs-wide table
-	// with only the current region's live-in entries valid; cnt is the
-	// per-register cluster tally.
+	// live-in home buffers (regionPre.liveInHomes): homeT is a full
+	// NRegs-wide table with only the current region's live-in entries
+	// valid; cnt is the per-register cluster tally. realRegionCost and the
+	// refinement loop's regionEval share them; they never interleave.
 	homeT []int
 	cnt   []int64
 }
@@ -146,32 +144,6 @@ type regionEdge struct {
 
 type regionAnchor struct {
 	home int
-}
-
-// PartitionFunc assigns every op of f to a cluster. prof supplies block
-// frequencies (nil-safe: missing blocks count as frequency 1 so cold code
-// still partitions sensibly). It prepares f afresh; callers partitioning
-// one function several times share a Prepared instead.
-func PartitionFunc(f *ir.Func, prof *profile.Profile, mcfg *machine.Config, locks Locks, opts Options) ([]int, error) {
-	return Prepare(f, prof, nil).Partition(mcfg, locks, opts)
-}
-
-// PartitionModule partitions every function of m. locks may be nil or miss
-// functions (treated as unlocked).
-func PartitionModule(m *ir.Module, prof *profile.Profile, mcfg *machine.Config, locks map[*ir.Func]Locks, opts Options) (map[*ir.Func][]int, error) {
-	out := make(map[*ir.Func][]int, len(m.Funcs))
-	for _, f := range m.Funcs {
-		var l Locks
-		if locks != nil {
-			l = locks[f]
-		}
-		asg, err := PartitionFunc(f, prof, mcfg, l, opts)
-		if err != nil {
-			return nil, err
-		}
-		out[f] = asg
-	}
-	return out, nil
 }
 
 // regionHeat is the hottest block frequency within a region.
@@ -439,35 +411,7 @@ func (fp *FuncPartitioner) realRegionCost(pre *regionPre, rm *regionMemo, asg []
 		}
 		costKey = string(buf)
 	}
-	// Only the blocks' live-in registers' homes are read below; fill
-	// exactly those from the precomputed def lists (identical weights and
-	// tie-breaks to HomeClustersFreq) and leave the rest stale.
-	k := mcfg.NumClusters()
-	if cap(sc.homeT) < f.NRegs {
-		sc.homeT = make([]int, f.NRegs)
-	}
-	if cap(sc.cnt) < k {
-		sc.cnt = make([]int64, k)
-	}
-	home := sc.homeT[:f.NRegs]
-	cnt := sc.cnt[:k]
-	for ui, r := range pre.homeRegs {
-		clear(cnt)
-		for _, d := range pre.homeDefs[ui] {
-			if c := asg[d.id]; c >= 0 {
-				cnt[c] += d.w
-			}
-		}
-		h := sched.EverywhereHome
-		var best int64
-		for c, v := range cnt {
-			if v > best {
-				best = v
-				h = c
-			}
-		}
-		home[r] = h
-	}
+	home := pre.liveInHomes(sc, f.NRegs, mcfg.NumClusters(), asg)
 	var total int64
 	for bi, b := range pre.region.Blocks {
 		res, _ := fp.blocks.Schedule(sc.sched, b, asg, home)
@@ -579,24 +523,25 @@ func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op) map[edgeKey]
 // value live-in (via regionPre's reg→blocks index). A dirty block is
 // re-estimated on the next cost call; clean blocks keep their cached
 // length, and the region total is carried forward so cost() touches only
-// the blocks invalidated since the last call. The value-home table is
-// maintained with O(numClusters) MoveDef deltas instead of a full O(ops)
-// recomputation per candidate. The cache is exact: a block's estimate reads
-// only the clusters of its own ops and the homes of its read-before-def
-// live-in registers, the dirtied set covers every block where either
-// changed, and MoveDef reproduces the dominant-cluster rule bit for bit,
-// so incremental and from-scratch evaluation return identical costs
-// (pinned by TestRegionEvalMatchesScratch).
+// the blocks invalidated since the last call. The home table holds only the
+// region's live-in registers (regionPre.liveInHomes); a move recomputes the
+// moved op's destination register from its def list, and only when some
+// region block reads that register live-in. The cache is exact: a block's
+// estimate reads only the clusters of its own ops and the homes of its
+// read-before-def live-in registers (homeRegs), each home is recomputed
+// with HomeClustersFreq's weights and tie-breaks whenever one of its defs
+// moves, and the dirtied set covers every block where either input
+// changed, so incremental and from-scratch evaluation return identical
+// costs (pinned by TestIncrementalRefinementEquivalence).
 type regionEval struct {
 	sc   *scratch
 	pre  *regionPre
 	lc   *sched.LoopCtx
-	prof *profile.Profile
 	mcfg *machine.Config
 	asg  []int
-	k    int
 
-	home      []int   // sc.homeInc's table, updated in place by MoveDef
+	home      []int   // sc.homeT: valid for pre.homeRegs only
+	cnt       []int64 // sc.cnt: home recomputation tally
 	opBlock   []int32 // Prepared.opBlock
 	val       []int64 // per block: cached blockLen
 	dirty     []bool  // per block: val is stale
@@ -610,14 +555,13 @@ func (fp *FuncPartitioner) newRegionEval(pre *regionPre, asg []int) *regionEval 
 	sc, p := fp.sc, fp.p
 	re := &sc.re
 	*re = regionEval{
-		sc: sc, pre: pre, lc: p.lc, prof: p.prof, mcfg: fp.mcfg,
-		asg: asg, k: fp.mcfg.NumClusters(),
+		sc: sc, pre: pre, lc: p.lc, mcfg: fp.mcfg, asg: asg,
 		opBlock: p.opBlock,
 		val:     re.val[:0], dirty: re.dirty[:0], dirtyList: re.dirtyList[:0],
 	}
-	re.home = sc.homeInc.HomeClustersFreq(p.f, asg, re.k, func(b *ir.Block) int64 {
-		return blockFreq(p.prof, b)
-	})
+	k := fp.mcfg.NumClusters()
+	re.home = pre.liveInHomes(sc, p.f.NRegs, k, asg)
+	re.cnt = sc.cnt[:k]
 	for i := range pre.region.Blocks {
 		re.val = append(re.val, 0)
 		re.dirty = append(re.dirty, true)
@@ -629,17 +573,19 @@ func (fp *FuncPartitioner) newRegionEval(pre *regionPre, asg []int) *regionEval 
 // move reassigns op (an op of the region) to cluster `to`, keeping the home
 // table coherent and invalidating the blocks whose estimate it can change.
 func (re *regionEval) move(op *ir.Op, to int) {
-	from := re.asg[op.ID]
-	if from == to {
+	if re.asg[op.ID] == to {
 		return
 	}
 	re.asg[op.ID] = to
 	re.markDirty(re.opBlock[op.ID])
-	if op.Dst != ir.NoReg {
-		old := re.home[op.Dst]
-		re.sc.homeInc.MoveDef(op.Dst, re.k, from, to, blockFreq(re.prof, op.Block))
-		if re.home[op.Dst] != old {
-			for _, bi := range re.pre.regBlocks[op.Dst] {
+	if op.Dst == ir.NoReg {
+		return
+	}
+	if blocks := re.pre.regBlocks[op.Dst]; len(blocks) > 0 {
+		ui, _ := slices.BinarySearch(re.pre.homeRegs, op.Dst)
+		if h := re.pre.home(ui, re.asg, re.cnt); h != re.home[op.Dst] {
+			re.home[op.Dst] = h
+			for _, bi := range blocks {
 				re.markDirty(bi)
 			}
 		}
@@ -789,13 +735,15 @@ func (fp *FuncPartitioner) pairRefineRegion(pre *regionPre, locks Locks, asg []i
 // bus bound, and the dependence-critical path including move latencies.
 func EstimateRegionCost(f *ir.Func, region *cfg.Region, prof *profile.Profile,
 	mcfg *machine.Config, asg []int) int64 {
-	sc, lc := &scratch{}, sched.NewLoopCtx(f)
-	home := sc.home.HomeClustersFreq(f, asg, mcfg.NumClusters(), func(b *ir.Block) int64 {
+	var est estScratch
+	var hs sched.HomeScratch
+	lc := sched.NewLoopCtx(f)
+	home := hs.HomeClustersFreq(f, asg, mcfg.NumClusters(), func(b *ir.Block) int64 {
 		return blockFreq(prof, b)
 	})
 	var total int64
 	for _, b := range region.Blocks {
-		total += blockFreq(prof, b) * sc.est.blockLen(b, asg, home, lc, mcfg)
+		total += blockFreq(prof, b) * est.blockLen(b, asg, home, lc, mcfg)
 	}
 	return total
 }

@@ -23,8 +23,8 @@ import (
 // the assignment of previously-placed ops (which anchor live-in/live-out
 // values) — everything else is function structure fixed in the Prepared.
 // The region-result key encodes exactly (a) and (b), so a hit replays a
-// byte-identical region result and Partition returns exactly what
-// PartitionFunc would for the same locks (pinned by
+// byte-identical region result and Partition returns exactly what the
+// one-shot Prepared.Partition would for the same locks (pinned by
 // TestFuncPartitionerMatchesPartitionFunc). Below that, the real-cost
 // scorer and the refinement loops memoize by their own exact inputs (see
 // regionMemo).
@@ -61,9 +61,9 @@ type regionMemo struct {
 	refined map[string][]int
 }
 
-// Partition assigns every op of f to a cluster, byte-identical to
-// PartitionFunc(f, prof, mcfg, locks, opts) but reusing p's structure and
-// min-cut memo.
+// Partition assigns every op of the prepared function to a cluster: the
+// one-shot partitioning path, with no memo beyond p's shared min-cut memo
+// and block-schedule cache.
 func (p *Prepared) Partition(mcfg *machine.Config, locks Locks, opts Options) ([]int, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -93,7 +93,7 @@ func (p *Prepared) NewPartitioner(mcfg *machine.Config, opts Options) *FuncParti
 }
 
 // Partition assigns every op of the prepared function to a cluster under
-// the given locks, byte-identical to PartitionFunc(f, prof, mcfg, locks,
+// the given locks, byte-identical to the one-shot p.Partition(mcfg, locks,
 // opts). The returned slice is freshly allocated and owned by the caller.
 func (fp *FuncPartitioner) Partition(locks Locks) ([]int, error) {
 	f := fp.p.f

@@ -10,8 +10,9 @@ import (
 
 // TestFuncPartitionerMatchesPartitionFunc pins the sweep partitioner's
 // exactness contract: for every lock signature a data-mapping sweep can
-// produce, Partition must return exactly what one-shot PartitionFunc
-// returns — the region-result cache, the dirty-block evaluator and the
+// produce, Partition must return exactly what partitioning the function
+// one-shot on a fresh Prepared returns — the region-result cache, the
+// dirty-block evaluator and the
 // min-cut and split memos change speed, never outcomes. Lock signatures
 // are swept exhaustively over the functions' memory ops: base 2 on two
 // clusters, and base 4 above, with digit d homing an object on cluster
@@ -80,7 +81,7 @@ func TestFuncPartitionerMatchesPartitionFunc(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							want, err := PartitionFunc(f, prof, mcfg, locks, opts)
+							want, err := Prepare(f, prof, nil).Partition(mcfg, locks, opts)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -203,10 +203,11 @@ func schedCounters(o *obs.Observer) [4]int64 {
 		snap.Value("sched_bus_busy_cycles"), snap.Value("sched_hoisted_moves")}
 }
 
-// TestBlockCacheSharedAcrossGoroutines runs FuncCyclesCached through one
-// cache per function from two goroutines over overlapping assignment
-// sequences, and requires every result and the sched_* observer counters
-// to equal FuncCyclesCtx's.
+// TestBlockCacheSharedAcrossGoroutines runs FuncCycles through one cache
+// per function from two goroutines over overlapping assignment sequences,
+// and requires every result and the sched_* observer counters to equal
+// those of FuncCycles through a fresh cache per call, which schedules
+// every block.
 func TestBlockCacheSharedAcrossGoroutines(t *testing.T) {
 	b, err := bench.Get("fir")
 	if err != nil {
@@ -235,7 +236,7 @@ func TestBlockCacheSharedAcrossGoroutines(t *testing.T) {
 		want.SetObserver(wantObs)
 		wantCost := make([]Cost, len(asgs))
 		for i, asg := range asgs {
-			wantCost[i].Cycles, wantCost[i].Moves = want.FuncCyclesCtx(f, asg, lc, cfg, prof)
+			wantCost[i].Cycles, wantCost[i].Moves = want.FuncCycles(NewBlockCache(f, lc, cfg), asg, prof)
 		}
 
 		bc := NewBlockCache(f, lc, cfg)
@@ -254,7 +255,7 @@ func TestBlockCacheSharedAcrossGoroutines(t *testing.T) {
 						if g == 1 {
 							i = len(asgs) - 1 - j
 						}
-						cyc, mv := sc.FuncCyclesCached(bc, asgs[i], prof)
+						cyc, mv := sc.FuncCycles(bc, asgs[i], prof)
 						if cyc != wantCost[i].Cycles || mv != wantCost[i].Moves {
 							t.Errorf("%s goroutine %d assignment %d: cached (%d,%d), direct (%d,%d)",
 								f.Name, g, i, cyc, mv, wantCost[i].Cycles, wantCost[i].Moves)
@@ -278,7 +279,7 @@ func TestBlockCacheSharedAcrossGoroutines(t *testing.T) {
 // 65,538 one-op blocks in which block 1 holds an add and block 65,537 a
 // multiply, both on cluster 0 with no live-ins. Their IDs agree in the low
 // 16 bits, so a cache key that truncated the ID would hand block 65,537
-// the add's one-cycle schedule.
+// the add's one-cycle schedule within a single FuncCycles call.
 func TestBlockCacheKeyDistinguishesBlockIDsPast65535(t *testing.T) {
 	const far = 1<<16 + 1
 	m := ir.NewModule("t")
@@ -301,12 +302,8 @@ func TestBlockCacheKeyDistinguishesBlockIDsPast65535(t *testing.T) {
 	lc := NewLoopCtx(f)
 	asg := make([]int, f.NOps)
 
-	wantC, wantM := NewScratch().FuncCyclesCtx(f, asg, lc, cfg, prof)
-	gotC, gotM := NewScratch().FuncCyclesCached(NewBlockCache(f, lc, cfg), asg, prof)
-	if gotC != wantC || gotM != wantM {
-		t.Fatalf("FuncCyclesCached = (%d,%d), FuncCyclesCtx = (%d,%d)", gotC, gotM, wantC, wantM)
-	}
-	if want := int64(1 + machine.Latency(ir.OpMul)); wantC != want {
-		t.Fatalf("FuncCyclesCtx = %d cycles, want %d", wantC, want)
+	gotC, gotM := NewScratch().FuncCycles(NewBlockCache(f, lc, cfg), asg, prof)
+	if want := int64(1 + machine.Latency(ir.OpMul)); gotC != want || gotM != 0 {
+		t.Fatalf("FuncCycles = (%d,%d), want (%d,0)", gotC, gotM, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/profile"
 )
 
 // SlotDep is one dependence edge of a materialized schedule: the consumer
@@ -51,11 +52,6 @@ type BlockSchedule struct {
 
 // MaterializeBlock runs the list scheduler and returns the full schedule
 // (ScheduleBlockCtx returns only the summary).
-func MaterializeBlock(b *ir.Block, asg []int, home []int, lc *LoopCtx, cfg *machine.Config) *BlockSchedule {
-	return NewScratch().MaterializeBlock(b, asg, home, lc, cfg)
-}
-
-// MaterializeBlock is the scratch-reusing form of the package function.
 func (sc *Scratch) MaterializeBlock(b *ir.Block, asg []int, home []int, lc *LoopCtx, cfg *machine.Config) *BlockSchedule {
 	hoisted := sc.buildNodes(b, asg, home, lc, cfg)
 	bs := &BlockSchedule{Block: b, Length: 1, Hoisted: hoisted}
@@ -144,14 +140,14 @@ func (bs *BlockSchedule) Format(cfg *machine.Config) string {
 	return sb.String()
 }
 
-// FormatFunc materializes and renders every block of a function under asg.
-func FormatFunc(f *ir.Func, asg []int, cfg *machine.Config) string {
-	home := HomeClusters(f, asg, cfg.NumClusters())
-	lc := NewLoopCtx(f)
+// FormatFunc renders every block schedule of a function under asg: the
+// MaterializeFunc schedules, i.e. the ones whose lengths FuncCycles counts.
+func FormatFunc(f *ir.Func, asg []int, cfg *machine.Config, prof *profile.Profile) string {
+	blocks, _ := MaterializeFunc(f, asg, NewLoopCtx(f), cfg, prof.Freq)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "schedule of %s on %s\n", f.Name, cfg.Name)
 	for _, b := range f.Blocks {
-		sb.WriteString(MaterializeBlock(b, asg, home, lc, cfg).Format(cfg))
+		sb.WriteString(blocks[b.ID].Format(cfg))
 	}
 	return sb.String()
 }

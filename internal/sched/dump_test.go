@@ -6,6 +6,7 @@ import (
 
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/profile"
 )
 
 func TestMaterializeMatchesSummary(t *testing.T) {
@@ -14,10 +15,11 @@ func TestMaterializeMatchesSummary(t *testing.T) {
 	asg := allOn(f, 0)
 	asg[2] = 1
 	asg[3] = 1
-	home := HomeClusters(f, asg, 2)
+	var hs HomeScratch
+	home := hs.HomeClustersFreq(f, asg, 2, nil)
 	lc := NewLoopCtx(f)
-	sum, _ := ScheduleBlockCtx(f.Blocks[0], asg, home, lc, cfg)
-	bs := MaterializeBlock(f.Blocks[0], asg, home, lc, cfg)
+	sum, _ := NewScratch().ScheduleBlockCtx(f.Blocks[0], asg, home, lc, cfg)
+	bs := NewScratch().MaterializeBlock(f.Blocks[0], asg, home, lc, cfg)
 	if bs.Length != sum.Length {
 		t.Fatalf("materialized length %d != summary %d", bs.Length, sum.Length)
 	}
@@ -47,7 +49,7 @@ func TestMaterializeMatchesSummary(t *testing.T) {
 func TestFormatFuncRendersTable(t *testing.T) {
 	f := chain(3)
 	cfg := machine.Paper2Cluster(5)
-	out := FormatFunc(f, allOn(f, 0), cfg)
+	out := FormatFunc(f, allOn(f, 0), cfg, profile.NewProfile())
 	for _, want := range []string{"schedule of f", "block b0:", "add", "ret"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
@@ -58,19 +60,8 @@ func TestFormatFuncRendersTable(t *testing.T) {
 	asg[1] = 1
 	asg[2] = 1
 	asg[3] = 1
-	out = FormatFunc(f, asg, cfg)
+	out = FormatFunc(f, asg, cfg, profile.NewProfile())
 	if !strings.Contains(out, "move>") {
 		t.Errorf("dump missing move marker:\n%s", out)
-	}
-}
-
-func TestCheckBlockAcceptsSchedules(t *testing.T) {
-	f := chain(6)
-	cfg := machine.Paper2Cluster(5)
-	asg := allOn(f, 0)
-	asg[2] = 1
-	asg[3] = 1
-	if err := CheckFunc(f, asg, cfg); err != nil {
-		t.Fatalf("valid schedule rejected: %v", err)
 	}
 }

@@ -122,21 +122,20 @@ func TestHoistedMovesChargedPerEntry(t *testing.T) {
 			}
 		}
 	}
-	res := ScheduleFuncCtx(f, asg, lc, cfg)
-	if len(res.Hoisted) == 0 {
+	_, hoisted := MaterializeFunc(f, asg, lc, cfg, prof.Freq)
+	if len(hoisted) == 0 {
 		t.Fatal("expected hoisted loop-entry moves for invariant/induction live-ins")
 	}
 	// Every hoisted move names the loop and a register with a cross
 	// destination.
-	for _, h := range res.Hoisted {
+	for _, h := range hoisted {
 		if h.Loop != 0 || h.To != 1 {
 			t.Errorf("unexpected hoisted move %+v", h)
 		}
 	}
-	// ProgramCycles counts them once per entry (freq of preheader = 1),
+	// FuncCycles counts them once per entry (freq of preheader = 1),
 	// not once per iteration: moves must be far below iteration count.
-	mod := f.Module
-	cyc, moves := ProgramCycles(mod, map[*ir.Func][]int{f: asg}, cfg, prof)
+	cyc, moves := NewScratch().FuncCycles(NewBlockCache(f, lc, cfg), asg, prof)
 	if cyc <= 0 {
 		t.Fatal("no cycles")
 	}

@@ -42,11 +42,16 @@ func allocFixture(t testing.TB) (*ir.Module, *profile.Profile, map[*ir.Func][]in
 }
 
 // funcCyclesWork returns the scheduler hot loop of every scheme
-// evaluation: FuncCycles over the module through one reusable scratch.
+// evaluation: FuncCycles over the module through one reusable scratch and
+// one block cache per function.
 func funcCyclesWork(m *ir.Module, prof *profile.Profile, asg map[*ir.Func][]int, cfg *machine.Config, sc *Scratch) func() {
+	bcs := make([]*BlockCache, len(m.Funcs))
+	for i, f := range m.Funcs {
+		bcs[i] = NewBlockCache(f, NewLoopCtx(f), cfg)
+	}
 	return func() {
-		for _, f := range m.Funcs {
-			sc.FuncCycles(f, asg[f], cfg, prof)
+		for i, f := range m.Funcs {
+			sc.FuncCycles(bcs[i], asg[f], prof)
 		}
 	}
 }
@@ -94,7 +99,7 @@ func TestObservedFuncCyclesCountsMatch(t *testing.T) {
 	sc.SetObserver(o)
 	var cycles, moves int64
 	for _, f := range m.Funcs {
-		c, mv := sc.FuncCycles(f, asg[f], cfg, prof)
+		c, mv := sc.FuncCycles(NewBlockCache(f, NewLoopCtx(f), cfg), asg[f], prof)
 		cycles += c
 		moves += mv
 	}

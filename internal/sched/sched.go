@@ -25,33 +25,21 @@ import (
 // (used for function parameters, whose transfer the model does not charge).
 const EverywhereHome = -1
 
-// HomeScratch is the reusable working memory of HomeClustersFreq. The
-// partition refiners recompute value homes after every candidate move, so
-// the per-call allocations add up; a HomeScratch amortizes them. Not safe
-// for concurrent use — each worker goroutine owns its own.
+// HomeScratch is the reusable working memory of HomeClustersFreq. Not
+// safe for concurrent use — each worker goroutine owns its own.
 type HomeScratch struct {
 	counts []int64 // reg-major [reg*numClusters + cluster] def weights
 	home   []int
 }
 
-// HomeClusters computes, per virtual register of f, the cluster a value
+// HomeClustersFreq computes, per virtual register of f, the cluster a value
 // lives on at block boundaries: the dominant cluster among the register's
-// defining operations, weighted by execution frequency when freq is
-// non-nil (a hot in-loop definition outweighs a one-time initialization;
-// ties go to the lower cluster index). Registers with no defs (parameters)
-// are available everywhere.
-func HomeClusters(f *ir.Func, asg []int, numClusters int) []int {
-	return HomeClustersFreq(f, asg, numClusters, nil)
-}
-
-// HomeClustersFreq is HomeClusters with frequency-weighted defs.
-func HomeClustersFreq(f *ir.Func, asg []int, numClusters int, freq func(*ir.Block) int64) []int {
-	var hs HomeScratch
-	return hs.HomeClustersFreq(f, asg, numClusters, freq)
-}
-
-// HomeClustersFreq computes into the scratch's buffers; the returned slice
-// is owned by the scratch and valid only until the next call.
+// defining operations, each weighted by max(1, freq) of its block when freq
+// is non-nil and by 1 otherwise (a hot in-loop definition outweighs a
+// one-time initialization; ties go to the lower cluster index). Registers
+// with no assigned defs (parameters) are available everywhere. The
+// returned slice is owned by the scratch and valid only until the next
+// call.
 func (hs *HomeScratch) HomeClustersFreq(f *ir.Func, asg []int, numClusters int, freq func(*ir.Block) int64) []int {
 	n := f.NRegs * numClusters
 	if cap(hs.counts) < n {
@@ -94,39 +82,6 @@ func (hs *HomeScratch) HomeClustersFreq(f *ir.Func, asg []int, numClusters int, 
 		}
 	}
 	return home
-}
-
-// Home returns the scratch's current home table (as filled by the last
-// HomeClustersFreq call, possibly since adjusted by MoveDef). The slice is
-// owned by the scratch.
-func (hs *HomeScratch) Home() []int { return hs.home }
-
-// MoveDef incrementally updates the def-weight tables after reassigning a
-// single defining operation of register r from cluster `from` to cluster
-// `to`, with weight w (the same max(1, freq) weight HomeClustersFreq used
-// for that op's block), and recomputes r's home under the identical
-// dominant-cluster rule. It must follow a HomeClustersFreq call on the same
-// function, assignment base, and cluster count; the net effect equals a
-// full recomputation with the op reassigned, at O(numClusters) cost instead
-// of O(ops). Pass from or to < 0 to represent an unassigned side (which
-// contributes no def weight, matching HomeClustersFreq).
-func (hs *HomeScratch) MoveDef(r ir.VReg, numClusters, from, to int, w int64) {
-	row := hs.counts[int(r)*numClusters : (int(r)+1)*numClusters]
-	if from >= 0 {
-		row[from] -= w
-	}
-	if to >= 0 {
-		row[to] += w
-	}
-	home := EverywhereHome
-	var best int64
-	for c, cnt := range row {
-		if cnt > best {
-			best = cnt
-			home = c
-		}
-	}
-	hs.home[r] = home
 }
 
 // BlockResult is the outcome of scheduling one basic block.
@@ -261,17 +216,6 @@ func (sc *Scratch) regTables(f *ir.Func) {
 	sc.gen++
 }
 
-// ScheduleBlockCtx schedules block b under assignment asg (op ID ->
-// cluster for b's function), with home giving the block-entry cluster of
-// live-in registers (EverywhereHome when free), and returns the schedule
-// length and the number of moves inserted. Live-in values that are
-// invariant in b's innermost loop are assumed delivered at loop entry (the
-// returned HoistedMoves) instead of re-sent every iteration; a nil LoopCtx
-// disables hoisting.
-func ScheduleBlockCtx(b *ir.Block, asg []int, home []int, lc *LoopCtx, cfg *machine.Config) (BlockResult, []HoistedMove) {
-	return NewScratch().ScheduleBlockCtx(b, asg, home, lc, cfg)
-}
-
 // AssignError reports an operation assigned to a cluster that has no
 // function unit able to execute it — such an op could never issue and the
 // list scheduler would stall forever.
@@ -313,8 +257,13 @@ func CheckAssignable(f *ir.Func, asg []int, cfg *machine.Config) error {
 	return nil
 }
 
-// ScheduleBlockCtx is the scratch-reusing form of the package function; it
-// produces bit-identical results.
+// ScheduleBlockCtx schedules block b under assignment asg (op ID ->
+// cluster for b's function), with home giving the block-entry cluster of
+// live-in registers (EverywhereHome when free), and returns the schedule
+// length and the number of moves inserted. Live-in values that are
+// invariant in b's innermost loop are assumed delivered at loop entry (the
+// returned HoistedMoves) instead of re-sent every iteration; a nil LoopCtx
+// disables hoisting.
 func (sc *Scratch) ScheduleBlockCtx(b *ir.Block, asg []int, home []int, lc *LoopCtx, cfg *machine.Config) (BlockResult, []HoistedMove) {
 	for _, op := range b.Ops {
 		c := asg[op.ID]
@@ -652,66 +601,6 @@ func (sc *Scratch) topoOrder() []int {
 	return order
 }
 
-// FuncResult aggregates block scheduling outcomes for a function.
-type FuncResult struct {
-	Blocks []BlockResult // indexed by block ID
-	// Hoisted lists the distinct loop-entry intercluster copies of
-	// loop-invariant live-in values (deduplicated per loop).
-	Hoisted []HoistedMove
-	// LC is the loop context the hoisting decisions came from.
-	LC *LoopCtx
-}
-
-// ScheduleFunc schedules every block of f under assignment asg, hoisting
-// loop-invariant intercluster copies to loop entries.
-func ScheduleFunc(f *ir.Func, asg []int, cfg *machine.Config) FuncResult {
-	return ScheduleFuncCtx(f, asg, NewLoopCtx(f), cfg)
-}
-
-// ScheduleFuncCtx is ScheduleFunc with a caller-supplied (cacheable) loop
-// context.
-func ScheduleFuncCtx(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config) FuncResult {
-	return ScheduleFuncFreq(f, asg, lc, cfg, nil)
-}
-
-// ScheduleFuncFreq additionally weights block-boundary value homes by
-// profile frequency, so hot in-loop definitions dominate cold ones.
-func ScheduleFuncFreq(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config, freq func(*ir.Block) int64) FuncResult {
-	return NewScratch().ScheduleFuncFreq(f, asg, lc, cfg, freq)
-}
-
-// ScheduleFuncFreq is the scratch-reusing form of the package function.
-func (sc *Scratch) ScheduleFuncFreq(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config, freq func(*ir.Block) int64) FuncResult {
-	home := sc.home.HomeClustersFreq(f, asg, cfg.NumClusters(), freq)
-	res := FuncResult{Blocks: make([]BlockResult, len(f.Blocks)), LC: lc}
-	seen := map[HoistedMove]bool{}
-	for _, b := range f.Blocks {
-		br, hoisted := sc.ScheduleBlockCtx(b, asg, home, lc, cfg)
-		res.Blocks[b.ID] = br
-		for _, h := range hoisted {
-			if !seen[h] {
-				seen[h] = true
-				res.Hoisted = append(res.Hoisted, h)
-			}
-		}
-	}
-	SortHoisted(res.Hoisted)
-	return res
-}
-
-// ProgramCycles computes the profile-weighted dynamic cycle count and move
-// count of a whole module under per-function assignments. Hoisted
-// loop-invariant copies cost one move (and one cycle) per loop entry.
-func ProgramCycles(m *ir.Module, asg map[*ir.Func][]int, cfg *machine.Config, prof *profile.Profile) (cycles, moves int64) {
-	sc := NewScratch()
-	for _, f := range m.Funcs {
-		fc, fm := sc.FuncCycles(f, asg[f], cfg, prof)
-		cycles += fc
-		moves += fm
-	}
-	return cycles, moves
-}
-
 // Cost is one function's contribution to the program-level objective: the
 // profile-weighted dynamic cycle and move counts FuncCycles returns, as a
 // value the mapping sweep can store per (function, lock signature) and
@@ -721,56 +610,30 @@ type Cost struct {
 	Moves  int64
 }
 
-// FuncCycles computes one function's contribution to ProgramCycles: the
-// profile-weighted dynamic cycle and move counts of f under assignment asg,
-// including hoisted loop-entry copies. ProgramCycles is exactly the sum of
-// FuncCycles over the module's functions, which is what lets the
-// evaluation layer cache schedule costs per (function, assignment) pair
-// (see internal/memo).
-func (sc *Scratch) FuncCycles(f *ir.Func, asg []int, cfg *machine.Config, prof *profile.Profile) (cycles, moves int64) {
-	return sc.FuncCyclesCtx(f, asg, NewLoopCtx(f), cfg, prof)
-}
-
-// FuncCyclesCtx is FuncCycles with a caller-supplied loop context. The
-// context depends only on the IR, so callers evaluating many assignments of
-// the same function hoist the loop analysis out and get identical results.
-func (sc *Scratch) FuncCyclesCtx(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config, prof *profile.Profile) (cycles, moves int64) {
-	return sc.funcCycles(f, asg, lc, cfg, prof, nil)
-}
-
-// FuncCyclesCached is FuncCyclesCtx on bc's function, loop context and
-// machine, with every block schedule taken through bc. Results (and the
-// observer fold) are identical to FuncCyclesCtx; only repeated
-// ScheduleBlockCtx work is skipped.
-func (sc *Scratch) FuncCyclesCached(bc *BlockCache, asg []int, prof *profile.Profile) (cycles, moves int64) {
-	return sc.funcCycles(bc.f, asg, bc.lc, bc.cfg, prof, bc)
-}
-
-// funcCycles is FuncCyclesCtx, scheduling through bc when it is non-nil.
-func (sc *Scratch) funcCycles(f *ir.Func, asg []int, lc *LoopCtx, cfg *machine.Config,
-	prof *profile.Profile, bc *BlockCache) (cycles, moves int64) {
-
-	home := sc.home.HomeClustersFreq(f, asg, cfg.NumClusters(), prof.Freq)
+// FuncCycles computes one function's contribution to the program's cycle
+// count: the profile-weighted dynamic cycle and move counts of bc's
+// function under assignment asg, with profile-weighted value homes
+// (HomeClustersFreq) and every block schedule taken through bc. Each
+// distinct hoisted loop-entry copy costs one move and one cycle per entry
+// of its loop. A program's cycle count is the sum over its functions,
+// which is what lets the evaluation layer cache schedule costs per
+// (function, assignment) pair (see internal/memo). One call visits each
+// block once, so with a fresh cache it schedules every block exactly once.
+func (sc *Scratch) FuncCycles(bc *BlockCache, asg []int, prof *profile.Profile) (cycles, moves int64) {
+	f, lc := bc.f, bc.lc
+	home := sc.home.HomeClustersFreq(f, asg, bc.cfg.NumClusters(), prof.Freq)
 	var busBusy, hoistedMoves int64
 	if sc.fnSeen == nil {
 		sc.fnSeen = map[HoistedMove]bool{}
 	}
 	clear(sc.fnSeen)
 	for _, b := range f.Blocks {
-		var br BlockResult
-		var hoisted []HoistedMove
-		if bc != nil {
-			br, hoisted = bc.Schedule(sc, b, asg, home)
-		} else {
-			br, hoisted = sc.ScheduleBlockCtx(b, asg, home, lc, cfg)
-		}
+		br, hoisted := bc.Schedule(sc, b, asg, home)
 		if freq := prof.Freq(b); freq > 0 {
 			cycles += freq * int64(br.Length)
 			moves += freq * int64(br.Moves)
 			busBusy += freq * int64(br.BusBusy)
 		}
-		// Each distinct hoisted copy costs one move and one cycle per
-		// entry of its loop.
 		for _, h := range hoisted {
 			if !sc.fnSeen[h] {
 				sc.fnSeen[h] = true

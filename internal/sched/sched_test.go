@@ -30,13 +30,26 @@ func allOn(f *ir.Func, cluster int) []int {
 	return asg
 }
 
+// scheduleFunc schedules every block of f under asg with unit-weight value
+// homes and f's loop context, and returns the results by block ID.
+func scheduleFunc(f *ir.Func, asg []int, cfg *machine.Config) []BlockResult {
+	var hs HomeScratch
+	home := hs.HomeClustersFreq(f, asg, cfg.NumClusters(), nil)
+	sc, lc := NewScratch(), NewLoopCtx(f)
+	out := make([]BlockResult, len(f.Blocks))
+	for _, b := range f.Blocks {
+		out[b.ID], _ = sc.ScheduleBlockCtx(b, asg, home, lc, cfg)
+	}
+	return out
+}
+
 func TestIndependentOpsPackToWidth(t *testing.T) {
 	cfg := machine.Paper2Cluster(5)
 	f := straightLine(8)
 	// All on cluster 0: 2 int units -> 4 cycles of adds; terminator in
 	// parallel on the branch unit. Length = 4 (last add issues cycle 3).
-	res := ScheduleFunc(f, allOn(f, 0), cfg)
-	if got := res.Blocks[0].Length; got != 4 {
+	res := scheduleFunc(f, allOn(f, 0), cfg)
+	if got := res[0].Length; got != 4 {
 		t.Errorf("length on 1 cluster = %d, want 4", got)
 	}
 	// Split evenly: 4 adds per cluster -> 2 cycles.
@@ -44,12 +57,12 @@ func TestIndependentOpsPackToWidth(t *testing.T) {
 	for i := 0; i < 8; i += 2 {
 		asg[i] = 1
 	}
-	res = ScheduleFunc(f, asg, cfg)
-	if got := res.Blocks[0].Length; got != 2 {
+	res = scheduleFunc(f, asg, cfg)
+	if got := res[0].Length; got != 2 {
 		t.Errorf("length on 2 clusters = %d, want 2", got)
 	}
-	if res.Blocks[0].Moves != 0 {
-		t.Errorf("independent ops required %d moves", res.Blocks[0].Moves)
+	if res[0].Moves != 0 {
+		t.Errorf("independent ops required %d moves", res[0].Moves)
 	}
 }
 
@@ -68,9 +81,9 @@ func chain(n int) *ir.Func {
 func TestDependentChainSerializes(t *testing.T) {
 	cfg := machine.Paper2Cluster(5)
 	f := chain(6)
-	res := ScheduleFunc(f, allOn(f, 0), cfg)
+	res := scheduleFunc(f, allOn(f, 0), cfg)
 	// Adds issue at cycles 0..5; the ret consumes the final value at 6.
-	if got := res.Blocks[0].Length; got != 7 {
+	if got := res[0].Length; got != 7 {
 		t.Errorf("chain length = %d, want 7", got)
 	}
 }
@@ -82,17 +95,17 @@ func TestCrossClusterEdgeInsertsMove(t *testing.T) {
 	asg[1] = 1
 	asg[2] = 1
 	cfg := machine.Paper2Cluster(5)
-	res := ScheduleFunc(f, asg, cfg)
-	if res.Blocks[0].Moves != 1 {
-		t.Fatalf("moves = %d, want 1", res.Blocks[0].Moves)
+	res := scheduleFunc(f, asg, cfg)
+	if res[0].Moves != 1 {
+		t.Fatalf("moves = %d, want 1", res[0].Moves)
 	}
 	// add@0(1) -> move@1(5) -> add@6(1) -> ret@7(1) = 8.
-	if got := res.Blocks[0].Length; got != 8 {
+	if got := res[0].Length; got != 8 {
 		t.Errorf("length = %d, want 8", got)
 	}
 	// With 1-cycle moves the penalty shrinks accordingly.
-	res = ScheduleFunc(f, asg, machine.Paper2Cluster(1))
-	if got := res.Blocks[0].Length; got != 4 {
+	res = scheduleFunc(f, asg, machine.Paper2Cluster(1))
+	if got := res[0].Length; got != 4 {
 		t.Errorf("length at lat1 = %d, want 4", got)
 	}
 }
@@ -109,9 +122,9 @@ func TestMoveReuseAcrossConsumers(t *testing.T) {
 	f := m.Func("f")
 	asg := []int{0, 1, 1, 1, 0}
 	cfg := machine.Paper2Cluster(5)
-	res := ScheduleFunc(f, asg, cfg)
-	if res.Blocks[0].Moves != 1 {
-		t.Errorf("moves = %d, want 1 (reuse)", res.Blocks[0].Moves)
+	res := scheduleFunc(f, asg, cfg)
+	if res[0].Moves != 1 {
+		t.Errorf("moves = %d, want 1 (reuse)", res[0].Moves)
 	}
 }
 
@@ -128,16 +141,16 @@ func TestBusBandwidthLimits(t *testing.T) {
 	f := m.Func("f")
 	asg := []int{0, 0, 1, 1, 0}
 	cfg := machine.Paper2Cluster(5)
-	res := ScheduleFunc(f, asg, cfg)
+	res := scheduleFunc(f, asg, cfg)
 	// adds at 0 (both, 2 int units); moves at 1 and 2 (bus=1); results at
 	// 6 and 7; muls (lat 3) issue 6,7 -> length max(6+3, 7+3)=10.
-	if got := res.Blocks[0].Length; got != 10 {
+	if got := res[0].Length; got != 10 {
 		t.Errorf("length = %d, want 10", got)
 	}
 	wide := machine.Paper2Cluster(5)
 	wide.MoveBandwidth = 2
-	res = ScheduleFunc(f, asg, wide)
-	if got := res.Blocks[0].Length; got != 9 {
+	res = scheduleFunc(f, asg, wide)
+	if got := res[0].Length; got != 9 {
 		t.Errorf("length with bandwidth 2 = %d, want 9", got)
 	}
 }
@@ -157,9 +170,9 @@ func TestMemOpsSerializeWhenAliased(t *testing.T) {
 	pointsto.Analyze(m)
 	f := m.Func("f")
 	cfg := machine.Paper2Cluster(1)
-	res := ScheduleFunc(f, allOn(f, 0), cfg)
+	res := scheduleFunc(f, allOn(f, 0), cfg)
 	// addr@0; store@1; load@2 (lat 2); store@4: length >= 5.
-	if got := res.Blocks[0].Length; got < 5 {
+	if got := res[0].Length; got < 5 {
 		t.Errorf("aliased mem ops overlapped: length = %d, want >= 5", got)
 	}
 }
@@ -179,8 +192,8 @@ func TestIndependentLoadsOverlap(t *testing.T) {
 	// Loads on different clusters proceed in parallel.
 	asg := []int{0, 1, 0, 1, 0}
 	cfg := machine.Paper2Cluster(1)
-	res := ScheduleFunc(f, asg, cfg)
-	if got := res.Blocks[0].Length; got != 3 {
+	res := scheduleFunc(f, asg, cfg)
+	if got := res[0].Length; got != 3 {
 		t.Errorf("parallel loads length = %d, want 3", got)
 	}
 }
@@ -200,18 +213,18 @@ func TestLiveInMoveCharged(t *testing.T) {
 	// op IDs: 0=add, 1=br, 2=mul, 3=ret
 	asg[2] = 1
 	cfg := machine.Paper2Cluster(5)
-	res := ScheduleFunc(f, asg, cfg)
-	if res.Blocks[1].Moves != 1 {
-		t.Errorf("live-in moves = %d, want 1", res.Blocks[1].Moves)
+	res := scheduleFunc(f, asg, cfg)
+	if res[1].Moves != 1 {
+		t.Errorf("live-in moves = %d, want 1", res[1].Moves)
 	}
 	// move(5) then mul(3): length 8.
-	if got := res.Blocks[1].Length; got != 8 {
+	if got := res[1].Length; got != 8 {
 		t.Errorf("block 1 length = %d, want 8", got)
 	}
 	// Same cluster: free.
 	asg[2] = 0
-	res = ScheduleFunc(f, asg, cfg)
-	if res.Blocks[1].Moves != 0 {
+	res = scheduleFunc(f, asg, cfg)
+	if res[1].Moves != 0 {
 		t.Errorf("same-cluster live-in charged a move")
 	}
 }
@@ -220,9 +233,9 @@ func TestParamsAvailableEverywhere(t *testing.T) {
 	f := straightLine(2)
 	asg := allOn(f, 1) // ops use param reg 0 on cluster 1
 	cfg := machine.Paper2Cluster(5)
-	res := ScheduleFunc(f, asg, cfg)
-	if res.Blocks[0].Moves != 0 {
-		t.Errorf("parameter use charged %d moves", res.Blocks[0].Moves)
+	res := scheduleFunc(f, asg, cfg)
+	if res[0].Moves != 0 {
+		t.Errorf("parameter use charged %d moves", res[0].Moves)
 	}
 }
 
@@ -236,7 +249,8 @@ func TestHomeClustersMajority(t *testing.T) {
 	bd.Ret()
 	f := m.Func("f")
 	asg := []int{1, 1, 0, 0}
-	home := HomeClusters(f, asg, 2)
+	var hs HomeScratch
+	home := hs.HomeClustersFreq(f, asg, 2, nil)
 	if home[r] != 1 {
 		t.Errorf("home = %d, want 1 (majority)", home[r])
 	}
@@ -253,7 +267,7 @@ func TestProgramCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := machine.Paper2Cluster(5)
-	cycles, moves := ProgramCycles(m, map[*ir.Func][]int{f: allOn(f, 0)}, cfg, in.Profile())
+	cycles, moves := NewScratch().FuncCycles(NewBlockCache(f, NewLoopCtx(f), cfg), allOn(f, 0), in.Profile())
 	if cycles < 1 || moves != 0 {
 		t.Errorf("cycles=%d moves=%d", cycles, moves)
 	}
@@ -276,9 +290,9 @@ func TestScheduleLowerBoundsQuick(t *testing.T) {
 			prev = asg[i]
 		}
 		asg[5] = asg[4] // the ret follows the final add's cluster
-		res := ScheduleFunc(f, asg, cfg)
+		res := scheduleFunc(f, asg, cfg)
 		want := 5 + crossings*cfg.MoveLatency + 1 // +1 for the ret
-		return res.Blocks[0].Length == want && res.Blocks[0].Moves == crossings
+		return res[0].Length == want && res[0].Moves == crossings
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 64}); err != nil {
 		t.Error(err)
@@ -290,13 +304,13 @@ func TestScheduleLowerBoundsQuick(t *testing.T) {
 func TestChainMonotoneQuick(t *testing.T) {
 	f := chain(8)
 	cfg := machine.Paper2Cluster(5)
-	base := ScheduleFunc(f, allOn(f, 0), cfg).Blocks[0].Length
+	base := scheduleFunc(f, allOn(f, 0), cfg)[0].Length
 	check := func(bits uint16) bool {
 		asg := make([]int, f.NOps)
 		for i := 0; i < 8; i++ {
 			asg[i] = int(bits>>uint(i)) & 1
 		}
-		return ScheduleFunc(f, asg, cfg).Blocks[0].Length >= base
+		return scheduleFunc(f, asg, cfg)[0].Length >= base
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -310,8 +324,8 @@ func TestRingLatencyAffectsSchedule(t *testing.T) {
 	asg := []int{0, 2, 2}
 	ring := machine.RingFour(5)
 	bus := machine.FourCluster(5)
-	r := ScheduleFunc(f, asg, ring).Blocks[0]
-	b := ScheduleFunc(f, asg, bus).Blocks[0]
+	r := scheduleFunc(f, asg, ring)[0]
+	b := scheduleFunc(f, asg, bus)[0]
 	// add@0(1) -> move(2 hops x5=10) -> add@11 -> ret: 13 on the ring.
 	if r.Length != b.Length+5 {
 		t.Errorf("ring length %d, bus %d; want ring = bus + one extra hop (5)",
@@ -319,8 +333,8 @@ func TestRingLatencyAffectsSchedule(t *testing.T) {
 	}
 	// Adjacent clusters cost the same as the bus.
 	asgAdj := []int{0, 1, 1}
-	rAdj := ScheduleFunc(f, asgAdj, ring).Blocks[0]
-	bAdj := ScheduleFunc(f, asgAdj, bus).Blocks[0]
+	rAdj := scheduleFunc(f, asgAdj, ring)[0]
+	bAdj := scheduleFunc(f, asgAdj, bus)[0]
 	if rAdj.Length != bAdj.Length {
 		t.Errorf("adjacent ring length %d != bus %d", rAdj.Length, bAdj.Length)
 	}

@@ -489,7 +489,8 @@ func ParseOnly(source string) error {
 }
 
 // FormatSchedule renders the VLIW schedule (one row per cycle, one column
-// per cluster) of one function under a scheme result.
+// per cluster) of one function under a scheme result: the block schedules
+// whose lengths the result's cycle count sums.
 func FormatSchedule(p *Program, m *Machine, r *Result, funcName string) (string, error) {
 	f := p.c.Mod.Func(funcName)
 	if f == nil {
@@ -502,7 +503,7 @@ func FormatSchedule(p *Program, m *Machine, r *Result, funcName string) (string,
 	if err := sched.CheckAssignable(f, asg, m); err != nil {
 		return "", fmt.Errorf("mcpart: %w", err)
 	}
-	return sched.FormatFunc(f, asg, m), nil
+	return sched.FormatFunc(f, asg, m, p.c.Prof), nil
 }
 
 // Assignment re-exports the computation partitioner's lock type for

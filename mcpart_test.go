@@ -1,10 +1,12 @@
 package mcpart
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"mcpart/internal/gdp"
+	"mcpart/internal/sched"
 )
 
 const demoSrc = `
@@ -208,5 +210,64 @@ func TestFormatSchedule(t *testing.T) {
 	}
 	if _, err := FormatSchedule(p, m, r, "nope"); err == nil {
 		t.Error("accepted unknown function")
+	}
+}
+
+// TestFormatScheduleRendersCountedSchedule pins that the rendered schedule
+// is the one the result's cycle count sums: for every function, the
+// profile-weighted rendered block lengths plus one cycle per entry of each
+// hoisted loop-entry copy equal the function's counted cycles, and those
+// add up to the result's. viterbi's main under GDP has a block (b10) whose
+// schedule under unweighted value homes is 7 cycles long, not the 11 the
+// profile-weighted homes give it.
+func TestFormatScheduleRendersCountedSchedule(t *testing.T) {
+	p, err := LoadBenchmark("viterbi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Paper2Cluster(5)
+	r, err := Evaluate(p, m, SchemeGDP, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := p.Profile()
+	var total int64
+	for _, f := range p.Module().Funcs {
+		out, err := FormatSchedule(p, m, r, f.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lens := map[int]int64{}
+		for _, line := range strings.Split(out, "\n") {
+			var id int
+			var n int64
+			if _, err := fmt.Sscanf(line, "block b%d: %d cycles", &id, &n); err == nil {
+				lens[id] = n
+			}
+		}
+		if f.Name == "main" && lens[10] != 11 {
+			t.Errorf("main b10 rendered at %d cycles, want the counted 11", lens[10])
+		}
+		lc := sched.NewLoopCtx(f)
+		var rendered int64
+		for _, b := range f.Blocks {
+			l, ok := lens[b.ID]
+			if !ok {
+				t.Fatalf("%s: block b%d not rendered", f.Name, b.ID)
+			}
+			rendered += prof.Freq(b) * l
+		}
+		_, hoisted := sched.MaterializeFunc(f, r.Assign[f], lc, m, prof.Freq)
+		for _, h := range hoisted {
+			rendered += lc.EntryFreq(h.Loop, prof.Freq)
+		}
+		counted, _ := sched.NewScratch().FuncCycles(sched.NewBlockCache(f, lc, m), r.Assign[f], prof)
+		if rendered != counted {
+			t.Errorf("%s: rendered schedules sum to %d cycles, counted %d", f.Name, rendered, counted)
+		}
+		total += counted
+	}
+	if total != r.Cycles {
+		t.Errorf("functions count %d cycles, result reports %d", total, r.Cycles)
 	}
 }
