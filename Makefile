@@ -28,12 +28,20 @@ race:
 check: fmt-check build vet deps-check test race
 
 # The tree-walking interpreter (internal/interp) is a test oracle: no tool
-# or example may link it. Fails, naming the importers, if one does.
+# or example may link it. The partitioner and its two callers run serially
+# under the evaluation pipeline's one worker pool: none of them may depend
+# on internal/parallel. Fails, naming the importers, if either rule breaks.
+PARTITION_PKGS = ./internal/partition ./internal/gdp ./internal/rhop
+
 deps-check:
 	@if $(GO) list -deps ./cmd/... ./examples/... | grep -qx 'mcpart/internal/interp'; then \
 		echo "mcpart/internal/interp is linked into a tool or example:"; \
 		$(GO) list -f '{{.ImportPath}}: {{join .Deps " "}}' ./cmd/... ./examples/... | \
 			grep -w 'mcpart/internal/interp' | cut -d: -f1; exit 1; fi
+	@if $(GO) list -deps $(PARTITION_PKGS) | grep -qx 'mcpart/internal/parallel'; then \
+		echo "mcpart/internal/parallel is a dependency of the partitioner:"; \
+		$(GO) list -deps -f '{{.ImportPath}}: {{join .Imports " "}}' $(PARTITION_PKGS) | \
+			grep -E ' mcpart/internal/parallel( |$$)' | cut -d: -f1; exit 1; fi
 
 # Go source size outside the benchmark harness (its own module): line and
 # file counts of the non-test and the test files.

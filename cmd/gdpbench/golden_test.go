@@ -55,3 +55,39 @@ func TestMetricsGolden(t *testing.T) {
 	out := runBenchCmd(t, "-figure", "8a", "-run", "fir", "-j", "1", "-metrics")
 	checkGolden(t, "metrics_fig8a_fir", out)
 }
+
+// workerDependentRow reports whether a -metrics row may differ between -j
+// values by design: memo hit and wait counts (which worker reaches a
+// shared entry first), the pools' task counts, and the sweep's delta
+// tallies (each Gray-code chunk starts with one full evaluation).
+func workerDependentRow(row string) bool {
+	f := strings.Fields(row)
+	if len(f) == 0 {
+		return false
+	}
+	name, _, _ := strings.Cut(f[0], "{")
+	switch name {
+	case "parallel_tasks", "sweep_funcs_recomputed", "sweep_masks_delta":
+		return true
+	}
+	return strings.HasPrefix(name, "memo_") &&
+		(strings.HasSuffix(name, "_hits") || strings.HasSuffix(name, "_waits"))
+}
+
+// TestMetricsIndependentOfWorkers pins that a Figure 9 sweep reports the
+// same metrics at -j 1 and -j 8, apart from the rows workerDependentRow
+// names. The partitioner's FM counters in particular must not depend on
+// how many workers the sweep uses.
+func TestMetricsIndependentOfWorkers(t *testing.T) {
+	args := []string{"-figure", "9", "-run", "rawcaudio", "-metrics"}
+	j1 := strings.Split(runBenchCmd(t, append(args, "-j", "1")...), "\n")
+	j8 := strings.Split(runBenchCmd(t, append(args, "-j", "8")...), "\n")
+	if len(j1) != len(j8) {
+		t.Fatalf("-j 1 printed %d lines, -j 8 printed %d", len(j1), len(j8))
+	}
+	for i := range j1 {
+		if j1[i] != j8[i] && !workerDependentRow(j1[i]) {
+			t.Errorf("line %d differs:\n -j 1: %q\n -j 8: %q", i+1, j1[i], j8[i])
+		}
+	}
+}

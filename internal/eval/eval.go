@@ -534,26 +534,19 @@ func (o Options) pmaxTol() float64 { return defaults.Float(o.ProfileMaxTol, 0.10
 
 func (o Options) maxSteps() int64 { return defaults.Int64(o.MaxSteps, 10_000_000) }
 
-// rhopOpts returns o.RHOP with the run-wide partitioner knobs applied:
-// the evaluation worker budget doubles as the partitioner's multi-start
-// fan-out unless RHOP names its own.
+// rhopOpts returns o.RHOP with the run-wide observer injected unless RHOP
+// names its own.
 func (o Options) rhopOpts() rhop.Options {
 	r := o.RHOP
-	if r.Workers == 0 {
-		r.Workers = o.Workers
-	}
 	if r.Obs == nil {
 		r.Obs = o.Observer
 	}
 	return r
 }
 
-// gdpOpts applies the same run-wide knobs to o.GDP.
+// gdpOpts injects the same run-wide observer into o.GDP.
 func (o Options) gdpOpts() gdp.Options {
 	g := o.GDP
-	if g.Workers == 0 {
-		g.Workers = o.Workers
-	}
 	if g.Obs == nil {
 		g.Obs = o.Observer
 	}

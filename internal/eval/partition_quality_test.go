@@ -92,7 +92,7 @@ func TestFastPartitionNoWorseOnWorkloads(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s k=%d: no recorded floor", b.Name, k)
 			}
-			opts := gdp.Options{MemFractions: cfg.MemFractions(), Workers: 1}
+			opts := gdp.Options{MemFractions: cfg.MemFractions()}
 			dp, err := gdp.PartitionData(c.Mod, c.Prof, k, opts)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", b.Name, k, err)

@@ -60,9 +60,6 @@ type Options struct {
 	// before partitioning — approximating the "merge dependent operations
 	// with low slack" variant the paper evaluated and rejected (§3.3.1).
 	SlackMerge bool
-	// Workers bounds the partitioner's multi-start fan-out; 0 means
-	// runtime.GOMAXPROCS(0). Results are identical for every value.
-	Workers int
 	// Obs, when non-nil, records the data-partitioning metrics
 	// (gdp_partitions, gdp_groups, gdp_cut_weight) and is threaded into
 	// the graph partitioner for its fm_* metrics. Nil costs nothing.
@@ -266,8 +263,8 @@ func (d *DataPartitions) Clear() {
 
 // dataKey encodes every input of the graph partitioning besides the module
 // and profile: k, the exact bits of the memory fractions and tolerances,
-// and the graph-shaping flags. Workers and Obs are left out because the
-// result is identical for every value of either.
+// and the graph-shaping flags. Obs is left out because it only counts and
+// never changes the result.
 func dataKey(k int, opts Options) string {
 	buf := make([]byte, 0, 8*(len(opts.MemFractions)+4)+1)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
@@ -420,7 +417,6 @@ func partitionGraph(m *ir.Module, prof *profile.Profile, k int, opts Options) (*
 	part, err := partition.KWay(g, k, partition.Options{
 		Tol:       tols,
 		Fractions: opts.MemFractions,
-		Workers:   opts.Workers,
 		Obs:       opts.Obs,
 	})
 	if err != nil {

@@ -62,11 +62,11 @@ func TestPartitionDataOnMemoMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh, err := PartitionDataOn(mod, prof, cfg, Options{Workers: 1}, nil)
+				fresh, err := PartitionDataOn(mod, prof, cfg, Options{}, nil)
 				if err != nil {
 					t.Fatalf("%s %s: %v", b.Name, cfg.Name, err)
 				}
-				got, err := PartitionDataOn(mod, prof, cfg, Options{Workers: 2, Obs: obs.New(reg, nil, nil)}, &memo)
+				got, err := PartitionDataOn(mod, prof, cfg, Options{Obs: obs.New(reg, nil, nil)}, &memo)
 				if err != nil {
 					t.Fatalf("%s %s memo: %v", b.Name, cfg.Name, err)
 				}
@@ -126,9 +126,9 @@ func TestDataKeyCoversKnobs(t *testing.T) {
 		seen[key] = name
 	}
 	same := base
-	same.Workers, same.Obs = 7, obs.New(obs.NewRegistry(), nil, nil)
+	same.Obs = obs.New(obs.NewRegistry(), nil, nil)
 	same.MemTol = 0.10 // the default, spelled out
 	if dataKey(2, same) != dataKey(2, base) {
-		t.Error("Workers, Obs or an explicit default MemTol changed the key")
+		t.Error("Obs or an explicit default MemTol changed the key")
 	}
 }

@@ -5,8 +5,8 @@
 // The pool guarantees three properties the deterministic reproduction
 // depends on:
 //
-//   - deterministic result ordering: Map returns results indexed by work
-//     item, so output is byte-identical regardless of worker count or
+//   - deterministic result ordering: MapStage returns results indexed by
+//     work item, so output is byte-identical regardless of worker count or
 //     completion order;
 //   - first-error propagation: the error of the lowest-indexed failing
 //     item wins, matching what a serial loop would have returned;
@@ -90,21 +90,16 @@ func Workers(n int) int {
 	return n
 }
 
-// Map runs fn(ctx, i) for every i in [0, n) on at most workers goroutines
-// and returns the results in index order. A nil ctx means
-// context.Background(). If any call fails, Map cancels the shared context,
-// lets in-flight calls finish, and returns the error of the lowest-indexed
-// failure — exactly the error a serial i := 0..n-1 loop would have
-// surfaced. On error the partial results are discarded (nil is returned).
-// A panicking item is recovered into a *PanicError and treated as that
-// item's failure. Map is MapStage with an unlabeled stage.
-func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapStage(ctx, "", n, workers, fn)
-}
-
-// MapStage is Map with a stage label that identifies the pool in recovered
-// PanicErrors (and nowhere else — results and ordinary errors are
-// unaffected by the label).
+// MapStage runs fn(ctx, i) for every i in [0, n) on at most workers
+// goroutines and returns the results in index order. A nil ctx means
+// context.Background(). If any call fails, MapStage cancels the shared
+// context, lets in-flight calls finish, and returns the error of the
+// lowest-indexed failure — exactly the error a serial i := 0..n-1 loop
+// would have surfaced. On error the partial results are discarded (nil is
+// returned). A panicking item is recovered into a *PanicError and treated
+// as that item's failure. The stage label identifies the pool in recovered
+// PanicErrors and in the parallel_tasks counter ("unnamed" when empty);
+// results and ordinary errors are unaffected by it.
 func MapStage[T any](ctx context.Context, stage string, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -205,10 +200,10 @@ func MapStage[T any](ctx context.Context, stage string, n, workers int, fn func(
 }
 
 // Do runs every task on at most workers goroutines and returns the error
-// of the lowest-indexed failing task, canceling the rest. It is Map for
-// side-effecting tasks that produce no value.
+// of the lowest-indexed failing task, canceling the rest. It is an
+// unlabeled MapStage for side-effecting tasks that produce no value.
 func Do(ctx context.Context, workers int, tasks ...func(ctx context.Context) error) error {
-	_, err := Map(ctx, len(tasks), workers, func(ctx context.Context, i int) (struct{}, error) {
+	_, err := MapStage(ctx, "", len(tasks), workers, func(ctx context.Context, i int) (struct{}, error) {
 		return struct{}{}, tasks[i](ctx)
 	})
 	return err

@@ -24,7 +24,7 @@ func TestWorkersSentinel(t *testing.T) {
 
 func TestMapOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
-		out, err := Map(nil, 50, workers, func(_ context.Context, i int) (int, error) {
+		out, err := MapStage(nil, "", 50, workers, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -42,9 +42,9 @@ func TestMapOrdering(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(nil, 0, 4, func(_ context.Context, i int) (int, error) { return 0, nil })
+	out, err := MapStage(nil, "", 0, 4, func(_ context.Context, i int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
-		t.Errorf("Map(n=0) = %v, %v; want nil, nil", out, err)
+		t.Errorf("MapStage(n=0) = %v, %v; want nil, nil", out, err)
 	}
 }
 
@@ -53,7 +53,7 @@ func TestMapEmpty(t *testing.T) {
 func TestMapFirstError(t *testing.T) {
 	errEarly := errors.New("early")
 	for _, workers := range []int{1, 4} {
-		_, err := Map(nil, 20, workers, func(_ context.Context, i int) (int, error) {
+		_, err := MapStage(nil, "", 20, workers, func(_ context.Context, i int) (int, error) {
 			switch i {
 			case 2:
 				time.Sleep(20 * time.Millisecond)
@@ -73,7 +73,7 @@ func TestMapFirstError(t *testing.T) {
 // starting (cancellation), without requiring in-flight ones to abort.
 func TestMapCancelStopsDispatch(t *testing.T) {
 	var started atomic.Int64
-	_, err := Map(nil, 1000, 2, func(_ context.Context, i int) (int, error) {
+	_, err := MapStage(nil, "", 1000, 2, func(_ context.Context, i int) (int, error) {
 		started.Add(1)
 		if i == 0 {
 			return 0, errors.New("boom")
@@ -92,7 +92,7 @@ func TestMapCancelStopsDispatch(t *testing.T) {
 func TestMapCallerContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Map(ctx, 10, 4, func(_ context.Context, i int) (int, error) { return i, nil })
+	_, err := MapStage(ctx, "", 10, 4, func(_ context.Context, i int) (int, error) { return i, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -127,7 +127,7 @@ func TestMapPanicContained(t *testing.T) {
 // high-index panic, matching the serial reference.
 func TestMapPanicFirstErrorWins(t *testing.T) {
 	want := errors.New("ordinary")
-	_, err := Map(nil, 20, 4, func(_ context.Context, i int) (int, error) {
+	_, err := MapStage(nil, "", 20, 4, func(_ context.Context, i int) (int, error) {
 		switch i {
 		case 1:
 			time.Sleep(10 * time.Millisecond)
@@ -145,7 +145,7 @@ func TestMapPanicFirstErrorWins(t *testing.T) {
 // TestPanicErrorUnwrap: an error panic value stays reachable via errors.Is.
 func TestPanicErrorUnwrap(t *testing.T) {
 	inner := errors.New("inner")
-	_, err := Map(nil, 1, 1, func(context.Context, int) (int, error) { panic(inner) })
+	_, err := MapStage(nil, "", 1, 1, func(context.Context, int) (int, error) { panic(inner) })
 	if !errors.Is(err, inner) {
 		t.Errorf("errors.Is through PanicError failed: %v", err)
 	}

@@ -79,12 +79,12 @@ func BenchmarkBisect(b *testing.B) {
 			gs[i] = regionGraph(n, int64(i+1))
 		}
 		name := fmt.Sprintf("region/n=%d/anchors=%d/graphs=%d", n, n/2, regionBatch)
-		run(name, gs, Options{Tol: []float64{0.4}, Workers: 1})
+		run(name, gs, Options{Tol: []float64{0.4}})
 	}
 	for _, bg := range benchGraphs {
 		g := randGraph(bg.n, bg.deg, bg.dims, 1, true)
 		name := fmt.Sprintf("n=%d/deg=%d/dims=%d", bg.n, bg.deg, bg.dims)
-		run(name, []*Graph{g}, Options{Tol: []float64{0.15}, Workers: 1})
+		run(name, []*Graph{g}, Options{Tol: []float64{0.15}})
 	}
 }
 
@@ -103,7 +103,7 @@ func BenchmarkKWay(b *testing.B) {
 		g := randGraph(bg.n, bg.deg, bg.dims, 1, true)
 		name := fmt.Sprintf("k=4/n=%d/dims=%d", bg.n, bg.dims)
 		b.Run(name, func(b *testing.B) {
-			opts := Options{Tol: []float64{0.15}, Workers: 1}
+			opts := Options{Tol: []float64{0.15}}
 			b.ReportAllocs()
 			var cut int64
 			for i := 0; i < b.N; i++ {
@@ -147,7 +147,7 @@ func BenchmarkKWay(b *testing.B) {
 			}
 			name := fmt.Sprintf("k=4/region/n=%d/anchors=%d/masks=%d/graphs=%d/%s", n, n/2, masks, sweepBatch, mode)
 			b.Run(name, func(b *testing.B) {
-				opts := Options{Tol: []float64{0.4}, Workers: 1}
+				opts := Options{Tol: []float64{0.4}}
 				b.ReportAllocs()
 				var cut int64
 				for i := 0; i < b.N; i++ {

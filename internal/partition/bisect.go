@@ -22,10 +22,6 @@ type Options struct {
 	// (default equal shares). For Bisect it must have length 2 and sum to
 	// ~1; KWay splits it across the recursion.
 	Fractions []float64
-	// Workers bounds the goroutine fan-out of the parallel multi-start
-	// initial partitioning; 0 means runtime.GOMAXPROCS(0). The result is
-	// identical for every value.
-	Workers int
 	// Obs, when non-nil, receives the refinement metrics (fm_moves,
 	// fm_rollbacks, fm_coarsen_levels, fm_bisections). Hot loops tally
 	// into scratch fields and flush once per bisection, so a nil Obs costs

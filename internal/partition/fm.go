@@ -1,13 +1,11 @@
 package partition
 
 import (
-	"context"
 	"math/bits"
 	"slices"
 	"sync"
 
 	"mcpart/internal/obs"
-	"mcpart/internal/parallel"
 )
 
 // The partitioner: a METIS-style multilevel engine (heavy-edge-matching
@@ -22,7 +20,7 @@ import (
 //     re-ranking its neighbors never re-sorts the pass;
 //   - heap-based region growing for the initial bisection, replacing the
 //     O(V·E) frontier rescans, with the same deterministic seed-spread
-//     scheme, plus parallel multi-start at the coarsest level.
+//     scheme, plus multi-start at the coarsest level.
 //
 // Classical FM indexes buckets with a dense array because gains are small
 // integers; here edge weights are profile-scaled 64-bit values, so the
@@ -32,9 +30,8 @@ import (
 // matches the node's current bucket key. Ties between equal gains always
 // resolve to the lowest node index, which keeps every pass deterministic.
 
-// fmTries is the multi-start width at the coarsest level. FM tries are
-// cheap, and with parallel multi-start the extra tries cost little wall
-// time.
+// fmTries is the multi-start width at the coarsest level. The coarsest
+// graph is small, so each try costs little next to the fine levels.
 const fmTries = 16
 
 // fmTrajectories is how many distinct coarsest-level candidates survive
@@ -42,17 +39,8 @@ const fmTries = 16
 // uncoarsening (projection + FM refinement per level). A single carried
 // candidate can land in a locally-optimal basin a sibling escapes; the
 // finest-level winner is chosen by (balance violation, cut, candidate
-// index). The trajectories are independent, so they fan out across
-// Options.Workers.
+// index).
 const fmTrajectories = 4
-
-// parallelTryMin is the coarsest-graph size below which multi-start runs
-// serially: normally coarsening reaches Options.CoarseTarget (~24 nodes)
-// and goroutine fan-out would cost more than the tries themselves. Only
-// when coarsening stalls early — dense graphs, many fixed nodes — is the
-// coarsest graph big enough for the fan-out to pay. (Trajectory fan-out is
-// gated on the finest graph instead — see bisectFast.)
-const parallelTryMin = 128
 
 // trajectoryCap is the level size above which only the single best
 // candidate keeps climbing. Multi-trajectory carrying pays off on the
@@ -91,8 +79,8 @@ func growTo[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// fmScratch is the fast path's reusable working memory: one per Bisect
-// call (or per parallel multi-start try), never shared across goroutines.
+// fmScratch is the fast path's reusable working memory: one per
+// bisection, never shared across goroutines.
 type fmScratch struct {
 	// coarsening tables
 	match    []int32
@@ -133,26 +121,14 @@ type fmScratch struct {
 	tMoves, tRollbacks int64
 }
 
-// resetTally clears the observability tallies; called when a scratch is
-// (re)acquired for a bisection so pooled state never leaks across calls.
-func (fs *fmScratch) resetTally() { fs.tMoves, fs.tRollbacks = 0, 0 }
-
-// flushTally publishes the accumulated tallies (fs plus any extra
-// trajectory scratches) and the coarsening depth to o. No-op when o is
-// nil.
-func flushTally(o *obs.Observer, fs *fmScratch, extra []*fmScratch, coarsenLevels int) {
+// flushTally publishes fs's accumulated tallies and the coarsening depth
+// to o. No-op when o is nil.
+func flushTally(o *obs.Observer, fs *fmScratch, coarsenLevels int) {
 	if o == nil {
 		return
 	}
-	mv, rb := fs.tMoves, fs.tRollbacks
-	for _, s := range extra {
-		if s != nil {
-			mv += s.tMoves
-			rb += s.tRollbacks
-		}
-	}
-	o.Counter("fm_moves").Add(mv)
-	o.Counter("fm_rollbacks").Add(rb)
+	o.Counter("fm_moves").Add(fs.tMoves)
+	o.Counter("fm_rollbacks").Add(fs.tRollbacks)
 	o.Counter("fm_bisections").Add(1)
 	o.Histogram("fm_coarsen_levels").Observe(int64(coarsenLevels))
 }
@@ -461,7 +437,7 @@ func bisectFast(g *Graph, opts Options) []int {
 	fs := scratchPool.Get().(*fmScratch)
 	defer scratchPool.Put(fs)
 	fs.csrUsed, fs.cmapUsed = 0, 0
-	fs.resetTally()
+	fs.tMoves, fs.tRollbacks = 0, 0 // pooled tallies never leak across calls
 	c := buildCSRInto(fs.getCSR(), g)
 	total := c.TotalW()
 	levels := []lvl{{c: c}}
@@ -516,48 +492,24 @@ func bisectFast(g *Graph, opts Options) []int {
 		cands = rankCandidates(levels[shallow].c, total, cands, opts)
 	}
 	if shallow == 0 {
-		flushTally(opts.Obs, fs, nil, len(levels)-1)
+		flushTally(opts.Obs, fs, len(levels)-1)
 		return widen(cands[0]) // finest level reached; cands[0] is the winner
 	}
 	// Uncoarsen level by level. Candidates refine independently at each
-	// level — the levels are shared read-only, so they fan out across
-	// workers when the graph is big enough for the goroutines to pay for
-	// themselves — and once the next level exceeds trajectoryCap only the
-	// best candidate keeps climbing.
-	var scratches [fmTrajectories]*fmScratch
-	scratches[0] = fs
-	defer func() {
-		for _, s := range scratches[1:] {
-			if s != nil {
-				scratchPool.Put(s)
-			}
-		}
-	}()
+	// level, and once the next level exceeds trajectoryCap only the best
+	// candidate keeps climbing.
 	for li := shallow - 1; li >= 0; li-- {
 		fine := levels[li]
 		if len(cands) > 1 && fine.c.Len() > trajectoryCap {
 			cands = rankCandidates(levels[li+1].c, total, cands, opts)[:1]
 		}
-		if len(cands) > 1 && fine.c.Len() >= parallelTryMin && parallel.Workers(opts.Workers) > 1 {
-			cands, _ = parallel.Map(context.Background(), len(cands), opts.Workers,
-				func(_ context.Context, i int) ([]int32, error) {
-					if scratches[i] == nil {
-						scratches[i] = scratchPool.Get().(*fmScratch)
-						scratches[i].resetTally()
-					}
-					part := project(fine, cands[i])
-					refineFM(scratches[i], fine.c, total, part, opts)
-					return part, nil
-				})
-		} else {
-			for i := range cands {
-				cands[i] = project(fine, cands[i])
-				refineFM(fs, fine.c, total, cands[i], opts)
-			}
+		for i := range cands {
+			cands[i] = project(fine, cands[i])
+			refineFM(fs, fine.c, total, cands[i], opts)
 		}
 	}
 	out := widen(rankCandidates(c, total, cands, opts)[0])
-	flushTally(opts.Obs, fs, scratches[1:], len(levels)-1)
+	flushTally(opts.Obs, fs, len(levels)-1)
 	return out
 }
 
@@ -621,11 +573,7 @@ func rankCandidatesN(c *CSR, total []int64, parts [][]int32, opts Options, keep 
 
 // bestInitialFM runs fmTries independent grow+refine starts at the
 // coarsest level and returns up to fmTrajectories distinct candidates,
-// best-first by (balance violation, cut weight, try index). When the
-// coarsest graph is large enough to matter the tries fan across
-// opts.Workers goroutines (each with private scratch); selection is a
-// deterministic reduction over the index-ordered results, so every worker
-// count — including the serial path — returns bit-identical candidates.
+// best-first by (balance violation, cut weight, try index).
 func bestInitialFM(fs *fmScratch, c *CSR, total []int64, opts Options) [][]int32 {
 	// The refinement budget is spent in a funnel: all fmTries starts are
 	// grown (cheap, one heap sweep each), the raw grows are ranked and
@@ -639,39 +587,17 @@ func bestInitialFM(fs *fmScratch, c *CSR, total []int64, opts Options) [][]int32
 		triageKeep   = fmTries - 2
 	)
 	n := c.Len()
-	par := n >= parallelTryMin && parallel.Workers(opts.Workers) > 1
 	// Every try grows into its own n-slice of one scratch buffer; only the
 	// surviving candidates are copied out.
 	grown := growTo(fs.tries, fmTries*n)
 	fs.tries = grown
-	tryPart := func(try int) []int32 { return grown[try*n : (try+1)*n : (try+1)*n] }
-	var parts [][]int32
-	if par {
-		parts, _ = parallel.Map(context.Background(), fmTries, opts.Workers,
-			func(_ context.Context, try int) ([]int32, error) {
-				tfs := scratchPool.Get().(*fmScratch)
-				defer scratchPool.Put(tfs)
-				return growInitial(tfs, c, total, opts, try, fmTries, tryPart(try)), nil
-			})
-	} else {
-		parts = make([][]int32, fmTries)
-		for try := 0; try < fmTries; try++ {
-			parts[try] = growInitial(fs, c, total, opts, try, fmTries, tryPart(try))
-		}
+	parts := make([][]int32, fmTries)
+	for try := range parts {
+		parts[try] = growInitial(fs, c, total, opts, try, fmTries, grown[try*n:(try+1)*n:(try+1)*n])
 	}
 	parts = rankCandidatesN(c, total, parts, opts, triageKeep)
-	if par && len(parts) > 1 {
-		parts, _ = parallel.Map(context.Background(), len(parts), opts.Workers,
-			func(_ context.Context, i int) ([]int32, error) {
-				tfs := scratchPool.Get().(*fmScratch)
-				defer scratchPool.Put(tfs)
-				refineFMPasses(tfs, c, total, parts[i], opts, triagePasses)
-				return parts[i], nil
-			})
-	} else {
-		for _, p := range parts {
-			refineFMPasses(fs, c, total, p, opts, triagePasses)
-		}
+	for _, p := range parts {
+		refineFMPasses(fs, c, total, p, opts, triagePasses)
 	}
 	kept := rankCandidates(c, total, parts, opts)
 	for _, p := range kept {

@@ -71,48 +71,29 @@ func TestFastNoWorseThanLegacy(t *testing.T) {
 }
 
 // TestFastDeterminism pins the fast path's determinism contract: the
-// partition is identical across repeated runs and across every Workers
-// value, including a configuration whose coarsest graph is large enough
-// (>= parallelTryMin nodes) that the multi-start actually fans out.
+// partition is identical across repeated runs, including on a
+// configuration whose coarsest graph is large (hundreds of nodes), so the
+// multi-start and the carried trajectories all refine real graphs and
+// share one pooled scratch.
 func TestFastDeterminism(t *testing.T) {
 	g := randGraph(2000, 5, 2, 42, true)
-	for _, workers := range []int{0, 1, 8} {
-		opts := Options{
-			Tol:          []float64{0.15},
-			CoarseTarget: 600, // keep the coarsest level above parallelTryMin
-			Workers:      workers,
-		}
-		base, err := Bisect(g, opts)
+	opts := Options{
+		Tol:          []float64{0.15},
+		CoarseTarget: 600, // stop coarsening with a large coarsest level
+	}
+	base, err := Bisect(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 3; rep++ {
+		p, err := Bisect(g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for rep := 0; rep < 3; rep++ {
-			p, err := Bisect(g, opts)
-			if err != nil {
-				t.Fatal(err)
+		for u := range base {
+			if p[u] != base[u] {
+				t.Fatalf("rep=%d: nondeterministic at node %d", rep, u)
 			}
-			for u := range base {
-				if p[u] != base[u] {
-					t.Fatalf("workers=%d rep=%d: nondeterministic at node %d", workers, rep, u)
-				}
-			}
-		}
-	}
-	// Cross-worker equality: -j1 and -j8 must agree bit for bit.
-	opts1 := Options{Tol: []float64{0.15}, CoarseTarget: 600, Workers: 1}
-	opts8 := opts1
-	opts8.Workers = 8
-	p1, err := Bisect(g, opts1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p8, err := Bisect(g, opts8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range p1 {
-		if p1[u] != p8[u] {
-			t.Fatalf("-j1 vs -j8 diverge at node %d", u)
 		}
 	}
 }

@@ -14,11 +14,12 @@
 //   - k-way partitioning by recursive bisection (k a power of two).
 //
 // The engine runs over CSR arrays with gain-bucket FM refinement,
-// heap-based growing and parallel multi-start (csr.go, fm.go), and graphs
-// of at most ten nodes are enumerated exactly. It is fully deterministic:
-// ties break on fixed rules (node index, or insertion order within a gain
-// bucket), multi-start winners are chosen by (balance violation, cut, try
-// index), and results are identical for every Options.Workers value.
+// heap-based growing and multi-start (csr.go, fm.go), and graphs of at
+// most ten nodes are enumerated exactly. It is serial and fully
+// deterministic: ties break on fixed rules (node index, or insertion order
+// within a gain bucket), and multi-start winners are chosen by (balance
+// violation, cut, try index). Callers that want parallelism run
+// independent bisections side by side; none fans out inside one.
 package partition
 
 import "fmt"

@@ -16,8 +16,8 @@ import (
 // options. The key therefore determines the bisection exactly, and a hit
 // returns the halves the bisection would compute.
 //
-// Options.Workers and Options.Obs are not in the key: both are
-// value-neutral. The zero value is an empty memo; it is safe for
+// Options.Obs is not in the key: it only counts, never steers. The zero
+// value is an empty memo; it is safe for
 // concurrent use, and concurrent misses on one key store equal values.
 type SplitMemo struct {
 	mu     sync.Mutex

@@ -32,7 +32,7 @@ func splitCases() []splitCase {
 					for p := 0; p < k; p++ {
 						g.Fixed[perm[p]] = p
 					}
-					opts := Options{Tol: []float64{0.15, 0.3}, Workers: 1}
+					opts := Options{Tol: []float64{0.15, 0.3}}
 					if withFrac {
 						opts.Fractions = make([]float64, k)
 						for p := range opts.Fractions {

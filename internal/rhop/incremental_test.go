@@ -6,6 +6,7 @@ import (
 
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/obs"
 	"mcpart/internal/profile"
 	"mcpart/internal/sched"
 )
@@ -163,14 +164,14 @@ func checkRegionEval(t *testing.T, f *ir.Func, prof *profile.Profile, mcfg *mach
 
 // TestOptionsCacheKey pins that the key resolves defaults (zero and
 // explicit-default Options share results) and separates every
-// outcome-affecting knob, while ignoring the value-neutral Workers.
+// outcome-affecting knob, while ignoring the value-neutral observer.
 func TestOptionsCacheKey(t *testing.T) {
 	zero := Options{}.CacheKey()
 	if explicit := (Options{RefinePasses: 4, BalanceTol: 0.4}).CacheKey(); explicit != zero {
 		t.Errorf("explicit defaults key %q != zero key %q", explicit, zero)
 	}
-	if (Options{Workers: 3}).CacheKey() != zero {
-		t.Error("Workers must not change the cache key")
+	if (Options{Obs: obs.New(obs.NewRegistry(), nil, nil)}).CacheKey() != zero {
+		t.Error("Obs must not change the cache key")
 	}
 	distinct := []Options{
 		{},

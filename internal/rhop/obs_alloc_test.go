@@ -30,14 +30,12 @@ func TestObserverZeroAllocOverheadPartitionFunc(t *testing.T) {
 			}
 		}
 	}
-	// Workers=1 keeps the multi-start fan-out deterministic so the
-	// allocation counts are stable run to run.
-	nilObs := run(Options{Workers: 1})
+	nilObs := run(Options{})
 	nilObs() // warm the partitioner pools
 	base := testing.AllocsPerRun(20, nilObs)
 
 	o := obs.New(obs.NewRegistry(), nil, nil)
-	withObs := run(Options{Workers: 1, Obs: o})
+	withObs := run(Options{Obs: o})
 	withObs() // create the counters
 	attached := testing.AllocsPerRun(20, withObs)
 	if attached != base {
@@ -60,7 +58,7 @@ func TestObservedPartitionCountersMatch(t *testing.T) {
 	o := obs.New(obs.NewRegistry(), nil, nil)
 	const calls = 3
 	for i := 0; i < calls; i++ {
-		if _, err := Prepare(f, prof, nil).Partition(mcfg, nil, Options{Workers: 1, Obs: o}); err != nil {
+		if _, err := Prepare(f, prof, nil).Partition(mcfg, nil, Options{Obs: o}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -56,10 +56,6 @@ type Options struct {
 	// coarser levels; single-op moves sometimes cannot escape the local
 	// minima pair moves can.
 	PairRefine bool
-	// Workers bounds the graph partitioner's multi-start fan-out; 0 means
-	// runtime.GOMAXPROCS(0). Value-neutral (results are identical for
-	// every worker count), so it is excluded from CacheKey.
-	Workers int
 	// Obs, when non-nil, receives the refinement metrics (rhop_regions,
 	// rhop_moves_accepted, rhop_cost_evals) and is threaded into the
 	// graph partitioner. Value-neutral and excluded from CacheKey; the
@@ -74,7 +70,7 @@ func (o Options) tol() float64 { return defaults.Float(o.BalanceTol, 0.4) }
 // CacheKey returns a canonical encoding of every option that can change a
 // partitioning outcome, with defaults resolved (so the zero Options and an
 // explicit {RefinePasses: 4, BalanceTol: 0.4} share memoized results).
-// Workers and Obs are excluded: both are value-neutral by construction.
+// Obs is excluded: it only counts and never changes an outcome.
 func (o Options) CacheKey() string {
 	return memo.NewKey("rhopopts").
 		Int(int64(o.passes())).
@@ -356,9 +352,8 @@ func (fp *FuncPartitioner) minCut(ri int, pre *regionPre, locks Locks, asg []int
 	sc.tKWay++
 	k := fp.mcfg.NumClusters()
 	popts := partition.Options{
-		Tol:     []float64{opts.tol()},
-		Workers: opts.Workers,
-		Obs:     opts.Obs,
+		Tol: []float64{opts.tol()},
+		Obs: opts.Obs,
 	}
 	var part []int
 	var err error
