@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check deps-check loc cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
+.PHONY: all build test test-short race check deps-check loc api cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
 
 all: build test
 
@@ -50,6 +50,15 @@ LOC_FIND = find . -path ./benchmark -prune -o -name '*.go'
 loc:
 	@echo "non-test Go: $$($(LOC_FIND) ! -name '*_test.go' -exec cat {} + | wc -l) lines in $$($(LOC_FIND) ! -name '*_test.go' -print | wc -l) files"
 	@echo "test Go: $$($(LOC_FIND) -name '*_test.go' -exec cat {} + | wc -l) lines in $$($(LOC_FIND) -name '*_test.go' -print | wc -l) files"
+
+# Exported API surface per internal package, read from `go doc -all`:
+# the exported types, and the exported functions and methods (constructors
+# and methods listed under their types included).
+api:
+	@for p in $$($(GO) list ./internal/...); do \
+		doc="$$($(GO) doc -all $$p)"; \
+		echo "$${p#mcpart/}: $$(printf '%s\n' "$$doc" | grep -c '^type ') types, $$(printf '%s\n' "$$doc" | grep -c '^func ') funcs/methods"; \
+	done
 
 .PHONY: fmt-check
 fmt-check:

@@ -613,21 +613,24 @@ func lockSigKey(k *memo.Key, c *Compiled, f *ir.Func, dm gdp.DataMap) *memo.Key 
 	return k.Proj(dm, c.touched[f])
 }
 
-// computeLocks is gdp.ComputeLocks with per-function lock-signature
-// caching. Every caller gets private copies of the lock maps (schemes and
-// callers may hold them in Results while other runs share the cache).
-func computeLocks(c *Compiled, dm gdp.DataMap, opts Options) map[*ir.Func]rhop.Locks {
+// funcLocks returns f's memory-op locks under dm (gdp.ComputeLocksFunc),
+// memoized under the "locks" key by f's projected lock signature. The map
+// is the cache's master: callers that hand it out copy it.
+func (c *Compiled) funcLocks(f *ir.Func, dm gdp.DataMap) rhop.Locks {
+	key := lockSigKey(memo.NewKey("locks").Str(f.Name), c, f, dm).String()
+	v, _, _ := c.memo.DoCodec(key, lockCodec{}, func() (any, error) {
+		return gdp.ComputeLocksFunc(f, dm, c.Prof), nil
+	})
+	return v.(rhop.Locks)
+}
+
+// computeLocks returns every function's locks under dm. Every caller gets
+// private copies of the lock maps (schemes and callers may hold them in
+// Results while other runs share the cache).
+func computeLocks(c *Compiled, dm gdp.DataMap) map[*ir.Func]rhop.Locks {
 	out := make(map[*ir.Func]rhop.Locks, len(c.Mod.Funcs))
-	var full map[*ir.Func]rhop.Locks
 	for _, f := range c.Mod.Funcs {
-		key := lockSigKey(memo.NewKey("locks").Str(f.Name), c, f, dm).String()
-		v, _, _ := c.memo.DoCodec(key, lockCodec{}, func() (any, error) {
-			if full == nil {
-				full = gdp.ComputeLocks(c.Mod, dm, c.Prof)
-			}
-			return full[f], nil
-		})
-		master := v.(rhop.Locks)
+		master := c.funcLocks(f, dm)
 		cp := make(rhop.Locks, len(master))
 		for id, cl := range master {
 			cp[id] = cl
@@ -664,15 +667,78 @@ func partitionKey(c *Compiled, f *ir.Func, dm gdp.DataMap, locks rhop.Locks, mke
 	return k.String()
 }
 
-// partitionModule runs the detailed partitioner over the module with
-// per-function memoization. It keeps the §4.5 accounting semantics: every
-// call counts as one logical DetailedRun and its wall time (however small
-// a cache hit makes it) accrues to PartitionTime, while per-function cache
-// hits are recorded separately in res.MemoPartitionHits. Returned
-// assignment slices are private copies — RunNaive mutates its assignment
-// in place, so cached masters must never be aliased.
+// funcSteps is the per-function partition → cycles step of one pass over a
+// module (a scheme run's partitioning or scheduling pass) or of one
+// function's sweep table, on one machine. Each step looks its result up
+// under its memo key ("part", "sched"; funcLocks holds "locks") — memory
+// tier, then artifact store — and computes it only on a miss, through the
+// function's leased rhop.Prepared: partitions through one
+// rhop.FuncPartitioner per function, whose region memo serves every lock
+// map the step is asked for, and cycles through the Prepared's block cache
+// for the machine, where the partitioner has already scheduled most
+// blocks. A funcSteps is not safe for concurrent use.
+type funcSteps struct {
+	c          *Compiled
+	cfg        *machine.Config
+	ropts      rhop.Options
+	mkey, okey string
+	obs        *obs.Observer
+	// fp partitions fpFunc; it is made on a partition miss for a function
+	// it does not serve yet.
+	fp     *rhop.FuncPartitioner
+	fpFunc *ir.Func
+	// sc is made on the first schedule miss: an owned Scratch lets the
+	// observer's sched counters attach.
+	sc *sched.Scratch
+}
+
+func newFuncSteps(c *Compiled, cfg *machine.Config, opts Options) *funcSteps {
+	ropts := opts.rhopOpts()
+	return &funcSteps{c: c, cfg: cfg, ropts: ropts, mkey: cfg.CacheKey(), okey: ropts.CacheKey(), obs: opts.Observer}
+}
+
+// partition returns f's partition under locks — the locks dm induces, or
+// hand-supplied ones when dm is nil — and whether the cache served it. The
+// slice is the cache's master: callers that hand it out copy it.
+func (s *funcSteps) partition(f *ir.Func, dm gdp.DataMap, locks rhop.Locks) ([]int, bool, error) {
+	v, hit, err := s.c.memo.DoCodec(partitionKey(s.c, f, dm, locks, s.mkey, s.okey), partCodec{}, func() (any, error) {
+		if s.fpFunc != f {
+			s.fp, s.fpFunc = s.c.prepared(f).NewPartitioner(s.cfg, s.ropts), f
+		}
+		return s.fp.Partition(locks)
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return v.([]int), hit, nil
+}
+
+// cycles returns f's profile-weighted cycles and moves under asg, memoized
+// under the "sched" key by (function, machine, assignment), and whether the
+// cache served them.
+func (s *funcSteps) cycles(f *ir.Func, asg []int) (sched.Cost, bool) {
+	key := memo.NewKey("sched").Str(f.Name).Str(s.mkey).Ints(asg).String()
+	v, hit, _ := s.c.memo.DoCodec(key, schedCodec{}, func() (any, error) {
+		if s.sc == nil {
+			s.sc = sched.NewScratch()
+			s.sc.SetObserver(s.obs)
+		}
+		cyc, mv := s.sc.FuncCycles(s.c.prepared(f).BlockCache(s.cfg), asg, s.c.Prof)
+		return [2]int64{cyc, mv}, nil
+	})
+	pair := v.([2]int64)
+	return sched.Cost{Cycles: pair[0], Moves: pair[1]}, hit
+}
+
+// partitionModule runs the detailed partitioner over the module through
+// funcSteps. It keeps the §4.5 accounting semantics: every call counts as
+// one logical DetailedRun and its wall time (however small a cache hit
+// makes it) accrues to PartitionTime, while per-function cache hits are
+// recorded separately in res.MemoPartitionHits. Returned assignment slices
+// are private copies — RunNaive mutates its assignment in place, so cached
+// masters must never be aliased.
 func partitionModule(c *Compiled, cfg *machine.Config, dm gdp.DataMap,
-	locks map[*ir.Func]rhop.Locks, ropts rhop.Options, opts Options, res *Result) (map[*ir.Func][]int, error) {
+	locks map[*ir.Func]rhop.Locks, opts Options, res *Result) (map[*ir.Func][]int, error) {
 
 	if err := opts.inject(res.Scheme, "partition"); err != nil {
 		return nil, fmt.Errorf("partition: %w", err)
@@ -687,34 +753,26 @@ func partitionModule(c *Compiled, cfg *machine.Config, dm gdp.DataMap,
 		res.PartitionTime += time.Since(start)
 		res.DetailedRuns++
 	}()
-	mkey := cfg.CacheKey()
-	okey := ropts.CacheKey()
+	steps := newFuncSteps(c, cfg, opts)
 	out := make(map[*ir.Func][]int, len(c.Mod.Funcs))
 	for _, f := range c.Mod.Funcs {
 		if err := opts.ctxErr(); err != nil {
 			return nil, err
 		}
-		l := locks[f]
-		key := partitionKey(c, f, dm, l, mkey, okey)
-		v, hit, err := c.memo.DoCodec(key, partCodec{}, func() (any, error) {
-			return c.prepared(f).Partition(cfg, l, ropts)
-		})
+		asg, hit, err := steps.partition(f, dm, locks[f])
 		if err != nil {
 			return nil, err
 		}
 		if hit {
 			res.MemoPartitionHits++
 		}
-		out[f] = append([]int(nil), v.([]int)...)
+		out[f] = append([]int(nil), asg...)
 	}
 	return out, nil
 }
 
 // programCycles computes the program's profile-weighted cycle and move
-// counts under asg: the sum of sched FuncCycles over the module's
-// functions, each cached by (function, machine, assignment). A miss
-// schedules through the function's block cache for cfg on its leased
-// rhop.Prepared, where the partitioner has already scheduled most blocks.
+// counts under asg: the sum of the per-function funcSteps cycles.
 func programCycles(c *Compiled, cfg *machine.Config, asg map[*ir.Func][]int,
 	opts Options, res *Result) (cycles, moves int64, err error) {
 
@@ -726,25 +784,14 @@ func programCycles(c *Compiled, cfg *machine.Config, asg map[*ir.Func][]int,
 	}
 	sp := opts.Observer.Span("sched")
 	defer sp.End()
-	var sc *sched.Scratch
-	mkey := cfg.CacheKey()
+	steps := newFuncSteps(c, cfg, opts)
 	for _, f := range c.Mod.Funcs {
-		key := memo.NewKey("sched").Str(f.Name).Str(mkey).Ints(asg[f]).String()
-		v, hit, _ := c.memo.DoCodec(key, schedCodec{}, func() (any, error) {
-			if sc == nil {
-				// An owned Scratch lets the observer's sched counters attach.
-				sc = sched.NewScratch()
-				sc.SetObserver(opts.Observer)
-			}
-			cyc, mv := sc.FuncCycles(c.prepared(f).BlockCache(cfg), asg[f], c.Prof)
-			return [2]int64{cyc, mv}, nil
-		})
+		cost, hit := steps.cycles(f, asg[f])
 		if hit {
 			res.MemoScheduleHits++
 		}
-		pair := v.([2]int64)
-		cycles += pair[0]
-		moves += pair[1]
+		cycles += cost.Cycles
+		moves += cost.Moves
 	}
 	return cycles, moves, nil
 }
@@ -772,7 +819,7 @@ func RunUnified(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err 
 	opts, done := beginRun(c, SchemeUnified, opts)
 	defer func() { done(r, err) }()
 	res := &Result{Scheme: SchemeUnified}
-	asg, err := partitionModule(c, cfg, nil, nil, opts.rhopOpts(), opts, res)
+	asg, err := partitionModule(c, cfg, nil, nil, opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -797,8 +844,8 @@ func RunGDP(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err erro
 	}
 	res.DataMap = dp.DataMap
 	res.Groups = dp.Groups
-	res.Locks = computeLocks(c, dp.DataMap, opts)
-	asg, err := partitionModule(c, cfg, dp.DataMap, res.Locks, opts.rhopOpts(), opts, res)
+	res.Locks = computeLocks(c, dp.DataMap)
+	asg, err := partitionModule(c, cfg, dp.DataMap, res.Locks, opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -812,8 +859,8 @@ func RunWithDataMap(c *Compiled, cfg *machine.Config, dm gdp.DataMap, opts Optio
 	opts, done := beginRun(c, SchemeFixed, opts)
 	defer func() { done(r, err) }()
 	res := &Result{Scheme: SchemeFixed, DataMap: dm}
-	res.Locks = computeLocks(c, dm, opts)
-	asg, err := partitionModule(c, cfg, dm, res.Locks, opts.rhopOpts(), opts, res)
+	res.Locks = computeLocks(c, dm)
+	asg, err := partitionModule(c, cfg, dm, res.Locks, opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -830,7 +877,7 @@ func RunProfileMax(c *Compiled, cfg *machine.Config, opts Options) (r *Result, e
 	defer func() { done(r, err) }()
 	res := &Result{Scheme: SchemeProfileMax}
 	k := cfg.NumClusters()
-	firstAsg, err := partitionModule(c, cfg, nil, nil, opts.rhopOpts(), opts, res)
+	firstAsg, err := partitionModule(c, cfg, nil, nil, opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -938,8 +985,8 @@ func RunProfileMax(c *Compiled, cfg *machine.Config, opts Options) (r *Result, e
 		}
 	}
 	res.DataMap = dm
-	res.Locks = computeLocks(c, dm, opts)
-	asg, err := partitionModule(c, cfg, dm, res.Locks, opts.rhopOpts(), opts, res)
+	res.Locks = computeLocks(c, dm)
+	asg, err := partitionModule(c, cfg, dm, res.Locks, opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -956,7 +1003,7 @@ func RunNaive(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err er
 	defer func() { done(r, err) }()
 	res := &Result{Scheme: SchemeNaive}
 	k := cfg.NumClusters()
-	asg, err := partitionModule(c, cfg, nil, nil, opts.rhopOpts(), opts, res)
+	asg, err := partitionModule(c, cfg, nil, nil, opts, res)
 	if err != nil {
 		return nil, err
 	}
@@ -990,7 +1037,7 @@ func RunNaive(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err er
 	// else stays put and the scheduler pays the transfers. asg is this
 	// call's private copy (partitionModule never returns cached masters),
 	// so the in-place mutation cannot corrupt the memo cache.
-	locks := computeLocks(c, dm, opts)
+	locks := computeLocks(c, dm)
 	res.Locks = locks
 	for _, f := range c.Mod.Funcs {
 		fa := asg[f]

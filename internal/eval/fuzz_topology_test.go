@@ -63,6 +63,21 @@ func fuzzMachine(seed int64, machineByte, latByte, memByte uint8) *machine.Confi
 	return cfg
 }
 
+// TestFuzzMachinesValidate checks every machine shape fuzzMachine draws
+// (cluster count, topology, memory layout) passes machine.Validate, so the
+// fuzz targets never start from a configuration the facade would reject.
+func TestFuzzMachinesValidate(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		for mb := 0; mb < 16; mb++ {
+			for memByte := uint8(0); memByte < 2; memByte++ {
+				if cfg := fuzzMachine(seed, uint8(mb), uint8(seed), memByte); cfg.Validate() != nil {
+					t.Errorf("fuzzMachine(%d, %d, %d, %d): %v", seed, mb, seed, memByte, cfg.Validate())
+				}
+			}
+		}
+	}
+}
+
 // FuzzTopology property-tests the topology-generalized pipeline: progen
 // programs × random valid machines. Oracles, in order: the derived config
 // passes machine.Validate; all four schemes run with the independent

@@ -24,7 +24,7 @@ func sharingMachines() []*machine.Config {
 // Compiled run through every machine of sharingMachines in turn, at -j1
 // and at -j8, returns results identical in every deterministic field to a
 // fresh Compiled per machine. A sweep on two 2-cluster machines rides
-// along, so the sweep partitioner's use of the shared memo is covered too.
+// along, so a partitioner reused across lock signatures is covered too.
 func TestPreparedSharedAcrossMachines(t *testing.T) {
 	for _, name := range []string{"fir", "halftone", "rawcaudio"} {
 		want := map[string]*BenchResult{}

@@ -9,9 +9,7 @@ import (
 	"mcpart/internal/check"
 	"mcpart/internal/gdp"
 	"mcpart/internal/machine"
-	"mcpart/internal/memo"
 	"mcpart/internal/parallel"
-	"mcpart/internal/rhop"
 	"mcpart/internal/sched"
 
 	"mcpart/internal/ir"
@@ -33,13 +31,11 @@ import (
 // TestDeltaSweepMatchesFull pins against the tests' per-mask oracle across
 // benchmarks, latencies and worker counts.
 //
-// Phase 1 computes per-signature results through the same memo keys the
-// scheme runs use ("locks", "part", "sched"), so the in-memory cache and
-// the persistent artifact store stay fully shared with them; partition
-// misses run through a rhop.FuncPartitioner, which builds on the
-// Compiled's shared rhop.Prepared (region structure and min-cut memo) and
-// caches per-machine region results across signatures; schedule-cost
-// misses go through the same Prepared's block cache for the machine.
+// Phase 1 computes per-signature results through the per-function steps
+// the scheme runs use (funcLocks and funcSteps, under the "locks", "part"
+// and "sched" memo keys), so the in-memory cache and the persistent
+// artifact store stay fully shared with them. Each function's table gets
+// one funcSteps, so its partitioner's region memo serves every signature.
 //
 // Validation decomposes the same way the cost does. Under
 // Options.Validate phase 1 runs the independent validator
@@ -162,9 +158,6 @@ func (o Options) checkPoint(c *Compiled, tables []costTable, rad *radix, n int, 
 func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 	opts Options, rad *radix, canon bool, n int, res *Result) ([]costTable, error) {
 
-	ropts := opts.rhopOpts()
-	mkey := cfg.CacheKey()
-	okey := ropts.CacheKey()
 	items, err := parallel.MapStage(ctx, "sweep_tables", len(c.Mod.Funcs), opts.Workers,
 		func(_ context.Context, fi int) (tableStats, error) {
 			f := c.Mod.Funcs[fi]
@@ -173,51 +166,30 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 			// Canonical masks pin object 0 to cluster 0, so signatures
 			// placing it elsewhere can never be asked for.
 			fixed0 := canon && len(objs) > 0 && objs[0] == 0
-			var fp *rhop.FuncPartitioner
-			var sc *sched.Scratch
-			var bc *sched.BlockCache
+			steps := newFuncSteps(c, cfg, opts)
 			dm := make(gdp.DataMap, n)
 			// fill computes the entry for signature sig, whose homes dm holds.
 			fill := func(sig int) error {
-				key := lockSigKey(memo.NewKey("locks").Str(f.Name), c, f, dm).String()
-				v, _, _ := c.memo.DoCodec(key, lockCodec{}, func() (any, error) {
-					return gdp.ComputeLocksFunc(f, dm, c.Prof), nil
-				})
-				locks := v.(rhop.Locks)
+				locks := c.funcLocks(f, dm)
 				if err := opts.inject(SchemeFixed, "partition"); err != nil {
 					return fmt.Errorf("partition: %w", err)
 				}
-				v, hit, err := c.memo.DoCodec(partitionKey(c, f, dm, locks, mkey, okey), partCodec{}, func() (any, error) {
-					if fp == nil {
-						fp = c.prepared(f).NewPartitioner(cfg, ropts)
-					}
-					return fp.Partition(locks)
-				})
+				asg, hit, err := steps.partition(f, dm, locks)
 				if err != nil {
 					return err
 				}
 				if hit {
 					ts.partHits++
 				}
-				asg := v.([]int)
 				if err := opts.inject(SchemeFixed, "sched"); err != nil {
 					return fmt.Errorf("schedule: %w", err)
 				}
-				v, hit, _ = c.memo.DoCodec(memo.NewKey("sched").Str(f.Name).Str(mkey).Ints(asg).String(), schedCodec{}, func() (any, error) {
-					if sc == nil {
-						sc = sched.NewScratch()
-						sc.SetObserver(opts.Observer)
-						bc = c.prepared(f).BlockCache(cfg)
-					}
-					cyc, mv := sc.FuncCycles(bc, asg, c.Prof)
-					return [2]int64{cyc, mv}, nil
-				})
+				cost, hit := steps.cycles(f, asg)
 				if hit {
 					ts.schedHits++
 				}
-				pair := v.([2]int64)
-				ts.table.cost[sig] = sched.Cost{Cycles: pair[0], Moves: pair[1]}
-				return opts.validateEntry(c, cfg, f, asg, locks, dm, ts.table.cost[sig])
+				ts.table.cost[sig] = cost
+				return opts.validateEntry(c, cfg, f, asg, locks, dm, cost)
 			}
 			for sig := range ts.table.cost {
 				if fixed0 && sig%rad.k != 0 {

@@ -596,23 +596,13 @@ func scaleFreq(freq int64) int64 {
 	return freq
 }
 
-// ComputeLocks derives the second-pass memory-operation locks from a data
-// map: every load/store/malloc is locked to the home cluster of the data it
-// may access. When an operation can reach objects homed on different
-// clusters (possible only when merging was disabled), the lock is the
-// profile-weighted majority home.
-func ComputeLocks(m *ir.Module, dm DataMap, prof *profile.Profile) map[*ir.Func]rhop.Locks {
-	out := make(map[*ir.Func]rhop.Locks, len(m.Funcs))
-	for _, f := range m.Funcs {
-		out[f] = ComputeLocksFunc(f, dm, prof)
-	}
-	return out
-}
-
-// ComputeLocksFunc is ComputeLocks restricted to one function: the locks of
-// f depend only on dm's homes for the objects f's memory ops may access, so
-// a mapping sweep can recompute exactly the functions a data-map change
-// touches.
+// ComputeLocksFunc derives f's second-pass memory-operation locks from a
+// data map: every load/store/malloc is locked to the home cluster of the
+// data it may access. When an operation can reach objects homed on
+// different clusters (possible only when merging was disabled), the lock is
+// the profile-weighted majority home. The locks depend only on dm's homes
+// for the objects f's memory ops may access, so a mapping sweep can
+// recompute exactly the functions a data-map change touches.
 func ComputeLocksFunc(f *ir.Func, dm DataMap, prof *profile.Profile) rhop.Locks {
 	locks := rhop.Locks{}
 	for _, b := range f.Blocks {

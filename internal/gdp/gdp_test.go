@@ -135,10 +135,9 @@ func TestLocksFollowDataMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	locks := ComputeLocks(mod, res.DataMap, prof)
 	n := 0
-	for f, fl := range locks {
-		for opID, c := range fl {
+	for _, f := range mod.Funcs {
+		for opID, c := range ComputeLocksFunc(f, res.DataMap, prof) {
 			op := f.OpsByID()[opID]
 			if !op.Opcode.IsMem() {
 				t.Fatalf("lock on non-memory op %s", op)
@@ -169,9 +168,8 @@ func TestNoMergeAblation(t *testing.T) {
 			len(res.Groups), len(mod.Objects))
 	}
 	// Locks must still be well-defined (majority vote).
-	locks := ComputeLocks(mod, res.DataMap, prof)
-	for f, fl := range locks {
-		for opID, c := range fl {
+	for _, f := range mod.Funcs {
+		for opID, c := range ComputeLocksFunc(f, res.DataMap, prof) {
 			if c < 0 || c >= 2 {
 				t.Errorf("%s op %d locked out of range: %d", f.Name, opID, c)
 			}

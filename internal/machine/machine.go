@@ -248,6 +248,12 @@ func (c *Config) TotalUnits(k FUKind) int {
 	return n
 }
 
+// MaxClusters bounds a machine's cluster count. The partitioners' memo keys
+// store a cluster, or one past it, in a single byte, and the k-way min-cut
+// splits by recursive bisection, so Validate accepts only powers of two up
+// to this bound.
+const MaxClusters = 128
+
 // Typed validation failures. Validate wraps these with the offending
 // machine's details, so callers can classify rejections with errors.Is.
 var (
@@ -266,12 +272,18 @@ var (
 	// ErrTopologyMatrix: a LatencyMatrix on a non-matrix topology (or a
 	// matrix topology without one) is a misconfiguration, not a fallback.
 	ErrTopologyMatrix = errors.New("latency matrix and topology disagree")
+	// ErrClusterCount: the cluster count is not a power of two, or exceeds
+	// MaxClusters.
+	ErrClusterCount = fmt.Errorf("cluster count must be a power of two no larger than %d", MaxClusters)
 )
 
 // Validate checks the configuration is usable.
 func (c *Config) Validate() error {
 	if len(c.Clusters) < 1 {
 		return fmt.Errorf("machine %q: needs at least one cluster", c.Name)
+	}
+	if n := len(c.Clusters); n > MaxClusters || n&(n-1) != 0 {
+		return fmt.Errorf("machine %q: %d clusters: %w", c.Name, n, ErrClusterCount)
 	}
 	if c.MoveLatency < 1 {
 		return fmt.Errorf("machine %q: move latency %d < 1", c.Name, c.MoveLatency)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -361,6 +362,30 @@ func TestValidateRejectsTopologyConfigs(t *testing.T) {
 			t.Error("accepted ragged matrix")
 		}
 	}()
+}
+
+// TestValidateClusterCount pins the cluster-count bound: powers of two up
+// to MaxClusters validate, every other count fails with ErrClusterCount
+// (the k-way min-cut bisects recursively, and the partitioners' memo keys
+// hold a cluster in one byte).
+func TestValidateClusterCount(t *testing.T) {
+	machineOf := func(n int) *Config {
+		cfg := &Config{Name: fmt.Sprintf("n%d", n), Clusters: make([]Cluster, n), MoveLatency: 5, MoveBandwidth: 1}
+		for i := range cfg.Clusters {
+			cfg.Clusters[i] = paperCluster()
+		}
+		return cfg
+	}
+	for n := 1; n <= MaxClusters; n *= 2 {
+		if err := machineOf(n).Validate(); err != nil {
+			t.Errorf("%d clusters: %v", n, err)
+		}
+	}
+	for _, n := range []int{3, 5, 6, 7, 12, 96, MaxClusters + 1, 2 * MaxClusters} {
+		if err := machineOf(n).Validate(); !errors.Is(err, ErrClusterCount) {
+			t.Errorf("%d clusters: error %v is not %v", n, err, ErrClusterCount)
+		}
+	}
 }
 
 func TestWithLatencyMatrixRejectsBad(t *testing.T) {

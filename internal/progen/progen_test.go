@@ -127,7 +127,7 @@ func TestPipelineOnGeneratedPrograms(t *testing.T) {
 		prof := in.Profile()
 		var cycles, moves int64
 		for _, f := range mod.Funcs {
-			asg, err := rhop.Prepare(f, prof, nil).Partition(cfg, nil, rhop.Options{})
+			asg, err := rhop.Prepare(f, prof, nil).NewPartitioner(cfg, rhop.Options{}).Partition(nil)
 			if err != nil {
 				t.Fatalf("seed %d: rhop: %v\nsource:\n%s", seed, err, src)
 			}

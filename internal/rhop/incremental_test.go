@@ -119,7 +119,7 @@ func TestIncrementalEquivalenceWithLocks(t *testing.T) {
 func checkRegionEval(t *testing.T, f *ir.Func, prof *profile.Profile, mcfg *machine.Config, locks Locks) {
 	t.Helper()
 	p := Prepare(f, prof, nil)
-	final, err := p.Partition(mcfg, locks, Options{})
+	final, err := p.NewPartitioner(mcfg, Options{}).Partition(locks)
 	if err != nil {
 		t.Fatalf("%s %s: %v", mcfg.Name, f.Name, err)
 	}

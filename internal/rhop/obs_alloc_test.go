@@ -9,12 +9,12 @@ import (
 
 // TestObserverZeroAllocOverheadPartitionFunc is the partitioner half of
 // the observability zero-overhead guard: a nil Options.Obs must add zero
-// allocations per one-shot function partitioning (Prepare, then
-// Partition) to the hot loop — the region/move/
-// cost-eval tallies are plain scratch integers, and the single flush
-// block is skipped entirely. With an observer attached the only extra
-// work is four counter adds per function, which allocate nothing once
-// the counters exist, so all configurations must allocate identically.
+// allocations per function partitioning (Prepare, NewPartitioner, then
+// Partition) to the hot loop — the region/move/cost-eval tallies are plain
+// scratch integers, and the single flush block is skipped entirely. With an
+// observer attached the only extra work is seven counter adds per
+// function, which allocate nothing once the counters exist, so all
+// configurations must allocate identically.
 func TestObserverZeroAllocOverheadPartitionFunc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under the race detector")
@@ -25,7 +25,7 @@ func TestObserverZeroAllocOverheadPartitionFunc(t *testing.T) {
 
 	run := func(opts Options) func() {
 		return func() {
-			if _, err := Prepare(f, prof, nil).Partition(mcfg, nil, opts); err != nil {
+			if _, err := Prepare(f, prof, nil).NewPartitioner(mcfg, opts).Partition(nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -58,7 +58,7 @@ func TestObservedPartitionCountersMatch(t *testing.T) {
 	o := obs.New(obs.NewRegistry(), nil, nil)
 	const calls = 3
 	for i := 0; i < calls; i++ {
-		if _, err := Prepare(f, prof, nil).Partition(mcfg, nil, Options{Obs: o}); err != nil {
+		if _, err := Prepare(f, prof, nil).NewPartitioner(mcfg, Options{Obs: o}).Partition(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

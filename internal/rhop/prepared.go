@@ -343,8 +343,8 @@ func (pre *regionPre) home(ui int, asg []int, cnt []int64) int {
 // cluster (0 when unassigned, so its anchors are absent), then a (uvarint
 // region-op index, cluster) pair per locked region op. All but the last
 // part have a fixed length per region and the indices increase, so the
-// key is injective. Clusters fit one byte: machine
-// configs bound k well below 255.
+// key is injective. Clusters fit one byte: machine.Validate bounds k by
+// machine.MaxClusters.
 func (sc *scratch) cutKey(ri int, pre *regionPre, k int, opts Options, locks Locks, asg []int) []byte {
 	var flags byte
 	if opts.UniformEdges {

@@ -56,10 +56,11 @@ type Options struct {
 	// coarser levels; single-op moves sometimes cannot escape the local
 	// minima pair moves can.
 	PairRefine bool
-	// Obs, when non-nil, receives the refinement metrics (rhop_regions,
-	// rhop_moves_accepted, rhop_cost_evals) and is threaded into the
-	// graph partitioner. Value-neutral and excluded from CacheKey; the
-	// refinement loops tally into scratch ints and flush once per
+	// Obs, when non-nil, receives the partitioner's work counters
+	// (rhop_functions, rhop_regions, rhop_moves_accepted, rhop_cost_evals,
+	// rhop_kway_runs, rhop_kway_hits, rhop_refine_runs) and is threaded
+	// into the graph partitioner. Value-neutral and excluded from CacheKey;
+	// the partitioner tallies into scratch ints and flushes once per
 	// Partition call, so nil costs nothing on the hot path.
 	Obs *obs.Observer
 }
@@ -80,12 +81,11 @@ func (o Options) CacheKey() string {
 		String()
 }
 
-// scratch bundles the reusable working memory one FuncPartitioner (and
-// therefore one worker goroutine) owns: the list scheduler's node tables,
-// the live-in home table, and the schedule estimator's dense tables. It is
-// never shared by two partitioners at once (one-shot Partition calls take
-// theirs from scratchPool and return it), so concurrent partitioners stay
-// race-free even when they share a Prepared.
+// scratch bundles the reusable working memory of one Partition call: the
+// list scheduler's node tables, the live-in home table, and the schedule
+// estimator's dense tables. Every call takes its own from scratchPool and
+// returns it when done, so concurrent partitioners stay race-free even when
+// they share a Prepared.
 type scratch struct {
 	sched *sched.Scratch
 	// observability tallies, accumulated by the refinement loops and
@@ -167,9 +167,9 @@ func blockFreq(prof *profile.Profile, b *ir.Block) int64 {
 
 // partitionRegion places the ops of one region: the min-cut partition and
 // every single-cluster layout are each refined by schedule estimates, and
-// the candidate with the lowest real schedule cost wins. rm is the region's
-// sweep memo (nil for one-shot use); ri is the region's heat-order index.
-func (fp *FuncPartitioner) partitionRegion(ri int, pre *regionPre, rm *regionMemo, locks Locks, asg []int) error {
+// the candidate with the lowest real schedule cost wins. ri is the region's
+// heat-order index.
+func (fp *FuncPartitioner) partitionRegion(ri int, pre *regionPre, locks Locks, asg []int) error {
 	sc, p, mcfg, opts := fp.sc, fp.p, fp.mcfg, fp.opts
 	k := mcfg.NumClusters()
 	regionOps := pre.regionOps
@@ -203,44 +203,17 @@ func (fp *FuncPartitioner) partitionRegion(ri int, pre *regionPre, rm *regionMem
 	var best []int
 	bestCost := int64(-1)
 	consider := func() {
-		if cost := fp.realRegionCost(pre, rm, asg); bestCost < 0 || cost < bestCost {
+		if cost := fp.realRegionCost(pre, asg); bestCost < 0 || cost < bestCost {
 			best = snapshotRegion(regionOps, asg, best)
 			bestCost = cost
 		}
 	}
-	runRefine := func(withPair bool) {
+	refine := func(withPair bool) {
 		sc.tRefine++
 		fp.refineRegion(pre, locks, asg)
 		if withPair && opts.PairRefine {
 			fp.pairRefineRegion(pre, locks, asg)
 		}
-	}
-	// A sweep memoizes the refined layout a starting candidate converges
-	// to: the refinement loop's move decisions depend only on the region
-	// layout it starts from, the locks, and the home clusters of the
-	// blocks' live-in registers (see regionPre.extHomeRefs).
-	refine := func(withPair bool) {
-		if rm == nil {
-			runRefine(withPair)
-			return
-		}
-		buf := sc.keyBuf[:0]
-		if withPair {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = appendLayout(buf, pre, asg)
-		sc.keyBuf = buf
-		if lay, ok := rm.refined[string(buf)]; ok {
-			for i, op := range regionOps {
-				asg[op.ID] = lay[i]
-			}
-			return
-		}
-		key := string(buf)
-		runRefine(withPair)
-		rm.refined[key] = snapshotRegion(regionOps, asg, nil)
 	}
 	apply(func(i int) int { return int(part[i]) })
 	consider()
@@ -372,48 +345,20 @@ func (fp *FuncPartitioner) minCut(ri int, pre *regionPre, locks Locks, asg []int
 	return out, nil
 }
 
-// appendLayout appends the sweep memo key of a region layout: one byte per
-// region op for its cluster, then one per out-of-region definer of a
-// live-in register (extHomeRefs).
-func appendLayout(buf []byte, pre *regionPre, asg []int) []byte {
-	for _, op := range pre.regionOps {
-		buf = append(buf, byte(asg[op.ID]+1))
-	}
-	for _, id := range pre.extHomeRefs {
-		buf = append(buf, byte(asg[id]+1))
-	}
-	return buf
-}
-
 // realRegionCost scores a candidate with the actual list scheduler (the
 // estimate guides the inner refinement loop; the final choice between
 // refined candidates uses real schedule lengths so estimate error cannot
 // pick a partition the machine executes badly). Block schedules go through
 // the Prepared's block cache for the machine, so candidates, calls and
-// schemes that agree on a block's inputs share one scheduler run. rm is the
-// region's sweep memo (nil for one-shot use).
-func (fp *FuncPartitioner) realRegionCost(pre *regionPre, rm *regionMemo, asg []int) int64 {
+// schemes that agree on a block's inputs share one scheduler run.
+func (fp *FuncPartitioner) realRegionCost(pre *regionPre, asg []int) int64 {
 	sc, mcfg := fp.sc, fp.mcfg
 	f := fp.p.f
-	// A sweep also memoizes the whole score by its exact inputs (see
-	// regionPre.extHomeRefs).
-	var costKey string
-	if rm != nil {
-		buf := appendLayout(sc.keyBuf[:0], pre, asg)
-		sc.keyBuf = buf
-		if v, ok := rm.cost[string(buf)]; ok {
-			return v
-		}
-		costKey = string(buf)
-	}
 	home := pre.liveInHomes(sc, f.NRegs, mcfg.NumClusters(), asg)
 	var total int64
 	for bi, b := range pre.region.Blocks {
 		res, _ := fp.blocks.Schedule(sc.sched, b, asg, home)
 		total += pre.freqs[bi] * int64(res.Length)
-	}
-	if rm != nil {
-		rm.cost[costKey] = total
 	}
 	return total
 }

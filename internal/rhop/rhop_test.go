@@ -28,11 +28,11 @@ func compileAndProfile(t *testing.T, src string) (*ir.Module, *profile.Profile) 
 }
 
 // partitionModule partitions every function of mod, unlocked, through the
-// one-shot path on a fresh Prepared.
+// a fresh partitioner on a fresh Prepared.
 func partitionModule(mod *ir.Module, prof *profile.Profile, mcfg *machine.Config, opts Options) (map[*ir.Func][]int, error) {
 	out := make(map[*ir.Func][]int, len(mod.Funcs))
 	for _, f := range mod.Funcs {
-		asg, err := Prepare(f, prof, nil).Partition(mcfg, nil, opts)
+		asg, err := Prepare(f, prof, nil).NewPartitioner(mcfg, opts).Partition(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func TestLocksAreRespected(t *testing.T) {
 			}
 		}
 	}
-	asg, err := Prepare(f, prof, nil).Partition(mcfg, locks, Options{})
+	asg, err := Prepare(f, prof, nil).NewPartitioner(mcfg, Options{}).Partition(locks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLocksAreRespected(t *testing.T) {
 func TestLockRangeChecked(t *testing.T) {
 	mod, prof := compileAndProfile(t, wideSrc)
 	f := mod.Func("main")
-	_, err := Prepare(f, prof, nil).Partition(machine.Paper2Cluster(5), Locks{0: 7}, Options{})
+	_, err := Prepare(f, prof, nil).NewPartitioner(machine.Paper2Cluster(5), Options{}).Partition(Locks{0: 7})
 	if err == nil {
 		t.Fatal("accepted lock to nonexistent cluster")
 	}
@@ -130,7 +130,7 @@ func TestTwoIndependentStrandsSplit(t *testing.T) {
 	mod, prof := compileAndProfile(t, wideSrc)
 	mcfg := machine.Paper2Cluster(5)
 	f := mod.Func("main")
-	asg, err := Prepare(f, prof, nil).Partition(mcfg, nil, Options{})
+	asg, err := Prepare(f, prof, nil).NewPartitioner(mcfg, Options{}).Partition(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func main() int {
 }`)
 	mcfg := machine.Paper2Cluster(10)
 	f := mod.Func("main")
-	asg, err := Prepare(f, prof, nil).Partition(mcfg, nil, Options{})
+	asg, err := Prepare(f, prof, nil).NewPartitioner(mcfg, Options{}).Partition(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestEstimateTracksScheduler(t *testing.T) {
 	mod, prof := compileAndProfile(t, wideSrc)
 	mcfg := machine.Paper2Cluster(5)
 	f := mod.Func("main")
-	asg, err := Prepare(f, prof, nil).Partition(mcfg, nil, Options{})
+	asg, err := Prepare(f, prof, nil).NewPartitioner(mcfg, Options{}).Partition(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +244,12 @@ func TestDeterministic(t *testing.T) {
 	mod, prof := compileAndProfile(t, wideSrc)
 	mcfg := machine.Paper2Cluster(5)
 	f := mod.Func("main")
-	a1, err := Prepare(f, prof, nil).Partition(mcfg, nil, Options{})
+	a1, err := Prepare(f, prof, nil).NewPartitioner(mcfg, Options{}).Partition(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		a2, err := Prepare(f, prof, nil).Partition(mcfg, nil, Options{})
+		a2, err := Prepare(f, prof, nil).NewPartitioner(mcfg, Options{}).Partition(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestPairRefineRespectsLocks(t *testing.T) {
 			}
 		}
 	}
-	asg, err := Prepare(f, prof, nil).Partition(mcfg, locks, Options{PairRefine: true})
+	asg, err := Prepare(f, prof, nil).NewPartitioner(mcfg, Options{PairRefine: true}).Partition(locks)
 	if err != nil {
 		t.Fatal(err)
 	}

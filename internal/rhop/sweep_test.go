@@ -8,12 +8,12 @@ import (
 	"mcpart/internal/obs"
 )
 
-// TestFuncPartitionerMatchesPartitionFunc pins the sweep partitioner's
-// exactness contract: for every lock signature a data-mapping sweep can
-// produce, Partition must return exactly what partitioning the function
-// one-shot on a fresh Prepared returns — the region-result cache, the
-// dirty-block evaluator and the
-// min-cut and split memos change speed, never outcomes. Lock signatures
+// TestFuncPartitionerMatchesPartitionFunc pins the partitioner's exactness
+// contract: for every lock signature a data-mapping sweep can produce, a
+// partitioner reused across the whole sweep must return exactly what a
+// fresh partitioner on a fresh Prepared returns for that one call — the
+// region-result memo, the dirty-block evaluator and the min-cut and split
+// memos change speed, never outcomes. Lock signatures
 // are swept exhaustively over the functions' memory ops: base 2 on two
 // clusters, and base 4 above, with digit d homing an object on cluster
 // d*k/4 so locks land on both sides of every bisection of the k-way
@@ -69,7 +69,7 @@ func TestFuncPartitionerMatchesPartitionFunc(t *testing.T) {
 						lockSets = append(lockSets, locks)
 					}
 					// The observer only counts; it is value-neutral, so the
-					// one-shot oracle runs without it.
+					// fresh oracle runs without it.
 					sweepOpts := opts
 					sweepOpts.Obs = obs.New(reg, nil, nil)
 					fp := preps[f.Name].NewPartitioner(mcfg, sweepOpts)
@@ -81,18 +81,18 @@ func TestFuncPartitionerMatchesPartitionFunc(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							want, err := Prepare(f, prof, nil).Partition(mcfg, locks, opts)
+							want, err := Prepare(f, prof, nil).NewPartitioner(mcfg, opts).Partition(locks)
 							if err != nil {
 								t.Fatal(err)
 							}
 							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s %s mask %d pass %d: sweep partition differs:\nsweep   %v\noneshot %v",
+								t.Fatalf("%s %s mask %d pass %d: reused partitioner differs:\nreused %v\nfresh  %v",
 									mcfg.Name, f.Name, m, pass, got, want)
 							}
 						}
 					}
-					if fp.Hits() == 0 && len(lockSets) > 1 {
-						t.Errorf("%s %s: expected region-cache hits on repeat pass", mcfg.Name, f.Name)
+					if fp.hits == 0 && len(lockSets) > 1 {
+						t.Errorf("%s %s: expected region-memo hits on repeat pass", mcfg.Name, f.Name)
 					}
 					if n := preps[f.Name].cuts.split.Len(); k == 2 && n != 0 {
 						t.Errorf("%s %s: %d split-memo entries after a 2-cluster sweep, want 0", mcfg.Name, f.Name, n)

@@ -678,8 +678,9 @@ func BlockLiveIn(b *ir.Block) []ir.VReg {
 // context and machine across assignments. A block's schedule reads only
 // the assignments of its own ops and the homes of its read-before-def
 // (live-in) registers — buildNodes consults nothing else — so the key
-// (block ID, then one byte per op cluster and per live-in home) covers
-// every input exactly. The candidates a partitioner scores, the lock
+// (block ID, then one byte per op cluster and per live-in home; clusters
+// fit a byte because machine.Validate bounds the count by
+// machine.MaxClusters) covers every input exactly. The candidates a partitioner scores, the lock
 // signatures a sweep evaluates and the final cycle counts of different
 // schemes mostly leave a block's local inputs untouched, so they hit.
 //

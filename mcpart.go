@@ -130,6 +130,17 @@ func contain(err *error) {
 	}
 }
 
+// run is the one path every evaluation entry point takes: it rejects an
+// invalid machine before any work starts, then runs fn with its panics
+// contained.
+func run[T any](m *Machine, fn func() (T, error)) (r T, err error) {
+	defer contain(&err)
+	if err := m.Validate(); err != nil {
+		return r, err
+	}
+	return fn()
+}
+
 // ExhaustiveResult is the Figure 9 dataset: every data mapping's cycles and
 // balance, with the GDP and Profile Max choices marked.
 type ExhaustiveResult = eval.ExhaustiveResult
@@ -371,15 +382,13 @@ func Evaluate(p *Program, m *Machine, s Scheme, opts Options) (*Result, error) {
 // failing or invalid scheme degrades along the GDP→ProfileMax→Naive chain
 // exactly as in the matrix runners, recording the substitution in
 // Result.Degraded.
-func EvaluateCtx(ctx context.Context, p *Program, m *Machine, s Scheme, opts Options) (r *Result, err error) {
-	defer contain(&err)
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Fallback {
-		return eval.RunSchemeFallbackCtx(ctx, p.c, m, s, opts)
-	}
-	return eval.RunSchemeCtx(ctx, p.c, m, s, opts)
+func EvaluateCtx(ctx context.Context, p *Program, m *Machine, s Scheme, opts Options) (*Result, error) {
+	return run(m, func() (*Result, error) {
+		if opts.Fallback {
+			return eval.RunSchemeFallbackCtx(ctx, p.c, m, s, opts)
+		}
+		return eval.RunSchemeCtx(ctx, p.c, m, s, opts)
+	})
 }
 
 // EvaluateAll runs all four Table 1 schemes.
@@ -393,22 +402,19 @@ func EvaluateAllWithOptions(p *Program, m *Machine, opts Options) (*Comparison, 
 }
 
 // EvaluateAllCtx runs all four schemes under a context.
-func EvaluateAllCtx(ctx context.Context, p *Program, m *Machine, opts Options) (c *Comparison, err error) {
-	defer contain(&err)
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return eval.RunAllSchemesCtx(ctx, p.c, m, opts)
+func EvaluateAllCtx(ctx context.Context, p *Program, m *Machine, opts Options) (*Comparison, error) {
+	return run(m, func() (*Comparison, error) { return eval.RunAllSchemesCtx(ctx, p.c, m, opts) })
 }
 
 // EvaluateDataMap evaluates an externally chosen object mapping (lock the
 // memory operations, run the computation partitioner, schedule).
-func EvaluateDataMap(p *Program, m *Machine, dm DataMap, opts Options) (r *Result, err error) {
-	defer contain(&err)
-	if err := dm.Validate(p.c.Mod, m.NumClusters()); err != nil {
-		return nil, err
-	}
-	return eval.RunWithDataMap(p.c, m, dm, opts)
+func EvaluateDataMap(p *Program, m *Machine, dm DataMap, opts Options) (*Result, error) {
+	return run(m, func() (*Result, error) {
+		if err := dm.Validate(p.c.Mod, m.NumClusters()); err != nil {
+			return nil, err
+		}
+		return eval.RunWithDataMap(p.c, m, dm, opts)
+	})
 }
 
 // ExhaustiveSearch enumerates every data-object mapping on the machine's k
@@ -420,9 +426,8 @@ func ExhaustiveSearch(p *Program, m *Machine, opts Options, maxObjects int) (*Ex
 }
 
 // ExhaustiveSearchCtx is ExhaustiveSearch under a context.
-func ExhaustiveSearchCtx(ctx context.Context, p *Program, m *Machine, opts Options, maxObjects int) (r *ExhaustiveResult, err error) {
-	defer contain(&err)
-	return eval.ExhaustiveCtx(ctx, p.c, m, opts, maxObjects)
+func ExhaustiveSearchCtx(ctx context.Context, p *Program, m *Machine, opts Options, maxObjects int) (*ExhaustiveResult, error) {
+	return run(m, func() (*ExhaustiveResult, error) { return eval.ExhaustiveCtx(ctx, p.c, m, opts, maxObjects) })
 }
 
 // BestMappingResult is the branch-and-bound search outcome re-exported
@@ -438,9 +443,8 @@ func BestMapping(p *Program, m *Machine, opts Options, maxObjects int) (*BestMap
 }
 
 // BestMappingCtx is BestMapping under a context.
-func BestMappingCtx(ctx context.Context, p *Program, m *Machine, opts Options, maxObjects int) (r *BestMappingResult, err error) {
-	defer contain(&err)
-	return eval.BestMappingCtx(ctx, p.c, m, opts, maxObjects)
+func BestMappingCtx(ctx context.Context, p *Program, m *Machine, opts Options, maxObjects int) (*BestMappingResult, error) {
+	return run(m, func() (*BestMappingResult, error) { return eval.BestMappingCtx(ctx, p.c, m, opts, maxObjects) })
 }
 
 // RelativePerf returns scheme performance relative to the unified-memory

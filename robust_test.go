@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mcpart/internal/check"
+	"mcpart/internal/machine"
 )
 
 func demoProgram(t *testing.T) *Program {
@@ -46,6 +47,35 @@ func TestInternalErrorContainsPanic(t *testing.T) {
 	}
 	if !strings.HasPrefix(ie.Error(), "mcpart: internal error:") {
 		t.Errorf("InternalError message = %q", ie.Error())
+	}
+}
+
+// TestEntriesValidateMachine: every evaluation entry point rejects an
+// invalid machine before it runs anything — a zero move latency, and a
+// cluster count the k-way min-cut cannot split — with the same error.
+func TestEntriesValidateMachine(t *testing.T) {
+	p := demoProgram(t)
+	zeroLat := Paper2Cluster(5)
+	zeroLat.MoveLatency = 0
+	three := FourCluster(5)
+	three.Clusters = three.Clusters[:3]
+	entries := []struct {
+		name string
+		run  func(m *Machine) error
+	}{
+		{"Evaluate", func(m *Machine) error { _, err := Evaluate(p, m, SchemeGDP, Options{}); return err }},
+		{"EvaluateAll", func(m *Machine) error { _, err := EvaluateAll(p, m); return err }},
+		{"EvaluateDataMap", func(m *Machine) error { _, err := EvaluateDataMap(p, m, DataMap{0, 0}, Options{}); return err }},
+		{"ExhaustiveSearch", func(m *Machine) error { _, err := ExhaustiveSearch(p, m, Options{}, 0); return err }},
+		{"BestMapping", func(m *Machine) error { _, err := BestMapping(p, m, Options{}, 0); return err }},
+	}
+	for _, e := range entries {
+		if err := e.run(zeroLat); err == nil || !strings.Contains(err.Error(), "move latency 0 < 1") {
+			t.Errorf("%s on a zero-latency machine: error %v, want the move-latency rejection", e.name, err)
+		}
+		if err := e.run(three); !errors.Is(err, machine.ErrClusterCount) {
+			t.Errorf("%s on a 3-cluster machine: error %v is not %v", e.name, err, machine.ErrClusterCount)
+		}
 	}
 }
 
