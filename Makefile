@@ -18,9 +18,12 @@ test-short:
 
 # Runs the full test suite under the race detector; the parallel
 # evaluation pipeline (internal/parallel, eval.Exhaustive, eval.RunMatrix)
-# must stay race-free at every -j value.
+# must stay race-free at every -j value. The timeout is per test binary:
+# internal/eval's took 659 s on a 2-vCPU container (746 s wall for the
+# whole target), past go test's 10-minute default; 30 minutes leaves it
+# about 2.7x headroom.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # The default verification gate: formatting, build, vet, the dependency
 # gate, plain tests, race tests. fmt-check fails (listing the offending
@@ -51,11 +54,12 @@ loc:
 	@echo "non-test Go: $$($(LOC_FIND) ! -name '*_test.go' -exec cat {} + | wc -l) lines in $$($(LOC_FIND) ! -name '*_test.go' -print | wc -l) files"
 	@echo "test Go: $$($(LOC_FIND) -name '*_test.go' -exec cat {} + | wc -l) lines in $$($(LOC_FIND) -name '*_test.go' -print | wc -l) files"
 
-# Exported API surface per internal package, read from `go doc -all`:
-# the exported types, and the exported functions and methods (constructors
-# and methods listed under their types included).
+# Exported API surface of the root mcpart package and of each internal
+# package, read from `go doc -all`: the exported types, and the exported
+# functions and methods (constructors and methods listed under their types
+# included).
 api:
-	@for p in $$($(GO) list ./internal/...); do \
+	@for p in $$($(GO) list . ./internal/...); do \
 		doc="$$($(GO) doc -all $$p)"; \
 		echo "$${p#mcpart/}: $$(printf '%s\n' "$$doc" | grep -c '^type ') types, $$(printf '%s\n' "$$doc" | grep -c '^func ') funcs/methods"; \
 	done

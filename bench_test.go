@@ -52,7 +52,7 @@ func suitePrograms(b *testing.B) []*eval.Compiled {
 		for _, bm := range bench.All() {
 			specs = append(specs, eval.BenchSpec{Name: bm.Name, Src: bm.Source})
 		}
-		suite, suiteErr = eval.PrepareAll(specs, *benchJobs)
+		suite, suiteErr = eval.PrepareAllOpts(context.Background(), specs, *benchJobs, eval.Options{})
 		if suiteErr != nil {
 			return
 		}
@@ -597,7 +597,7 @@ func BenchmarkAblationUnroll(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var gs []float64
 				for _, bm := range bench.All() {
-					c, err := eval.PrepareUnrolled(bm.Name, bm.Source, u)
+					c, err := eval.PrepareFullOpts(context.Background(), bm.Name, bm.Source, u, true, eval.Options{})
 					if err != nil {
 						b.Fatal(err)
 					}

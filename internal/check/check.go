@@ -136,9 +136,6 @@ type Options struct {
 	// share; zero selects 0.10, matching the partitioner's default balance
 	// tolerance (gdp.Options.MemTol).
 	MemTol float64
-	// MaxViolations caps how many violations are collected before
-	// validation stops; zero selects 32.
-	MaxViolations int
 }
 
 func (o Options) memTol() float64 {
@@ -148,26 +145,19 @@ func (o Options) memTol() float64 {
 	return o.MemTol
 }
 
-func (o Options) maxViolations() int {
-	if o.MaxViolations <= 0 {
-		return 32
-	}
-	return o.MaxViolations
-}
+// maxViolations caps how many violations are collected before validation
+// stops.
+const maxViolations = 32
 
-// Recorder accumulates violations up to a cap. Validate drives one
+// Recorder accumulates violations up to maxViolations. Validate drives one
 // internally; mutation tests construct their own (NewRecorder) to feed
 // corrupted schedules straight into VerifyBlock.
 type Recorder struct {
-	vs  []Violation
-	max int
+	vs []Violation
 }
 
-// NewRecorder returns an empty violation accumulator; maxViolations <= 0
-// selects the default cap.
-func NewRecorder(maxViolations int) *Recorder {
-	return &Recorder{max: Options{MaxViolations: maxViolations}.maxViolations()}
-}
+// NewRecorder returns an empty violation accumulator.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Violations returns the violations accumulated so far.
 func (v *Recorder) Violations() []Violation { return v.vs }
@@ -183,14 +173,14 @@ func (v *Recorder) Has(c Class) bool {
 }
 
 func (v *Recorder) add(class Class, fn string, block int, format string, args ...any) bool {
-	if len(v.vs) >= v.max {
+	if v.full() {
 		return false
 	}
 	v.vs = append(v.vs, Violation{Class: class, Func: fn, Block: block, Detail: fmt.Sprintf(format, args...)})
 	return true
 }
 
-func (v *Recorder) full() bool { return len(v.vs) >= v.max }
+func (v *Recorder) full() bool { return len(v.vs) >= maxViolations }
 
 // Validate checks r against the machine model from first principles and
 // returns a *Error listing every violated invariant (nil if the result is
@@ -202,7 +192,7 @@ func Validate(mod *ir.Module, prof *profile.Profile, cfg *machine.Config, r Resu
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	v := NewRecorder(opts.MaxViolations)
+	v := NewRecorder()
 
 	checkHomes(v, mod, prof, cfg, r, opts)
 	// Without recorded locks there is nothing to check memory ops against.
@@ -257,7 +247,7 @@ func ValidateFunc(f *ir.Func, asg []int, locks rhop.Locks, dm []int, cfg *machin
 	if err := cfg.Validate(); err != nil {
 		return 0, 0, err
 	}
-	v := NewRecorder(0)
+	v := NewRecorder()
 	cycles, moves, _ = validateFunc(v, f, asg, locks, dm, cfg, prof)
 	if len(v.vs) > 0 {
 		return cycles, moves, &Error{Violations: v.vs}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -15,7 +16,7 @@ func prepSuite(t *testing.T) []*Compiled {
 	for _, b := range bench.All() {
 		specs = append(specs, BenchSpec{Name: b.Name, Src: b.Source})
 	}
-	cs, err := PrepareAll(specs, parallelProbe)
+	cs, err := PrepareAllOpts(context.Background(), specs, parallelProbe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

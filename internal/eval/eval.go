@@ -73,7 +73,7 @@ type Compiled struct {
 	// influence f's locks, and therefore its partition. A function
 	// touching t of the module's n objects has at most 2^t distinct lock
 	// signatures, which is what collapses the 2^n exhaustive search.
-	// Prepare fills it (EnableMemo); a hand-built Compiled must too.
+	// Prepare fills it (enableMemo); a hand-built Compiled must too.
 	touched map[*ir.Func][]int
 	// shared is the shared RHOP state (see prepared).
 	shared rhopState
@@ -170,10 +170,9 @@ func (c *Compiled) HoldsPrepared() bool {
 	return st.cuts != nil || st.fns != nil
 }
 
-// EnableMemo attaches a fresh memoization cache (Prepare does this
-// automatically; the method exists for hand-built Compiled values in
-// tests).
-func (c *Compiled) EnableMemo() {
+// enableMemo attaches a fresh memoization cache and the per-function
+// touched-object sets; every Prepare path calls it once.
+func (c *Compiled) enableMemo() {
 	c.memo = memo.New(0)
 	c.touched = make(map[*ir.Func][]int, len(c.Mod.Funcs))
 	for _, f := range c.Mod.Funcs {
@@ -198,11 +197,6 @@ func (c *Compiled) ShrinkMemo(n int) {
 	c.dataParts.Clear()
 }
 
-// SetMemoCapacity rebounds the memoization cache (non-positive selects the
-// default capacity), evicting immediately if the cache is over the new
-// bound.
-func (c *Compiled) SetMemoCapacity(n int) { c.memo.SetCapacity(n) }
-
 // DefaultUnroll is the loop unrolling factor Prepare applies, matching the
 // aggressive unrolling of the paper's VLIW toolchain (it creates the
 // cross-iteration ILP that makes a clustered machine worth filling).
@@ -211,12 +205,7 @@ const DefaultUnroll = 4
 // Prepare compiles src with the default unroll factor, runs points-to
 // analysis, and profiles one execution.
 func Prepare(name, src string) (*Compiled, error) {
-	return PrepareUnrolled(name, src, DefaultUnroll)
-}
-
-// PrepareUnrolled is Prepare with an explicit unroll factor (1 disables).
-func PrepareUnrolled(name, src string, unroll int) (*Compiled, error) {
-	return PrepareFull(name, src, unroll, true)
+	return PrepareOpts(context.Background(), name, src, Options{})
 }
 
 // PrepareOpts is Prepare under a context, with explicit profiling knobs:
@@ -229,15 +218,11 @@ func PrepareOpts(ctx context.Context, name, src string, opts Options) (*Compiled
 	return PrepareFullOpts(ctx, name, src, DefaultUnroll, true, opts)
 }
 
-// PrepareFull exposes every front-end knob: the unroll factor and whether
-// the classical optimizer (fold/copy-prop/CSE/DCE) runs before analysis.
-func PrepareFull(name, src string, unroll int, optimize bool) (*Compiled, error) {
-	return PrepareFullOpts(context.Background(), name, src, unroll, optimize, Options{})
-}
-
 // PrepareFullOpts is the full Prepare implementation: front end, points-to
 // analysis, and one profiling execution on the bytecode VM
-// (internal/bytecode), which charges the step/byte/deadline budgets.
+// (internal/bytecode), which charges the step/byte/deadline budgets. It
+// exposes every front-end knob: the unroll factor (1 disables) and whether
+// the classical optimizer (fold/copy-prop/CSE/DCE) runs before analysis.
 func PrepareFullOpts(ctx context.Context, name, src string, unroll int, optimize bool, opts Options) (*Compiled, error) {
 	iopts := profile.Options{MaxSteps: opts.maxSteps(), MaxBytes: opts.MaxBytes}
 	if ctx != nil {
@@ -276,12 +261,12 @@ func PrepareFullOpts(ctx context.Context, name, src string, unroll int, optimize
 	if opts.CacheDir != "" && opts.MaxBytes <= 0 {
 		if st, serr := store.OpenShared(opts.CacheDir, store.Options{MaxBytes: opts.CacheMaxBytes}); serr == nil {
 			st.SetObserver(po)
-			pstore, pprefix = st, keyPrefix(ModuleHash(mod))
+			pstore, pprefix = st, keyPrefix(moduleHash(mod))
 			if prof, ret, ok := cachedProfile(st, pprefix, mod, iopts.MaxSteps); ok {
 				psp.End()
 				o.Counter("prepare_programs").Add(1)
 				c := &Compiled{Name: name, Mod: mod, Prof: prof, Ret: ret}
-				c.EnableMemo()
+				c.enableMemo()
 				_ = c.attachStore(opts.CacheDir, opts.CacheMaxBytes, po)
 				return c, nil
 			}
@@ -305,7 +290,7 @@ func PrepareFullOpts(ctx context.Context, name, src string, unroll int, optimize
 		return nil, fmt.Errorf("eval: %s: profile run: %w", name, err)
 	}
 	c := &Compiled{Name: name, Mod: mod, Prof: prof, Ret: v.I}
-	c.EnableMemo()
+	c.enableMemo()
 	if pstore != nil {
 		putProfile(pstore, pprefix, mod, prof, v.I)
 		_ = c.attachStore(opts.CacheDir, opts.CacheMaxBytes, po)
@@ -364,9 +349,6 @@ type Result struct {
 type Options struct {
 	GDP  gdp.Options
 	RHOP rhop.Options
-	// ProfileMaxTol is the memory balance threshold of the Profile Max
-	// greedy assignment (default 0.10, matching GDP's).
-	ProfileMaxTol float64
 	// MaxSteps bounds the profiling run in Prepare (the usual sentinel:
 	// non-positive means the default of 10 million steps). Programs that
 	// exceed it fail Prepare with a typed *profile.BudgetError.
@@ -529,8 +511,6 @@ func (o Options) countViolations(err error) error {
 	}
 	return err
 }
-
-func (o Options) pmaxTol() float64 { return defaults.Float(o.ProfileMaxTol, 0.10) }
 
 func (o Options) maxSteps() int64 { return defaults.Int64(o.MaxSteps, 10_000_000) }
 
@@ -867,6 +847,11 @@ func RunWithDataMap(c *Compiled, cfg *machine.Config, dm gdp.DataMap, opts Optio
 	return finish(c, cfg, res, asg, opts)
 }
 
+// profileMaxTol is the memory balance threshold of the Profile Max greedy
+// assignment, matching GDP's default MemTol. The Affinity baseline shares
+// it.
+const profileMaxTol = 0.10
+
 // RunProfileMax evaluates the Profile Max baseline: run RHOP assuming a
 // unified memory, record where each merged object group's accesses landed,
 // greedily assign groups to their majority cluster in descending dynamic
@@ -943,7 +928,7 @@ func RunProfileMax(c *Compiled, cfg *machine.Config, opts Options) (r *Result, e
 		if fractions != nil {
 			frac = fractions[cl]
 		}
-		limits[cl] = int64(float64(totalBytes) * frac * (1 + opts.pmaxTol()))
+		limits[cl] = int64(float64(totalBytes) * frac * (1 + profileMaxTol))
 	}
 	loaded := make([]int64, k)
 	dm := make(gdp.DataMap, len(c.Mod.Objects))

@@ -80,7 +80,7 @@ func RunAffinity(c *Compiled, cfg *machine.Config, opts Options) (*Result, error
 	for id := 0; id < n; id++ {
 		totalBytes += objectBytes(c, id)
 	}
-	limit := int64(float64(totalBytes) / float64(k) * (1 + opts.pmaxTol()))
+	limit := int64(float64(totalBytes) / float64(k) * (1 + profileMaxTol))
 	loaded := make([]int64, k)
 	placed := make([]bool, n)
 	dm := make(gdp.DataMap, n)

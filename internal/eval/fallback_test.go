@@ -254,7 +254,7 @@ func TestExhaustiveCancellation(t *testing.T) {
 func TestPrepareCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := PrepareAllCtx(ctx, []BenchSpec{{Name: "x", Src: "func main() int { return 0; }"}}, 1)
+	_, err := PrepareAllOpts(ctx, []BenchSpec{{Name: "x", Src: "func main() int { return 0; }"}}, 1, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -19,11 +20,11 @@ func FuzzPipeline(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		src := progen.Generate(seed, progen.Options{})
-		plain, err := PrepareFull("fuzz", src, 1, false)
+		plain, err := PrepareFullOpts(context.Background(), "fuzz", src, 1, false, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: unoptimized pipeline rejected a progen program: %v\n%s", seed, err, src)
 		}
-		full, err := PrepareFull("fuzz", src, DefaultUnroll, true)
+		full, err := PrepareFullOpts(context.Background(), "fuzz", src, DefaultUnroll, true, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: optimized pipeline rejected a progen program: %v\n%s", seed, err, src)
 		}

@@ -16,15 +16,6 @@ import (
 // sentinel through parallel.Workers.
 func TestOptionDefaults(t *testing.T) {
 	var zero Options
-	if got := zero.pmaxTol(); got != 0.10 {
-		t.Errorf("zero ProfileMaxTol -> %v, want 0.10", got)
-	}
-	if got := (Options{ProfileMaxTol: -1}).pmaxTol(); got != 0.10 {
-		t.Errorf("negative ProfileMaxTol -> %v, want 0.10", got)
-	}
-	if got := (Options{ProfileMaxTol: 0.25}).pmaxTol(); got != 0.25 {
-		t.Errorf("set ProfileMaxTol -> %v, want 0.25", got)
-	}
 	if got := zero.maxSteps(); got != 10_000_000 {
 		t.Errorf("zero MaxSteps -> %d, want 10_000_000", got)
 	}

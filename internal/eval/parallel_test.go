@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -121,7 +122,7 @@ func TestPrepareAllMatchesPrepare(t *testing.T) {
 		}
 		specs = append(specs, BenchSpec{Name: b.Name, Src: b.Source})
 	}
-	cs, err := PrepareAll(specs, parallelProbe)
+	cs, err := PrepareAllOpts(context.Background(), specs, parallelProbe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,11 @@ import (
 // records.
 const codecVersion = 1
 
-// ModuleHash returns the content hash identifying a module in disk-cache
+// moduleHash returns the content hash identifying a module in disk-cache
 // keys: SHA-256 over the module's stable textual rendering (ir.Print),
 // which covers functions, blocks, op IDs, objects, and MayAccess sets —
 // everything the partitioning pipeline reads.
-func ModuleHash(m *ir.Module) string {
+func moduleHash(m *ir.Module) string {
 	h := sha256.Sum256([]byte(ir.Print(m)))
 	return hex.EncodeToString(h[:])
 }
@@ -71,7 +71,7 @@ func (c *Compiled) attachStore(dir string, maxBytes int64, o *obs.Observer) erro
 			return
 		}
 		c.store = st
-		c.memo.SetTier(&storeTier{s: st, prefix: keyPrefix(ModuleHash(c.Mod))})
+		c.memo.SetTier(&storeTier{s: st, prefix: keyPrefix(moduleHash(c.Mod))})
 	})
 	if c.store != nil && o != nil {
 		c.store.SetObserver(o)

@@ -199,11 +199,11 @@ func TestStoreCorruptionEquivalence(t *testing.T) {
 func TestModuleHash(t *testing.T) {
 	fir := prepBench(t, "fir")
 	fir2 := prepBench(t, "fir")
-	if ModuleHash(fir.Mod) != ModuleHash(fir2.Mod) {
+	if moduleHash(fir.Mod) != moduleHash(fir2.Mod) {
 		t.Error("identical compiles hash differently")
 	}
 	raw := prepBench(t, "rawcaudio")
-	if ModuleHash(fir.Mod) == ModuleHash(raw.Mod) {
+	if moduleHash(fir.Mod) == moduleHash(raw.Mod) {
 		t.Error("distinct modules collide")
 	}
 }

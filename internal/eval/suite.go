@@ -36,8 +36,8 @@ var schemeRunners = []struct {
 	{SchemeNaive, RunNaive, func(br *BenchResult, r *Result) { br.Naive = r }},
 }
 
-// RunScheme dispatches one Table 1 scheme by name.
-func RunScheme(c *Compiled, cfg *machine.Config, s Scheme, opts Options) (*Result, error) {
+// runScheme dispatches one Table 1 scheme by name.
+func runScheme(c *Compiled, cfg *machine.Config, s Scheme, opts Options) (*Result, error) {
 	for _, sr := range schemeRunners {
 		if sr.scheme == s {
 			return sr.run(c, cfg, opts)
@@ -46,12 +46,12 @@ func RunScheme(c *Compiled, cfg *machine.Config, s Scheme, opts Options) (*Resul
 	return nil, fmt.Errorf("eval: unknown scheme %q", s)
 }
 
-// RunSchemeCtx is RunScheme with a cancellation context: the run aborts
+// RunSchemeCtx runs one Table 1 scheme by name under a cancellation context: the run aborts
 // between pipeline steps once ctx is done, and any interpreter work
 // respects the deadline.
 func RunSchemeCtx(ctx context.Context, c *Compiled, cfg *machine.Config, s Scheme, opts Options) (*Result, error) {
 	opts.ctx = obs.With(ctx, opts.Observer)
-	return RunScheme(c, cfg, s, opts)
+	return runScheme(c, cfg, s, opts)
 }
 
 // RunSchemeFallbackCtx is RunSchemeCtx with the matrix runners' graceful
@@ -105,7 +105,7 @@ func attemptScheme(c *Compiled, cfg *machine.Config, s Scheme, opts Options) (r 
 			r, err = nil, pe
 		}
 	}()
-	return RunScheme(c, cfg, s, opts)
+	return runScheme(c, cfg, s, opts)
 }
 
 // runCell evaluates one (benchmark, scheme) matrix cell. Under
@@ -193,27 +193,18 @@ func RunMatrixCtx(ctx context.Context, cs []*Compiled, cfg *machine.Config, opts
 	return brs, nil
 }
 
-// BenchSpec names one benchmark source for PrepareAll.
+// BenchSpec names one benchmark source for PrepareAllOpts.
 type BenchSpec struct {
 	Name string
 	Src  string
 }
 
-// PrepareAll compiles, analyzes and profiles every benchmark, fanning the
-// (independent) front-end pipelines across workers (the usual sentinel:
-// <= 0 means runtime.GOMAXPROCS(0)). Results come back in spec order.
-func PrepareAll(specs []BenchSpec, workers int) ([]*Compiled, error) {
-	return PrepareAllCtx(context.Background(), specs, workers)
-}
-
-// PrepareAllCtx is PrepareAll with a cancellation context; a ctx deadline
-// also bounds each benchmark's profiling run.
-func PrepareAllCtx(ctx context.Context, specs []BenchSpec, workers int) ([]*Compiled, error) {
-	return PrepareAllOpts(ctx, specs, workers, Options{})
-}
-
-// PrepareAllOpts is PrepareAllCtx with explicit profiling knobs (the
-// budgets and the disk-cache knobs; see PrepareOpts).
+// PrepareAllOpts compiles, analyzes and profiles every benchmark, fanning
+// the (independent) front-end pipelines across workers (the usual
+// sentinel: <= 0 means runtime.GOMAXPROCS(0)). Results come back in spec
+// order. A ctx deadline also bounds each benchmark's profiling run; opts
+// supplies the profiling knobs (the budgets and the disk-cache knobs; see
+// PrepareOpts).
 func PrepareAllOpts(ctx context.Context, specs []BenchSpec, workers int, opts Options) ([]*Compiled, error) {
 	return parallel.MapStage(ctx, "prepare", len(specs), workers,
 		func(ctx context.Context, i int) (*Compiled, error) {

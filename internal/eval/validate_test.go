@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -20,7 +21,7 @@ var allCompiled = sync.OnceValues(func() ([]*Compiled, error) {
 	for _, b := range bench.All() {
 		specs = append(specs, BenchSpec{Name: b.Name, Src: b.Source})
 	}
-	return PrepareAll(specs, 0)
+	return PrepareAllOpts(context.Background(), specs, 0, Options{})
 })
 
 // TestValidateMatrix runs the independent validator over every benchmark x

@@ -45,9 +45,6 @@ type Options struct {
 	// the second pass balance operations, and adding this constraint
 	// forces serial programs to split and drags their data apart).
 	BalanceOps bool
-	// OpTol is the computation-weight tolerance when BalanceOps is set
-	// (default 0.60).
-	OpTol float64
 	// NoMerge disables access-pattern merging (ablation).
 	NoMerge bool
 	// NoSinkWeighting disables the down-weighting of dataflow edges whose
@@ -67,7 +64,9 @@ type Options struct {
 }
 
 func (o Options) memTol() float64 { return defaults.Float(o.MemTol, 0.10) }
-func (o Options) opTol() float64  { return defaults.Float(o.OpTol, 0.60) }
+
+// opTol is the computation-weight tolerance when BalanceOps is set.
+const opTol = 0.60
 
 // Result is the outcome of global data partitioning.
 type Result struct {
@@ -262,18 +261,17 @@ func (d *DataPartitions) Clear() {
 }
 
 // dataKey encodes every input of the graph partitioning besides the module
-// and profile: k, the exact bits of the memory fractions and tolerances,
+// and profile: k, the exact bits of the memory fractions and tolerance,
 // and the graph-shaping flags. Obs is left out because it only counts and
 // never changes the result.
 func dataKey(k int, opts Options) string {
-	buf := make([]byte, 0, 8*(len(opts.MemFractions)+4)+1)
+	buf := make([]byte, 0, 8*(len(opts.MemFractions)+3)+1)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(opts.MemFractions)))
 	for _, f := range opts.MemFractions {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(opts.memTol()))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(opts.opTol()))
 	var flags byte
 	for i, on := range []bool{opts.BalanceOps, opts.NoMerge, opts.NoSinkWeighting, opts.SlackMerge} {
 		if on {
@@ -412,7 +410,7 @@ func partitionGraph(m *ir.Module, prof *profile.Profile, k int, opts Options) (*
 
 	tols := []float64{opts.memTol()}
 	if opts.BalanceOps {
-		tols = append(tols, opts.opTol())
+		tols = append(tols, opTol)
 	}
 	part, err := partition.KWay(g, k, partition.Options{
 		Tol:       tols,

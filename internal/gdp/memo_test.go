@@ -109,7 +109,6 @@ func TestDataKeyCoversKnobs(t *testing.T) {
 		"nil fractions":   {},
 		"fractions":       {MemFractions: []float64{0.75, 0.25}},
 		"MemTol":          {MemFractions: base.MemFractions, MemTol: 0.2},
-		"OpTol":           {MemFractions: base.MemFractions, OpTol: 0.3},
 		"BalanceOps":      {MemFractions: base.MemFractions, BalanceOps: true},
 		"NoMerge":         {MemFractions: base.MemFractions, NoMerge: true},
 		"NoSinkWeighting": {MemFractions: base.MemFractions, NoSinkWeighting: true},

@@ -10,15 +10,12 @@ func TestOptionDefaults(t *testing.T) {
 	if got := zero.memTol(); got != 0.10 {
 		t.Errorf("zero MemTol -> %v, want 0.10", got)
 	}
-	if got := zero.opTol(); got != 0.60 {
-		t.Errorf("zero OpTol -> %v, want 0.60", got)
-	}
-	neg := Options{MemTol: -1, OpTol: -1}
-	if neg.memTol() != 0.10 || neg.opTol() != 0.60 {
+	neg := Options{MemTol: -1}
+	if neg.memTol() != 0.10 {
 		t.Error("negative knobs must select the defaults")
 	}
-	set := Options{MemTol: 0.3, OpTol: 0.9}
-	if set.memTol() != 0.3 || set.opTol() != 0.9 {
+	set := Options{MemTol: 0.3}
+	if set.memTol() != 0.3 {
 		t.Error("positive knobs must win over the defaults")
 	}
 }

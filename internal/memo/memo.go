@@ -151,36 +151,6 @@ func (c *Cache) SetTier(t Tier) {
 	c.mu.Unlock()
 }
 
-// Capacity returns the cache's current completed-entry bound. A nil cache
-// reports zero.
-func (c *Cache) Capacity() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cap
-}
-
-// SetCapacity re-bounds the cache to capacity completed entries (the usual
-// non-positive → DefaultCapacity sentinel) and evicts least-recently-used
-// entries down to the new bound immediately. Forced evictions count in
-// Stats.Evictions and the memo_evictions observer mirror exactly like
-// insert-time evictions. This is the daemon's memory-pressure knob: a
-// smaller capacity changes hit counts and wall time, never values.
-func (c *Cache) SetCapacity(capacity int) {
-	if c == nil {
-		return
-	}
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	c.mu.Lock()
-	c.cap = capacity
-	c.evictTo(capacity)
-	c.mu.Unlock()
-}
-
 // Shrink evicts least-recently-used completed entries until at most n
 // remain, leaving the capacity bound unchanged (the cache may grow back).
 // Negative n is treated as 0 (drop everything). In-flight computations are

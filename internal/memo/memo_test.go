@@ -154,6 +154,7 @@ func TestNilCacheIsPassthrough(t *testing.T) {
 		t.Fatalf("nil cache must always recompute; got %d calls", calls)
 	}
 	c.Put("k", 3)
+	c.Shrink(1)
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("nil cache must never hit")
 	}

@@ -69,45 +69,6 @@ func TestShrinkEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestSetCapacity pins that SetCapacity evicts down to the new bound
-// immediately, keeps the bound for later inserts, and that a non-positive
-// capacity selects the default.
-func TestSetCapacity(t *testing.T) {
-	c := New(100)
-	fill(t, c, 8)
-	c.SetCapacity(2)
-	if got := c.Capacity(); got != 2 {
-		t.Fatalf("Capacity = %d, want 2", got)
-	}
-	got := resident(c, 8)
-	want := []string{"k6", "k7"} // the two most recent survive
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("survivors after SetCapacity(2) = %v, want %v", got, want)
-	}
-
-	// The new bound applies to later inserts: adding one entry evicts the
-	// oldest survivor.
-	if _, _, err := c.Do("k8", func() (any, error) { return 8, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if s := c.Stats(); s.Entries != 2 || s.Evictions != 7 {
-		t.Fatalf("after insert at cap 2: %+v, want 2 entries, 7 evictions", s)
-	}
-
-	c.SetCapacity(0)
-	if got := c.Capacity(); got != DefaultCapacity {
-		t.Fatalf("SetCapacity(0) → Capacity %d, want DefaultCapacity %d", got, DefaultCapacity)
-	}
-
-	// Nil-cache safety (the repository-wide nil-receiver contract).
-	var nilc *Cache
-	nilc.Shrink(1)
-	nilc.SetCapacity(1)
-	if nilc.Capacity() != 0 {
-		t.Fatal("nil cache Capacity != 0")
-	}
-}
-
 // TestShrinkObserverMirror pins that forced evictions are mirrored into the
 // observer registry's memo_evictions counter, exactly like insert-time
 // evictions.
@@ -119,9 +80,5 @@ func TestShrinkObserverMirror(t *testing.T) {
 	c.Shrink(1)
 	if got := reg.Snapshot().Value("memo_evictions"); got != 4 {
 		t.Fatalf("memo_evictions mirror = %d, want 4", got)
-	}
-	c.SetCapacity(0) // no eviction: bound grows
-	if got := reg.Snapshot().Value("memo_evictions"); got != 4 {
-		t.Fatalf("memo_evictions after growing SetCapacity = %d, want 4", got)
 	}
 }

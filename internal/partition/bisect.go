@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 
-	"mcpart/internal/defaults"
 	"mcpart/internal/obs"
 )
 
@@ -13,11 +12,6 @@ type Options struct {
 	// (1+Tol[d]) * total[d]/2. Dimensions beyond len(Tol) use the last
 	// entry; an empty slice means 0.10 everywhere.
 	Tol []float64
-	// CoarseTarget stops coarsening once the graph is this small
-	// (default 24 nodes).
-	CoarseTarget int
-	// MaxPasses bounds refinement passes per level (default 8).
-	MaxPasses int
 	// Fractions gives each part's target share of every weight dimension
 	// (default equal shares). For Bisect it must have length 2 and sum to
 	// ~1; KWay splits it across the recursion.
@@ -59,16 +53,20 @@ func (o Options) tol(d int) float64 {
 	return t
 }
 
-func (o Options) coarseTarget() int { return defaults.Int(o.CoarseTarget, 24) }
-func (o Options) maxPasses() int    { return defaults.Int(o.MaxPasses, 8) }
+// The coarsening floors of bisectFast. Coarsening stops once the graph
+// has at most coarseFloor nodes (the deep multi-start). fastCoarseFloor
+// is the shallow floor bisectFast seeds its second multi-start from: it
+// stops coarsening four times earlier, and the larger coarsest graph gives
+// the multi-start genuinely distinct candidates to carry through
+// uncoarsening instead of sixteen tries collapsing into the same
+// tiny-graph optimum.
+const (
+	coarseFloor     = 24
+	fastCoarseFloor = 96
+)
 
-// coarseTargetFast is the shallow coarsening floor bisectFast seeds its
-// second multi-start from. It stops coarsening four times earlier than
-// coarseTarget: a larger coarsest graph gives the multi-start genuinely
-// distinct candidates to carry through uncoarsening instead of sixteen
-// tries collapsing into the same tiny-graph optimum. An explicit
-// CoarseTarget sets both floors alike.
-func (o Options) coarseTargetFast() int { return defaults.Int(o.CoarseTarget, 96) }
+// fmPasses bounds the FM refinement passes per level.
+const fmPasses = 8
 
 // Bisect splits g into parts 0 and 1, minimizing cut weight subject to the
 // per-dimension balance tolerances and the graph's fixed assignments.

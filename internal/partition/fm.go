@@ -418,8 +418,8 @@ func bisectTiny(g *Graph, opts Options) []int {
 
 // bisectFast is the multilevel bisection: build the CSR once, coarsen
 // over flat arrays, then seed candidates from two depths of the hierarchy
-// — a deep multi-start at the coarseTarget floor and a shallow one at the
-// coarseTargetFast floor, where the larger graph yields genuinely distinct
+// — a deep multi-start at the coarseFloor and a shallow one at the
+// fastCoarseFloor, where the larger graph yields genuinely distinct
 // starts. The merged top fmTrajectories candidates are carried
 // independently back up the fine levels — each projected and FM-refined —
 // and the finest-level winner is chosen by (balance violation, cut,
@@ -454,9 +454,9 @@ func bisectFast(g *Graph, opts Options) []int {
 		}
 		return shrunk
 	}
-	coarsenTo(opts.coarseTargetFast())
+	coarsenTo(fastCoarseFloor)
 	shallow := len(levels) - 1
-	coarsenTo(opts.coarseTarget())
+	coarsenTo(coarseFloor)
 	deepest := len(levels) - 1
 
 	// project replaces part with its projection onto the next finer level.
@@ -887,7 +887,7 @@ func refineFMPasses(fs *fmScratch, c *CSR, total []int64, part []int32, opts Opt
 	// where multi-start quality is decided and passes are cheap; mid
 	// levels get three passes and the big levels two (one productive, one
 	// confirming), because each extra pass costs a full heap drain.
-	passes := opts.maxPasses()
+	passes := fmPasses
 	switch {
 	case n > trajectoryCap:
 		passes = min(passes, 2)

@@ -71,16 +71,16 @@ func TestFastNoWorseThanLegacy(t *testing.T) {
 }
 
 // TestFastDeterminism pins the fast path's determinism contract: the
-// partition is identical across repeated runs, including on a
-// configuration whose coarsest graph is large (hundreds of nodes), so the
-// multi-start and the carried trajectories all refine real graphs and
-// share one pooled scratch.
+// partition is identical across repeated runs, including on a sparse graph
+// whose coarsening stalls with a large coarsest level (hundreds of nodes),
+// so the multi-start and the carried trajectories all refine real graphs
+// and share one pooled scratch.
 func TestFastDeterminism(t *testing.T) {
-	g := randGraph(2000, 5, 2, 42, true)
-	opts := Options{
-		Tol:          []float64{0.15},
-		CoarseTarget: 600, // stop coarsening with a large coarsest level
+	g := sparseGraph(2000, 2000, 42)
+	if n := coarsestLen(g); n < 400 {
+		t.Fatalf("coarsest level has %d nodes, want at least 400", n)
 	}
+	opts := Options{Tol: []float64{0.15}}
 	base, err := Bisect(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +96,46 @@ func TestFastDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sparseGraph returns an n-node graph with two weight dimensions, about
+// the given number of random edges and n/64+1 fixed nodes. With about one
+// edge per node, matching finds too few pairs after a few levels and
+// coarsening stops far above coarseFloor.
+func sparseGraph(n, edges int, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := NewGraph(n, 2)
+	for u := 0; u < n; u++ {
+		for d := 0; d < 2; d++ {
+			g.W[u][d] = int64(1 + rng.Intn(100))
+		}
+	}
+	for e := 0; e < edges; e++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			g.Connect(u, v, int64(1+rng.Intn(50)))
+		}
+	}
+	for i := 0; i <= n/64; i++ {
+		g.Fixed[rng.Intn(n)] = rng.Intn(2)
+	}
+	return g
+}
+
+// coarsestLen returns the node count of the deepest level bisectFast's
+// coarsening reaches on g.
+func coarsestLen(g *Graph) int {
+	fs := new(fmScratch)
+	c := buildCSRInto(fs.getCSR(), g)
+	total := c.TotalW()
+	for levels := 1; c.Len() > coarseFloor && levels < 64; levels++ {
+		next, _, ok := coarsenCSR(fs, c, total)
+		if !ok {
+			break
+		}
+		c = next
+	}
+	return c.Len()
 }
 
 // legacyKWayCuts records the 4-way cut weight the original per-node

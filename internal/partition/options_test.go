@@ -2,27 +2,6 @@ package partition
 
 import "testing"
 
-// TestOptionDefaults pins the documented defaults behind the repository's
-// option convention (see internal/defaults): a zero or negative knob
-// selects the default, any positive value wins.
-func TestOptionDefaults(t *testing.T) {
-	var zero Options
-	if got := zero.coarseTarget(); got != 24 {
-		t.Errorf("zero CoarseTarget -> %d, want 24", got)
-	}
-	if got := zero.maxPasses(); got != 8 {
-		t.Errorf("zero MaxPasses -> %d, want 8", got)
-	}
-	neg := Options{CoarseTarget: -1, MaxPasses: -1}
-	if neg.coarseTarget() != 24 || neg.maxPasses() != 8 {
-		t.Error("negative knobs must select the defaults")
-	}
-	set := Options{CoarseTarget: 10, MaxPasses: 3}
-	if set.coarseTarget() != 10 || set.maxPasses() != 3 {
-		t.Error("positive knobs must win over the defaults")
-	}
-}
-
 // TestFracMalformed pins frac's fallback contract: any malformed
 // Fractions slice — wrong length, non-positive sum, or a negative entry —
 // silently degrades to equal shares rather than producing NaN limits or

@@ -97,10 +97,9 @@ func (sc *kwayScratch) bisect(g *Graph, opts Options) []int {
 // appendSplitInput appends the part of a bisection's key the graph
 // identity does not fix: a count of g's fixed nodes, an (index, part) pair
 // per fixed node in index order, then the options a bisection reads —
-// both part shares, the tolerance of each weight dimension, both
-// coarsening floors and the refinement pass bound — with defaults
-// resolved. Node count and dimensions are fixed by the graph identity, so
-// every field is self-delimiting.
+// both part shares and the tolerance of each weight dimension — with
+// defaults resolved. Node count and dimensions are fixed by the graph
+// identity, so every field is self-delimiting.
 func appendSplitInput(buf []byte, g *Graph, opts Options) []byte {
 	nf := 0
 	for _, f := range g.Fixed {
@@ -119,7 +118,5 @@ func appendSplitInput(buf []byte, g *Graph, opts Options) []byte {
 	for d := 0; d < g.NumW; d++ {
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(opts.tol(d)))
 	}
-	buf = binary.AppendUvarint(buf, uint64(opts.coarseTarget()))
-	buf = binary.AppendUvarint(buf, uint64(opts.coarseTargetFast()))
-	return binary.AppendUvarint(buf, uint64(opts.maxPasses()))
+	return buf
 }

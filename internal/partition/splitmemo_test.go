@@ -177,20 +177,13 @@ func TestSplitMemoKeyCoversInputs(t *testing.T) {
 		t.Fatal("key is not deterministic")
 	}
 	for name, o := range map[string]Options{
-		"Tol[0]":       {Tol: []float64{0.15, 0.2}, Fractions: opts.Fractions},
-		"Tol[1]":       {Tol: []float64{0.1, 0.25}, Fractions: opts.Fractions},
-		"Fractions":    {Tol: opts.Tol, Fractions: []float64{0.4, 0.6}},
-		"CoarseTarget": {Tol: opts.Tol, Fractions: opts.Fractions, CoarseTarget: 10},
-		"MaxPasses":    {Tol: opts.Tol, Fractions: opts.Fractions, MaxPasses: 3},
+		"Tol[0]":    {Tol: []float64{0.15, 0.2}, Fractions: opts.Fractions},
+		"Tol[1]":    {Tol: []float64{0.1, 0.25}, Fractions: opts.Fractions},
+		"Fractions": {Tol: opts.Tol, Fractions: []float64{0.4, 0.6}},
 	} {
 		if key(g, o) == base {
 			t.Errorf("%s not in the key", name)
 		}
-	}
-	// An explicit CoarseTarget equal to the fine default still moves the
-	// fast floor (96 by default), so it must change the key too.
-	if key(g, Options{Tol: opts.Tol, Fractions: opts.Fractions, CoarseTarget: 24}) == base {
-		t.Error("CoarseTarget's fast floor not in the key")
 	}
 	for u := range g.Fixed {
 		for _, f := range []int{-1, 0, 1} {

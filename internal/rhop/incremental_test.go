@@ -162,21 +162,15 @@ func checkRegionEval(t *testing.T, f *ir.Func, prof *profile.Profile, mcfg *mach
 	}
 }
 
-// TestOptionsCacheKey pins that the key resolves defaults (zero and
-// explicit-default Options share results) and separates every
+// TestOptionsCacheKey pins that the key separates every
 // outcome-affecting knob, while ignoring the value-neutral observer.
 func TestOptionsCacheKey(t *testing.T) {
 	zero := Options{}.CacheKey()
-	if explicit := (Options{RefinePasses: 4, BalanceTol: 0.4}).CacheKey(); explicit != zero {
-		t.Errorf("explicit defaults key %q != zero key %q", explicit, zero)
-	}
 	if (Options{Obs: obs.New(obs.NewRegistry(), nil, nil)}).CacheKey() != zero {
 		t.Error("Obs must not change the cache key")
 	}
 	distinct := []Options{
 		{},
-		{RefinePasses: 2},
-		{BalanceTol: 0.2},
 		{UniformEdges: true},
 		{PairRefine: true},
 	}

@@ -2,7 +2,6 @@ package rhop
 
 import (
 	"encoding/binary"
-	"math"
 	"sort"
 	"sync"
 
@@ -338,10 +337,10 @@ func (pre *regionPre) home(ui int, asg []int, cnt []int64) int {
 }
 
 // cutKey builds the min-cut memo key of region ri in sc.keyBuf: the
-// region index, the partitioning knobs (cluster count, edge weighting,
-// balance tolerance), one byte per external reference for its current
-// cluster (0 when unassigned, so its anchors are absent), then a (uvarint
-// region-op index, cluster) pair per locked region op. All but the last
+// region index, the partitioning knobs (cluster count, edge weighting),
+// one byte per external reference for its current cluster (0 when
+// unassigned, so its anchors are absent), then a (uvarint region-op
+// index, cluster) pair per locked region op. All but the last
 // part have a fixed length per region and the indices increase, so the
 // key is injective. Clusters fit one byte: machine.Validate bounds k by
 // machine.MaxClusters.
@@ -351,7 +350,6 @@ func (sc *scratch) cutKey(ri int, pre *regionPre, k int, opts Options, locks Loc
 		flags |= 1
 	}
 	buf := append(binary.AppendUvarint(sc.keyBuf[:0], uint64(ri)), byte(k), flags)
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(opts.tol()))
 	for _, id := range pre.extRefs {
 		buf = append(buf, byte(asg[id]+1))
 	}

@@ -25,7 +25,6 @@ import (
 	"slices"
 
 	"mcpart/internal/cfg"
-	"mcpart/internal/defaults"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
 	"mcpart/internal/memo"
@@ -42,12 +41,6 @@ type Locks map[int]int
 
 // Options tunes the partitioner.
 type Options struct {
-	// RefinePasses bounds estimate-driven refinement sweeps per region
-	// (default 4).
-	RefinePasses int
-	// BalanceTol is the initial partition's op-count imbalance tolerance
-	// (default 0.4; refinement rebalances by estimate afterwards).
-	BalanceTol float64
 	// UniformEdges disables slack weighting (ablation: every dependence
 	// edge gets the same base weight).
 	UniformEdges bool
@@ -65,17 +58,18 @@ type Options struct {
 	Obs *obs.Observer
 }
 
-func (o Options) passes() int  { return defaults.Int(o.RefinePasses, 4) }
-func (o Options) tol() float64 { return defaults.Float(o.BalanceTol, 0.4) }
+// refinePasses bounds the estimate-driven refinement sweeps per region.
+const refinePasses = 4
+
+// opTol is the initial min-cut partition's op-count imbalance tolerance;
+// refinement rebalances by estimate afterwards.
+const opTol = 0.4
 
 // CacheKey returns a canonical encoding of every option that can change a
-// partitioning outcome, with defaults resolved (so the zero Options and an
-// explicit {RefinePasses: 4, BalanceTol: 0.4} share memoized results).
-// Obs is excluded: it only counts and never changes an outcome.
+// partitioning outcome. Obs is excluded: it only counts and never changes
+// an outcome.
 func (o Options) CacheKey() string {
 	return memo.NewKey("rhopopts").
-		Int(int64(o.passes())).
-		Float(o.tol()).
 		Bool(o.UniformEdges).
 		Bool(o.PairRefine).
 		String()
@@ -325,7 +319,7 @@ func (fp *FuncPartitioner) minCut(ri int, pre *regionPre, locks Locks, asg []int
 	sc.tKWay++
 	k := fp.mcfg.NumClusters()
 	popts := partition.Options{
-		Tol: []float64{opts.tol()},
+		Tol: []float64{opTol},
 		Obs: opts.Obs,
 	}
 	var part []int
@@ -571,7 +565,7 @@ func (fp *FuncPartitioner) refineRegion(pre *regionPre, locks Locks, asg []int) 
 
 	re := fp.newRegionEval(pre, asg)
 	cur := re.cost()
-	for pass := 0; pass < fp.opts.passes(); pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		improved := false
 		for _, op := range unlocked {
 			orig := asg[op.ID]

@@ -442,7 +442,7 @@ func (s *Server) checkMemory() {
 		return
 	}
 	keep := defaults.Int(s.cfg.MemKeepPrograms, 1)
-	s.session.ReleaseMemory(keep, 0)
+	s.session.ReleaseMemory(keep)
 	s.o.Counter("serve_mem_releases").Add(1)
 }
 

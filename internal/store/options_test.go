@@ -3,7 +3,7 @@ package store
 import "testing"
 
 // TestOptionsDefaults pins the repository-wide non-positive → default
-// sentinel (internal/defaults) on the store's size knobs, matching every
+// sentinel (internal/defaults) on the store's size knob, matching every
 // other Options struct in the tree.
 func TestOptionsDefaults(t *testing.T) {
 	if got := (Options{}).maxBytes(); got != DefaultMaxBytes {
@@ -14,14 +14,5 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if got := (Options{MaxBytes: 4096}).maxBytes(); got != 4096 {
 		t.Errorf("explicit MaxBytes = %d, want 4096", got)
-	}
-	if got := (Options{}).flushBytes(); got != DefaultFlushBytes {
-		t.Errorf("zero FlushBytes = %d, want DefaultFlushBytes %d", got, DefaultFlushBytes)
-	}
-	if got := (Options{FlushBytes: -3}).flushBytes(); got != DefaultFlushBytes {
-		t.Errorf("negative FlushBytes = %d, want DefaultFlushBytes", got)
-	}
-	if got := (Options{FlushBytes: 128}).flushBytes(); got != 128 {
-		t.Errorf("explicit FlushBytes = %d, want 128", got)
 	}
 }

@@ -22,7 +22,7 @@
 //     bytes, count them in CorruptSkipped, and fall back to a cold cache.
 //
 // Writes are write-behind: Put appends to an in-memory pending buffer that
-// Flush (explicit, or automatic beyond Options.FlushBytes) appends to the
+// Flush (explicit, or automatic beyond flushBytes) appends to the
 // log file. The log is append-only — a superseding Put for an existing key
 // appends a fresh record and the index keeps the newest offset (last wins
 // on rebuild), which is how a record that went corrupt on disk heals after
@@ -62,16 +62,14 @@ const (
 	maxComponentLen = 1 << 28
 )
 
-// Defaults for the Options knobs (the usual non-positive → default
-// sentinel, see internal/defaults).
-const (
-	// DefaultMaxBytes caps the log at 1 GiB; the tools' -cachemaxbytes
-	// flag overrides it.
-	DefaultMaxBytes = 1 << 30
-	// DefaultFlushBytes is the pending-buffer size beyond which Put
-	// triggers a write-behind flush to the log file.
-	DefaultFlushBytes = 256 << 10
-)
+// DefaultMaxBytes is Options.MaxBytes' default (the usual non-positive →
+// default sentinel, see internal/defaults): it caps the log at 1 GiB; the
+// tools' -cachemaxbytes flag overrides it.
+const DefaultMaxBytes = 1 << 30
+
+// flushBytes is the write-behind threshold: Put flushes the pending
+// buffer to the log file once it grows past this.
+const flushBytes = 256 << 10
 
 // LogName is the artifact log's file name inside the cache directory.
 const LogName = "artifacts.mcs"
@@ -83,14 +81,9 @@ type Options struct {
 	// so the bound sheds new work instead of evicting old. Non-positive
 	// selects DefaultMaxBytes.
 	MaxBytes int64
-	// FlushBytes is the write-behind threshold: Put flushes the pending
-	// buffer to disk once it grows past this. Non-positive selects
-	// DefaultFlushBytes.
-	FlushBytes int64
 }
 
-func (o Options) maxBytes() int64   { return defaults.Int64(o.MaxBytes, DefaultMaxBytes) }
-func (o Options) flushBytes() int64 { return defaults.Int64(o.FlushBytes, DefaultFlushBytes) }
+func (o Options) maxBytes() int64 { return defaults.Int64(o.MaxBytes, DefaultMaxBytes) }
 
 // Store is an append-only, content-addressed artifact log with an
 // in-memory index. A nil *Store is accepted by every method and behaves as
@@ -438,7 +431,7 @@ func (s *Store) Put(key, val []byte) {
 	s.oWrites.Add(1)
 	s.bytesWritten += uint64(recLen)
 	s.oBytes.Add(recLen)
-	if int64(len(s.pending)) >= s.opts.flushBytes() {
+	if len(s.pending) >= flushBytes {
 		s.flushLocked()
 	}
 }

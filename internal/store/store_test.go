@@ -115,7 +115,7 @@ func TestMaxBytesShedsWrites(t *testing.T) {
 // TestGetFromPending pins that write-behind records are readable before
 // any flush (the buffer is part of the logical log).
 func TestGetFromPending(t *testing.T) {
-	s := open(t, t.TempDir(), Options{FlushBytes: 1 << 20})
+	s := open(t, t.TempDir(), Options{})
 	defer s.Close()
 	s.Put([]byte("k"), []byte("v"))
 	fi, err := os.Stat(s.Path())
@@ -139,20 +139,22 @@ func TestGetFromPending(t *testing.T) {
 
 // TestAutoFlushBeyondThreshold pins the write-behind trigger.
 func TestAutoFlushBeyondThreshold(t *testing.T) {
-	s := open(t, t.TempDir(), Options{FlushBytes: 64})
+	s := open(t, t.TempDir(), Options{})
 	defer s.Close()
-	s.Put([]byte("key-long-enough"), make([]byte, 64))
+	s.Put([]byte("key-long-enough"), make([]byte, flushBytes))
 	fi, err := os.Stat(s.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fi.Size() == headerSize {
-		t.Fatal("pending buffer beyond FlushBytes must flush")
+		t.Fatal("pending buffer beyond flushBytes must flush")
 	}
 }
 
+// TestConcurrentPutGet races Puts and Gets on ten keys whose values are a
+// quarter of flushBytes each, so automatic flushes run under the race too.
 func TestConcurrentPutGet(t *testing.T) {
-	s := open(t, t.TempDir(), Options{FlushBytes: 128})
+	s := open(t, t.TempDir(), Options{})
 	defer s.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -161,7 +163,7 @@ func TestConcurrentPutGet(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := []byte(fmt.Sprintf("k-%d", i%20))
-				val := []byte(fmt.Sprintf("v-%d", i%20))
+				val := append([]byte(fmt.Sprintf("v-%d", i%20)), make([]byte, flushBytes/4)...)
 				if i%2 == 0 {
 					s.Put(key, val)
 				} else if got, ok := s.Get(key); ok && !bytes.Equal(got, val) {

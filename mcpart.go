@@ -357,11 +357,6 @@ func (p *Program) MemoStats() MemoStats { return p.c.MemoStats() }
 // heap crosses its ceiling).
 func (p *Program) ShrinkMemo(n int) { p.c.ShrinkMemo(n) }
 
-// SetMemoCapacity rebounds the program's memoization cache (non-positive
-// selects the default capacity), evicting immediately if over the new
-// bound.
-func (p *Program) SetMemoCapacity(n int) { p.c.SetMemoCapacity(n) }
-
 // StoreStats are the persistent artifact store's counters (internal/store):
 // disk-tier hits and misses, records written, corrupt records skipped, and
 // log size. All-zero when no cache directory is attached. Like MemoStats

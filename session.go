@@ -329,10 +329,10 @@ func (s *Session) Best(ctx context.Context, name, source string, m *Machine, max
 
 // ReleaseMemory is the memory-pressure release valve: it evicts programs
 // down to at most keepPrograms (non-positive: evict all completed ones)
-// and shrinks each survivor's memoization cache to at most memoEntries
-// entries. Results are unaffected — dropped state recomputes or reloads
-// from the disk tier on demand. It reports how many programs were evicted.
-func (s *Session) ReleaseMemory(keepPrograms, memoEntries int) int {
+// and empties each survivor's memoization cache. Results are unaffected —
+// dropped state recomputes or reloads from the disk tier on demand. It
+// reports how many programs were evicted.
+func (s *Session) ReleaseMemory(keepPrograms int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if keepPrograms < 0 {
@@ -345,7 +345,7 @@ func (s *Session) ReleaseMemory(keepPrograms, memoEntries int) int {
 		select {
 		case <-e.ready:
 			if e.err == nil {
-				e.prog.ShrinkMemo(memoEntries)
+				e.prog.ShrinkMemo(0)
 			}
 		default:
 		}

@@ -159,7 +159,7 @@ func TestSessionReleaseMemory(t *testing.T) {
 	if p.MemoStats().Entries == 0 {
 		t.Fatal("evaluation left no memo entries to shrink")
 	}
-	if evicted := s.ReleaseMemory(1, 0); evicted != 1 {
+	if evicted := s.ReleaseMemory(1); evicted != 1 {
 		t.Fatalf("ReleaseMemory evicted %d, want 1", evicted)
 	}
 	if st := s.Stats(); st.Programs != 1 {
