@@ -77,11 +77,28 @@ func workerDependentRow(row string) bool {
 // TestMetricsIndependentOfWorkers pins that a Figure 9 sweep reports the
 // same metrics at -j 1 and -j 8, apart from the rows workerDependentRow
 // names. The partitioner's FM counters in particular must not depend on
-// how many workers the sweep uses.
+// how many workers the sweep uses. A multi-cell run (-all) must report
+// the same unlabeled totals too: the partition path's memos are
+// single-flight, so workers that miss one key at once do its work once.
+// Its {bench,scheme}-labeled rows still move with -j, because a shared
+// memo entry's work is counted for whichever cell computes it first.
 func TestMetricsIndependentOfWorkers(t *testing.T) {
 	args := []string{"-figure", "9", "-run", "rawcaudio", "-metrics"}
-	j1 := strings.Split(runBenchCmd(t, append(args, "-j", "1")...), "\n")
-	j8 := strings.Split(runBenchCmd(t, append(args, "-j", "8")...), "\n")
+	sameRows(t, strings.Split(runBenchCmd(t, append(args, "-j", "1")...), "\n"),
+		strings.Split(runBenchCmd(t, append(args, "-j", "8")...), "\n"))
+
+	args = []string{"-all", "-metrics"}
+	j1 := unlabeledMetrics(runBenchCmd(t, append(args, "-j", "1")...))
+	if len(j1) < 10 {
+		t.Fatalf("-all -metrics printed %d unlabeled metric rows:\n%s", len(j1), strings.Join(j1, "\n"))
+	}
+	sameRows(t, j1, unlabeledMetrics(runBenchCmd(t, append(args, "-j", "8")...)))
+}
+
+// sameRows fails t where the -j 1 and -j 8 rows differ outside the rows
+// workerDependentRow allows.
+func sameRows(t *testing.T, j1, j8 []string) {
+	t.Helper()
 	if len(j1) != len(j8) {
 		t.Fatalf("-j 1 printed %d lines, -j 8 printed %d", len(j1), len(j8))
 	}
@@ -90,4 +107,17 @@ func TestMetricsIndependentOfWorkers(t *testing.T) {
 			t.Errorf("line %d differs:\n -j 1: %q\n -j 8: %q", i+1, j1[i], j8[i])
 		}
 	}
+}
+
+// unlabeledMetrics returns the rows of out's -metrics summary that carry
+// no labels.
+func unlabeledMetrics(out string) []string {
+	_, summary, _ := strings.Cut(out, "\nmetrics:\n")
+	var rows []string
+	for _, row := range strings.Split(summary, "\n") {
+		if !strings.Contains(row, "{") {
+			rows = append(rows, row)
+		}
+	}
+	return rows
 }

@@ -84,54 +84,38 @@ type Compiled struct {
 	dataParts gdp.DataPartitions
 }
 
-// rhopState is a Compiled's share of rhop's reusable partitioning state.
-// The min-cut memos (cuts) live until ReleasePrepared, since they are
-// small and every later run can hit them, whatever its machine. The
-// per-function prepared structure (fns), with its per-machine block-schedule
-// caches, is larger, so it is kept only while some run holds a lease (see
-// lease) and rebuilt by the next one: a caller that keeps many compiled
-// programs around holds their memos, not their structure.
+// rhopState is a Compiled's share of rhop's reusable partitioning state,
+// keyed by function name. The min-cut memos (cuts) live until
+// ReleasePrepared, since they are small and every later run can hit them,
+// whatever its machine. The per-function prepared structure (fns), with
+// its per-machine block-schedule caches, is larger, so it is kept only
+// while some run holds a lease (see lease) and rebuilt by the next one: a
+// caller that keeps many compiled programs around holds their memos, not
+// their structure.
 type rhopState struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // guards leases
 	leases int
-	cuts   map[*ir.Func]*rhop.MinCuts
-	fns    map[*ir.Func]*preparedFunc
-}
-
-// preparedFunc builds one function's rhop.Prepared exactly once, however
-// many leased runs ask for it concurrently.
-type preparedFunc struct {
-	once sync.Once
-	p    *rhop.Prepared
+	cuts   memo.Table[*rhop.MinCuts]
+	fns    memo.Table[*rhop.Prepared]
 }
 
 // prepared returns f's rhop.Prepared, bound to f's shared min-cut memo.
 // Callers hold a lease (every top-level entry takes one), so the structure
 // is built once and shared until the last lease ends. Every value its
 // memos hold is a pure function of its key, so sharing them across runs,
-// machines, and worker goroutines leaves results unchanged.
-func (c *Compiled) prepared(f *ir.Func) *rhop.Prepared {
+// machines, and worker goroutines leaves results unchanged. The error is
+// that of a build this call waited on and that panicked.
+func (c *Compiled) prepared(f *ir.Func) (*rhop.Prepared, error) {
 	st := &c.shared
-	st.mu.Lock()
-	if st.cuts == nil {
-		st.cuts = make(map[*ir.Func]*rhop.MinCuts, len(c.Mod.Funcs))
-	}
-	cuts := st.cuts[f]
-	if cuts == nil {
-		cuts = &rhop.MinCuts{}
-		st.cuts[f] = cuts
-	}
-	if st.fns == nil {
-		st.fns = make(map[*ir.Func]*preparedFunc, len(c.Mod.Funcs))
-	}
-	pf := st.fns[f]
-	if pf == nil {
-		pf = &preparedFunc{}
-		st.fns[f] = pf
-	}
-	st.mu.Unlock()
-	pf.once.Do(func() { pf.p = rhop.Prepare(f, c.Prof, cuts) })
-	return pf.p
+	key := []byte(f.Name)
+	p, _, err := st.fns.Do(key, func() (*rhop.Prepared, error) {
+		cuts, _, err := st.cuts.Do(key, func() (*rhop.MinCuts, error) { return &rhop.MinCuts{}, nil })
+		if err != nil {
+			return nil, err
+		}
+		return rhop.Prepare(f, c.Prof, cuts), nil
+	})
+	return p, err
 }
 
 // lease keeps the prepared structure alive across the runs of one
@@ -146,7 +130,7 @@ func (c *Compiled) lease() (release func()) {
 	return func() {
 		st.mu.Lock()
 		if st.leases--; st.leases == 0 {
-			st.fns = nil
+			st.fns.Clear()
 		}
 		st.mu.Unlock()
 	}
@@ -156,18 +140,13 @@ func (c *Compiled) lease() (release func()) {
 // next run starts it afresh. Runs in flight keep what they hold. Results
 // are unaffected.
 func (c *Compiled) ReleasePrepared() {
-	st := &c.shared
-	st.mu.Lock()
-	st.cuts, st.fns = nil, nil
-	st.mu.Unlock()
+	c.shared.cuts.Clear()
+	c.shared.fns.Clear()
 }
 
 // HoldsPrepared reports whether any shared RHOP state is held.
 func (c *Compiled) HoldsPrepared() bool {
-	st := &c.shared
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.cuts != nil || st.fns != nil
+	return c.shared.cuts.Len() > 0 || c.shared.fns.Len() > 0
 }
 
 // enableMemo attaches a fresh memoization cache and the per-function
@@ -595,29 +574,34 @@ func lockSigKey(k *memo.Key, c *Compiled, f *ir.Func, dm gdp.DataMap) *memo.Key 
 
 // funcLocks returns f's memory-op locks under dm (gdp.ComputeLocksFunc),
 // memoized under the "locks" key by f's projected lock signature. The map
-// is the cache's master: callers that hand it out copy it.
-func (c *Compiled) funcLocks(f *ir.Func, dm gdp.DataMap) rhop.Locks {
+// is the cache's master: callers that hand it out copy it. The error is
+// that of a computation this call waited on and that panicked.
+func (c *Compiled) funcLocks(f *ir.Func, dm gdp.DataMap) (rhop.Locks, error) {
 	key := lockSigKey(memo.NewKey("locks").Str(f.Name), c, f, dm).String()
-	v, _, _ := c.memo.DoCodec(key, lockCodec{}, func() (any, error) {
+	v, _, err := c.memo.DoCodec(key, lockCodec{}, func() (any, error) {
 		return gdp.ComputeLocksFunc(f, dm, c.Prof), nil
 	})
-	return v.(rhop.Locks)
+	locks, _ := v.(rhop.Locks) // nil when err is set
+	return locks, err
 }
 
 // computeLocks returns every function's locks under dm. Every caller gets
 // private copies of the lock maps (schemes and callers may hold them in
 // Results while other runs share the cache).
-func computeLocks(c *Compiled, dm gdp.DataMap) map[*ir.Func]rhop.Locks {
+func computeLocks(c *Compiled, dm gdp.DataMap) (map[*ir.Func]rhop.Locks, error) {
 	out := make(map[*ir.Func]rhop.Locks, len(c.Mod.Funcs))
 	for _, f := range c.Mod.Funcs {
-		master := c.funcLocks(f, dm)
+		master, err := c.funcLocks(f, dm)
+		if err != nil {
+			return nil, err
+		}
 		cp := make(rhop.Locks, len(master))
 		for id, cl := range master {
 			cp[id] = cl
 		}
 		out[f] = cp
 	}
-	return out
+	return out, nil
 }
 
 // partitionKey identifies one per-function detailed-partitioner result:
@@ -683,7 +667,11 @@ func newFuncSteps(c *Compiled, cfg *machine.Config, opts Options) *funcSteps {
 func (s *funcSteps) partition(f *ir.Func, dm gdp.DataMap, locks rhop.Locks) ([]int, bool, error) {
 	v, hit, err := s.c.memo.DoCodec(partitionKey(s.c, f, dm, locks, s.mkey, s.okey), partCodec{}, func() (any, error) {
 		if s.fpFunc != f {
-			s.fp, s.fpFunc = s.c.prepared(f).NewPartitioner(s.cfg, s.ropts), f
+			p, err := s.c.prepared(f)
+			if err != nil {
+				return nil, err
+			}
+			s.fp, s.fpFunc = p.NewPartitioner(s.cfg, s.ropts), f
 		}
 		return s.fp.Partition(locks)
 	})
@@ -696,18 +684,22 @@ func (s *funcSteps) partition(f *ir.Func, dm gdp.DataMap, locks rhop.Locks) ([]i
 // cycles returns f's profile-weighted cycles and moves under asg, memoized
 // under the "sched" key by (function, machine, assignment), and whether the
 // cache served them.
-func (s *funcSteps) cycles(f *ir.Func, asg []int) (sched.Cost, bool) {
+func (s *funcSteps) cycles(f *ir.Func, asg []int) (sched.Cost, bool, error) {
 	key := memo.NewKey("sched").Str(f.Name).Str(s.mkey).Ints(asg).String()
-	v, hit, _ := s.c.memo.DoCodec(key, schedCodec{}, func() (any, error) {
+	v, hit, err := s.c.memo.DoCodec(key, schedCodec{}, func() (any, error) {
+		p, err := s.c.prepared(f)
+		if err != nil {
+			return nil, err
+		}
 		if s.sc == nil {
 			s.sc = sched.NewScratch()
 			s.sc.SetObserver(s.obs)
 		}
-		cyc, mv := s.sc.FuncCycles(s.c.prepared(f).BlockCache(s.cfg), asg, s.c.Prof)
+		cyc, mv := s.sc.FuncCycles(p.BlockCache(s.cfg), asg, s.c.Prof)
 		return [2]int64{cyc, mv}, nil
 	})
-	pair := v.([2]int64)
-	return sched.Cost{Cycles: pair[0], Moves: pair[1]}, hit
+	pair, _ := v.([2]int64) // zero when err is set
+	return sched.Cost{Cycles: pair[0], Moves: pair[1]}, hit, err
 }
 
 // partitionModule runs the detailed partitioner over the module through
@@ -766,7 +758,10 @@ func programCycles(c *Compiled, cfg *machine.Config, asg map[*ir.Func][]int,
 	defer sp.End()
 	steps := newFuncSteps(c, cfg, opts)
 	for _, f := range c.Mod.Funcs {
-		cost, hit := steps.cycles(f, asg[f])
+		cost, hit, err := steps.cycles(f, asg[f])
+		if err != nil {
+			return 0, 0, err
+		}
 		if hit {
 			res.MemoScheduleHits++
 		}
@@ -824,7 +819,9 @@ func RunGDP(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err erro
 	}
 	res.DataMap = dp.DataMap
 	res.Groups = dp.Groups
-	res.Locks = computeLocks(c, dp.DataMap)
+	if res.Locks, err = computeLocks(c, dp.DataMap); err != nil {
+		return nil, err
+	}
 	asg, err := partitionModule(c, cfg, dp.DataMap, res.Locks, opts, res)
 	if err != nil {
 		return nil, err
@@ -839,7 +836,9 @@ func RunWithDataMap(c *Compiled, cfg *machine.Config, dm gdp.DataMap, opts Optio
 	opts, done := beginRun(c, SchemeFixed, opts)
 	defer func() { done(r, err) }()
 	res := &Result{Scheme: SchemeFixed, DataMap: dm}
-	res.Locks = computeLocks(c, dm)
+	if res.Locks, err = computeLocks(c, dm); err != nil {
+		return nil, err
+	}
 	asg, err := partitionModule(c, cfg, dm, res.Locks, opts, res)
 	if err != nil {
 		return nil, err
@@ -970,7 +969,9 @@ func RunProfileMax(c *Compiled, cfg *machine.Config, opts Options) (r *Result, e
 		}
 	}
 	res.DataMap = dm
-	res.Locks = computeLocks(c, dm)
+	if res.Locks, err = computeLocks(c, dm); err != nil {
+		return nil, err
+	}
 	asg, err := partitionModule(c, cfg, dm, res.Locks, opts, res)
 	if err != nil {
 		return nil, err
@@ -1022,7 +1023,10 @@ func RunNaive(c *Compiled, cfg *machine.Config, opts Options) (r *Result, err er
 	// else stays put and the scheduler pays the transfers. asg is this
 	// call's private copy (partitionModule never returns cached masters),
 	// so the in-place mutation cannot corrupt the memo cache.
-	locks := computeLocks(c, dm)
+	locks, err := computeLocks(c, dm)
+	if err != nil {
+		return nil, err
+	}
 	res.Locks = locks
 	for _, f := range c.Mod.Funcs {
 		fa := asg[f]

@@ -170,7 +170,10 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 			dm := make(gdp.DataMap, n)
 			// fill computes the entry for signature sig, whose homes dm holds.
 			fill := func(sig int) error {
-				locks := c.funcLocks(f, dm)
+				locks, err := c.funcLocks(f, dm)
+				if err != nil {
+					return err
+				}
 				if err := opts.inject(SchemeFixed, "partition"); err != nil {
 					return fmt.Errorf("partition: %w", err)
 				}
@@ -184,7 +187,10 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 				if err := opts.inject(SchemeFixed, "sched"); err != nil {
 					return fmt.Errorf("schedule: %w", err)
 				}
-				cost, hit := steps.cycles(f, asg)
+				cost, hit, err := steps.cycles(f, asg)
+				if err != nil {
+					return err
+				}
 				if hit {
 					ts.schedHits++
 				}

@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"mcpart/internal/cfg"
 	"mcpart/internal/defaults"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/memo"
 	"mcpart/internal/obs"
 	"mcpart/internal/partition"
 	"mcpart/internal/profile"
@@ -204,13 +204,13 @@ func PartitionData(m *ir.Module, prof *profile.Profile, k int, opts Options) (*R
 // cluster each part lands on then decides how many cycles every cut edge
 // costs, so the label assignment is optimized here as a second step.
 //
-// memo is the data-partition memo to use: one that earlier calls on the
+// dp is the data-partition memo to use: one that earlier calls on the
 // same module and profile filled, or nil to partition afresh.
-func PartitionDataOn(m *ir.Module, prof *profile.Profile, mcfg *machine.Config, opts Options, memo *DataPartitions) (*Result, error) {
+func PartitionDataOn(m *ir.Module, prof *profile.Profile, mcfg *machine.Config, opts Options, dp *DataPartitions) (*Result, error) {
 	if opts.MemFractions == nil {
 		opts.MemFractions = mcfg.MemFractions()
 	}
-	return partitionData(m, prof, mcfg.NumClusters(), opts, mcfg, memo)
+	return partitionData(m, prof, mcfg.NumClusters(), opts, mcfg, dp)
 }
 
 // DataPartitions is one program's data-partition memo: the machine-
@@ -223,8 +223,7 @@ func PartitionDataOn(m *ir.Module, prof *profile.Profile, mcfg *machine.Config, 
 // only ever see one module and profile. The zero value is an empty memo;
 // it is safe for concurrent use.
 type DataPartitions struct {
-	mu      sync.Mutex
-	entries map[string]*dataEntry
+	entries memo.Table[*dataEntry]
 }
 
 // dataEntry is one partitioning outcome before relabelling.
@@ -236,35 +235,14 @@ type dataEntry struct {
 	pairW      []int64 // k×k cut data-flow weight between part pairs
 }
 
-func (d *DataPartitions) get(key string) *dataEntry {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.entries[key]
-}
-
-// put records an entry. Concurrent misses on one key store equal values,
-// so the last write wins harmlessly.
-func (d *DataPartitions) put(key string, e *dataEntry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.entries == nil {
-		d.entries = map[string]*dataEntry{}
-	}
-	d.entries[key] = e
-}
-
 // Clear empties the memo; later calls recompute.
-func (d *DataPartitions) Clear() {
-	d.mu.Lock()
-	d.entries = nil
-	d.mu.Unlock()
-}
+func (d *DataPartitions) Clear() { d.entries.Clear() }
 
 // dataKey encodes every input of the graph partitioning besides the module
 // and profile: k, the exact bits of the memory fractions and tolerance,
 // and the graph-shaping flags. Obs is left out because it only counts and
 // never changes the result.
-func dataKey(k int, opts Options) string {
+func dataKey(k int, opts Options) []byte {
 	buf := make([]byte, 0, 8*(len(opts.MemFractions)+3)+1)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(opts.MemFractions)))
@@ -278,31 +256,28 @@ func dataKey(k int, opts Options) string {
 			flags |= 1 << i
 		}
 	}
-	return string(append(buf, flags))
+	return append(buf, flags)
 }
 
-func partitionData(m *ir.Module, prof *profile.Profile, k int, opts Options, mcfg *machine.Config, memo *DataPartitions) (*Result, error) {
+func partitionData(m *ir.Module, prof *profile.Profile, k int, opts Options, mcfg *machine.Config, dp *DataPartitions) (*Result, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("gdp: need at least 1 cluster, got %d", k)
 	}
 	if opts.MemFractions != nil && len(opts.MemFractions) != k {
 		return nil, fmt.Errorf("gdp: %d memory fractions for %d clusters", len(opts.MemFractions), k)
 	}
-	var key string
-	var e *dataEntry
-	if memo != nil {
-		key = dataKey(k, opts)
-		e = memo.get(key)
+	var dt *memo.Table[*dataEntry] // nil: partition afresh
+	var key []byte
+	if dp != nil {
+		dt, key = &dp.entries, dataKey(k, opts)
 	}
-	if e == nil {
-		var err error
-		if e, err = partitionGraph(m, prof, k, opts); err != nil {
-			return nil, err
-		}
-		if memo != nil {
-			memo.put(key, e)
-		}
-	} else if opts.Obs != nil {
+	e, hit, err := dt.Do(key, func() (*dataEntry, error) {
+		return partitionGraph(m, prof, k, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if hit && opts.Obs != nil {
 		opts.Obs.Counter("gdp_data_hits").Add(1)
 	}
 

@@ -1,6 +1,8 @@
 package gdp
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -73,8 +75,10 @@ func TestPartitionDataOnMemoMatchesFresh(t *testing.T) {
 				if !reflect.DeepEqual(fresh, got) {
 					t.Errorf("%s %s: memo result %+v, fresh %+v", b.Name, cfg.Name, got, fresh)
 				}
-				e := memo.get(dataKey(cfg.NumClusters(), Options{MemFractions: cfg.MemFractions()}))
-				if e == nil {
+				e, hit, _ := memo.entries.Do(dataKey(cfg.NumClusters(), Options{MemFractions: cfg.MemFractions()}), func() (*dataEntry, error) {
+					return nil, errors.New("not memoized")
+				})
+				if !hit {
 					t.Fatalf("%s %s: no memo entry after the call", b.Name, cfg.Name)
 				}
 				if !reflect.DeepEqual([]int(got.DataMap), e.part) {
@@ -103,7 +107,7 @@ func TestPartitionDataOnMemoMatchesFresh(t *testing.T) {
 // not.
 func TestDataKeyCoversKnobs(t *testing.T) {
 	base := Options{MemFractions: []float64{0.5, 0.5}}
-	seen := map[string]string{dataKey(2, base): "base"}
+	seen := map[string]string{string(dataKey(2, base)): "base"}
 	for name, o := range map[string]Options{
 		"k=4":             {MemFractions: []float64{0.25, 0.25, 0.25, 0.25}},
 		"nil fractions":   {},
@@ -118,7 +122,7 @@ func TestDataKeyCoversKnobs(t *testing.T) {
 		if k == 0 {
 			k = 2
 		}
-		key := dataKey(k, o)
+		key := string(dataKey(k, o))
 		if prev, dup := seen[key]; dup {
 			t.Errorf("%s shares its key with %s", name, prev)
 		}
@@ -127,7 +131,7 @@ func TestDataKeyCoversKnobs(t *testing.T) {
 	same := base
 	same.Obs = obs.New(obs.NewRegistry(), nil, nil)
 	same.MemTol = 0.10 // the default, spelled out
-	if dataKey(2, same) != dataKey(2, base) {
+	if !bytes.Equal(dataKey(2, same), dataKey(2, base)) {
 		t.Error("Obs or an explicit default MemTol changed the key")
 	}
 }

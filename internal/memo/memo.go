@@ -1,5 +1,6 @@
 // Package memo provides the bounded, deterministic result cache behind the
-// evaluation pipeline's memoized partition/schedule hot path (DESIGN.md §7).
+// evaluation pipeline's memoized partition/schedule hot path (DESIGN.md §7),
+// and Table, the unbounded exact memo of each step below it.
 // The pipeline re-derives identical work constantly — the Figure 9
 // exhaustive search runs the detailed partitioner for every one of 2^n
 // object mappings even though each function only sees 2^(objects it
@@ -44,11 +45,10 @@ import (
 	"container/list"
 	"math"
 	"strconv"
+	"sync"
+
+	"mcpart/internal/obs"
 )
-
-import "sync"
-
-import "mcpart/internal/obs"
 
 // DefaultCapacity bounds a New(0) cache: comfortably above the largest
 // exhaustive sweep the tools run by default (2^14 masks) times a typical
@@ -64,7 +64,7 @@ type Cache struct {
 	cap     int
 	ll      *list.List               // completed entries, most recent first
 	entries map[string]*list.Element // key -> element whose Value is *entry
-	flights map[string]*flight       // keys currently being computed
+	flights map[string]*flight[any]  // keys currently being computed
 	tier    Tier                     // optional second (disk) tier; nil = none
 
 	hits, misses, waits, evictions, promotions uint64
@@ -101,12 +101,6 @@ type entry struct {
 	value any
 }
 
-type flight struct {
-	done  chan struct{}
-	value any
-	err   error
-}
-
 // New returns an empty cache bounded to capacity completed entries;
 // capacity <= 0 selects DefaultCapacity (the repository's non-positive →
 // default sentinel convention, see internal/defaults).
@@ -118,7 +112,7 @@ func New(capacity int) *Cache {
 		cap:     capacity,
 		ll:      list.New(),
 		entries: make(map[string]*list.Element),
-		flights: make(map[string]*flight),
+		flights: make(map[string]*flight[any]),
 	}
 }
 
@@ -183,7 +177,9 @@ func (c *Cache) evictTo(n int) {
 // compute on a miss. hit reports whether the value came from the cache
 // (including waiting on another goroutine's in-flight computation of the
 // same key). Errors are never cached: every waiter of a failed flight
-// receives the error and the next Do retries the computation.
+// receives the error and the next Do retries the computation. A compute
+// that panics fails its flight the same way, and the panic propagates to
+// the caller.
 //
 // compute runs without the cache lock held, so it may itself use the cache
 // (under different keys).
@@ -222,20 +218,43 @@ func (c *Cache) DoCodec(key string, codec Codec, compute func() (any, error)) (v
 		<-fl.done
 		return fl.value, true, fl.err
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl := &flight[any]{done: make(chan struct{})}
 	c.flights[key] = fl
 	tier := c.tier
 	c.mu.Unlock()
 
+	if tier == nil {
+		codec = nil
+	}
 	promoted := false
-	if tier != nil && codec != nil {
+	defer func() { // once the flight has ended: write a computed value behind
+		if fl.returned && !promoted && fl.err == nil && codec != nil {
+			if b, eerr := codec.Encode(fl.value); eerr == nil {
+				tier.Put(key, b)
+			}
+		}
+	}()
+	defer fl.end(&c.mu, c.flights, key, func() {
+		if promoted {
+			c.hits++
+			c.promotions++
+			c.oHits.Add(1)
+			c.oPromote.Add(1)
+		} else {
+			c.misses++
+			c.oMisses.Add(1)
+		}
+		if fl.err == nil {
+			c.insert(key, fl.value)
+		}
+	})
+	if codec != nil {
 		if b, ok := tier.Get(key); ok {
 			if val, derr := codec.Decode(b); derr == nil {
-				fl.value = val
-				promoted = true
+				fl.value, promoted = val, true
 			} else {
 				// Undecodable payload: invalidate and recompute. The
-				// recompute's Put below heals the entry.
+				// recompute's write-behind heals the entry.
 				tier.MarkCorrupt(key)
 			}
 		}
@@ -243,31 +262,7 @@ func (c *Cache) DoCodec(key string, codec Codec, compute func() (any, error)) (v
 	if !promoted {
 		fl.value, fl.err = compute()
 	}
-	close(fl.done)
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	switch {
-	case promoted:
-		c.hits++
-		c.promotions++
-		c.oHits.Add(1)
-		c.oPromote.Add(1)
-		c.insert(key, fl.value)
-	case fl.err == nil:
-		c.misses++
-		c.oMisses.Add(1)
-		c.insert(key, fl.value)
-	default:
-		c.misses++
-		c.oMisses.Add(1)
-	}
-	c.mu.Unlock()
-	if !promoted && fl.err == nil && tier != nil && codec != nil {
-		if b, eerr := codec.Encode(fl.value); eerr == nil {
-			tier.Put(key, b)
-		}
-	}
+	fl.returned = true
 	return fl.value, promoted, fl.err
 }
 

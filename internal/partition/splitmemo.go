@@ -3,7 +3,8 @@ package partition
 import (
 	"encoding/binary"
 	"math"
-	"sync"
+
+	"mcpart/internal/memo"
 )
 
 // SplitMemo memoizes the bisections inside KWay's recursive bisection by
@@ -17,35 +18,13 @@ import (
 // returns the halves the bisection would compute.
 //
 // Options.Obs is not in the key: it only counts, never steers. The zero
-// value is an empty memo; it is safe for
-// concurrent use, and concurrent misses on one key store equal values.
+// value is an empty memo; it is safe for concurrent use.
 type SplitMemo struct {
-	mu     sync.Mutex
-	halves map[string][]uint8
+	halves memo.Table[[]uint8]
 }
 
 // Len returns the number of memoized bisections.
-func (m *SplitMemo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.halves)
-}
-
-func (m *SplitMemo) get(key []byte) ([]uint8, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	half, ok := m.halves[string(key)]
-	return half, ok
-}
-
-func (m *SplitMemo) put(key string, half []uint8) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.halves == nil {
-		m.halves = map[string][]uint8{}
-	}
-	m.halves[key] = half
-}
+func (m *SplitMemo) Len() int { return m.halves.Len() }
 
 // KWay is KWay with every bisection of the recursion memoized in m. id
 // must identify g's node weights and adjacency: two calls on one memo with
@@ -76,21 +55,25 @@ func (sc *kwayScratch) bisect(g *Graph, opts Options) []int {
 		return bisectUnchecked(g, opts)
 	}
 	sc.key = appendSplitInput(sc.key, g, opts)
-	if packed, ok := sc.memo.get(sc.key); ok {
+	var half []int
+	packed, hit, err := sc.memo.halves.Do(sc.key, func() ([]uint8, error) {
+		half = bisectUnchecked(g, opts)
+		packed := make([]uint8, len(half))
+		for u, s := range half {
+			packed[u] = uint8(s)
+		}
+		return packed, nil
+	})
+	if err != nil { // the bisection this call waited on panicked
+		return bisectUnchecked(g, opts)
+	}
+	if hit {
 		sc.hits++
-		half := make([]int, len(packed))
+		half = make([]int, len(packed))
 		for u, s := range packed {
 			half[u] = int(s)
 		}
-		return half
 	}
-	key := string(sc.key)
-	half := bisectUnchecked(g, opts)
-	packed := make([]uint8, len(half))
-	for u, s := range half {
-		packed[u] = uint8(s)
-	}
-	sc.memo.put(key, packed)
 	return half
 }
 

@@ -3,11 +3,11 @@ package rhop
 import (
 	"encoding/binary"
 	"sort"
-	"sync"
 
 	"mcpart/internal/cfg"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/memo"
 	"mcpart/internal/partition"
 	"mcpart/internal/profile"
 	"mcpart/internal/sched"
@@ -39,8 +39,8 @@ import (
 // BlockCache); it lives and dies with the Prepared.
 //
 // Build one with Prepare. A Prepared is safe for concurrent use: its
-// structure is immutable after Prepare returns and the memos are guarded
-// by mutexes.
+// structure is immutable after Prepare returns and the memos are
+// single-flight memo.Tables.
 type Prepared struct {
 	f    *ir.Func
 	prof *profile.Profile
@@ -50,9 +50,7 @@ type Prepared struct {
 	// (every block belongs to exactly one region).
 	opBlock []int32
 	cuts    *MinCuts
-
-	mu     sync.Mutex
-	blocks map[string]*sched.BlockCache // by machine.Config.CacheKey
+	blocks  memo.Table[*sched.BlockCache] // by machine.Config.CacheKey
 }
 
 // BlockCache returns the function's block-schedule cache for mcfg, shared
@@ -62,16 +60,11 @@ type Prepared struct {
 // final cycle count on the same machine should too: a block both schedule
 // under equal inputs is then scheduled once.
 func (p *Prepared) BlockCache(mcfg *machine.Config) *sched.BlockCache {
-	key := mcfg.CacheKey()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	bc := p.blocks[key]
-	if bc == nil {
-		if p.blocks == nil {
-			p.blocks = map[string]*sched.BlockCache{}
-		}
+	bc, _, err := p.blocks.Do([]byte(mcfg.CacheKey()), func() (*sched.BlockCache, error) {
+		return sched.NewBlockCache(p.f, p.lc, mcfg), nil
+	})
+	if err != nil { // the build this call waited on panicked
 		bc = sched.NewBlockCache(p.f, p.lc, mcfg)
-		p.blocks[key] = bc
 	}
 	return bc
 }
@@ -86,27 +79,8 @@ func (p *Prepared) BlockCache(mcfg *machine.Config) *sched.BlockCache {
 // side each lock and anchor is on. The zero value is an empty memo; it is
 // safe for concurrent use.
 type MinCuts struct {
-	mu    sync.Mutex
-	cuts  map[string][]uint8
+	cuts  memo.Table[[]uint8]
 	split partition.SplitMemo
-}
-
-// get returns the memoized min-cut for key, or nil.
-func (m *MinCuts) get(key []byte) []uint8 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cuts[string(key)]
-}
-
-// put records a min-cut result. Concurrent misses on one key store equal
-// values, so the last write wins harmlessly.
-func (m *MinCuts) put(key string, part []uint8) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.cuts == nil {
-		m.cuts = map[string][]uint8{}
-	}
-	m.cuts[key] = part
 }
 
 // regionPre is one region's share of a Prepared: its ops, its static

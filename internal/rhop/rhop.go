@@ -171,17 +171,14 @@ func (fp *FuncPartitioner) partitionRegion(ri int, pre *regionPre, locks Locks, 
 
 	// The min-cut is memoized by its true inputs; a hit skips the graph
 	// build and the KWay run entirely.
-	keyBuf := sc.cutKey(ri, pre, k, opts, locks, asg)
-	part := p.cuts.get(keyBuf)
-	if part != nil {
+	part, hit, err := p.cuts.cuts.Do(sc.cutKey(ri, pre, k, opts, locks, asg), func() ([]uint8, error) {
+		return fp.minCut(ri, pre, locks, asg)
+	})
+	if err != nil {
+		return err
+	}
+	if hit {
 		sc.tKWayHits++
-	} else {
-		key := string(keyBuf)
-		var err error
-		if part, err = fp.minCut(ri, pre, locks, asg); err != nil {
-			return err
-		}
-		p.cuts.put(key, part)
 	}
 
 	// Candidate 1: the min-cut partition, refined by schedule estimates.

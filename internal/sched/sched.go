@@ -13,10 +13,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/memo"
 	"mcpart/internal/obs"
 	"mcpart/internal/profile"
 )
@@ -685,16 +685,14 @@ func BlockLiveIn(b *ir.Block) []ir.VReg {
 // schemes mostly leave a block's local inputs untouched, so they hit.
 //
 // A BlockCache is safe for concurrent use: callers build keys in their own
-// Scratch, and only the map access is locked. Two callers that miss on one
-// key both schedule it and store equal values.
+// Scratch, and callers that miss on one key at once schedule it once.
 type BlockCache struct {
 	f      *ir.Func
 	lc     *LoopCtx
 	cfg    *machine.Config
 	liveIn [][]ir.VReg // by block ID: BlockLiveIn
 
-	mu sync.Mutex
-	m  map[string]blockCacheEnt
+	m memo.Table[blockCacheEnt]
 }
 
 type blockCacheEnt struct {
@@ -705,7 +703,7 @@ type blockCacheEnt struct {
 // NewBlockCache returns an empty cache for f's blocks scheduled with loop
 // context lc (nil disables hoisting, as in ScheduleBlockCtx) on cfg.
 func NewBlockCache(f *ir.Func, lc *LoopCtx, cfg *machine.Config) *BlockCache {
-	bc := &BlockCache{f: f, lc: lc, cfg: cfg, liveIn: make([][]ir.VReg, len(f.Blocks)), m: map[string]blockCacheEnt{}}
+	bc := &BlockCache{f: f, lc: lc, cfg: cfg, liveIn: make([][]ir.VReg, len(f.Blocks))}
 	for _, b := range f.Blocks {
 		bc.liveIn[b.ID] = BlockLiveIn(b)
 	}
@@ -728,15 +726,13 @@ func (bc *BlockCache) Schedule(sc *Scratch, b *ir.Block, asg, home []int) (Block
 		buf = append(buf, byte(h+2))
 	}
 	sc.keyBuf = buf
-	bc.mu.Lock()
-	ent, ok := bc.m[string(buf)]
-	bc.mu.Unlock()
-	if !ok {
+	schedule := func() (ent blockCacheEnt, _ error) {
 		ent.br, ent.hoisted = sc.ScheduleBlockCtx(b, asg, home, bc.lc, bc.cfg)
-		key := string(buf)
-		bc.mu.Lock()
-		bc.m[key] = ent
-		bc.mu.Unlock()
+		return ent, nil
+	}
+	ent, _, err := bc.m.Do(buf, schedule)
+	if err != nil { // the schedule this call waited on panicked
+		ent, _ = schedule()
 	}
 	return ent.br, ent.hoisted
 }
