@@ -246,7 +246,7 @@ func PrepareFullOpts(ctx context.Context, name, src string, unroll int, optimize
 				o.Counter("prepare_programs").Add(1)
 				c := &Compiled{Name: name, Mod: mod, Prof: prof, Ret: ret}
 				c.enableMemo()
-				_ = c.attachStore(opts.CacheDir, opts.CacheMaxBytes, po)
+				_ = c.attachStore(opts.CacheDir, opts.CacheMaxBytes, pprefix, po)
 				return c, nil
 			}
 		}
@@ -272,7 +272,7 @@ func PrepareFullOpts(ctx context.Context, name, src string, unroll int, optimize
 	c.enableMemo()
 	if pstore != nil {
 		putProfile(pstore, pprefix, mod, prof, v.I)
-		_ = c.attachStore(opts.CacheDir, opts.CacheMaxBytes, po)
+		_ = c.attachStore(opts.CacheDir, opts.CacheMaxBytes, pprefix, po)
 	}
 	return c, nil
 }
@@ -528,7 +528,7 @@ func beginRun(c *Compiled, s Scheme, opts Options) (Options, func(*Result, error
 		// A failed open degrades to memory-only caching: a broken cache
 		// directory must never break an evaluation. The CLI tools open the
 		// store up front to surface such errors to the user.
-		_ = c.attachStore(opts.CacheDir, opts.CacheMaxBytes, parent)
+		_ = c.attachStore(opts.CacheDir, opts.CacheMaxBytes, "", parent)
 	}
 	release := c.lease()
 	if parent == nil {

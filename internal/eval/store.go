@@ -16,7 +16,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
+	"mcpart/internal/gdp"
 	"mcpart/internal/ir"
 	"mcpart/internal/obs"
 	"mcpart/internal/profile"
@@ -29,13 +31,19 @@ import (
 // records.
 const codecVersion = 1
 
+// moduleHashes counts moduleHash calls, so tests can pin one per Compiled.
+var moduleHashes atomic.Int64
+
 // moduleHash returns the content hash identifying a module in disk-cache
-// keys: SHA-256 over the module's stable textual rendering (ir.Print),
-// which covers functions, blocks, op IDs, objects, and MayAccess sets —
-// everything the partitioning pipeline reads.
+// keys: SHA-256 over the module's stable textual rendering (the bytes of
+// ir.Print, streamed by ir.WriteModule), which covers functions, blocks,
+// op IDs and objects; the MayAccess sets the pipeline also reads are a
+// function of those.
 func moduleHash(m *ir.Module) string {
-	h := sha256.Sum256([]byte(ir.Print(m)))
-	return hex.EncodeToString(h[:])
+	moduleHashes.Add(1)
+	h := sha256.New()
+	ir.WriteModule(h, m) // a hash never fails a write
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // keyPrefix builds the disk-key prefix for one module.
@@ -54,12 +62,40 @@ func (t *storeTier) Get(key string) ([]byte, bool) { return t.s.Get([]byte(t.pre
 func (t *storeTier) Put(key string, val []byte)    { t.s.Put([]byte(t.prefix+key), val) }
 func (t *storeTier) MarkCorrupt(key string)        { t.s.MarkCorrupt([]byte(t.prefix + key)) }
 
+// dataTier adapts a *store.Store to gdp.DataTier: GDP's data partitions
+// ('D' records) under the module prefix plus "data|" plus the memo key.
+type dataTier struct {
+	s      *store.Store
+	prefix string
+	nobj   int // objects in the module, which every entry must cover
+}
+
+func (t *dataTier) key(key []byte) []byte { return append([]byte(t.prefix+"data|"), key...) }
+
+func (t *dataTier) Get(key []byte, k int) (*gdp.DataEntry, bool) {
+	dk := t.key(key)
+	b, ok := t.s.Get(dk)
+	if !ok {
+		return nil, false
+	}
+	e, err := decodeData(b, t.nobj, k)
+	if err != nil {
+		t.s.MarkCorrupt(dk) // the recompute's write heals the entry
+		return nil, false
+	}
+	return e, true
+}
+
+func (t *dataTier) Put(key []byte, e *gdp.DataEntry) { t.s.Put(t.key(key), encodeData(e)) }
+
 // attachStore opens (or joins) the shared artifact store under dir and
-// layers it beneath c's memoization cache. Open failures degrade to
-// memory-only caching — a broken cache directory must never break an
-// evaluation — and the error is reported so callers that want to surface
-// it (the CLI tools) can. Safe to call repeatedly; the first call wins.
-func (c *Compiled) attachStore(dir string, maxBytes int64, o *obs.Observer) error {
+// layers it beneath c's memoization cache and data-partition memo, under
+// prefix (the module's keyPrefix; empty computes it). Open failures
+// degrade to memory-only caching — a broken cache directory must never
+// break an evaluation — and the error is reported so callers that want to
+// surface it (the CLI tools) can. Safe to call repeatedly; the first call
+// wins.
+func (c *Compiled) attachStore(dir string, maxBytes int64, prefix string, o *obs.Observer) error {
 	if c.memo == nil || dir == "" {
 		return nil
 	}
@@ -70,8 +106,12 @@ func (c *Compiled) attachStore(dir string, maxBytes int64, o *obs.Observer) erro
 		if err != nil {
 			return
 		}
+		if prefix == "" {
+			prefix = keyPrefix(moduleHash(c.Mod))
+		}
 		c.store = st
-		c.memo.SetTier(&storeTier{s: st, prefix: keyPrefix(moduleHash(c.Mod))})
+		c.memo.SetTier(&storeTier{s: st, prefix: prefix})
+		c.dataParts.SetTier(&dataTier{s: st, prefix: prefix, nobj: len(c.Mod.Objects)})
 	})
 	if c.store != nil && o != nil {
 		c.store.SetObserver(o)
@@ -92,6 +132,7 @@ const (
 	tagPart  byte = 'P'
 	tagSched byte = 'S'
 	tagProf  byte = 'F'
+	tagData  byte = 'D'
 )
 
 // decodeErr is the shared shape-mismatch error.
@@ -234,6 +275,95 @@ func (schedCodec) Decode(b []byte) (any, error) {
 		return nil, decodeErr(tagSched)
 	}
 	return pair, nil
+}
+
+// encodeData serializes a GDP data partition: the part per object, the
+// groups with their bytes, the cut weight and the k×k part-pair matrix
+// (k is in the key).
+func encodeData(e *gdp.DataEntry) []byte {
+	b := []byte{tagData}
+	b = binary.AppendUvarint(b, uint64(len(e.Part)))
+	for _, p := range e.Part {
+		b = binary.AppendUvarint(b, uint64(p))
+	}
+	b = binary.AppendUvarint(b, uint64(len(e.Groups)))
+	for gi, g := range e.Groups {
+		b = binary.AppendUvarint(b, uint64(len(g)))
+		for _, id := range g {
+			b = binary.AppendUvarint(b, uint64(id))
+		}
+		b = binary.AppendVarint(b, e.GroupBytes[gi])
+	}
+	b = binary.AppendVarint(b, e.Cut)
+	for _, w := range e.PairW {
+		b = binary.AppendVarint(b, w)
+	}
+	return b
+}
+
+// decodeData reconstructs a data partition for a module of nobj objects
+// on k clusters. Anything but that exact shape is a decode error: a part
+// outside [0,k), groups that do not cover every object exactly once in
+// ascending order, or a part-pair matrix that is not symmetric with a
+// zero diagonal summing to the cut weight.
+func decodeData(b []byte, nobj, k int) (*gdp.DataEntry, error) {
+	if len(b) == 0 || b[0] != tagData {
+		return nil, decodeErr(tagData)
+	}
+	r := &reader{b: b[1:]}
+	if r.count() != nobj {
+		return nil, decodeErr(tagData)
+	}
+	e := &gdp.DataEntry{Part: make([]int, nobj)}
+	for i := range e.Part {
+		p := r.uint()
+		if p >= uint64(k) {
+			return nil, decodeErr(tagData)
+		}
+		e.Part[i] = int(p)
+	}
+	ng := r.count()
+	if ng > nobj {
+		return nil, decodeErr(tagData)
+	}
+	e.Groups, e.GroupBytes = make([][]int, ng), make([]int64, ng)
+	seen := make([]bool, nobj)
+	covered := 0
+	for gi := range e.Groups {
+		n := r.count()
+		if n == 0 || covered+n > nobj {
+			return nil, decodeErr(tagData)
+		}
+		g := make([]int, n)
+		for i := range g {
+			id := r.uint()
+			if id >= uint64(nobj) || seen[id] || (i > 0 && int(id) <= g[i-1]) {
+				return nil, decodeErr(tagData)
+			}
+			g[i], seen[id] = int(id), true
+		}
+		covered += n
+		e.Groups[gi], e.GroupBytes[gi] = g, r.int()
+	}
+	e.Cut = r.int()
+	e.PairW = make([]int64, k*k)
+	for i := range e.PairW {
+		e.PairW[i] = r.int()
+	}
+	var sum int64
+	for p := 0; p < k; p++ {
+		for q := p; q < k; q++ {
+			if w := e.PairW[p*k+q]; w != e.PairW[q*k+p] || (p == q && w != 0) {
+				return nil, decodeErr(tagData)
+			} else if p < q {
+				sum += w
+			}
+		}
+	}
+	if covered != nobj || sum != e.Cut || !r.done() {
+		return nil, decodeErr(tagData)
+	}
+	return e, nil
 }
 
 // Profile serialization is module-relative: pointers into the IR (blocks,

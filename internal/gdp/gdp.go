@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"mcpart/internal/cfg"
 	"mcpart/internal/defaults"
@@ -223,19 +224,42 @@ func PartitionDataOn(m *ir.Module, prof *profile.Profile, mcfg *machine.Config, 
 // only ever see one module and profile. The zero value is an empty memo;
 // it is safe for concurrent use.
 type DataPartitions struct {
-	entries memo.Table[*dataEntry]
+	entries memo.Table[*DataEntry]
+	mu      sync.Mutex
+	tier    DataTier
 }
 
-// dataEntry is one partitioning outcome before relabelling.
-type dataEntry struct {
-	part       []int // object ID -> part
-	groups     [][]int
-	groupBytes []int64
-	cut        int64
-	pairW      []int64 // k×k cut data-flow weight between part pairs
+// DataEntry is one partitioning outcome before relabelling. Entries are
+// shared by every Result a DataPartitions serves, so nobody may modify
+// them.
+type DataEntry struct {
+	Part       []int // object ID -> part
+	Groups     [][]int
+	GroupBytes []int64
+	Cut        int64
+	PairW      []int64 // k×k cut data-flow weight between part pairs
 }
 
-// Clear empties the memo; later calls recompute.
+// DataTier is a second level under a DataPartitions — in practice the
+// persistent artifact store — consulted inside the single-flight of a key
+// the memo misses, and filled after a computation. key is the memo key;
+// Get must return only an entry shaped for k clusters and the memo's
+// module. Both methods must be safe for concurrent use and must never fail
+// the caller: a broken tier behaves as one that never hits.
+type DataTier interface {
+	Get(key []byte, k int) (*DataEntry, bool)
+	Put(key []byte, e *DataEntry)
+}
+
+// SetTier attaches (or, with nil, detaches) d's second level; later
+// misses consult it.
+func (d *DataPartitions) SetTier(t DataTier) {
+	d.mu.Lock()
+	d.tier = t
+	d.mu.Unlock()
+}
+
+// Clear empties the memo; later calls recompute (or reload from the tier).
 func (d *DataPartitions) Clear() { d.entries.Clear() }
 
 // dataKey encodes every input of the graph partitioning besides the module
@@ -266,30 +290,45 @@ func partitionData(m *ir.Module, prof *profile.Profile, k int, opts Options, mcf
 	if opts.MemFractions != nil && len(opts.MemFractions) != k {
 		return nil, fmt.Errorf("gdp: %d memory fractions for %d clusters", len(opts.MemFractions), k)
 	}
-	var dt *memo.Table[*dataEntry] // nil: partition afresh
+	var dt *memo.Table[*DataEntry] // nil: partition afresh
 	var key []byte
+	var tier DataTier
 	if dp != nil {
 		dt, key = &dp.entries, dataKey(k, opts)
+		dp.mu.Lock()
+		tier = dp.tier
+		dp.mu.Unlock()
 	}
-	e, hit, err := dt.Do(key, func() (*dataEntry, error) {
-		return partitionGraph(m, prof, k, opts)
+	loaded := false
+	e, hit, err := dt.Do(key, func() (*DataEntry, error) {
+		if tier != nil {
+			if e, ok := tier.Get(key, k); ok {
+				loaded = true
+				return e, nil
+			}
+		}
+		e, err := partitionGraph(m, prof, k, opts)
+		if err == nil && tier != nil {
+			tier.Put(key, e)
+		}
+		return e, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if hit && opts.Obs != nil {
+	if (hit || loaded) && opts.Obs != nil {
 		opts.Obs.Counter("gdp_data_hits").Add(1)
 	}
 
 	res := &Result{
-		DataMap:    make(DataMap, len(e.part)),
-		Groups:     e.groups,
-		GroupBytes: e.groupBytes,
-		CutWeight:  e.cut,
+		DataMap:    make(DataMap, len(e.Part)),
+		Groups:     e.Groups,
+		GroupBytes: e.GroupBytes,
+		CutWeight:  e.Cut,
 	}
-	copy(res.DataMap, e.part)
+	copy(res.DataMap, e.Part)
 	if mcfg != nil {
-		if perm := topologyPerm(e.pairW, mcfg, opts.MemFractions); perm != nil {
+		if perm := topologyPerm(e.PairW, mcfg, opts.MemFractions); perm != nil {
 			for id, p := range res.DataMap {
 				res.DataMap[id] = perm[p]
 			}
@@ -305,7 +344,7 @@ func partitionData(m *ir.Module, prof *profile.Profile, k int, opts Options, mcf
 
 // partitionGraph builds the program-level graph, partitions it k ways and
 // returns the outcome before any topology relabelling.
-func partitionGraph(m *ir.Module, prof *profile.Profile, k int, opts Options) (*dataEntry, error) {
+func partitionGraph(m *ir.Module, prof *profile.Profile, k int, opts Options) (*DataEntry, error) {
 	uf, oi := buildMerge(m, opts)
 
 	if opts.SlackMerge {
@@ -396,27 +435,27 @@ func partitionGraph(m *ir.Module, prof *profile.Profile, k int, opts Options) (*
 		return nil, err
 	}
 
-	e := &dataEntry{
-		part:   make([]int, len(m.Objects)),
-		pairW:  make([]int64, k*k),
-		groups: objectGroups(m, uf),
+	e := &DataEntry{
+		Part:   make([]int, len(m.Objects)),
+		PairW:  make([]int64, k*k),
+		Groups: objectGroups(m, uf),
 	}
 	for _, o := range m.Objects {
-		e.part[o.ID] = part[nodeID(o.ID)]
+		e.Part[o.ID] = part[nodeID(o.ID)]
 	}
 	for u := range g.Adj {
 		for _, ed := range g.Adj[u] {
 			if p, q := part[u], part[ed.To]; u < ed.To && p != q {
-				e.cut += ed.W
-				e.pairW[p*k+q] += ed.W
-				e.pairW[q*k+p] += ed.W
+				e.Cut += ed.W
+				e.PairW[p*k+q] += ed.W
+				e.PairW[q*k+p] += ed.W
 			}
 		}
 	}
-	e.groupBytes = make([]int64, len(e.groups))
-	for gi, grp := range e.groups {
+	e.GroupBytes = make([]int64, len(e.Groups))
+	for gi, grp := range e.Groups {
 		for _, objID := range grp {
-			e.groupBytes[gi] += objBytes(m.Objects[objID], prof)
+			e.GroupBytes[gi] += objBytes(m.Objects[objID], prof)
 		}
 	}
 	return e, nil

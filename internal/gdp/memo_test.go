@@ -75,13 +75,13 @@ func TestPartitionDataOnMemoMatchesFresh(t *testing.T) {
 				if !reflect.DeepEqual(fresh, got) {
 					t.Errorf("%s %s: memo result %+v, fresh %+v", b.Name, cfg.Name, got, fresh)
 				}
-				e, hit, _ := memo.entries.Do(dataKey(cfg.NumClusters(), Options{MemFractions: cfg.MemFractions()}), func() (*dataEntry, error) {
+				e, hit, _ := memo.entries.Do(dataKey(cfg.NumClusters(), Options{MemFractions: cfg.MemFractions()}), func() (*DataEntry, error) {
 					return nil, errors.New("not memoized")
 				})
 				if !hit {
 					t.Fatalf("%s %s: no memo entry after the call", b.Name, cfg.Name)
 				}
-				if !reflect.DeepEqual([]int(got.DataMap), e.part) {
+				if !reflect.DeepEqual([]int(got.DataMap), e.Part) {
 					relabelled++
 				}
 			}
@@ -133,5 +133,58 @@ func TestDataKeyCoversKnobs(t *testing.T) {
 	same.MemTol = 0.10 // the default, spelled out
 	if !bytes.Equal(dataKey(2, same), dataKey(2, base)) {
 		t.Error("Obs or an explicit default MemTol changed the key")
+	}
+}
+
+// mapTier is an in-memory DataTier.
+type mapTier map[string]*DataEntry
+
+func (m mapTier) Get(key []byte, k int) (*DataEntry, bool) {
+	e, ok := m[string(key)]
+	return e, ok && len(e.PairW) == k*k
+}
+
+func (m mapTier) Put(key []byte, e *DataEntry) { m[string(key)] = e }
+
+// TestDataTierServesPartitions pins the second level under the memo: a
+// memo over a filled tier (a restarted process over its artifact store)
+// serves every machine's partition from the tier — no bisection — and
+// still relabels each one for its topology, exactly as a fresh call does.
+func TestDataTierServesPartitions(t *testing.T) {
+	presets := []string{"paper2", "mesh4", "numa4", "ring8"}
+	for _, b := range bench.All()[:3] {
+		mod, prof := prepBundled(t, b)
+		tier := mapTier{}
+		for pass, misses := range []int64{4, 0} { // fill, then serve
+			var memo DataPartitions
+			memo.SetTier(tier)
+			reg := obs.NewRegistry()
+			for _, name := range presets {
+				cfg, err := machine.Preset(name, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := PartitionDataOn(mod, prof, cfg, Options{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := PartitionDataOn(mod, prof, cfg, Options{Obs: obs.New(reg, nil, nil)}, &memo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fresh, got) {
+					t.Errorf("%s %s pass %d: tiered result %+v, fresh %+v", b.Name, name, pass, got, fresh)
+				}
+			}
+			if len(tier) != 4 {
+				t.Errorf("%s pass %d: tier holds %d entries, want one per key (4)", b.Name, pass, len(tier))
+			}
+			if n := reg.Snapshot().Value("gdp_data_hits"); n != 4-misses {
+				t.Errorf("%s pass %d: gdp_data_hits = %d, want %d", b.Name, pass, n, 4-misses)
+			}
+			if pass == 1 && reg.Snapshot().Value("fm_bisections") != 0 {
+				t.Errorf("%s: a memo over a filled tier bisected", b.Name)
+			}
+		}
 	}
 }

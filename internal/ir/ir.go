@@ -12,7 +12,7 @@ package ir
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // VReg names a virtual register within a function. Virtual registers are
@@ -115,7 +115,7 @@ var opcodeNames = [...]string{
 // String returns the assembler mnemonic of the opcode.
 func (o Opcode) String() string {
 	if o < 0 || int(o) >= len(opcodeNames) {
-		return fmt.Sprintf("opcode(%d)", int(o))
+		return "opcode(" + strconv.Itoa(int(o)) + ")"
 	}
 	return opcodeNames[o]
 }
@@ -196,24 +196,8 @@ func ConstInt(v int64) Operand { return Operand{Kind: OperInt, Int: v} }
 // ConstFloat returns a floating-point immediate operand.
 func ConstFloat(v float64) Operand { return Operand{Kind: OperFloat, Float: v} }
 
-// String renders the operand in IR syntax. Float immediates always carry
-// a '.', exponent, or textual marker so the parser can distinguish them
-// from integers.
-func (o Operand) String() string {
-	switch o.Kind {
-	case OperReg:
-		return fmt.Sprintf("v%d", o.Reg)
-	case OperInt:
-		return fmt.Sprintf("%d", o.Int)
-	case OperFloat:
-		s := fmt.Sprintf("%g", o.Float)
-		if !strings.ContainsAny(s, ".eEnI") { // NaN/Inf carry letters already
-			s += ".0"
-		}
-		return s
-	}
-	return "?"
-}
+// String renders the operand in IR syntax (see appendOperand).
+func (o Operand) String() string { return string(appendOperand(nil, o)) }
 
 // IsReg reports whether the operand reads a virtual register.
 func (o Operand) IsReg() bool { return o.Kind == OperReg }
@@ -296,41 +280,7 @@ func (op *Op) UsedRegs(dst []VReg) []VReg {
 // HasDst reports whether this op defines a register.
 func (op *Op) HasDst() bool { return op.Dst != NoReg }
 
-func (op *Op) String() string {
-	s := ""
-	if op.Dst != NoReg {
-		s = fmt.Sprintf("v%d = ", op.Dst)
-	}
-	s += op.Opcode.String()
-	switch op.Opcode {
-	case OpAddr:
-		s += fmt.Sprintf(" @%d", op.Obj.ID) // object table gives the name
-	case OpMalloc:
-		s += fmt.Sprintf(" @%d,", op.MallocSite.ID)
-	case OpCall:
-		s += " " + op.Callee
-		if len(op.Args) > 0 {
-			s += ","
-		}
-	}
-	if op.Opcode != OpAddr {
-		for i, a := range op.Args {
-			if i == 0 {
-				s += " "
-			} else {
-				s += ", "
-			}
-			s += a.String()
-		}
-	}
-	if op.Opcode == OpBr && op.Block != nil && len(op.Block.Succs) > 0 {
-		s += fmt.Sprintf(" b%d", op.Block.Succs[0].ID)
-	}
-	if op.Opcode == OpBrCond && op.Block != nil && len(op.Block.Succs) > 1 {
-		s += fmt.Sprintf(", b%d, b%d", op.Block.Succs[0].ID, op.Block.Succs[1].ID)
-	}
-	return s
-}
+func (op *Op) String() string { return string(appendOp(nil, op)) }
 
 // Block is a basic block: a maximal straight-line op sequence ended by a
 // terminator. Succs holds the control-flow successors in branch order

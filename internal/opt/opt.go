@@ -12,7 +12,6 @@ package opt
 import (
 	"fmt"
 
-	"mcpart/internal/cfg"
 	"mcpart/internal/ir"
 )
 
@@ -33,9 +32,16 @@ func (s Stats) String() string {
 // Optimize runs the pass pipeline over every function of m until nothing
 // changes (bounded at 8 rounds) and returns aggregate statistics.
 func Optimize(m *ir.Module) Stats {
+	var dc deadCode
+	return optimize(m, dc.run)
+}
+
+// optimize is Optimize with the dead-code pass as a parameter, so tests
+// can run the pipeline over a reference pass.
+func optimize(m *ir.Module, dce func(*ir.Func) int) Stats {
 	var total Stats
 	for _, f := range m.Funcs {
-		s := optimizeFunc(f)
+		s := optimizeFunc(f, dce)
 		total.Folded += s.Folded
 		total.Propagated += s.Propagated
 		total.CSEd += s.CSEd
@@ -47,7 +53,7 @@ func Optimize(m *ir.Module) Stats {
 	return total
 }
 
-func optimizeFunc(f *ir.Func) Stats {
+func optimizeFunc(f *ir.Func, dce func(*ir.Func) int) Stats {
 	var total Stats
 	for round := 0; round < 8; round++ {
 		var s Stats
@@ -326,42 +332,136 @@ func cseBlock(f *ir.Func, b *ir.Block) int {
 	return changed
 }
 
-// dce removes pure operations whose results are never used, iterating
-// because removals expose more dead code. Returns the number removed.
-func dce(f *ir.Func) int {
+// deadCode holds the dead-code pass's tables, reused by every function
+// and round of one Optimize call. Ops are indexed by their position in
+// block order, reads by their position among all ops' args.
+type deadCode struct {
+	ops  []*ir.Op
+	base []int // op -> index of its first arg in link
+	link []int // arg -> the in-block def it reads, or -1
+	uses []int // op -> in-block reads of its def
+	next []int // op -> the earlier def of its register, or -1
+	work []int
+	head []int // register -> its last def in block order, or -1
+	// exposed counts each register's upward-exposed reads.
+	exposed []int
+	lastDef []int // register -> its latest def in the current block
+	defBlk  []int // register -> 1 + index of lastDef's block
+	dead    []bool
+}
+
+// zeroed returns s with length n and every element zero, reusing its
+// array when that is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// run removes pure operations whose results are never used and returns
+// the number removed. It links a read to defs as cfg.ComputeDefUse does:
+// a read of r after a def of r in its block reads the nearest such def;
+// an upward-exposed read makes r live-in there and so reads every def of
+// r. A def therefore stays live while a later op of its block reads it
+// before r is redefined, or while any op reads r upward-exposed. Removing
+// a dead op never adds a link, so counting those reads once and
+// decrementing them as a worklist removes ops reaches the fixpoint that
+// re-analysing after every sweep would.
+func (dc *deadCode) run(f *ir.Func) int {
+	n, nargs := 0, 0
+	for _, b := range f.Blocks {
+		n += len(b.Ops)
+		for _, op := range b.Ops {
+			nargs += len(op.Args)
+		}
+	}
+	ops, base, link := zeroed(dc.ops, n), zeroed(dc.base, n), zeroed(dc.link, nargs)
+	uses, next, work := zeroed(dc.uses, n), zeroed(dc.next, n), zeroed(dc.work, n)
+	head, exposed := zeroed(dc.head, f.NRegs), zeroed(dc.exposed, f.NRegs)
+	lastDef, defBlk := zeroed(dc.lastDef, f.NRegs), zeroed(dc.defBlk, f.NRegs)
+	dead := zeroed(dc.dead, n)
+	*dc = deadCode{ops, base, link, uses, next, work, head, exposed, lastDef, defBlk, dead}
+	work = work[:0] // never outgrows n
+
+	for r := range head {
+		head[r] = -1
+	}
+	p, k := 0, 0
+	for bi, b := range f.Blocks {
+		for _, op := range b.Ops {
+			ops[p], base[p] = op, k
+			for _, a := range op.Args {
+				link[k] = -1
+				if a.IsReg() && defBlk[a.Reg] == bi+1 {
+					link[k] = lastDef[a.Reg]
+					uses[link[k]]++
+				} else if a.IsReg() {
+					exposed[a.Reg]++
+				}
+				k++
+			}
+			if op.Dst != ir.NoReg {
+				lastDef[op.Dst], defBlk[op.Dst] = p, bi+1
+				next[p], head[op.Dst] = head[op.Dst], p
+			}
+			p++
+		}
+	}
+
+	push := func(p int) {
+		op := ops[p]
+		if dead[p] || uses[p] > 0 || op.Dst == ir.NoReg || exposed[op.Dst] > 0 {
+			return
+		}
+		switch op.Opcode {
+		case ir.OpStore, ir.OpBr, ir.OpBrCond, ir.OpRet, ir.OpCall, ir.OpMalloc:
+			return // side effects (calls/mallocs kept even if unused)
+		}
+		dead[p] = true
+		work = append(work, p)
+	}
+	for p := range ops {
+		push(p)
+	}
 	removed := 0
-	for {
-		du := cfg.ComputeDefUse(f)
-		ops := f.OpsByID()
-		dead := map[int]bool{}
-		for _, op := range ops {
-			if op == nil || op.Dst == ir.NoReg {
+	for len(work) > 0 {
+		p := work[len(work)-1]
+		work = work[:len(work)-1]
+		removed++
+		for i, a := range ops[p].Args {
+			if !a.IsReg() {
 				continue
 			}
-			switch op.Opcode {
-			case ir.OpStore, ir.OpBr, ir.OpBrCond, ir.OpRet, ir.OpCall, ir.OpMalloc:
-				continue // side effects (calls/mallocs kept even if unused)
-			}
-			if len(du.UsesOf[op.ID]) == 0 {
-				dead[op.ID] = true
-			}
-		}
-		if len(dead) == 0 {
-			return removed
-		}
-		for _, b := range f.Blocks {
-			kept := b.Ops[:0]
-			for _, op := range b.Ops {
-				if dead[op.ID] {
-					removed++
-					continue
+			if d := link[base[p]+i]; d >= 0 {
+				if uses[d]--; uses[d] == 0 {
+					push(d)
 				}
+			} else if exposed[a.Reg]--; exposed[a.Reg] == 0 {
+				for d := head[a.Reg]; d >= 0; d = next[d] {
+					push(d)
+				}
+			}
+		}
+	}
+	if removed == 0 {
+		return 0
+	}
+	p = 0
+	for _, b := range f.Blocks {
+		kept := b.Ops[:0]
+		for _, op := range b.Ops {
+			if !dead[p] {
 				kept = append(kept, op)
 			}
-			b.Ops = kept
+			p++
 		}
-		renumber(f)
+		b.Ops = kept
 	}
+	renumber(f)
+	return removed
 }
 
 // renumber reassigns dense op IDs after mutation.

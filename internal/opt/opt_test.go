@@ -1,12 +1,19 @@
 package opt
 
 import (
+	"bufio"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mcpart/internal/bench"
+	"mcpart/internal/cfg"
 	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/mclang"
+	"mcpart/internal/progen"
 )
 
 func compile(t *testing.T, src string) *ir.Module {
@@ -232,5 +239,153 @@ func TestBenchmarksPreservedAndShrunk(t *testing.T) {
 	}
 	if shrunk < len(bench.All())/2 {
 		t.Errorf("optimizer shrank only %d of %d benchmarks", shrunk, len(bench.All()))
+	}
+}
+
+// dceFixpoint is the reference dead-code pass: rebuild def-use chains
+// (liveness included) and remove every pure op without uses, until a
+// sweep removes nothing.
+func dceFixpoint(f *ir.Func) int {
+	removed := 0
+	for {
+		du := cfg.ComputeDefUse(f)
+		ops := f.OpsByID()
+		dead := map[int]bool{}
+		for _, op := range ops {
+			if op == nil || op.Dst == ir.NoReg {
+				continue
+			}
+			switch op.Opcode {
+			case ir.OpStore, ir.OpBr, ir.OpBrCond, ir.OpRet, ir.OpCall, ir.OpMalloc:
+				continue
+			}
+			if len(du.UsesOf[op.ID]) == 0 {
+				dead[op.ID] = true
+			}
+		}
+		if len(dead) == 0 {
+			return removed
+		}
+		for _, b := range f.Blocks {
+			kept := b.Ops[:0]
+			for _, op := range b.Ops {
+				if dead[op.ID] {
+					removed++
+					continue
+				}
+				kept = append(kept, op)
+			}
+			b.Ops = kept
+		}
+		renumber(f)
+	}
+}
+
+// fuzzSeeds reads the string/int corpus entries of one fuzz target's
+// testdata directory ("go test fuzz v1" files), one slice of values per
+// file.
+func fuzzSeeds(t *testing.T, dir string) [][]string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fuzz corpus under %s: %v", dir, err)
+	}
+	var out [][]string
+	for _, name := range files {
+		fh, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vals []string
+		sc := bufio.NewScanner(fh)
+		for sc.Scan() {
+			line := sc.Text()
+			open, close := strings.IndexByte(line, '('), strings.LastIndexByte(line, ')')
+			if open < 0 || close < open {
+				continue // the version header
+			}
+			v := line[open+1 : close]
+			if strings.HasPrefix(line, "string(") {
+				if v, err = strconv.Unquote(v); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			vals = append(vals, v)
+		}
+		fh.Close()
+		out = append(out, vals)
+	}
+	return out
+}
+
+// TestDCEMatchesFixpoint pins the worklist dead-code pass to the
+// reference fixpoint: the whole pipeline over each pass leaves
+// byte-identical IR and equal statistics on the bundled programs, on
+// generated programs, and on the FuzzCompile and FuzzPipeline seeds, at
+// the unroll factors the pipeline and the fuzzers use.
+func TestDCEMatchesFixpoint(t *testing.T) {
+	type input struct {
+		name, src string
+		unroll    int
+		fuzz      bool // a FuzzCompile seed, which the front end may reject
+	}
+	var inputs []input
+	for _, b := range bench.All() {
+		inputs = append(inputs, input{b.Name, b.Source, 4, false}, input{b.Name, b.Source, 1, false})
+	}
+	seeds := 300
+	if testing.Short() {
+		seeds = 40
+	}
+	pipeline := []int64{1, 7, 42, 1337, 99991}
+	for _, vals := range fuzzSeeds(t, "../eval/testdata/fuzz/FuzzPipeline") {
+		seed, err := strconv.ParseInt(vals[0], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipeline = append(pipeline, seed)
+	}
+	for i := int64(0); i < int64(seeds); i++ {
+		pipeline = append(pipeline, i)
+	}
+	for _, seed := range pipeline {
+		src := progen.Generate(seed, progen.Options{})
+		name := "seed" + strconv.FormatInt(seed, 10)
+		inputs = append(inputs, input{name, src, 4, false}, input{name, src, 1, false})
+	}
+	compileSeeds := []input{
+		{"compile0", "func main() int { return 0; }", 1, true},
+		{"compile1", "int g[8]; func main() int { int i; i = 0; while (i < 8) { g[i & 7] = i; i = i + 1; } return g[3]; }", 4, true},
+		{"compile2", "func sum(a int, b int) int { return a + b; } func main() int { return sum(1, 2); }", 2, true},
+		{"compile3", "func main() int { int *p; p = malloc(32); p[1] = 9; return p[1]; }", 3, true},
+	}
+	for i, vals := range fuzzSeeds(t, "../mclang/testdata/fuzz/FuzzCompile") {
+		unroll, err := strconv.Atoi(vals[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		compileSeeds = append(compileSeeds, input{"corpus" + strconv.Itoa(i), vals[0], unroll, true})
+	}
+	inputs = append(inputs, compileSeeds...)
+
+	for _, in := range inputs {
+		m1, err := mclang.CompileUnrolled(in.src, in.name, in.unroll)
+		if err != nil && in.fuzz {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		m2, err := mclang.CompileUnrolled(in.src, in.name, in.unroll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := Optimize(m1), optimize(m2, dceFixpoint)
+		if got != want {
+			t.Errorf("%s unroll %d: stats %v, reference %v", in.name, in.unroll, got, want)
+		}
+		if ir.Print(m1) != ir.Print(m2) {
+			t.Errorf("%s unroll %d: optimized IR differs from the reference", in.name, in.unroll)
+		}
 	}
 }
