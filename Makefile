@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check deps-check loc api cover fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
+.PHONY: all build test test-short race check deps-check loc api cover profile fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
 
 all: build test
 
@@ -63,6 +63,18 @@ api:
 		doc="$$($(GO) doc -all $$p)"; \
 		echo "$${p#mcpart/}: $$(printf '%s\n' "$$doc" | grep -c '^type ') types, $$(printf '%s\n' "$$doc" | grep -c '^func ') funcs/methods"; \
 	done
+
+# CPU profile of the cold pipeline, the one speed claims about a stage's
+# share are sized from: five cold `gdpbench -json -j 1` runs, each writing
+# a CPU profile into .profile/ (git-ignored), then `go tool pprof -top -cum`
+# of the five together.
+profile:
+	@mkdir -p .profile
+	$(GO) build -o .profile/gdpbench ./cmd/gdpbench
+	@for i in 1 2 3 4 5; do \
+		.profile/gdpbench -json -j 1 -cpuprofile .profile/cpu$$i.prof > /dev/null || exit 1; done
+	$(GO) tool pprof -top -cum .profile/gdpbench .profile/cpu1.prof .profile/cpu2.prof \
+		.profile/cpu3.prof .profile/cpu4.prof .profile/cpu5.prof
 
 .PHONY: fmt-check
 fmt-check:

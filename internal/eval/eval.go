@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mcpart/internal/bytecode"
@@ -82,6 +83,11 @@ type Compiled struct {
 	// same count and memory shares reuses one partition. Its entries are
 	// tens of bytes per object, so only ShrinkMemo drops it.
 	dataParts gdp.DataPartitions
+	// merge holds the Profile Max baseline's object groups
+	// (gdp.MergeObjects), built by the first run that needs them: they
+	// depend on the module alone.
+	merge     objectGroups
+	mergeOnce sync.Once
 }
 
 // rhopState is a Compiled's share of rhop's reusable partitioning state,
@@ -851,6 +857,34 @@ func RunWithDataMap(c *Compiled, cfg *machine.Config, dm gdp.DataMap, opts Optio
 // it.
 const profileMaxTol = 0.10
 
+// objectGroups is a module's access-pattern merge groups, with each
+// object's group index.
+type objectGroups struct {
+	groups  [][]int
+	groupOf map[int]int // object ID -> index in groups
+}
+
+// objectMerges counts gdp.MergeObjects calls, so tests can pin one per
+// Compiled.
+var objectMerges atomic.Int64
+
+// objectGroups returns the module's merge groups, computing them on the
+// first call.
+func (c *Compiled) objectGroups() *objectGroups {
+	c.mergeOnce.Do(func() {
+		objectMerges.Add(1)
+		groups := gdp.MergeObjects(c.Mod)
+		groupOf := map[int]int{}
+		for gi, g := range groups {
+			for _, objID := range g {
+				groupOf[objID] = gi
+			}
+		}
+		c.merge = objectGroups{groups: groups, groupOf: groupOf}
+	})
+	return &c.merge
+}
+
 // RunProfileMax evaluates the Profile Max baseline: run RHOP assuming a
 // unified memory, record where each merged object group's accesses landed,
 // greedily assign groups to their majority cluster in descending dynamic
@@ -865,13 +899,8 @@ func RunProfileMax(c *Compiled, cfg *machine.Config, opts Options) (r *Result, e
 	if err != nil {
 		return nil, err
 	}
-	groups := gdp.MergeObjects(c.Mod)
-	groupOf := map[int]int{}
-	for gi, g := range groups {
-		for _, objID := range g {
-			groupOf[objID] = gi
-		}
-	}
+	merge := c.objectGroups()
+	groups, groupOf := merge.groups, merge.groupOf
 	// Dynamic access frequency of each group per cluster under the
 	// unified partition.
 	freq := make([][]int64, len(groups))

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -125,6 +126,36 @@ func TestProfileMaxBalancesMemory(t *testing.T) {
 	total := bytes[0] + bytes[1]
 	if bytes[0] > total*3/4 || bytes[1] > total*3/4 {
 		t.Errorf("ProfileMax left memory badly imbalanced: %v", bytes)
+	}
+}
+
+// TestProfileMaxMergesOncePerCompiled pins that Profile Max builds the
+// module's merge groups once per Compiled: a second run, on another
+// machine, reuses them and returns what a fresh Compiled would.
+func TestProfileMaxMergesOncePerCompiled(t *testing.T) {
+	c := prepBench(t, "rawcaudio")
+	before := objectMerges.Load()
+	first, err := RunProfileMax(c, machine.Paper2Cluster(5), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := RunProfileMax(c, machine.FourCluster(5), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := objectMerges.Load() - before; n != 1 {
+		t.Errorf("two Profile Max runs merged the objects %d times, want 1", n)
+	}
+	fresh, err := RunProfileMax(memoless(c), machine.FourCluster(5), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Cycles != fresh.Cycles || !reflect.DeepEqual(second.DataMap, fresh.DataMap) {
+		t.Errorf("reused groups: %d cycles, map %v; fresh: %d cycles, map %v",
+			second.Cycles, second.DataMap, fresh.Cycles, fresh.DataMap)
+	}
+	if first.Cycles <= 0 {
+		t.Errorf("first run: cycles = %d", first.Cycles)
 	}
 }
 

@@ -43,7 +43,6 @@ package memo
 
 import (
 	"container/list"
-	"math"
 	"strconv"
 	"sync"
 
@@ -377,13 +376,6 @@ func (k *Key) Str(s string) *Key {
 	return k
 }
 
-// Int appends an integer component.
-func (k *Key) Int(v int64) *Key {
-	k.b = strconv.AppendInt(k.b, v, 10)
-	k.b = append(k.b, '|')
-	return k
-}
-
 // Ints appends a slice of integers as one component.
 func (k *Key) Ints(vs []int) *Key {
 	k.b = strconv.AppendInt(k.b, int64(len(vs)), 10)
@@ -412,16 +404,6 @@ func (k *Key) Proj(vs []int, idx []int) *Key {
 	return k
 }
 
-// Bytes appends raw bytes as one length-delimited component (used for
-// dense encodings like one-byte-per-op assignments).
-func (k *Key) Bytes(bs []byte) *Key {
-	k.b = strconv.AppendInt(k.b, int64(len(bs)), 10)
-	k.b = append(k.b, ':')
-	k.b = append(k.b, bs...)
-	k.b = append(k.b, '|')
-	return k
-}
-
 // Bool appends a boolean component.
 func (k *Key) Bool(v bool) *Key {
 	if v {
@@ -429,14 +411,6 @@ func (k *Key) Bool(v bool) *Key {
 	} else {
 		k.b = append(k.b, '0', '|')
 	}
-	return k
-}
-
-// Float appends a float component by exact bit pattern (no rounding, so
-// distinct tolerances always get distinct keys).
-func (k *Key) Float(v float64) *Key {
-	k.b = strconv.AppendUint(k.b, math.Float64bits(v), 16)
-	k.b = append(k.b, '|')
 	return k
 }
 

@@ -33,15 +33,16 @@ func (s Stats) String() string {
 // changes (bounded at 8 rounds) and returns aggregate statistics.
 func Optimize(m *ir.Module) Stats {
 	var dc deadCode
-	return optimize(m, dc.run)
+	var cs cse
+	return optimize(m, dc.run, cs.block)
 }
 
-// optimize is Optimize with the dead-code pass as a parameter, so tests
-// can run the pipeline over a reference pass.
-func optimize(m *ir.Module, dce func(*ir.Func) int) Stats {
+// optimize is Optimize with the dead-code and value-numbering passes as
+// parameters, so tests can run the pipeline over reference passes.
+func optimize(m *ir.Module, dce func(*ir.Func) int, cse func(*ir.Func, *ir.Block) int) Stats {
 	var total Stats
 	for _, f := range m.Funcs {
-		s := optimizeFunc(f, dce)
+		s := optimizeFunc(f, dce, cse)
 		total.Folded += s.Folded
 		total.Propagated += s.Propagated
 		total.CSEd += s.CSEd
@@ -53,14 +54,14 @@ func optimize(m *ir.Module, dce func(*ir.Func) int) Stats {
 	return total
 }
 
-func optimizeFunc(f *ir.Func, dce func(*ir.Func) int) Stats {
+func optimizeFunc(f *ir.Func, dce func(*ir.Func) int, cse func(*ir.Func, *ir.Block) int) Stats {
 	var total Stats
 	for round := 0; round < 8; round++ {
 		var s Stats
 		for _, b := range f.Blocks {
 			s.Propagated += copyPropBlock(f, b)
 			s.Folded += foldBlock(b)
-			s.CSEd += cseBlock(f, b)
+			s.CSEd += cse(f, b)
 		}
 		s.Eliminated = dce(f)
 		total.Folded += s.Folded
@@ -257,56 +258,59 @@ func fold(op *ir.Op) (ir.Operand, bool) {
 	return ir.Operand{}, false
 }
 
-// cseBlock performs block-local value numbering: a pure op identical to an
-// earlier one (same opcode, operands, and — for loads — no intervening
-// possibly-aliasing store) becomes a mov from the earlier result.
-func cseBlock(f *ir.Func, b *ir.Block) int {
+// cse is the block-local value-numbering pass (see block) and its working
+// memory, reused by every block, function and round of one Optimize call.
+type cse struct {
+	avail map[cseKey]cseVal
+	ver   []int // by register: definitions seen so far
+	blk   int   // stamp of the block being numbered
+}
+
+// cseKey is one pure computation: opcode, operands and, for loads, the
+// object and the memory epoch (stores, calls and mallocs start a new one).
+type cseKey struct {
+	opcode ir.Opcode
+	nargs  int // a zero Operand equals Reg(0); arity disambiguates
+	a0, a1 ir.Operand
+	obj    *ir.Object
+	epoch  int
+}
+
+// cseVal is the register holding a key's value, with the definition
+// counts (cse.ver) of that register and of the key's register operands
+// when it was recorded, and the block that recorded it. The entry is
+// available while the block and all three counts are current: a
+// redefinition of any of the registers retires it.
+type cseVal struct {
+	res          ir.VReg
+	vres, v0, v1 int
+	blk          int
+}
+
+// block performs block-local value numbering on b, a block of f: a pure op
+// identical to an earlier one (same opcode, operands, and — for loads — no
+// intervening possibly-aliasing store) becomes a mov from the earlier
+// result. It returns the number of ops rewritten.
+func (cs *cse) block(f *ir.Func, b *ir.Block) int {
+	if cs.avail == nil {
+		cs.avail = map[cseKey]cseVal{}
+	}
+	if len(cs.ver) < f.NRegs {
+		cs.ver = make([]int, f.NRegs)
+	}
+	cs.blk++
+	ver := cs.ver
+	// regVer is the definition count of o's register, or 0 when the key
+	// does not read o as a register (a zero Operand past the arity reads
+	// as Reg(0), matching the key's equality).
+	regVer := func(o ir.Operand, used bool) int {
+		if used && o.Kind == ir.OperReg {
+			return ver[o.Reg]
+		}
+		return 0
+	}
 	changed := 0
-	type key struct {
-		opcode ir.Opcode
-		nargs  int // a zero Operand equals Reg(0); arity disambiguates
-		a0, a1 ir.Operand
-		obj    *ir.Object
-		epoch  int
-	}
-	avail := map[key]ir.VReg{}
 	epoch := 0
-	keyOf := func(op *ir.Op) (key, bool) {
-		k := key{opcode: op.Opcode, obj: op.Obj, nargs: len(op.Args)}
-		switch len(op.Args) {
-		case 2:
-			k.a1 = op.Args[1]
-			fallthrough
-		case 1:
-			k.a0 = op.Args[0]
-		}
-		switch op.Opcode {
-		case ir.OpLoad:
-			k.epoch = epoch
-			return k, true
-		case ir.OpAddr, ir.OpMov,
-			ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
-			ir.OpNeg, ir.OpNot,
-			ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE,
-			ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFNeg,
-			ir.OpFCmpEQ, ir.OpFCmpNE, ir.OpFCmpLT, ir.OpFCmpLE, ir.OpFCmpGT, ir.OpFCmpGE,
-			ir.OpIToF, ir.OpFToI:
-			return k, true
-		}
-		return k, false
-	}
-	// A redefinition of a register invalidates every availability entry
-	// mentioning it (operand or result).
-	invalidate := func(r ir.VReg) {
-		for k, res := range avail {
-			if res == r ||
-				(k.nargs >= 1 && k.a0.Kind == ir.OperReg && k.a0.Reg == r) ||
-				(k.nargs >= 2 && k.a1.Kind == ir.OperReg && k.a1.Reg == r) {
-				delete(avail, k)
-			}
-		}
-	}
 	for _, op := range b.Ops {
 		if op.Opcode == ir.OpStore || op.Opcode == ir.OpCall || op.Opcode == ir.OpMalloc {
 			epoch++
@@ -314,22 +318,55 @@ func cseBlock(f *ir.Func, b *ir.Block) int {
 		if op.Dst == ir.NoReg {
 			continue
 		}
-		if k, ok := keyOf(op); ok && op.Opcode != ir.OpMov {
-			if prev, hit := avail[k]; hit && prev != op.Dst {
+		k, ok := cseKeyOf(op, epoch)
+		if ok && op.Opcode != ir.OpMov {
+			if v, hit := cs.avail[k]; hit && v.blk == cs.blk && v.res != op.Dst &&
+				v.vres == ver[v.res] && v.v0 == regVer(k.a0, k.nargs >= 1) && v.v1 == regVer(k.a1, k.nargs >= 2) {
 				op.Opcode = ir.OpMov
-				op.Args = []ir.Operand{ir.Reg(prev)}
+				op.Args = []ir.Operand{ir.Reg(v.res)}
 				op.Obj = nil
-				invalidate(op.Dst)
+				ver[op.Dst]++
 				changed++
 				continue
 			}
-			invalidate(op.Dst)
-			avail[k] = op.Dst
-			continue
 		}
-		invalidate(op.Dst)
+		// The definition retires every entry mentioning the register
+		// (operand or result).
+		ver[op.Dst]++
+		if ok && op.Opcode != ir.OpMov {
+			cs.avail[k] = cseVal{res: op.Dst, vres: ver[op.Dst],
+				v0: regVer(k.a0, k.nargs >= 1), v1: regVer(k.a1, k.nargs >= 2), blk: cs.blk}
+		}
 	}
 	return changed
+}
+
+// cseKeyOf returns op's value-numbering key at memory epoch epoch, and
+// whether op is a pure computation value numbering may reuse.
+func cseKeyOf(op *ir.Op, epoch int) (cseKey, bool) {
+	k := cseKey{opcode: op.Opcode, obj: op.Obj, nargs: len(op.Args)}
+	switch len(op.Args) {
+	case 2:
+		k.a1 = op.Args[1]
+		fallthrough
+	case 1:
+		k.a0 = op.Args[0]
+	}
+	switch op.Opcode {
+	case ir.OpLoad:
+		k.epoch = epoch
+		return k, true
+	case ir.OpAddr, ir.OpMov,
+		ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
+		ir.OpNeg, ir.OpNot,
+		ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE,
+		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFNeg,
+		ir.OpFCmpEQ, ir.OpFCmpNE, ir.OpFCmpLT, ir.OpFCmpLE, ir.OpFCmpGT, ir.OpFCmpGE,
+		ir.OpIToF, ir.OpFToI:
+		return k, true
+	}
+	return k, false
 }
 
 // deadCode holds the dead-code pass's tables, reused by every function

@@ -318,17 +318,19 @@ func fuzzSeeds(t *testing.T, dir string) [][]string {
 	return out
 }
 
-// TestDCEMatchesFixpoint pins the worklist dead-code pass to the
-// reference fixpoint: the whole pipeline over each pass leaves
-// byte-identical IR and equal statistics on the bundled programs, on
-// generated programs, and on the FuzzCompile and FuzzPipeline seeds, at
-// the unroll factors the pipeline and the fuzzers use.
-func TestDCEMatchesFixpoint(t *testing.T) {
-	type input struct {
-		name, src string
-		unroll    int
-		fuzz      bool // a FuzzCompile seed, which the front end may reject
-	}
+// pipelineInput is one program the reference-pass tests optimize: a
+// source with the unroll factor it is compiled at.
+type pipelineInput struct {
+	name, src string
+	unroll    int
+	fuzz      bool // a FuzzCompile seed, which the front end may reject
+}
+
+// pipelineInputs returns the bundled programs, generated programs and the
+// FuzzCompile and FuzzPipeline seeds, at the unroll factors the pipeline
+// and the fuzzers use.
+func pipelineInputs(t *testing.T) []pipelineInput {
+	type input = pipelineInput
 	var inputs []input
 	for _, b := range bench.All() {
 		inputs = append(inputs, input{b.Name, b.Source, 4, false}, input{b.Name, b.Source, 1, false})
@@ -368,7 +370,14 @@ func TestDCEMatchesFixpoint(t *testing.T) {
 	}
 	inputs = append(inputs, compileSeeds...)
 
-	for _, in := range inputs {
+	return inputs
+}
+
+// checkAgainstReference optimizes every pipelineInputs program twice, with
+// Optimize and with the pipeline over the given passes, and requires
+// byte-identical IR and equal statistics.
+func checkAgainstReference(t *testing.T, dce func(*ir.Func) int, cse func(*ir.Func, *ir.Block) int) {
+	for _, in := range pipelineInputs(t) {
 		m1, err := mclang.CompileUnrolled(in.src, in.name, in.unroll)
 		if err != nil && in.fuzz {
 			continue
@@ -380,7 +389,7 @@ func TestDCEMatchesFixpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := Optimize(m1), optimize(m2, dceFixpoint)
+		got, want := Optimize(m1), optimize(m2, dce, cse)
 		if got != want {
 			t.Errorf("%s unroll %d: stats %v, reference %v", in.name, in.unroll, got, want)
 		}
@@ -388,4 +397,95 @@ func TestDCEMatchesFixpoint(t *testing.T) {
 			t.Errorf("%s unroll %d: optimized IR differs from the reference", in.name, in.unroll)
 		}
 	}
+}
+
+// TestDCEMatchesFixpoint pins the worklist dead-code pass to the
+// reference fixpoint: the whole pipeline over each pass leaves
+// byte-identical IR and equal statistics on pipelineInputs.
+func TestDCEMatchesFixpoint(t *testing.T) {
+	var cs cse
+	checkAgainstReference(t, dceFixpoint, cs.block)
+}
+
+// TestCSEMatchesReference pins the versioned value-numbering pass to the
+// reference that invalidates by scanning every available entry: the whole
+// pipeline over each pass leaves byte-identical IR and equal statistics on
+// pipelineInputs.
+func TestCSEMatchesReference(t *testing.T) {
+	var dc deadCode
+	checkAgainstReference(t, dc.run, cseBlockRef)
+}
+
+// cseBlockRef is the reference value numbering: a map per block, and every
+// register definition scans the whole map for the entries it retires.
+func cseBlockRef(f *ir.Func, b *ir.Block) int {
+	changed := 0
+	type key struct {
+		opcode ir.Opcode
+		nargs  int // a zero Operand equals Reg(0); arity disambiguates
+		a0, a1 ir.Operand
+		obj    *ir.Object
+		epoch  int
+	}
+	avail := map[key]ir.VReg{}
+	epoch := 0
+	keyOf := func(op *ir.Op) (key, bool) {
+		k := key{opcode: op.Opcode, obj: op.Obj, nargs: len(op.Args)}
+		switch len(op.Args) {
+		case 2:
+			k.a1 = op.Args[1]
+			fallthrough
+		case 1:
+			k.a0 = op.Args[0]
+		}
+		switch op.Opcode {
+		case ir.OpLoad:
+			k.epoch = epoch
+			return k, true
+		case ir.OpAddr, ir.OpMov,
+			ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
+			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
+			ir.OpNeg, ir.OpNot,
+			ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE,
+			ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFNeg,
+			ir.OpFCmpEQ, ir.OpFCmpNE, ir.OpFCmpLT, ir.OpFCmpLE, ir.OpFCmpGT, ir.OpFCmpGE,
+			ir.OpIToF, ir.OpFToI:
+			return k, true
+		}
+		return k, false
+	}
+	// A redefinition of a register invalidates every availability entry
+	// mentioning it (operand or result).
+	invalidate := func(r ir.VReg) {
+		for k, res := range avail {
+			if res == r ||
+				(k.nargs >= 1 && k.a0.Kind == ir.OperReg && k.a0.Reg == r) ||
+				(k.nargs >= 2 && k.a1.Kind == ir.OperReg && k.a1.Reg == r) {
+				delete(avail, k)
+			}
+		}
+	}
+	for _, op := range b.Ops {
+		if op.Opcode == ir.OpStore || op.Opcode == ir.OpCall || op.Opcode == ir.OpMalloc {
+			epoch++
+		}
+		if op.Dst == ir.NoReg {
+			continue
+		}
+		if k, ok := keyOf(op); ok && op.Opcode != ir.OpMov {
+			if prev, hit := avail[k]; hit && prev != op.Dst {
+				op.Opcode = ir.OpMov
+				op.Args = []ir.Operand{ir.Reg(prev)}
+				op.Obj = nil
+				invalidate(op.Dst)
+				changed++
+				continue
+			}
+			invalidate(op.Dst)
+			avail[k] = op.Dst
+			continue
+		}
+		invalidate(op.Dst)
+	}
+	return changed
 }

@@ -4,9 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcpart/internal/bench"
+	"mcpart/internal/bytecode"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
+	"mcpart/internal/mclang"
 	"mcpart/internal/obs"
+	"mcpart/internal/opt"
+	"mcpart/internal/pointsto"
 	"mcpart/internal/profile"
 	"mcpart/internal/sched"
 )
@@ -65,18 +70,98 @@ func main() int {
     return s + t;
 }`
 
+// bundledLarge names bundled programs whose optimized, unrolled code has
+// blocks of 65-256 ops, where re-estimating a block from its first stale
+// op instead of its first op matters most; the first one runs under
+// -short.
+var bundledLarge = []string{"mesatx", "pegwitenc", "unepic"}
+
+// equivalenceCorpus returns the sources of the equivalence tests: the
+// given small sources, then the bundled programs of bundledLarge compiled
+// as the evaluation pipeline compiles them.
+func equivalenceCorpus(t *testing.T, small ...string) []profiledModule {
+	t.Helper()
+	var out []profiledModule
+	for _, src := range small {
+		mod, prof := compileAndProfile(t, src)
+		out = append(out, profiledModule{mod, prof})
+	}
+	names := bundledLarge
+	if testing.Short() {
+		names = names[:1]
+	}
+	for _, name := range names {
+		mod, prof := compileBundled(t, name)
+		out = append(out, profiledModule{mod, prof})
+	}
+	return out
+}
+
+// profiledModule is a compiled module with its profile.
+type profiledModule struct {
+	mod  *ir.Module
+	prof *profile.Profile
+}
+
+// compileBundled compiles a bundled program as the evaluation pipeline
+// does (unrolled 4 times, optimized, points-to analysed) and profiles it
+// on the bytecode VM.
+func compileBundled(t *testing.T, name string) (*ir.Module, *profile.Profile) {
+	t.Helper()
+	b, err := bench.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := mclang.CompileUnrolled(b.Source, b.Name, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Optimize(mod)
+	pointsto.Analyze(mod)
+	prog, err := bytecode.Compile(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := bytecode.NewVM(prog, profile.Options{})
+	if _, err := vm.RunMain(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return mod, vm.Profile()
+}
+
+// memLocks locks f's memory ops round-robin over k clusters, as the GDP
+// schemes lock them to their objects' homes.
+func memLocks(f *ir.Func, k int) Locks {
+	locks := Locks{}
+	n := 0
+	for _, b := range f.Blocks {
+		for _, op := range b.Ops {
+			if op.Opcode.IsMem() {
+				locks[op.ID] = n % k
+				n++
+			}
+		}
+	}
+	return locks
+}
+
 // TestIncrementalRefinementEquivalence pins the exactness contract of the
 // regionEval estimate cache on every function and machine, with no locks:
-// see checkRegionEval.
+// see checkRegionEval. The small sources run on six machines, the bundled
+// programs on the two-cluster, four-cluster and 2x2 mesh machines.
 func TestIncrementalRefinementEquivalence(t *testing.T) {
-	for _, src := range []string{wideSrc, multiFuncSrc, branchySrc} {
-		mod, prof := compileAndProfile(t, src)
-		for _, mcfg := range []*machine.Config{
-			machine.Paper2Cluster(1), machine.Paper2Cluster(5), machine.Paper2Cluster(10),
-			machine.FourCluster(5), machine.Heterogeneous2(5), machine.RingFour(5),
-		} {
-			for _, f := range mod.Funcs {
-				checkRegionEval(t, f, prof, mcfg, nil)
+	small := []*machine.Config{
+		machine.Paper2Cluster(1), machine.Paper2Cluster(5), machine.Paper2Cluster(10),
+		machine.FourCluster(5), machine.Heterogeneous2(5), machine.RingFour(5),
+	}
+	for i, in := range equivalenceCorpus(t, wideSrc, multiFuncSrc, branchySrc) {
+		machines := small
+		if i >= 3 {
+			machines = []*machine.Config{machine.Paper2Cluster(5), machine.FourCluster(5), machine.Mesh4(5)}
+		}
+		for _, mcfg := range machines {
+			for _, f := range in.mod.Funcs {
+				checkRegionEval(t, f, in.prof, mcfg, nil)
 			}
 		}
 	}
@@ -87,22 +172,14 @@ func TestIncrementalRefinementEquivalence(t *testing.T) {
 // fixed anchors, including the multi-block loop bodies whose live-in homes
 // the moves shift.
 func TestIncrementalEquivalenceWithLocks(t *testing.T) {
-	for _, src := range []string{multiFuncSrc, branchySrc} {
-		mod, prof := compileAndProfile(t, src)
-		for _, mcfg := range []*machine.Config{machine.Paper2Cluster(5), machine.FourCluster(5)} {
-			k := mcfg.NumClusters()
-			for _, f := range mod.Funcs {
-				locks := Locks{}
-				n := 0
-				for _, b := range f.Blocks {
-					for _, op := range b.Ops {
-						if op.Opcode.IsMem() {
-							locks[op.ID] = n % k
-							n++
-						}
-					}
-				}
-				checkRegionEval(t, f, prof, mcfg, locks)
+	for i, in := range equivalenceCorpus(t, multiFuncSrc, branchySrc) {
+		machines := []*machine.Config{machine.Paper2Cluster(5), machine.FourCluster(5)}
+		if i >= 2 {
+			machines = append(machines, machine.Mesh4(5))
+		}
+		for _, mcfg := range machines {
+			for _, f := range in.mod.Funcs {
+				checkRegionEval(t, f, in.prof, mcfg, memLocks(f, mcfg.NumClusters()))
 			}
 		}
 	}
@@ -112,7 +189,8 @@ func TestIncrementalEquivalenceWithLocks(t *testing.T) {
 // moves on each region of f, in the state refinement sees it: the regions
 // before it in heat order placed, the ones after it not yet. After every
 // step (one or two moves of unlocked ops, as single-op and pair refinement
-// make them) cost() must equal EstimateRegionCost's from-scratch estimate.
+// make them) cost() must equal the from-scratch reference estimate
+// (EstimateRegionCost).
 // Refinement only compares these costs, so exact costs at every step mean
 // the incremental cache makes the same decisions a from-scratch estimator
 // would.
@@ -124,6 +202,8 @@ func checkRegionEval(t *testing.T, f *ir.Func, prof *profile.Profile, mcfg *mach
 		t.Fatalf("%s %s: %v", mcfg.Name, f.Name, err)
 	}
 	fp := &FuncPartitioner{p: p, mcfg: mcfg, sc: &scratch{sched: sched.NewScratch()}}
+	var ref estScratch
+	lc := sched.NewLoopCtx(f)
 	k := mcfg.NumClusters()
 	rng := rand.New(rand.NewSource(int64(len(f.Name)*131 + k)))
 	asg := make([]int, f.NOps)
@@ -151,7 +231,7 @@ func checkRegionEval(t *testing.T, f *ir.Func, prof *profile.Profile, mcfg *mach
 					}
 				}
 			}
-			if got, want := re.cost(), EstimateRegionCost(f, pre.region, prof, mcfg, asg); got != want {
+			if got, want := re.cost(), ref.regionCost(f, pre.region, prof, mcfg, asg, lc); got != want {
 				t.Fatalf("%s %s region %d step %d: incremental cost %d, from scratch %d",
 					mcfg.Name, f.Name, ri, step, got, want)
 			}

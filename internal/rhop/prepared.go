@@ -2,6 +2,7 @@ package rhop
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"mcpart/internal/cfg"
@@ -47,8 +48,10 @@ type Prepared struct {
 	lc   *sched.LoopCtx
 	pre  []*regionPre // heat order: hottest region first
 	// opBlock maps op ID to the index of the op's block within its region
-	// (every block belongs to exactly one region).
+	// (every block belongs to exactly one region), opPos to the op's
+	// position in its block.
 	opBlock []int32
+	opPos   []int32
 	cuts    *MinCuts
 	blocks  memo.Table[*sched.BlockCache] // by machine.Config.CacheKey
 }
@@ -100,9 +103,28 @@ type regionPre struct {
 	arcs     []arc
 	arcStart []int32
 
-	freqs     []int64             // per region block: profile weight
-	liveIn    [][]ir.VReg         // per region block: read-before-def regs
-	regBlocks map[ir.VReg][]int32 // reg -> region blocks with reg in liveIn
+	freqs  []int64     // per region block: profile weight
+	liveIn [][]ir.VReg // per region block: read-before-def regs
+
+	// The schedule estimator's static tables (see regionEval). A block's
+	// ops are contiguous in regionOps; blockStart gives each block's first
+	// region-op index, then len(regionOps). est has one entry per region op
+	// and a last one closing the final op's argument range.
+	blockStart []int32
+	est        []estOp
+	// estArgs lists, per region op i (estArgs[est[i].arg:est[i+1].arg]),
+	// the register arguments the estimator reads, in order: the region
+	// index of the in-block reaching def, or ^reg for a live-in register.
+	// Free live-ins (sched.LoopCtx.FreeLiveIn) are left out: the estimator
+	// charges them nothing.
+	estArgs []int32
+	// readers lists, per homeRegs entry ui
+	// (readers[readerStart[ui]:readerStart[ui+1]]), the blocks that read the
+	// register as a charged live-in, each with the position in the block of
+	// its first such read: a change of the register's home can change the
+	// estimate of those blocks only, and only from that op on.
+	readers     []liveInReader
+	readerStart []int32
 
 	// extRefs lists the distinct `other` ops of the external arcs, in
 	// first-arc order: the ops outside the region whose clusters shape the
@@ -138,6 +160,21 @@ const (
 	arcUse                // consumer outside the region of the op's result
 )
 
+// estOp is one region op as the schedule estimator sees it.
+type estOp struct {
+	id   int32 // op ID
+	lat  int32 // machine.Latency of the opcode
+	arg  int32 // first estArgs entry
+	home int32 // homeRegs index of the op's Dst if some block reads it charged, else -1
+	kind uint8 // machine.FUKind
+}
+
+// liveInReader is one block that reads a live-in register, with the
+// position in the block of its first charged read of it.
+type liveInReader struct {
+	block, first int32
+}
+
 // homeDef is one defining op of a live-in register, with the frequency
 // weight HomeClustersFreq would give it.
 type homeDef struct {
@@ -153,7 +190,8 @@ func Prepare(f *ir.Func, prof *profile.Profile, cuts *MinCuts) *Prepared {
 	if cuts == nil {
 		cuts = &MinCuts{}
 	}
-	p := &Prepared{f: f, prof: prof, lc: sched.NewLoopCtx(f), opBlock: make([]int32, f.NOps), cuts: cuts}
+	p := &Prepared{f: f, prof: prof, lc: sched.NewLoopCtx(f), cuts: cuts,
+		opBlock: make([]int32, f.NOps), opPos: make([]int32, f.NOps)}
 	du, ops := cfg.ComputeDefUse(f), f.OpsByID()
 	// Partition the hottest regions first: inner loops choose their layout
 	// freely and colder surrounding code anchors to those decisions, not
@@ -163,21 +201,22 @@ func Prepare(f *ir.Func, prof *profile.Profile, cuts *MinCuts) *Prepared {
 		return regionHeat(prof, order[i]) > regionHeat(prof, order[j])
 	})
 	p.pre = make([]*regionPre, len(order))
+	st := newRegStamps(f.NRegs)
 	for i, region := range order {
-		p.pre[i] = p.newRegionPre(region, du, ops)
+		p.pre[i] = p.newRegionPre(region, du, ops, st)
 	}
 	return p
 }
 
-func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op) *regionPre {
+func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, st *regStamps) *regionPre {
 	pre := &regionPre{region: region}
 	idx := map[int]int32{} // op ID -> graph node
 	for bi, b := range region.Blocks {
 		pre.freqs = append(pre.freqs, blockFreq(p.prof, b))
-		for _, op := range b.Ops {
+		for pos, op := range b.Ops {
 			idx[op.ID] = int32(len(pre.regionOps))
 			pre.regionOps = append(pre.regionOps, op)
-			p.opBlock[op.ID] = int32(bi)
+			p.opBlock[op.ID], p.opPos[op.ID] = int32(bi), int32(pos)
 		}
 	}
 	if len(pre.regionOps) == 0 {
@@ -230,12 +269,8 @@ func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op
 	pre.arcStart = append(pre.arcStart, int32(len(pre.arcs)))
 
 	pre.liveIn = make([][]ir.VReg, len(region.Blocks))
-	pre.regBlocks = map[ir.VReg][]int32{}
 	for i, b := range region.Blocks {
 		pre.liveIn[i] = sched.BlockLiveIn(b)
-		for _, r := range pre.liveIn[i] {
-			pre.regBlocks[r] = append(pre.regBlocks[r], int32(i))
-		}
 	}
 
 	seen := map[int]bool{}
@@ -267,7 +302,89 @@ func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op
 			pre.homeDefs[i] = append(pre.homeDefs[i], homeDef{id: int32(id), w: w})
 		}
 	}
+	p.buildEstTables(pre, st)
 	return pre
+}
+
+// regStamps is Prepare's per-register working memory for the estimator
+// tables, shared by every region of the function. A def or read entry is
+// current when its stamp is the block being walked, so a new block starts
+// fresh in O(1).
+type regStamps struct {
+	block   int32
+	defAt   []int32 // by register: stamp of the block holding lastDef
+	lastDef []int32 // by register: region index of its latest def so far
+	readAt  []int32 // by register: stamp of the block that already read it charged
+}
+
+func newRegStamps(nregs int) *regStamps {
+	return &regStamps{defAt: make([]int32, nregs), lastDef: make([]int32, nregs), readAt: make([]int32, nregs)}
+}
+
+// buildEstTables fills pre's estimator tables: blockStart, est, estArgs
+// and the live-in readers.
+func (p *Prepared) buildEstTables(pre *regionPre, st *regStamps) {
+	n := len(pre.regionOps)
+	pre.blockStart = make([]int32, 0, len(pre.region.Blocks)+1)
+	pre.est = make([]estOp, n+1)
+	type read struct {
+		ui int
+		liveInReader
+	}
+	var reads []read
+	i := 0
+	for bi, b := range pre.region.Blocks {
+		st.block++
+		pre.blockStart = append(pre.blockStart, int32(i))
+		for _, op := range b.Ops {
+			pre.est[i] = estOp{id: int32(op.ID), lat: int32(machine.Latency(op.Opcode)),
+				arg: int32(len(pre.estArgs)), home: -1, kind: uint8(machine.KindOf(op.Opcode))}
+			for _, a := range op.Args {
+				if !a.IsReg() {
+					continue
+				}
+				if r := a.Reg; st.defAt[r] == st.block {
+					pre.estArgs = append(pre.estArgs, st.lastDef[r])
+				} else if !p.lc.FreeLiveIn(b, r) {
+					pre.estArgs = append(pre.estArgs, ^int32(r))
+					if st.readAt[r] != st.block {
+						st.readAt[r] = st.block
+						ui, _ := slices.BinarySearch(pre.homeRegs, r)
+						reads = append(reads, read{ui, liveInReader{int32(bi), int32(i) - pre.blockStart[bi]}})
+					}
+				}
+			}
+			if op.Dst != ir.NoReg {
+				st.defAt[op.Dst], st.lastDef[op.Dst] = st.block, int32(i)
+			}
+			i++
+		}
+	}
+	pre.blockStart = append(pre.blockStart, int32(n))
+	pre.est[n].arg = int32(len(pre.estArgs))
+
+	// Group the reads by register, blocks in region order.
+	pre.readerStart = make([]int32, len(pre.homeRegs)+1)
+	for _, r := range reads {
+		pre.readerStart[r.ui+1]++
+	}
+	for ui := range pre.homeRegs {
+		pre.readerStart[ui+1] += pre.readerStart[ui]
+	}
+	pre.readers = make([]liveInReader, len(reads))
+	fill := slices.Clone(pre.readerStart[:len(pre.homeRegs)])
+	for _, r := range reads {
+		pre.readers[fill[r.ui]] = r.liveInReader
+		fill[r.ui]++
+	}
+	for i, op := range pre.regionOps {
+		if op.Dst == ir.NoReg {
+			continue
+		}
+		if ui, ok := slices.BinarySearch(pre.homeRegs, op.Dst); ok && pre.readerStart[ui+1] > pre.readerStart[ui] {
+			pre.est[i].home = int32(ui)
+		}
+	}
 }
 
 // liveInHomes fills, in sc.homeT, the home cluster under asg of every

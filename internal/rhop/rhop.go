@@ -22,8 +22,6 @@
 package rhop
 
 import (
-	"slices"
-
 	"mcpart/internal/cfg"
 	"mcpart/internal/ir"
 	"mcpart/internal/machine"
@@ -77,9 +75,9 @@ func (o Options) CacheKey() string {
 
 // scratch bundles the reusable working memory of one Partition call: the
 // list scheduler's node tables, the live-in home table, and the schedule
-// estimator's dense tables. Every call takes its own from scratchPool and
-// returns it when done, so concurrent partitioners stay race-free even when
-// they share a Prepared.
+// estimator's tables (regionEval). Every call takes its own from
+// scratchPool and returns it when done, so concurrent partitioners stay
+// race-free even when they share a Prepared.
 type scratch struct {
 	sched *sched.Scratch
 	// observability tallies, accumulated by the refinement loops and
@@ -87,7 +85,6 @@ type scratch struct {
 	tRegions, tMoves, tEvals  int64
 	tKWay, tKWayHits, tRefine int64
 
-	est    estScratch
 	re     regionEval
 	keyBuf []byte
 	idBuf  []byte
@@ -447,101 +444,309 @@ func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op) map[edgeKey]
 	return slack
 }
 
-// regionEval evaluates candidate assignments during one refinement loop.
-// By default it caches per-block schedule-length estimates and invalidates
-// them explicitly: move marks the moved op's own block dirty, and — when
-// the move changes a value's home cluster — every block that reads the
-// value live-in (via regionPre's reg→blocks index). A dirty block is
-// re-estimated on the next cost call; clean blocks keep their cached
-// length, and the region total is carried forward so cost() touches only
-// the blocks invalidated since the last call. The home table holds only the
-// region's live-in registers (regionPre.liveInHomes); a move recomputes the
-// moved op's destination register from its def list, and only when some
-// region block reads that register live-in. The cache is exact: a block's
-// estimate reads only the clusters of its own ops and the homes of its
-// read-before-def live-in registers (homeRegs), each home is recomputed
-// with HomeClustersFreq's weights and tie-breaks whenever one of its defs
-// moves, and the dirtied set covers every block where either input
-// changed, so incremental and from-scratch evaluation return identical
-// costs (pinned by TestIncrementalRefinementEquivalence).
+// regionEval evaluates candidate assignments during one refinement loop:
+// the region's estimated profile-weighted cycle count, per block the
+// maximum of the per-cluster resource bound, the intercluster bus bound,
+// and the dependence-critical path including move latencies.
+//
+// It re-estimates only what a move can change. A block's estimate walks
+// its ops in order, and the completion time of the op at position i, the
+// path length before it and the move keys (source entity, destination
+// cluster) it records read only the clusters of the ops up to i and the
+// homes of the live-in registers they read. So regionEval keeps, per
+// block, its estimate, the position of its first stale op, and the walk's
+// state before every op: the path length so far, how many move keys were
+// recorded, and the op's completion time. The keys are kept in first-touch
+// order with their source clusters, and the per-(cluster, FU kind) op
+// counts of the resource bound are kept per block, updated by move in
+// O(1). A move dirties its own block from the moved op. When it changes
+// the home of the op's register, it dirties each block reading that
+// register as a charged live-in (regionPre.readers) from its first such
+// read; the ops before it cannot see the home. cost() resumes each dirty
+// block at its first stale op from the saved state — the path length
+// there, and the move keys recorded before it, whose sources are the
+// clusters of defs before the stale op or homes whose change would have
+// dirtied the block earlier — walks the rest of the block, then adds the
+// resource and bus bounds. Clean blocks keep their estimate, and the
+// region total is carried forward.
+//
+// The result equals a from-scratch estimate of every block after every
+// move (pinned by TestIncrementalRefinementEquivalence against the
+// reference estimator in the tests).
 type regionEval struct {
-	sc   *scratch
 	pre  *regionPre
-	lc   *sched.LoopCtx
 	mcfg *machine.Config
 	asg  []int
+	k    int
 
-	home      []int   // sc.homeT: valid for pre.homeRegs only
-	cnt       []int64 // sc.cnt: home recomputation tally
-	opBlock   []int32 // Prepared.opBlock
-	val       []int64 // per block: cached blockLen
-	dirty     []bool  // per block: val is stale
-	dirtyList []int32 // the indices set in dirty
-	total     int64   // region cost under the current assignment
+	home    []int   // sc.homeT: valid for pre.homeRegs only
+	cnt     []int64 // sc.cnt: home recomputation tally
+	opBlock []int32 // Prepared.opBlock
+	opPos   []int32 // Prepared.opPos
+	total   int64   // region cost under the current assignment
+
+	// per block
+	val       []int64 // estimate as of the last cost()
+	stale     []int32 // position of the first stale op, or -1 when clean
+	dirtyList []int32 // the blocks with stale >= 0
+	stamp     []int64 // the block's move-key stamp (see keyStamp)
+	nkeys     []int32 // move keys recorded
+	opCnt     []int32 // [block][cluster][kind]: ops assigned
+	srcCnt    []int32 // [block][cluster]: recorded move keys sent from it
+
+	// per region op: its cluster (asg by region index) and walk state
+	cl   []int32
+	walk []walkState
+
+	// A block's move keys, in first-touch order, fill the slots of its
+	// ops' estArgs entries (each argument adds at most one key).
+	keys   []int32
+	keySrc []int32
+	// By move key ((region index of the def, or len(regionOps) + live-in
+	// register) * k + destination): the stamp of the block that last
+	// recorded it and its slot there. A key is recorded in the block being
+	// walked when the stamp matches, the slot is below the block's key
+	// count, and the slot holds the key (a truncated key's slot may have
+	// been refilled). Live-in keys are shared by the region's blocks, so a
+	// walk of a block other than the last one walked first re-stamps the
+	// keys it keeps.
+	keyStamp []int64
+	keyAt    []int32
+	gen      int64 // last stamp handed out; never reset
+	last     int32 // the block walked last, or -1
+
+	// machine tables for mcfg: k×k move latency, k×kind units (at least 1)
+	lat    []int32
+	units  []int32
+	minLat int64
+}
+
+// walkState is the estimate walk's state before one op, and the op's
+// completion time.
+type walkState struct {
+	length int64 // path length before the op (at least 1)
+	done   int64 // the op's completion time
+	nkeys  int32 // move keys recorded before the op
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // newRegionEval readies sc's regionEval for one refinement loop over pre,
-// reusing its buffers.
+// reusing its buffers: every block is stale from its first op.
 func (fp *FuncPartitioner) newRegionEval(pre *regionPre, asg []int) *regionEval {
-	sc, p := fp.sc, fp.p
+	sc, p, mcfg := fp.sc, fp.p, fp.mcfg
 	re := &sc.re
-	*re = regionEval{
-		sc: sc, pre: pre, lc: p.lc, mcfg: fp.mcfg, asg: asg,
-		opBlock: p.opBlock,
-		val:     re.val[:0], dirty: re.dirty[:0], dirtyList: re.dirtyList[:0],
+	k, nf := mcfg.NumClusters(), int(machine.NumFUKinds)
+	nb, n := len(pre.region.Blocks), len(pre.regionOps)
+	if re.mcfg != mcfg {
+		re.mcfg = mcfg
+		re.lat = resize(re.lat, k*k)
+		re.units = resize(re.units, k*nf)
+		for a := 0; a < k; a++ {
+			for b := 0; b < k; b++ {
+				re.lat[a*k+b] = int32(mcfg.MoveLat(a, b))
+			}
+			for kind := 0; kind < nf; kind++ {
+				re.units[a*nf+kind] = int32(max(1, mcfg.Units(a, machine.FUKind(kind))))
+			}
+		}
+		// The bus bound charges the cheapest possible hop for the last
+		// move in flight, which on non-uniform topologies is the
+		// admissible choice (and equals MoveLatency exactly on
+		// bus/ring/mesh/uniform matrices).
+		re.minLat = int64(mcfg.MinMoveLat())
 	}
-	k := fp.mcfg.NumClusters()
+	re.pre, re.asg, re.k = pre, asg, k
 	re.home = pre.liveInHomes(sc, p.f.NRegs, k, asg)
 	re.cnt = sc.cnt[:k]
-	for i := range pre.region.Blocks {
-		re.val = append(re.val, 0)
-		re.dirty = append(re.dirty, true)
-		re.dirtyList = append(re.dirtyList, int32(i))
+	re.opBlock, re.opPos = p.opBlock, p.opPos
+	re.total, re.last = 0, -1
+
+	re.val = resize(re.val, nb)
+	clear(re.val)
+	re.stale = resize(re.stale, nb)
+	clear(re.stale)
+	re.dirtyList = re.dirtyList[:0]
+	re.stamp = resize(re.stamp, nb)
+	for bi := range re.stamp {
+		re.dirtyList = append(re.dirtyList, int32(bi))
+		re.gen++
+		re.stamp[bi] = re.gen
+	}
+	re.nkeys = resize(re.nkeys, nb)
+	clear(re.nkeys)
+	re.srcCnt = resize(re.srcCnt, nb*k)
+	clear(re.srcCnt)
+	re.opCnt = resize(re.opCnt, nb*k*nf)
+	clear(re.opCnt)
+	re.cl = resize(re.cl, n)
+	for bi := 0; bi < nb; bi++ {
+		for i := pre.blockStart[bi]; i < pre.blockStart[bi+1]; i++ {
+			e := &pre.est[i]
+			c := asg[e.id]
+			re.cl[i] = int32(c)
+			re.opCnt[(bi*k+c)*nf+int(e.kind)]++
+		}
+	}
+
+	re.walk = resize(re.walk, n)
+	re.keys = resize(re.keys, len(pre.estArgs))
+	re.keySrc = resize(re.keySrc, len(pre.estArgs))
+	if nk := (n + p.f.NRegs) * k; len(re.keyStamp) < nk {
+		re.keyStamp = make([]int64, nk)
+		re.keyAt = make([]int32, nk)
 	}
 	return re
 }
 
-// move reassigns op (an op of the region) to cluster `to`, keeping the home
-// table coherent and invalidating the blocks whose estimate it can change.
+// move reassigns op (an op of the region) to cluster `to`, keeping the op
+// counts and the home table coherent and marking where the estimates it
+// can change go stale.
 func (re *regionEval) move(op *ir.Op, to int) {
-	if re.asg[op.ID] == to {
+	from := re.asg[op.ID]
+	if from == to {
 		return
 	}
 	re.asg[op.ID] = to
-	re.markDirty(re.opBlock[op.ID])
-	if op.Dst == ir.NoReg {
+	bi, pos := re.opBlock[op.ID], re.opPos[op.ID]
+	i := re.pre.blockStart[bi] + pos
+	re.cl[i] = int32(to)
+	e := &re.pre.est[i]
+	nf := int(machine.NumFUKinds)
+	row := int(bi) * re.k
+	re.opCnt[(row+from)*nf+int(e.kind)]--
+	re.opCnt[(row+to)*nf+int(e.kind)]++
+	re.markDirty(bi, pos)
+	if e.home < 0 {
 		return
 	}
-	if blocks := re.pre.regBlocks[op.Dst]; len(blocks) > 0 {
-		ui, _ := slices.BinarySearch(re.pre.homeRegs, op.Dst)
-		if h := re.pre.home(ui, re.asg, re.cnt); h != re.home[op.Dst] {
-			re.home[op.Dst] = h
-			for _, bi := range blocks {
-				re.markDirty(bi)
-			}
+	if h := re.pre.home(int(e.home), re.asg, re.cnt); h != re.home[op.Dst] {
+		re.home[op.Dst] = h
+		for _, rd := range re.pre.readers[re.pre.readerStart[e.home]:re.pre.readerStart[e.home+1]] {
+			re.markDirty(rd.block, rd.first)
 		}
+	}
+}
+
+// markDirty records that block bi's estimate is stale from its op at
+// position pos on.
+func (re *regionEval) markDirty(bi, pos int32) {
+	switch s := re.stale[bi]; {
+	case s < 0:
+		re.stale[bi] = pos
+		re.dirtyList = append(re.dirtyList, bi)
+	case pos < s:
+		re.stale[bi] = pos
 	}
 }
 
 // cost returns the region's estimated profile-weighted cycle count under
 // the current assignment.
 func (re *regionEval) cost() int64 {
-	blocks := re.pre.region.Blocks
-	for _, i := range re.dirtyList {
-		v := re.sc.est.blockLen(blocks[i], re.asg, re.home, re.lc, re.mcfg)
-		re.total += re.pre.freqs[i] * (v - re.val[i])
-		re.val[i] = v
-		re.dirty[i] = false
+	for _, bi := range re.dirtyList {
+		v := re.estimate(bi, re.stale[bi])
+		re.total += re.pre.freqs[bi] * (v - re.val[bi])
+		re.val[bi] = v
+		re.stale[bi] = -1
 	}
 	re.dirtyList = re.dirtyList[:0]
 	return re.total
 }
 
-func (re *regionEval) markDirty(bi int32) {
-	if !re.dirty[bi] {
-		re.dirty[bi] = true
-		re.dirtyList = append(re.dirtyList, bi)
+// estimate returns block bi's schedule-length estimate, re-walking it from
+// its op at position pos on and resuming from the walk state saved before
+// that op. It tracks the list scheduler's three limiting factors but
+// ignores second-order interactions, which keeps refinement fast.
+func (re *regionEval) estimate(bi, pos int32) int64 {
+	pre, k := re.pre, re.k
+	lo, hi := pre.blockStart[bi], pre.blockStart[bi+1]
+	from := lo + pos
+	length, nk := int64(1), int32(0)
+	if pos > 0 {
+		length, nk = re.walk[from].length, re.walk[from].nkeys
 	}
+	slots := pre.est[lo].arg
+	keys := re.keys[slots:pre.est[hi].arg]
+	keySrc := re.keySrc[slots:pre.est[hi].arg]
+	src := re.srcCnt[int(bi)*k : int(bi+1)*k]
+	for _, s := range keySrc[nk:re.nkeys[bi]] {
+		src[s]--
+	}
+	stamp := re.stamp[bi]
+	if re.last != bi {
+		// Another block may have recorded a live-in key this block keeps:
+		// reclaim them.
+		for at, key := range keys[:nk] {
+			re.keyStamp[key], re.keyAt[key] = stamp, int32(at)
+		}
+		re.last = bi
+	}
+	liveKeys := len(pre.regionOps)
+	for i := from; i < hi; i++ {
+		w := &re.walk[i]
+		w.length, w.nkeys = length, nk
+		c := int(re.cl[i])
+		var start int64
+		for _, a := range pre.estArgs[pre.est[i].arg:pre.est[i+1].arg] {
+			var s, key int
+			var t int64
+			if a >= 0 {
+				s, t = int(re.cl[a]), re.walk[a].done
+				if s == c {
+					start = max(start, t)
+					continue
+				}
+				key = int(a)*k + c
+			} else {
+				r := int(^a)
+				if s = re.home[r]; s == sched.EverywhereHome || s == c {
+					continue
+				}
+				key = (liveKeys+r)*k + c
+			}
+			start = max(start, t+int64(re.lat[s*k+c]))
+			// Moves occupy an integer-unit issue slot on their sending
+			// cluster: record each (entity, destination) once.
+			if at := re.keyAt[key]; re.keyStamp[key] != stamp || at >= nk || keys[at] != int32(key) {
+				re.keyStamp[key], re.keyAt[key] = stamp, nk
+				keys[nk], keySrc[nk] = int32(key), int32(s)
+				src[s]++
+				nk++
+			}
+		}
+		w.done = start + int64(pre.est[i].lat)
+		length = max(length, w.done)
+	}
+	re.nkeys[bi] = nk
+
+	nf := int(machine.NumFUKinds)
+	cnt := re.opCnt[int(bi)*k*nf : int(bi+1)*k*nf]
+	for c := 0; c < k; c++ {
+		for kind := 0; kind < nf; kind++ {
+			n := cnt[c*nf+kind]
+			if kind == int(machine.FUInt) {
+				n += src[c]
+			}
+			// ceil(n/units) <= n: only a count above the length can raise it.
+			if int64(n) <= length {
+				continue
+			}
+			u := re.units[c*nf+kind]
+			length = max(length, int64((n+u-1)/u))
+		}
+	}
+	if nk > 0 {
+		bw := int64(re.mcfg.MoveBandwidth)
+		length = max(length, (int64(nk)+bw-1)/bw+re.minLat)
+	}
+	return length
 }
 
 // refineRegion performs estimate-driven local moves: each pass visits the
@@ -658,157 +863,4 @@ func (fp *FuncPartitioner) pairRefineRegion(pre *regionPre, locks Locks, asg []i
 			break
 		}
 	}
-}
-
-// EstimateRegionCost estimates the profile-weighted cycle contribution of a
-// region under assignment asg without running the full list scheduler: per
-// block, the maximum of the per-cluster resource bound, the intercluster
-// bus bound, and the dependence-critical path including move latencies.
-func EstimateRegionCost(f *ir.Func, region *cfg.Region, prof *profile.Profile,
-	mcfg *machine.Config, asg []int) int64 {
-	var est estScratch
-	var hs sched.HomeScratch
-	lc := sched.NewLoopCtx(f)
-	home := hs.HomeClustersFreq(f, asg, mcfg.NumClusters(), func(b *ir.Block) int64 {
-		return blockFreq(prof, b)
-	})
-	var total int64
-	for _, b := range region.Blocks {
-		total += blockFreq(prof, b) * est.blockLen(b, asg, home, lc, mcfg)
-	}
-	return total
-}
-
-// estScratch is the schedule estimator's reusable working memory: dense
-// tables indexed by op ID, register, and (source entity, cluster) move key,
-// generation-stamped so a new call starts fresh in O(1). The estimator runs
-// once per candidate move of the refinement loops — the single hottest path
-// of the whole pipeline — so it allocates nothing after warm-up.
-type estScratch struct {
-	gen   int64
-	ready []int64 // by op ID: completion time estimate (valid when the
-	// register's defGen stamp is current — a def is always estimated
-	// before any of its uses)
-	lastDef []int // by register: op ID of latest def
-	defGen  []int64
-	counts  []int   // [cluster][kind] flattened; zeroed per call
-	moveSrc []int   // by move key: source cluster
-	moveGen []int64 // by move key
-	touched []int   // move keys recorded this call, in first-touch order
-
-	// minLat is mcfg.MinMoveLat() memoized per config pointer: the drain
-	// bound below charges the cheapest possible hop for the last move in
-	// flight, which on non-uniform topologies is the admissible choice
-	// (and equals MoveLatency exactly on bus/ring/mesh/uniform matrices).
-	minLatCfg *machine.Config
-	minLat    int
-}
-
-// prepare sizes the tables for f on a k-cluster machine and starts a new
-// generation.
-func (es *estScratch) prepare(f *ir.Func, k int) {
-	if len(es.ready) < f.NOps {
-		es.ready = make([]int64, f.NOps)
-	}
-	if len(es.lastDef) < f.NRegs {
-		es.lastDef = make([]int, f.NRegs)
-		es.defGen = make([]int64, f.NRegs)
-	}
-	if n := k * int(machine.NumFUKinds); len(es.counts) < n {
-		es.counts = make([]int, n)
-	} else {
-		clear(es.counts[:n])
-	}
-	// Move keys: (def op ID, cluster) or (NOps + reg, cluster).
-	if n := (f.NOps + f.NRegs) * k; len(es.moveSrc) < n {
-		es.moveSrc = make([]int, n)
-		es.moveGen = make([]int64, n)
-	}
-	es.touched = es.touched[:0]
-	es.gen++
-}
-
-// blockLen is the schedule-length estimate for one block. It tracks the
-// list scheduler's three limiting factors but ignores second-order
-// interactions, which keeps refinement fast.
-func (es *estScratch) blockLen(b *ir.Block, asg []int, home []int, lc *sched.LoopCtx, mcfg *machine.Config) int64 {
-	k := mcfg.NumClusters()
-	f := b.Func
-	es.prepare(f, k)
-	if es.minLatCfg != mcfg {
-		es.minLatCfg = mcfg
-		es.minLat = mcfg.MinMoveLat()
-	}
-	addMove := func(entity, to, src int) {
-		key := entity*k + to
-		if es.moveGen[key] != es.gen {
-			es.moveGen[key] = es.gen
-			es.touched = append(es.touched, key)
-		}
-		es.moveSrc[key] = src
-	}
-	var length int64 = 1
-	for _, op := range b.Ops {
-		c := asg[op.ID]
-		es.counts[c*int(machine.NumFUKinds)+int(machine.KindOf(op.Opcode))]++
-		var start int64
-		for _, a := range op.Args {
-			if !a.IsReg() {
-				continue
-			}
-			if d := int(a.Reg); es.defGen[d] == es.gen {
-				def := es.lastDef[d]
-				t := es.ready[def]
-				if asg[def] != c {
-					addMove(def, c, asg[def])
-					t += int64(mcfg.MoveLat(asg[def], c))
-				}
-				if t > start {
-					start = t
-				}
-			} else if int(a.Reg) < len(home) {
-				if hc := home[a.Reg]; hc != sched.EverywhereHome && hc != c &&
-					!(lc != nil && lc.FreeLiveIn(b, a.Reg)) {
-					addMove(f.NOps+int(a.Reg), c, hc)
-					if t := int64(mcfg.MoveLat(hc, c)); t > start {
-						start = t
-					}
-				}
-			}
-		}
-		done := start + int64(machine.Latency(op.Opcode))
-		es.ready[op.ID] = done
-		if done > length {
-			length = done
-		}
-		if op.Dst != ir.NoReg {
-			es.defGen[op.Dst] = es.gen
-			es.lastDef[op.Dst] = op.ID
-		}
-	}
-	// Moves occupy an integer-unit issue slot on their sending cluster.
-	for _, key := range es.touched {
-		es.counts[es.moveSrc[key]*int(machine.NumFUKinds)+int(machine.FUInt)]++
-	}
-	for c := 0; c < k; c++ {
-		for kind := machine.FUKind(0); kind < machine.NumFUKinds; kind++ {
-			cnt := es.counts[c*int(machine.NumFUKinds)+int(kind)]
-			if cnt == 0 {
-				continue
-			}
-			units := mcfg.Units(c, kind)
-			if units == 0 {
-				units = 1
-			}
-			if rb := int64((cnt + units - 1) / units); rb > length {
-				length = rb
-			}
-		}
-	}
-	if n := len(es.touched); n > 0 {
-		if bb := int64((n+mcfg.MoveBandwidth-1)/mcfg.MoveBandwidth) + int64(es.minLat); bb > length {
-			length = bb
-		}
-	}
-	return length
 }
