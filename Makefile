@@ -64,17 +64,22 @@ api:
 		echo "$${p#mcpart/}: $$(printf '%s\n' "$$doc" | grep -c '^type ') types, $$(printf '%s\n' "$$doc" | grep -c '^func ') funcs/methods"; \
 	done
 
-# CPU profile of the cold pipeline, the one speed claims about a stage's
-# share are sized from: five cold `gdpbench -json -j 1` runs, each writing
-# a CPU profile into .profile/ (git-ignored), then `go tool pprof -top -cum`
-# of the five together.
+# CPU and heap profiles of the cold pipeline, the ones speed claims about a
+# stage's share are sized from: five cold `gdpbench -json -j 1` runs, each
+# writing a CPU and a heap profile into .profile/ (git-ignored), then
+# `go tool pprof -top -cum` of the five CPU profiles together and
+# `go tool pprof -sample_index=alloc_space -top` of the five heap profiles
+# (its total divided by five is the bytes allocated per run).
 profile:
 	@mkdir -p .profile
 	$(GO) build -o .profile/gdpbench ./cmd/gdpbench
 	@for i in 1 2 3 4 5; do \
-		.profile/gdpbench -json -j 1 -cpuprofile .profile/cpu$$i.prof > /dev/null || exit 1; done
+		.profile/gdpbench -json -j 1 -cpuprofile .profile/cpu$$i.prof \
+			-memprofile .profile/mem$$i.prof > /dev/null || exit 1; done
 	$(GO) tool pprof -top -cum .profile/gdpbench .profile/cpu1.prof .profile/cpu2.prof \
 		.profile/cpu3.prof .profile/cpu4.prof .profile/cpu5.prof
+	$(GO) tool pprof -sample_index=alloc_space -top .profile/gdpbench .profile/mem1.prof \
+		.profile/mem2.prof .profile/mem3.prof .profile/mem4.prof .profile/mem5.prof
 
 .PHONY: fmt-check
 fmt-check:

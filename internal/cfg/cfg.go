@@ -171,17 +171,3 @@ func Loops(f *ir.Func) []*Loop {
 	}
 	return loops
 }
-
-// LoopDepths returns, per block ID, the nesting depth of the innermost loop
-// containing the block (0 when outside all loops).
-func LoopDepths(f *ir.Func) []int {
-	depths := make([]int, len(f.Blocks))
-	for _, l := range Loops(f) {
-		for b := range l.Blocks {
-			if l.Depth > depths[b.ID] {
-				depths[b.ID] = l.Depth
-			}
-		}
-	}
-	return depths
-}

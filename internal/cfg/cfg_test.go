@@ -139,7 +139,7 @@ func TestNestedLoops(t *testing.T) {
 		t.Errorf("nesting wrong: inner.Parent=%v depths %d/%d",
 			inner.Parent, inner.Depth, outer.Depth)
 	}
-	depths := LoopDepths(f)
+	depths := loopDepths(f)
 	want := []int{0, 1, 2, 2, 1, 0}
 	for i, d := range want {
 		if depths[i] != d {
@@ -148,22 +148,37 @@ func TestNestedLoops(t *testing.T) {
 	}
 }
 
+// loopDepths returns, per block ID, the nesting depth of the innermost loop
+// containing the block (0 when outside all loops).
+func loopDepths(f *ir.Func) []int {
+	depths := make([]int, len(f.Blocks))
+	for _, l := range Loops(f) {
+		for b := range l.Blocks {
+			if l.Depth > depths[b.ID] {
+				depths[b.ID] = l.Depth
+			}
+		}
+	}
+	return depths
+}
+
 func TestLiveness(t *testing.T) {
 	f := buildLoop(t)
-	lv := ComputeLiveness(f)
+	in, words := liveIn(f)
+	live := func(b, r int) bool { return in[b*words+r>>6]&(1<<(r&63)) != 0 }
 	// v1 (i) is defined in b0, used in b1 (cmp) and b3 (ret): live-in at b1, b3.
-	if !lv.In[1][1] {
+	if !live(1, 1) {
 		t.Error("v1 should be live-in at loop header")
 	}
-	if !lv.In[3][1] {
+	if !live(3, 1) {
 		t.Error("v1 should be live-in at exit block")
 	}
 	// v2 (cond) is local to b1: not live-in anywhere but consumed in b1.
-	if lv.In[1][2] {
+	if live(1, 2) {
 		t.Error("v2 should not be live-in at its defining block")
 	}
 	// Param v0 is live-in at entry (used in b1's cmp).
-	if !lv.In[0][0] {
+	if !live(0, 0) {
 		t.Error("param v0 should be live-in at entry")
 	}
 }

@@ -6,82 +6,18 @@ import (
 	"mcpart/internal/ir"
 )
 
-// Liveness holds per-block live-in and live-out virtual register sets.
-type Liveness struct {
-	In  []map[ir.VReg]bool // indexed by block ID
-	Out []map[ir.VReg]bool
-}
-
-// ComputeLiveness runs the classic backwards iterative live-variable
-// analysis over a function.
-func ComputeLiveness(f *ir.Func) *Liveness {
-	n := len(f.Blocks)
-	use := make([]map[ir.VReg]bool, n)
-	def := make([]map[ir.VReg]bool, n)
-	for _, b := range f.Blocks {
-		u, d := map[ir.VReg]bool{}, map[ir.VReg]bool{}
-		for _, op := range b.Ops {
-			for _, a := range op.Args {
-				if a.IsReg() && !d[a.Reg] {
-					u[a.Reg] = true
-				}
-			}
-			if op.Dst != ir.NoReg {
-				d[op.Dst] = true
-			}
-		}
-		use[b.ID], def[b.ID] = u, d
-	}
-	lv := &Liveness{
-		In:  make([]map[ir.VReg]bool, n),
-		Out: make([]map[ir.VReg]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		lv.In[i] = map[ir.VReg]bool{}
-		lv.Out[i] = map[ir.VReg]bool{}
-	}
-	for changed := true; changed; {
-		changed = false
-		// Iterate blocks in reverse ID order for faster convergence.
-		for i := n - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			out := lv.Out[b.ID]
-			for _, s := range b.Succs {
-				for r := range lv.In[s.ID] {
-					if !out[r] {
-						out[r] = true
-						changed = true
-					}
-				}
-			}
-			in := lv.In[b.ID]
-			for r := range use[b.ID] {
-				if !in[r] {
-					in[r] = true
-					changed = true
-				}
-			}
-			for r := range out {
-				if !def[b.ID][r] && !in[r] {
-					in[r] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return lv
-}
-
 // DefUse records, for each op, the ops that consume each value it defines,
-// and for each op, the defs that may reach each of its register uses.
+// and for each op, the defs that may reach each of its register uses. The
+// lists share backing arrays with each other; callers only read them.
 type DefUse struct {
 	// UsesOf[opID] lists ops (by ID) that use the value defined by opID.
 	UsesOf [][]int
 	// DefsOf[opID] lists op IDs whose definitions may reach opID's uses,
 	// one inner slice per register argument position.
 	DefsOf [][][]int
-	// DefsOfReg[r] lists all op IDs defining register r.
-	DefsOfReg map[ir.VReg][]int
+	// DefsOfReg[r] lists all op IDs defining register r, in block order
+	// (nil for a register nothing defines).
+	DefsOfReg [][]int
 }
 
 // ComputeDefUse builds def-use chains with block-level precision: within a
@@ -91,11 +27,29 @@ type DefUse struct {
 // for graph construction, where an edge means "these two ops may need to
 // communicate a value".
 func ComputeDefUse(f *ir.Func) *DefUse {
-	lv := ComputeLiveness(f)
+	in, words := liveIn(f)
 	du := &DefUse{
 		UsesOf:    make([][]int, f.NOps),
 		DefsOf:    make([][][]int, f.NOps),
-		DefsOfReg: map[ir.VReg][]int{},
+		DefsOfReg: make([][]int, f.NRegs),
+	}
+	// Defs of each register, counted then filled into one backing array.
+	ndefs := make([]int, f.NRegs)
+	nargs := 0
+	for _, b := range f.Blocks {
+		for _, op := range b.Ops {
+			nargs += len(op.Args)
+			if op.Dst != ir.NoReg {
+				ndefs[op.Dst]++
+			}
+		}
+	}
+	defs := make([]int, 0, f.NOps)
+	for r, n := range ndefs {
+		if n > 0 {
+			du.DefsOfReg[r] = defs[len(defs) : len(defs) : len(defs)+n]
+			defs = defs[:len(defs)+n]
+		}
 	}
 	for _, b := range f.Blocks {
 		for _, op := range b.Ops {
@@ -104,42 +58,116 @@ func ComputeDefUse(f *ir.Func) *DefUse {
 			}
 		}
 	}
-	// Per-block walk tracking the latest local def of each register.
-	for _, b := range f.Blocks {
-		local := map[ir.VReg]int{} // reg -> defining op ID within this block
+	// Per-block walk tracking the latest local def of each register: it is
+	// localDef[r] while localAt[r] holds the block's stamp. An in-block
+	// read gets a one-element list; an upwards-exposed read of a register
+	// live into the block (or a parameter) shares DefsOfReg[r]: every def
+	// of the register counts, conservatively. Parameters with no defs
+	// yield an empty set.
+	lists := make([][]int, nargs)
+	local := make([]int, nargs)
+	localAt, localDef := make([]int32, f.NRegs), make([]int, f.NRegs)
+	nuses, nuse := make([]int, f.NOps), 0
+	for bi, b := range f.Blocks {
+		stamp := int32(bi + 1)
+		live := in[b.ID*words : (b.ID+1)*words]
 		for _, op := range b.Ops {
-			du.DefsOf[op.ID] = make([][]int, len(op.Args))
+			args := lists[:len(op.Args):len(op.Args)]
+			lists = lists[len(op.Args):]
+			du.DefsOf[op.ID] = args
 			for i, a := range op.Args {
 				if !a.IsReg() {
 					continue
 				}
-				if d, ok := local[a.Reg]; ok {
-					du.DefsOf[op.ID][i] = []int{d}
-					du.UsesOf[d] = append(du.UsesOf[d], op.ID)
+				r := a.Reg
+				if localAt[r] == stamp {
+					local[0] = localDef[r]
+					args[i], local = local[:1:1], local[1:]
+					nuses[localDef[r]]++
+					nuse++
 					continue
 				}
-				// Upwards-exposed use: all defs of the register in blocks
-				// where it is live-out reaching this block. Conservative:
-				// every def of the register counts if the reg is live-in
-				// here. Parameters (no defs) yield an empty set.
-				if lv.In[b.ID][a.Reg] || int(a.Reg) < f.NParams {
-					defs := du.DefsOfReg[a.Reg]
-					du.DefsOf[op.ID][i] = append([]int(nil), defs...)
-					for _, d := range defs {
-						du.UsesOf[d] = append(du.UsesOf[d], op.ID)
+				if live[r>>6]&(1<<(r&63)) != 0 || int(r) < f.NParams {
+					args[i] = du.DefsOfReg[r]
+					for _, d := range args[i] {
+						nuses[d]++
 					}
+					nuse += len(args[i])
 				}
 			}
 			if op.Dst != ir.NoReg {
-				local[op.Dst] = op.ID
+				localAt[op.Dst], localDef[op.Dst] = stamp, op.ID
 			}
 		}
 	}
-	// Deduplicate and sort the use lists.
-	for i := range du.UsesOf {
-		du.UsesOf[i] = dedupInts(du.UsesOf[i])
+	// Uses of each def, counted above and filled here, then sorted and
+	// deduplicated.
+	uses := make([]int, 0, nuse)
+	for d, n := range nuses {
+		if n > 0 {
+			du.UsesOf[d] = uses[len(uses) : len(uses) : len(uses)+n]
+			uses = uses[:len(uses)+n]
+		}
+	}
+	for _, b := range f.Blocks {
+		for _, op := range b.Ops {
+			for _, ds := range du.DefsOf[op.ID] {
+				for _, d := range ds {
+					du.UsesOf[d] = append(du.UsesOf[d], op.ID)
+				}
+			}
+		}
+	}
+	for i, us := range du.UsesOf {
+		us = dedupInts(us)
+		du.UsesOf[i] = us[:len(us):len(us)]
 	}
 	return du
+}
+
+// liveIn runs the classic backwards iterative live-variable analysis over
+// f and returns the registers live into each block as one flat bitset:
+// block b's set is in[b.ID*words:(b.ID+1)*words], register r its bit
+// r&63 of word r>>6.
+func liveIn(f *ir.Func) (in []uint64, words int) {
+	n := len(f.Blocks)
+	words = (f.NRegs + 63) / 64
+	bits := make([]uint64, 3*n*words+words)
+	in, use, def, out := bits[:n*words], bits[n*words:2*n*words], bits[2*n*words:3*n*words], bits[3*n*words:]
+	for _, b := range f.Blocks {
+		u, d := use[b.ID*words:(b.ID+1)*words], def[b.ID*words:(b.ID+1)*words]
+		for _, op := range b.Ops {
+			for _, a := range op.Args {
+				if r := a.Reg; a.IsReg() && d[r>>6]&(1<<(r&63)) == 0 {
+					u[r>>6] |= 1 << (r & 63)
+				}
+			}
+			if r := op.Dst; r != ir.NoReg {
+				d[r>>6] |= 1 << (r & 63)
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		// Iterate blocks in reverse ID order for faster convergence.
+		for i := n - 1; i >= 0; i-- {
+			b := f.Blocks[i]
+			clear(out)
+			for _, s := range b.Succs {
+				for w, x := range in[s.ID*words : (s.ID+1)*words] {
+					out[w] |= x
+				}
+			}
+			lo := b.ID * words
+			for w := range out {
+				if x := in[lo+w] | use[lo+w] | out[w]&^def[lo+w]; x != in[lo+w] {
+					in[lo+w] = x
+					changed = true
+				}
+			}
+		}
+	}
+	return in, words
 }
 
 func dedupInts(xs []int) []int {

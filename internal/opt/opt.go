@@ -331,11 +331,13 @@ func (cs *cse) block(f *ir.Func, b *ir.Block) int {
 			}
 		}
 		// The definition retires every entry mentioning the register
-		// (operand or result).
+		// (operand or result). The new entry records its operands'
+		// versions as the op read them: when the op redefines one of
+		// them (v = add v, 1), that version is already retired.
+		v0, v1 := regVer(k.a0, k.nargs >= 1), regVer(k.a1, k.nargs >= 2)
 		ver[op.Dst]++
 		if ok && op.Opcode != ir.OpMov {
-			cs.avail[k] = cseVal{res: op.Dst, vres: ver[op.Dst],
-				v0: regVer(k.a0, k.nargs >= 1), v1: regVer(k.a1, k.nargs >= 2), blk: cs.blk}
+			cs.avail[k] = cseVal{res: op.Dst, vres: ver[op.Dst], v0: v0, v1: v1, blk: cs.blk}
 		}
 	}
 	return changed

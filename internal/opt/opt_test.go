@@ -1,11 +1,6 @@
 package opt
 
 import (
-	"bufio"
-	"os"
-	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	"mcpart/internal/bench"
@@ -13,7 +8,7 @@ import (
 	"mcpart/internal/interp"
 	"mcpart/internal/ir"
 	"mcpart/internal/mclang"
-	"mcpart/internal/progen"
+	"mcpart/internal/testprog"
 )
 
 func compile(t *testing.T, src string) *ir.Module {
@@ -173,6 +168,38 @@ func TestCSERespectsRedefinition(t *testing.T) {
 	}
 }
 
+// TestCSESelfRedefinition pins value numbering on an op that redefines
+// its own operand: after v = add v, 1, a later add v, 1 reads the new v
+// and must not become a copy of it.
+func TestCSESelfRedefinition(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want int64
+	}{
+		{`func f(int i) int { int j; i = i + 1; j = i + 1; return i * 100 + j; }
+func main() int { return f(5); }`, 607},
+		{`global int g[4];
+func main() int {
+    int i;
+    int s = 0;
+    for (i = 0; i < 4; i = i + 1) {
+        s = s + 1;
+        g[i] = s + 1;
+    }
+    return s * 100 + g[3];
+}`, 405},
+	} {
+		m := compile(t, c.src)
+		if got := run(t, m); got != c.want {
+			t.Fatalf("unoptimized: got %d, want %d", got, c.want)
+		}
+		Optimize(m)
+		if got := run(t, m); got != c.want {
+			t.Errorf("optimized: got %d, want %d\n%s", got, c.want, ir.Print(m))
+		}
+	}
+}
+
 func TestCallsAndStoresSurviveDCE(t *testing.T) {
 	m := compile(t, `
 global int g;
@@ -281,127 +308,35 @@ func dceFixpoint(f *ir.Func) int {
 	}
 }
 
-// fuzzSeeds reads the string/int corpus entries of one fuzz target's
-// testdata directory ("go test fuzz v1" files), one slice of values per
-// file.
-func fuzzSeeds(t *testing.T, dir string) [][]string {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no fuzz corpus under %s: %v", dir, err)
-	}
-	var out [][]string
-	for _, name := range files {
-		fh, err := os.Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var vals []string
-		sc := bufio.NewScanner(fh)
-		for sc.Scan() {
-			line := sc.Text()
-			open, close := strings.IndexByte(line, '('), strings.LastIndexByte(line, ')')
-			if open < 0 || close < open {
-				continue // the version header
-			}
-			v := line[open+1 : close]
-			if strings.HasPrefix(line, "string(") {
-				if v, err = strconv.Unquote(v); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-			}
-			vals = append(vals, v)
-		}
-		fh.Close()
-		out = append(out, vals)
-	}
-	return out
-}
-
-// pipelineInput is one program the reference-pass tests optimize: a
-// source with the unroll factor it is compiled at.
-type pipelineInput struct {
-	name, src string
-	unroll    int
-	fuzz      bool // a FuzzCompile seed, which the front end may reject
-}
-
-// pipelineInputs returns the bundled programs, generated programs and the
-// FuzzCompile and FuzzPipeline seeds, at the unroll factors the pipeline
-// and the fuzzers use.
-func pipelineInputs(t *testing.T) []pipelineInput {
-	type input = pipelineInput
-	var inputs []input
-	for _, b := range bench.All() {
-		inputs = append(inputs, input{b.Name, b.Source, 4, false}, input{b.Name, b.Source, 1, false})
-	}
-	seeds := 300
-	if testing.Short() {
-		seeds = 40
-	}
-	pipeline := []int64{1, 7, 42, 1337, 99991}
-	for _, vals := range fuzzSeeds(t, "../eval/testdata/fuzz/FuzzPipeline") {
-		seed, err := strconv.ParseInt(vals[0], 10, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipeline = append(pipeline, seed)
-	}
-	for i := int64(0); i < int64(seeds); i++ {
-		pipeline = append(pipeline, i)
-	}
-	for _, seed := range pipeline {
-		src := progen.Generate(seed, progen.Options{})
-		name := "seed" + strconv.FormatInt(seed, 10)
-		inputs = append(inputs, input{name, src, 4, false}, input{name, src, 1, false})
-	}
-	compileSeeds := []input{
-		{"compile0", "func main() int { return 0; }", 1, true},
-		{"compile1", "int g[8]; func main() int { int i; i = 0; while (i < 8) { g[i & 7] = i; i = i + 1; } return g[3]; }", 4, true},
-		{"compile2", "func sum(a int, b int) int { return a + b; } func main() int { return sum(1, 2); }", 2, true},
-		{"compile3", "func main() int { int *p; p = malloc(32); p[1] = 9; return p[1]; }", 3, true},
-	}
-	for i, vals := range fuzzSeeds(t, "../mclang/testdata/fuzz/FuzzCompile") {
-		unroll, err := strconv.Atoi(vals[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		compileSeeds = append(compileSeeds, input{"corpus" + strconv.Itoa(i), vals[0], unroll, true})
-	}
-	inputs = append(inputs, compileSeeds...)
-
-	return inputs
-}
-
-// checkAgainstReference optimizes every pipelineInputs program twice, with
+// checkAgainstReference optimizes every testprog.Inputs program twice, with
 // Optimize and with the pipeline over the given passes, and requires
 // byte-identical IR and equal statistics.
 func checkAgainstReference(t *testing.T, dce func(*ir.Func) int, cse func(*ir.Func, *ir.Block) int) {
-	for _, in := range pipelineInputs(t) {
-		m1, err := mclang.CompileUnrolled(in.src, in.name, in.unroll)
-		if err != nil && in.fuzz {
+	for _, in := range testprog.Inputs(t) {
+		m1, err := in.Compile()
+		if err != nil && in.Fuzz {
 			continue
 		}
 		if err != nil {
-			t.Fatalf("%s: %v", in.name, err)
+			t.Fatalf("%s: %v", in.Name, err)
 		}
-		m2, err := mclang.CompileUnrolled(in.src, in.name, in.unroll)
+		m2, err := in.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, want := Optimize(m1), optimize(m2, dce, cse)
 		if got != want {
-			t.Errorf("%s unroll %d: stats %v, reference %v", in.name, in.unroll, got, want)
+			t.Errorf("%s unroll %d: stats %v, reference %v", in.Name, in.Unroll, got, want)
 		}
 		if ir.Print(m1) != ir.Print(m2) {
-			t.Errorf("%s unroll %d: optimized IR differs from the reference", in.name, in.unroll)
+			t.Errorf("%s unroll %d: optimized IR differs from the reference", in.Name, in.Unroll)
 		}
 	}
 }
 
 // TestDCEMatchesFixpoint pins the worklist dead-code pass to the
 // reference fixpoint: the whole pipeline over each pass leaves
-// byte-identical IR and equal statistics on pipelineInputs.
+// byte-identical IR and equal statistics on testprog.Inputs.
 func TestDCEMatchesFixpoint(t *testing.T) {
 	var cs cse
 	checkAgainstReference(t, dceFixpoint, cs.block)
@@ -410,7 +345,7 @@ func TestDCEMatchesFixpoint(t *testing.T) {
 // TestCSEMatchesReference pins the versioned value-numbering pass to the
 // reference that invalidates by scanning every available entry: the whole
 // pipeline over each pass leaves byte-identical IR and equal statistics on
-// pipelineInputs.
+// testprog.Inputs.
 func TestCSEMatchesReference(t *testing.T) {
 	var dc deadCode
 	checkAgainstReference(t, dc.run, cseBlockRef)
@@ -482,7 +417,12 @@ func cseBlockRef(f *ir.Func, b *ir.Block) int {
 				continue
 			}
 			invalidate(op.Dst)
-			avail[k] = op.Dst
+			// An op redefining one of its operands computes nothing a
+			// later op with the same operands would.
+			if !(k.nargs >= 1 && k.a0.Kind == ir.OperReg && k.a0.Reg == op.Dst) &&
+				!(k.nargs >= 2 && k.a1.Kind == ir.OperReg && k.a1.Reg == op.Dst) {
+				avail[k] = op.Dst
+			}
 			continue
 		}
 		invalidate(op.Dst)

@@ -201,20 +201,20 @@ func Prepare(f *ir.Func, prof *profile.Profile, cuts *MinCuts) *Prepared {
 		return regionHeat(prof, order[i]) > regionHeat(prof, order[j])
 	})
 	p.pre = make([]*regionPre, len(order))
-	st := newRegStamps(f.NRegs)
+	sc := newPrepScratch(f)
 	for i, region := range order {
-		p.pre[i] = p.newRegionPre(region, du, ops, st)
+		p.pre[i] = p.newRegionPre(region, du, ops, sc)
 	}
 	return p
 }
 
-func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, st *regStamps) *regionPre {
+func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, sc *prepScratch) *regionPre {
 	pre := &regionPre{region: region}
-	idx := map[int]int32{} // op ID -> graph node
+	sc.region++
 	for bi, b := range region.Blocks {
 		pre.freqs = append(pre.freqs, blockFreq(p.prof, b))
 		for pos, op := range b.Ops {
-			idx[op.ID] = int32(len(pre.regionOps))
+			sc.nodeAt[op.ID], sc.node[op.ID] = sc.region, int32(len(pre.regionOps))
 			pre.regionOps = append(pre.regionOps, op)
 			p.opBlock[op.ID], p.opPos[op.ID] = int32(bi), int32(pos)
 		}
@@ -225,31 +225,23 @@ func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op
 	pre.byID = append([]*ir.Op(nil), pre.regionOps...)
 	sort.Slice(pre.byID, func(i, j int) bool { return pre.byID[i].ID < pre.byID[j].ID })
 
-	ext := map[int]bool{}
 	addExt := func(id int) {
-		if !ext[id] {
-			ext[id] = true
+		if sc.extAt[id] != sc.region {
+			sc.extAt[id] = sc.region
 			pre.extRefs = append(pre.extRefs, int32(id))
 		}
 	}
-	slack := computeSlack(region, du, ops)
-	maxSlack := int64(1)
-	for _, s := range slack {
-		if s > maxSlack {
-			maxSlack = s
-		}
-	}
+	slack, maxSlack := computeSlack(region, du, ops, sc)
+	maxSlack = max(maxSlack, 1)
 	pre.arcStart = make([]int32, 0, len(pre.regionOps)+1)
 	for _, op := range pre.regionOps {
 		pre.arcStart = append(pre.arcStart, int32(len(pre.arcs)))
-		for argI := range op.Args {
-			for _, defID := range du.DefsOf[op.ID][argI] {
-				w := maxSlack + 1 - slack[edgeKey{defID, op.ID}]
-				if w < 1 {
-					w = 1
-				}
-				if node, ok := idx[defID]; ok {
-					pre.arcs = append(pre.arcs, arc{other: node, w: int32(w), kind: arcIntra})
+		for _, defs := range du.DefsOf[op.ID] {
+			for _, defID := range defs {
+				w := max(maxSlack+1-slack[0], 1)
+				slack = slack[1:]
+				if sc.nodeAt[defID] == sc.region {
+					pre.arcs = append(pre.arcs, arc{other: sc.node[defID], w: int32(w), kind: arcIntra})
 				} else {
 					pre.arcs = append(pre.arcs, arc{other: int32(defID), w: int32(w), kind: arcDef})
 					addExt(defID)
@@ -258,7 +250,7 @@ func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op
 		}
 		if op.Dst != ir.NoReg {
 			for _, useID := range du.UsesOf[op.ID] {
-				if _, ok := idx[useID]; !ok {
+				if sc.nodeAt[useID] != sc.region {
 					w := scaleFreq(blockFreq(p.prof, ops[useID].Block))
 					pre.arcs = append(pre.arcs, arc{other: int32(useID), w: int32(w), kind: arcUse})
 					addExt(useID)
@@ -270,28 +262,26 @@ func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op
 
 	pre.liveIn = make([][]ir.VReg, len(region.Blocks))
 	for i, b := range region.Blocks {
-		pre.liveIn[i] = sched.BlockLiveIn(b)
+		pre.liveIn[i] = sc.liveIns[b.ID]
 	}
 
-	seen := map[int]bool{}
-	seenReg := map[ir.VReg]bool{}
 	for _, regs := range pre.liveIn {
 		for _, r := range regs {
-			if seenReg[r] {
+			if sc.regAt[r] == sc.region {
 				continue
 			}
-			seenReg[r] = true
+			sc.regAt[r] = sc.region
 			pre.homeRegs = append(pre.homeRegs, r)
 			for _, id := range du.DefsOfReg[r] {
-				if _, in := idx[id]; !in && !seen[id] {
-					seen[id] = true
+				if sc.nodeAt[id] != sc.region && sc.homeAt[id] != sc.region {
+					sc.homeAt[id] = sc.region
 					pre.extHomeRefs = append(pre.extHomeRefs, int32(id))
 				}
 			}
 		}
 	}
-	sort.Slice(pre.extHomeRefs, func(i, j int) bool { return pre.extHomeRefs[i] < pre.extHomeRefs[j] })
-	sort.Slice(pre.homeRegs, func(i, j int) bool { return pre.homeRegs[i] < pre.homeRegs[j] })
+	slices.Sort(pre.extHomeRefs)
+	slices.Sort(pre.homeRegs)
 	pre.homeDefs = make([][]homeDef, len(pre.homeRegs))
 	for i, r := range pre.homeRegs {
 		for _, id := range du.DefsOfReg[r] {
@@ -302,28 +292,50 @@ func (p *Prepared) newRegionPre(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op
 			pre.homeDefs[i] = append(pre.homeDefs[i], homeDef{id: int32(id), w: w})
 		}
 	}
-	p.buildEstTables(pre, st)
+	p.buildEstTables(pre, sc)
 	return pre
 }
 
-// regStamps is Prepare's per-register working memory for the estimator
-// tables, shared by every region of the function. A def or read entry is
-// current when its stamp is the block being walked, so a new block starts
-// fresh in O(1).
-type regStamps struct {
+// prepScratch is Prepare's working memory, shared by every region of the
+// function. Its stamped entries are current when their stamp is the region
+// (or, for the estimator tables, the block) being built, so each region
+// and block starts fresh in O(1).
+type prepScratch struct {
+	// Op tables, by op ID. asap and alap hold computeSlack's in-block
+	// start times. Every op is written once, when its block is walked,
+	// so an entry not yet written reads 0 without resetting.
+	asap, alap []int64
+	slack      []int64 // computeSlack's result buffer
+	region     int32
+	nodeAt     []int32 // stamp of the region whose graph node the op is
+	node       []int32 // the op's graph node (region op index)
+	extAt      []int32 // stamp of the region whose extRefs hold the op
+	homeAt     []int32 // stamp of the region whose extHomeRefs hold the op
+
+	liveIns [][]ir.VReg // sched.BlockLiveIns
+
+	// Register tables, by register.
+	regAt   []int32 // stamp of the region whose homeRegs hold the register
 	block   int32
-	defAt   []int32 // by register: stamp of the block holding lastDef
-	lastDef []int32 // by register: region index of its latest def so far
-	readAt  []int32 // by register: stamp of the block that already read it charged
+	defAt   []int32 // stamp of the block holding lastDef
+	lastDef []int32 // region index of its latest def so far
+	readAt  []int32 // stamp of the block that already read it charged
 }
 
-func newRegStamps(nregs int) *regStamps {
-	return &regStamps{defAt: make([]int32, nregs), lastDef: make([]int32, nregs), readAt: make([]int32, nregs)}
+func newPrepScratch(f *ir.Func) *prepScratch {
+	return &prepScratch{
+		asap: make([]int64, f.NOps), alap: make([]int64, f.NOps),
+		nodeAt: make([]int32, f.NOps), node: make([]int32, f.NOps),
+		extAt: make([]int32, f.NOps), homeAt: make([]int32, f.NOps),
+		regAt: make([]int32, f.NRegs), defAt: make([]int32, f.NRegs),
+		lastDef: make([]int32, f.NRegs), readAt: make([]int32, f.NRegs),
+		liveIns: sched.BlockLiveIns(f),
+	}
 }
 
 // buildEstTables fills pre's estimator tables: blockStart, est, estArgs
 // and the live-in readers.
-func (p *Prepared) buildEstTables(pre *regionPre, st *regStamps) {
+func (p *Prepared) buildEstTables(pre *regionPre, st *prepScratch) {
 	n := len(pre.regionOps)
 	pre.blockStart = make([]int32, 0, len(pre.region.Blocks)+1)
 	pre.est = make([]estOp, n+1)

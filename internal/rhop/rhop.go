@@ -372,76 +372,70 @@ func scaleFreq(freq int64) int64 {
 	return w
 }
 
-type edgeKey struct{ def, use int }
-
-// computeSlack returns per dependence edge (def, use) within the region the
-// scheduling slack of that edge: how much the use could be delayed without
-// stretching its block's critical path. Cross-block edges get the maximum
-// observed slack (they are fed through registers and rarely critical).
-// Slack reads only opcode latencies, never the machine's move costs or
-// unit counts, which is what lets one Prepared serve every machine.
-func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op) map[edgeKey]int64 {
-	slack := map[edgeKey]int64{}
-	var crossEdges []edgeKey
+// computeSlack returns, per dependence arc of the region in the order the
+// graph builder visits them (per op in block order, per argument, per
+// reaching def), the scheduling slack of that arc: how much the use could
+// be delayed without stretching its block's critical path. Cross-block
+// arcs get the maximum observed slack (they are fed through registers and
+// rarely critical), which it also returns. Slack reads only opcode
+// latencies, never the machine's move costs or unit counts, which is what
+// lets one Prepared serve every machine. The result lives in sc until the
+// next call.
+func computeSlack(region *cfg.Region, du *cfg.DefUse, ops []*ir.Op, sc *prepScratch) ([]int64, int64) {
+	// A loop-carried read of a def later in its own block reads that
+	// def's asap (or, walking backwards, the use's alap) before the walk
+	// writes it: 0.
+	asap, alap := sc.asap, sc.alap
+	lat := func(id int) int64 { return int64(machine.Latency(ops[id].Opcode)) }
+	slack := sc.slack[:0]
 	var maxSlack int64
 	for _, b := range region.Blocks {
 		// ASAP within block.
-		asap := map[int]int64{}
 		var blockLen int64
 		for _, op := range b.Ops {
 			var start int64
-			for argI := range op.Args {
-				for _, defID := range du.DefsOf[op.ID][argI] {
+			for _, defs := range du.DefsOf[op.ID] {
+				for _, defID := range defs {
 					if ops[defID].Block == b {
-						if t := asap[defID] + int64(machine.Latency(ops[defID].Opcode)); t > start {
-							start = t
-						}
+						start = max(start, asap[defID]+lat(defID))
 					}
 				}
 			}
 			asap[op.ID] = start
-			if end := start + int64(machine.Latency(op.Opcode)); end > blockLen {
-				blockLen = end
-			}
+			blockLen = max(blockLen, start+lat(op.ID))
 		}
 		// ALAP within block (walk ops backwards).
-		alap := map[int]int64{}
 		for i := len(b.Ops) - 1; i >= 0; i-- {
 			op := b.Ops[i]
-			latest := blockLen - int64(machine.Latency(op.Opcode))
+			latest := blockLen - lat(op.ID)
 			for _, useID := range du.UsesOf[op.ID] {
 				if ops[useID].Block == b {
-					if t := alap[useID] - int64(machine.Latency(op.Opcode)); t < latest {
-						latest = t
-					}
+					latest = min(latest, alap[useID]-lat(op.ID))
 				}
 			}
 			alap[op.ID] = latest
 		}
 		for _, op := range b.Ops {
-			for argI := range op.Args {
-				for _, defID := range du.DefsOf[op.ID][argI] {
-					key := edgeKey{defID, op.ID}
-					if ops[defID].Block == b {
-						s := alap[op.ID] - (asap[defID] + int64(machine.Latency(ops[defID].Opcode)))
-						if s < 0 {
-							s = 0
-						}
-						slack[key] = s
-						if s > maxSlack {
-							maxSlack = s
-						}
-					} else {
-						crossEdges = append(crossEdges, key)
+			for _, defs := range du.DefsOf[op.ID] {
+				for _, defID := range defs {
+					if ops[defID].Block != b {
+						slack = append(slack, -1) // cross-block, set below
+						continue
 					}
+					s := max(alap[op.ID]-(asap[defID]+lat(defID)), 0)
+					slack = append(slack, s)
+					maxSlack = max(maxSlack, s)
 				}
 			}
 		}
 	}
-	for _, key := range crossEdges {
-		slack[key] = maxSlack
+	for i, s := range slack {
+		if s < 0 {
+			slack[i] = maxSlack
+		}
 	}
-	return slack
+	sc.slack = slack
+	return slack, maxSlack
 }
 
 // regionEval evaluates candidate assignments during one refinement loop:

@@ -15,10 +15,13 @@ import (
 // LoopCtx depends only on the IR, not on any cluster assignment, so one
 // instance serves every candidate partition of the function.
 type LoopCtx struct {
-	Loops     []*cfg.Loop
-	loopOf    []int // block ID -> index of innermost containing loop, or -1
-	defsIn    []map[ir.VReg]bool
-	induction []map[ir.VReg]bool
+	Loops  []*cfg.Loop
+	loopOf []int // block ID -> index of innermost containing loop, or -1
+	// defsIn and induction hold one register bitset per loop, words
+	// uint64s each: the registers defined in the loop, and those whose
+	// every in-loop definition is a simple constant-step update.
+	defsIn, induction []uint64
+	words             int
 }
 
 // NewLoopCtx analyzes f's loops.
@@ -26,6 +29,7 @@ func NewLoopCtx(f *ir.Func) *LoopCtx {
 	lc := &LoopCtx{
 		Loops:  cfg.Loops(f),
 		loopOf: make([]int, len(f.Blocks)),
+		words:  (f.NRegs + 63) / 64,
 	}
 	for i := range lc.loopOf {
 		lc.loopOf[i] = -1
@@ -38,39 +42,40 @@ func NewLoopCtx(f *ir.Func) *LoopCtx {
 			}
 		}
 	}
-	lc.defsIn = make([]map[ir.VReg]bool, len(lc.Loops))
-	lc.induction = make([]map[ir.VReg]bool, len(lc.Loops))
+	lc.defsIn = make([]uint64, len(lc.Loops)*lc.words)
+	lc.induction = make([]uint64, len(lc.Loops)*lc.words)
 	for li, l := range lc.Loops {
-		defs := map[ir.VReg]bool{}
-		simple := map[ir.VReg]bool{}
+		defs := lc.defsIn[li*lc.words : (li+1)*lc.words]
+		simple := lc.induction[li*lc.words : (li+1)*lc.words]
 		for b := range l.Blocks {
 			for _, op := range b.Ops {
 				if op.Dst == ir.NoReg {
 					continue
 				}
 				r := op.Dst
+				w, bit := r>>6, uint64(1)<<(r&63)
 				isSimple := (op.Opcode == ir.OpAdd || op.Opcode == ir.OpSub) &&
 					len(op.Args) == 2 &&
 					op.Args[0].Kind == ir.OperReg && op.Args[0].Reg == r &&
 					op.Args[1].Kind == ir.OperInt
-				if defs[r] {
-					simple[r] = simple[r] && isSimple
-				} else {
-					defs[r] = true
-					simple[r] = isSimple
+				if defs[w]&bit == 0 {
+					defs[w] |= bit
+					if isSimple {
+						simple[w] |= bit
+					}
+				} else if !isSimple {
+					simple[w] &^= bit
 				}
 			}
 		}
-		ind := map[ir.VReg]bool{}
-		for r, ok := range simple {
-			if ok {
-				ind[r] = true
-			}
-		}
-		lc.defsIn[li] = defs
-		lc.induction[li] = ind
 	}
 	return lc
+}
+
+// inLoop reports whether register r is in loop li's row of set (defsIn or
+// induction).
+func (lc *LoopCtx) inLoop(set []uint64, li int, r ir.VReg) bool {
+	return set[li*lc.words+int(r>>6)]&(1<<(r&63)) != 0
 }
 
 // InnermostLoop returns the index (into Loops) of b's innermost containing
@@ -92,7 +97,7 @@ func (lc *LoopCtx) Invariant(b *ir.Block, r ir.VReg) bool {
 	if li < 0 {
 		return false
 	}
-	return !lc.defsIn[li][r]
+	return !lc.inLoop(lc.defsIn, li, r)
 }
 
 // Induction reports whether r is a replicable induction register of block
@@ -109,7 +114,7 @@ func (lc *LoopCtx) Induction(b *ir.Block, r ir.VReg) bool {
 	if li < 0 {
 		return false
 	}
-	return lc.induction[li][r]
+	return lc.inLoop(lc.induction, li, r)
 }
 
 // FreeLiveIn reports whether a live-in register needs no per-iteration

@@ -653,22 +653,37 @@ func (sc *Scratch) FuncCycles(bc *BlockCache, asg []int, prof *profile.Profile) 
 	return cycles, moves
 }
 
-// BlockLiveIn returns the registers b reads before (re)defining them
-// locally — exactly the registers whose home cluster ScheduleBlockCtx
-// consults — in first-read order.
-func BlockLiveIn(b *ir.Block) []ir.VReg {
-	defined := map[ir.VReg]bool{}
-	seen := map[ir.VReg]bool{}
-	var out []ir.VReg
-	for _, op := range b.Ops {
-		for _, a := range op.Args {
-			if a.IsReg() && !defined[a.Reg] && !seen[a.Reg] {
-				seen[a.Reg] = true
-				out = append(out, a.Reg)
+// BlockLiveIns returns, by block ID, the registers each block of f reads
+// before (re)defining them locally — exactly the registers whose home
+// cluster ScheduleBlockCtx consults — in first-read order (nil for a block
+// reading none). The lists share one backing array.
+func BlockLiveIns(f *ir.Func) [][]ir.VReg {
+	out := make([][]ir.VReg, len(f.Blocks))
+	nargs := 0
+	for _, b := range f.Blocks {
+		for _, op := range b.Ops {
+			nargs += len(op.Args)
+		}
+	}
+	regs := make([]ir.VReg, 0, nargs)
+	// A register is defined (read) in the block being walked while its
+	// defAt (readAt) entry holds the block's stamp.
+	defAt, readAt := make([]int32, f.NRegs), make([]int32, f.NRegs)
+	for bi, b := range f.Blocks {
+		stamp, start := int32(bi+1), len(regs)
+		for _, op := range b.Ops {
+			for _, a := range op.Args {
+				if r := a.Reg; a.IsReg() && defAt[r] != stamp && readAt[r] != stamp {
+					readAt[r] = stamp
+					regs = append(regs, r)
+				}
+			}
+			if op.Dst != ir.NoReg {
+				defAt[op.Dst] = stamp
 			}
 		}
-		if op.Dst != ir.NoReg {
-			defined[op.Dst] = true
+		if len(regs) > start {
+			out[b.ID] = regs[start:len(regs):len(regs)]
 		}
 	}
 	return out
@@ -690,7 +705,7 @@ type BlockCache struct {
 	f      *ir.Func
 	lc     *LoopCtx
 	cfg    *machine.Config
-	liveIn [][]ir.VReg // by block ID: BlockLiveIn
+	liveIn [][]ir.VReg // by block ID: BlockLiveIns
 
 	m memo.Table[blockCacheEnt]
 }
@@ -703,11 +718,7 @@ type blockCacheEnt struct {
 // NewBlockCache returns an empty cache for f's blocks scheduled with loop
 // context lc (nil disables hoisting, as in ScheduleBlockCtx) on cfg.
 func NewBlockCache(f *ir.Func, lc *LoopCtx, cfg *machine.Config) *BlockCache {
-	bc := &BlockCache{f: f, lc: lc, cfg: cfg, liveIn: make([][]ir.VReg, len(f.Blocks))}
-	for _, b := range f.Blocks {
-		bc.liveIn[b.ID] = BlockLiveIn(b)
-	}
-	return bc
+	return &BlockCache{f: f, lc: lc, cfg: cfg, liveIn: BlockLiveIns(f)}
 }
 
 // Schedule returns ScheduleBlockCtx(b, asg, home, lc, cfg) for the cache's
