@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check deps-check loc api cover profile fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
+.PHONY: all build test test-short race check deps-check deadapi loc api cover profile fuzz bench bench-quick bench-partition bench-interp bench-store bench-sweep bench-serve bench-harness serve-smoke eval fmt vet clean
 
 all: build test
 
@@ -17,7 +17,7 @@ test-short:
 	$(GO) test -short ./...
 
 # Runs the full test suite under the race detector; the parallel
-# evaluation pipeline (internal/parallel, eval.Exhaustive, eval.RunMatrix)
+# evaluation pipeline (internal/parallel, eval.Exhaustive, eval.RunMatrixCtx)
 # must stay race-free at every -j value. The timeout is per test binary:
 # internal/eval's took 659 s on a 2-vCPU container (746 s wall for the
 # whole target), past go test's 10-minute default; 30 minutes leaves it
@@ -26,9 +26,9 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # The default verification gate: formatting, build, vet, the dependency
-# gate, plain tests, race tests. fmt-check fails (listing the offending
-# files) if any file is not gofmt-clean.
-check: fmt-check build vet deps-check test race
+# and dead-API gates, plain tests, race tests. fmt-check fails (listing the
+# offending files) if any file is not gofmt-clean.
+check: fmt-check build vet deps-check deadapi test race
 
 # The tree-walking interpreter (internal/interp) is a test oracle: no tool
 # or example may link it. The partitioner and its two callers run serially
@@ -45,6 +45,13 @@ deps-check:
 		echo "mcpart/internal/parallel is a dependency of the partitioner:"; \
 		$(GO) list -deps -f '{{.ImportPath}}: {{join .Imports " "}}' $(PARTITION_PKGS) | \
 			grep -E ' mcpart/internal/parallel( |$$)' | cut -d: -f1; exit 1; fi
+
+# Exported identifiers of internal/ packages that no non-test file of this
+# module or of the benchmark module references. Each must be deleted,
+# moved into a _test.go file, or listed in the allowlist with the test
+# that needs it; a stale allowlist entry fails too. Fails naming each one.
+deadapi:
+	$(GO) run ./scripts/deadapi -allow scripts/deadapi/allowlist.txt . benchmark
 
 # Go source size outside the benchmark harness (its own module): line and
 # file counts of the non-test and the test files.
@@ -69,17 +76,26 @@ api:
 # writing a CPU and a heap profile into .profile/ (git-ignored), then
 # `go tool pprof -top -cum` of the five CPU profiles together and
 # `go tool pprof -sample_index=alloc_space -top` of the five heap profiles
-# (its total divided by five is the bytes allocated per run).
+# (sampled at the default rate, so its total divided by five only
+# approximates the bytes allocated per run). One more run records every
+# allocation (GODEBUG=memprofilerate=1, kept apart so the CPU profiles stay
+# undistorted); the total of its heap profile, printed last, is the exact
+# number of bytes one `gdpbench -json -j 1` allocates.
 profile:
 	@mkdir -p .profile
 	$(GO) build -o .profile/gdpbench ./cmd/gdpbench
 	@for i in 1 2 3 4 5; do \
 		.profile/gdpbench -json -j 1 -cpuprofile .profile/cpu$$i.prof \
 			-memprofile .profile/mem$$i.prof > /dev/null || exit 1; done
+	GODEBUG=memprofilerate=1 .profile/gdpbench -json -j 1 \
+		-memprofile .profile/mem-exact.prof > /dev/null
 	$(GO) tool pprof -top -cum .profile/gdpbench .profile/cpu1.prof .profile/cpu2.prof \
 		.profile/cpu3.prof .profile/cpu4.prof .profile/cpu5.prof
 	$(GO) tool pprof -sample_index=alloc_space -top .profile/gdpbench .profile/mem1.prof \
 		.profile/mem2.prof .profile/mem3.prof .profile/mem4.prof .profile/mem5.prof
+	@echo "bytes allocated per gdpbench -json -j 1 (every allocation recorded):"
+	@$(GO) tool pprof -sample_index=alloc_space -top -nodecount=1 .profile/gdpbench \
+		.profile/mem-exact.prof 2>/dev/null | grep -m1 -o '[0-9.]*[kMG]B total$$'
 
 .PHONY: fmt-check
 fmt-check:

@@ -13,6 +13,7 @@ package mcpart
 //	make bench-store
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func BenchmarkStoreWarmRestart(b *testing.B) {
 				b.Fatal(err)
 			}
 			cfg := machine.Paper2Cluster(5)
-			cref, err := eval.Prepare(bm.Name, bm.Source)
+			cref, err := eval.PrepareOpts(context.Background(), bm.Name, bm.Source, eval.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

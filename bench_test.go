@@ -74,7 +74,7 @@ func runSuite(b *testing.B, lat int, opts eval.Options) []*eval.BenchResult {
 	if opts.Workers == 0 {
 		opts.Workers = *benchJobs
 	}
-	out, err := eval.RunMatrix(suitePrograms(b), cfg, opts)
+	out, err := eval.RunMatrixCtx(context.Background(), suitePrograms(b), cfg, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func BenchmarkExhaustiveMemo(b *testing.B) {
 	var memoized time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := eval.Prepare(bm.Name, bm.Source) // fresh: cold memo cache
+		c, err := eval.PrepareOpts(context.Background(), bm.Name, bm.Source, eval.Options{}) // fresh: cold memo cache
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func BenchmarkExhaustiveSweep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for a, arm := range arms {
-					c, err := eval.Prepare(bm.Name, bm.Source) // fresh: cold caches
+					c, err := eval.PrepareOpts(context.Background(), bm.Name, bm.Source, eval.Options{}) // fresh: cold caches
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -306,7 +306,7 @@ func medianDuration(ds []time.Duration) time.Duration {
 func BenchmarkBestMapping(b *testing.B) {
 	cfg := machine.Paper2Cluster(5)
 	src := progen.Generate(4, progen.Options{MaxGlobals: 30})
-	probe, err := eval.Prepare("progen22", src)
+	probe, err := eval.PrepareOpts(context.Background(), "progen22", src, eval.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func BenchmarkBestMapping(b *testing.B) {
 	var visited, pruned int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := eval.Prepare("progen22", src) // fresh: cold caches
+		c, err := eval.PrepareOpts(context.Background(), "progen22", src, eval.Options{}) // fresh: cold caches
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -479,40 +479,6 @@ func BenchmarkAblationMemTol(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			ablationGDP(b, eval.Options{GDP: gdp.Options{MemTol: tol}})
 		})
-	}
-}
-
-// BenchmarkExtraBaselines compares GDP against the round-robin and
-// affinity object placements studied by Terechko et al. (CASES'03), the
-// prior work the paper positions itself against.
-func BenchmarkExtraBaselines(b *testing.B) {
-	cfg := machine.Paper2Cluster(5)
-	for i := 0; i < b.N; i++ {
-		var gs, rr, af []float64
-		for _, c := range suitePrograms(b) {
-			u, err := eval.RunUnified(c, cfg, eval.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			g, err := eval.RunGDP(c, cfg, eval.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := eval.RunRoundRobin(c, cfg, eval.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := eval.RunAffinity(c, cfg, eval.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			gs = append(gs, eval.RelativePerf(u, g))
-			rr = append(rr, eval.RelativePerf(u, r))
-			af = append(af, eval.RelativePerf(u, a))
-		}
-		b.ReportMetric(100*eval.GeoMean(gs), "gdp-rel-%")
-		b.ReportMetric(100*eval.GeoMean(rr), "roundrobin-rel-%")
-		b.ReportMetric(100*eval.GeoMean(af), "affinity-rel-%")
 	}
 }
 

@@ -193,8 +193,8 @@ func (h *harness) emitCacheStats() {
 			continue
 		}
 		s := c.MemoStats()
-		fmt.Fprintf(h.out, "  %-12s hits %6d  misses %6d  rate %5.1f%%  promotions %5d  entries %5d  evictions %d\n",
-			b.Name, s.Hits, s.Misses, 100*s.HitRate(), s.Promotions, s.Entries, s.Evictions)
+		fmt.Fprintf(h.out, "  %-12s hits %6d  misses %6d  rate %5.1f%%  promotions %5d  entries %d\n",
+			b.Name, s.Hits, s.Misses, 100*s.HitRate(), s.Promotions, s.Entries)
 	}
 	h.WriteStoreStats(h.out, "artifact store (shared)")
 }

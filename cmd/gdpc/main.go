@@ -156,8 +156,8 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	if c.CacheStats {
 		s := prog.MemoStats()
-		fmt.Fprintf(out, "memo cache: hits %d  misses %d  promotions %d  entries %d  evictions %d\n",
-			s.Hits, s.Misses, s.Promotions, s.Entries, s.Evictions)
+		fmt.Fprintf(out, "memo cache: hits %d  misses %d  promotions %d  entries %d\n",
+			s.Hits, s.Misses, s.Promotions, s.Entries)
 		tool.WriteStoreStats(out, "artifact store")
 	}
 	return nil

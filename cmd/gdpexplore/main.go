@@ -171,7 +171,7 @@ func (c *config) writeCacheStats(tool *cli.Run, p *mcpart.Program) {
 		return
 	}
 	s := p.MemoStats()
-	fmt.Fprintf(os.Stderr, "memo cache: hits %d  misses %d  rate %.1f%%  promotions %d  entries %d  evictions %d\n",
-		s.Hits, s.Misses, 100*s.HitRate(), s.Promotions, s.Entries, s.Evictions)
+	fmt.Fprintf(os.Stderr, "memo cache: hits %d  misses %d  rate %.1f%%  promotions %d  entries %d\n",
+		s.Hits, s.Misses, 100*s.HitRate(), s.Promotions, s.Entries)
 	tool.WriteStoreStats(os.Stderr, "artifact store")
 }

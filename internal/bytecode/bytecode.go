@@ -135,9 +135,6 @@ type Program struct {
 	memOps []*ir.Op // interned memory ops across the module (profile rows)
 }
 
-// Module returns the IR module this program was compiled from.
-func (p *Program) Module() *ir.Module { return p.mod }
-
 // Func returns the compiled index of the named function, or -1.
 func (p *Program) funcIndex(name string) int32 {
 	if i, ok := p.fnIdx[name]; ok {

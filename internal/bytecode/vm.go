@@ -112,13 +112,6 @@ func (vm *VM) flush() {
 	vm.flSteps, vm.flDispatches, vm.flAlloc = vm.steps, vm.steps, vm.allocBytes
 }
 
-// Steps returns the total operations executed so far.
-func (vm *VM) Steps() int64 { return vm.steps }
-
-// AllocBytes returns the total data bytes held: global storage plus every
-// malloc, matching the interpreter's byte-budget accounting.
-func (vm *VM) AllocBytes() int64 { return vm.allocBytes }
-
 // Profile materializes the accumulated observations as an profile.Profile
 // keyed by the same IR pointers the tree-walking interpreter uses, so
 // every downstream consumer (gdp, rhop, sched, check) is oblivious to

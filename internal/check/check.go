@@ -159,19 +159,6 @@ type Recorder struct {
 // NewRecorder returns an empty violation accumulator.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Violations returns the violations accumulated so far.
-func (v *Recorder) Violations() []Violation { return v.vs }
-
-// Has reports whether any accumulated violation has the given class.
-func (v *Recorder) Has(c Class) bool {
-	for _, violation := range v.vs {
-		if violation.Class == c {
-			return true
-		}
-	}
-	return false
-}
-
 func (v *Recorder) add(class Class, fn string, block int, format string, args ...any) bool {
 	if v.full() {
 		return false

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -24,7 +25,7 @@ func compiled(t *testing.T, name string) *eval.Compiled {
 	if err != nil {
 		t.Fatalf("bench.Get(%s): %v", name, err)
 	}
-	c, err := eval.Prepare(b.Name, b.Source)
+	c, err := eval.PrepareOpts(context.Background(), b.Name, b.Source, eval.Options{})
 	if err != nil {
 		t.Fatalf("prepare %s: %v", name, err)
 	}

@@ -16,3 +16,16 @@ func SetMaterializer(m Materializer) (restore func()) {
 	materializeFunc = m
 	return func() { materializeFunc = old }
 }
+
+// Violations returns the violations accumulated so far.
+func (v *Recorder) Violations() []Violation { return v.vs }
+
+// Has reports whether any accumulated violation has the given class.
+func (v *Recorder) Has(c Class) bool {
+	for _, violation := range v.vs {
+		if violation.Class == c {
+			return true
+		}
+	}
+	return false
+}

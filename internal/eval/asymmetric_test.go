@@ -36,16 +36,19 @@ func TestWeightedBisection(t *testing.T) {
 		g.W[i][0] = 1
 		g.Connect(i, (i+1)%16, 1)
 	}
-	part, err := partition.Bisect(g, partition.Options{
+	part, err := partition.KWay(g, 2, partition.Options{
 		Tol:       []float64{0.10},
 		Fractions: []float64{0.75, 0.25},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw := partition.PartWeights(g, part, 2)
+	var pw [2]int64
+	for u, p := range part {
+		pw[p] += g.W[u][0]
+	}
 	// Part 0 should end up near 12, part 1 near 4 (within tolerance).
-	if pw[0][0] < 10 || pw[0][0] > 14 {
+	if pw[0] < 10 || pw[0] > 14 {
 		t.Errorf("weighted split = %v, want ~12/4", pw)
 	}
 }
@@ -64,7 +67,7 @@ func TestAsymmetricMemoryGDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bytes := gdp.MemBytesPerCluster(c.Mod, r.DataMap, c.Prof, 2)
+	bytes := memBytesPerCluster(c, r.DataMap, 2)
 	total := bytes[0] + bytes[1]
 	if bytes[0]*10 < total*6 { // expect >= 60% on the big memory
 		t.Errorf("asymmetric GDP put only %d of %d bytes on the big cluster", bytes[0], total)
@@ -74,7 +77,7 @@ func TestAsymmetricMemoryGDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := gdp.MemBytesPerCluster(c.Mod, rs.DataMap, c.Prof, 2)
+	sb := memBytesPerCluster(c, rs.DataMap, 2)
 	if sb[0]*10 > total*7 {
 		t.Errorf("symmetric GDP unexpectedly imbalanced: %v", sb)
 	}
@@ -94,7 +97,7 @@ func TestAsymmetricMemoryProfileMax(t *testing.T) {
 	// as caps. The invariant is that the small memory is not overfilled
 	// beyond its share (plus tolerance): 25% of ~20.5 KiB ≈ 5.1 KiB,
 	// with one group allowed to straddle the threshold.
-	bytes := gdp.MemBytesPerCluster(c.Mod, r.DataMap, c.Prof, 2)
+	bytes := memBytesPerCluster(c, r.DataMap, 2)
 	total := bytes[0] + bytes[1]
 	smallLimit := int64(float64(total)*0.25*1.1) + 9600 // + one buffer straddle
 	if bytes[1] > smallLimit {
@@ -111,4 +114,13 @@ func TestBadFractionCount(t *testing.T) {
 	if err == nil {
 		t.Error("accepted wrong fraction count")
 	}
+}
+
+// memBytesPerCluster sums c's profiled object bytes per cluster under dm.
+func memBytesPerCluster(c *Compiled, dm gdp.DataMap, k int) []int64 {
+	out := make([]int64, k)
+	for id, cl := range dm {
+		out[cl] += objectBytes(c, id)
+	}
+	return out
 }

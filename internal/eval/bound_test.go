@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"mcpart/internal/bench"
@@ -78,7 +79,7 @@ func TestBestMappingGenerated(t *testing.T) {
 	cfg := machine.Paper2Cluster(5)
 	for _, seed := range []int64{1, 7} {
 		src := progen.Generate(seed, progen.Options{MaxGlobals: 9})
-		c, err := Prepare("progen", src)
+		c, err := PrepareOpts(context.Background(), "progen", src, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

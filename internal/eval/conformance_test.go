@@ -63,7 +63,7 @@ func diffMatrices(t *testing.T, label string, want, got []*BenchResult) {
 func conformance(t *testing.T, cs []*Compiled, structural *machine.Config) {
 	t.Helper()
 	asMatrix := machine.AsMatrix(structural)
-	ref, err := RunMatrix(cs, structural, Options{Workers: 1})
+	ref, err := RunMatrixCtx(context.Background(), cs, structural, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("%s -j1: %v", structural.Name, err)
 	}
@@ -76,7 +76,7 @@ func conformance(t *testing.T, cs []*Compiled, structural *machine.Config) {
 		{asMatrix.Name + " -j1", asMatrix, 1},
 		{asMatrix.Name + " -j8", asMatrix, parallelProbe},
 	} {
-		got, err := RunMatrix(cs, probe.cfg, Options{Workers: probe.workers})
+		got, err := RunMatrixCtx(context.Background(), cs, probe.cfg, Options{Workers: probe.workers})
 		if err != nil {
 			t.Fatalf("%s: %v", probe.label, err)
 		}
@@ -179,11 +179,11 @@ func TestValidatorConformanceAcrossSpellings(t *testing.T) {
 	}
 	cs := prepSuite(t)
 	ring := machine.RingFour(5)
-	ref, err := RunMatrix(cs, ring, Options{Workers: parallelProbe, Validate: true})
+	ref, err := RunMatrixCtx(context.Background(), cs, ring, Options{Workers: parallelProbe, Validate: true})
 	if err != nil {
 		t.Fatalf("validator rejected the structural ring: %v", err)
 	}
-	got, err := RunMatrix(cs, machine.AsMatrix(ring), Options{Workers: parallelProbe, Validate: true})
+	got, err := RunMatrixCtx(context.Background(), cs, machine.AsMatrix(ring), Options{Workers: parallelProbe, Validate: true})
 	if err != nil {
 		t.Fatalf("validator rejected the ring-as-matrix: %v", err)
 	}

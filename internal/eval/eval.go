@@ -158,7 +158,7 @@ func (c *Compiled) HoldsPrepared() bool {
 // enableMemo attaches a fresh memoization cache and the per-function
 // touched-object sets; every Prepare path calls it once.
 func (c *Compiled) enableMemo() {
-	c.memo = memo.New(0)
+	c.memo = new(memo.Cache)
 	c.touched = make(map[*ir.Func][]int, len(c.Mod.Funcs))
 	for _, f := range c.Mod.Funcs {
 		c.touched[f] = rhop.TouchedObjects(f)
@@ -170,14 +170,13 @@ func (c *Compiled) enableMemo() {
 // deterministic across worker counts; cached values always are.
 func (c *Compiled) MemoStats() memo.Stats { return c.memo.Stats() }
 
-// ShrinkMemo evicts least-recently-used memoization entries until at most n
-// remain (a no-op when caching is disabled) and drops the shared RHOP state
-// (ReleasePrepared) and the GDP data-partition memo. It is the
-// memory-pressure release valve for long-lived Compiled values: results
-// are unaffected — evicted entries recompute (or reload from the disk
-// tier) on next use.
-func (c *Compiled) ShrinkMemo(n int) {
-	c.memo.Shrink(n)
+// ShrinkMemo drops every memoization entry (a no-op when caching is
+// disabled), the shared RHOP state (ReleasePrepared) and the GDP
+// data-partition memo. It is the memory-pressure release valve for
+// long-lived Compiled values: results are unaffected — dropped entries
+// recompute (or reload from the disk tier) on next use.
+func (c *Compiled) ShrinkMemo() {
+	c.memo.Clear()
 	c.ReleasePrepared()
 	c.dataParts.Clear()
 }
@@ -187,18 +186,12 @@ func (c *Compiled) ShrinkMemo(n int) {
 // cross-iteration ILP that makes a clustered machine worth filling).
 const DefaultUnroll = 4
 
-// Prepare compiles src with the default unroll factor, runs points-to
-// analysis, and profiles one execution.
-func Prepare(name, src string) (*Compiled, error) {
-	return PrepareOpts(context.Background(), name, src, Options{})
-}
-
-// PrepareOpts is Prepare under a context, with explicit profiling knobs:
-// compilation is skipped if ctx is already done, a ctx deadline bounds the
-// profiling run's wall clock, and opts supplies the MaxSteps/MaxBytes
-// budgets and the CacheDir/CacheMaxBytes disk-cache knobs (a cached
-// profile replaces the profiling execution; other Options fields are
-// ignored here).
+// PrepareOpts compiles src with the default unroll factor, runs points-to
+// analysis, and profiles one execution. Compilation is skipped if ctx is
+// already done, a ctx deadline bounds the profiling run's wall clock, and
+// opts supplies the MaxSteps/MaxBytes budgets and the CacheDir/
+// CacheMaxBytes disk-cache knobs (a cached profile replaces the profiling
+// execution; other Options fields are ignored here).
 func PrepareOpts(ctx context.Context, name, src string, opts Options) (*Compiled, error) {
 	return PrepareFullOpts(ctx, name, src, DefaultUnroll, true, opts)
 }
@@ -344,7 +337,7 @@ type Options struct {
 	// byte budget is the daemon's containment against allocation bombs.
 	MaxBytes int64
 	// Workers bounds the evaluation worker pool used by Exhaustive,
-	// RunAllSchemes and RunMatrix. Zero or negative selects
+	// RunAllSchemes and RunMatrixCtx. Zero or negative selects
 	// runtime.GOMAXPROCS(0) — the repository-wide sentinel convention
 	// (see parallel.Workers). Results are identical for every worker
 	// count; only wall time changes.
@@ -643,9 +636,10 @@ func partitionKey(c *Compiled, f *ir.Func, dm gdp.DataMap, locks rhop.Locks, mke
 // under its memo key ("part", "sched"; funcLocks holds "locks") — memory
 // tier, then artifact store — and computes it only on a miss, through the
 // function's leased rhop.Prepared: partitions through one
-// rhop.FuncPartitioner per function, whose region memo serves every lock
-// map the step is asked for, and cycles through the Prepared's block cache
-// for the machine, where the partitioner has already scheduled most
+// rhop.FuncPartitioner per function (a sweep table's memoizes its regions
+// across the lock maps it is asked for; a pass asks once per function, so
+// its partitioner stores nothing), and cycles through the Prepared's block
+// cache for the machine, where the partitioner has already scheduled most
 // blocks. A funcSteps is not safe for concurrent use.
 type funcSteps struct {
 	c          *Compiled
@@ -653,6 +647,8 @@ type funcSteps struct {
 	ropts      rhop.Options
 	mkey, okey string
 	obs        *obs.Observer
+	// sweep makes fp memoize region results (rhop.NewSweepPartitioner).
+	sweep bool
 	// fp partitions fpFunc; it is made on a partition miss for a function
 	// it does not serve yet.
 	fp     *rhop.FuncPartitioner
@@ -677,7 +673,12 @@ func (s *funcSteps) partition(f *ir.Func, dm gdp.DataMap, locks rhop.Locks) ([]i
 			if err != nil {
 				return nil, err
 			}
-			s.fp, s.fpFunc = p.NewPartitioner(s.cfg, s.ropts), f
+			if s.sweep {
+				s.fp = p.NewSweepPartitioner(s.cfg, s.ropts)
+			} else {
+				s.fp = p.NewPartitioner(s.cfg, s.ropts)
+			}
+			s.fpFunc = f
 		}
 		return s.fp.Partition(locks)
 	})
@@ -853,8 +854,7 @@ func RunWithDataMap(c *Compiled, cfg *machine.Config, dm gdp.DataMap, opts Optio
 }
 
 // profileMaxTol is the memory balance threshold of the Profile Max greedy
-// assignment, matching GDP's default MemTol. The Affinity baseline shares
-// it.
+// assignment, matching GDP's default MemTol.
 const profileMaxTol = 0.10
 
 // objectGroups is a module's access-pattern merge groups, with each

@@ -1,12 +1,12 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mcpart/internal/bench"
-	"mcpart/internal/gdp"
 	"mcpart/internal/machine"
 )
 
@@ -16,7 +16,7 @@ func prepBench(t *testing.T, name string) *Compiled {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Prepare(b.Name, b.Source)
+	c, err := PrepareOpts(context.Background(), b.Name, b.Source, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestProfileMaxBalancesMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bytes := gdp.MemBytesPerCluster(c.Mod, r.DataMap, c.Prof, 2)
+	bytes := memBytesPerCluster(c, r.DataMap, 2)
 	total := bytes[0] + bytes[1]
 	if bytes[0] > total*3/4 || bytes[1] > total*3/4 {
 		t.Errorf("ProfileMax left memory badly imbalanced: %v", bytes)
@@ -208,7 +208,7 @@ func TestPaperShapeLat5(t *testing.T) {
 	cfg := machine.Paper2Cluster(5)
 	var gs, ps, ns []float64
 	for _, b := range bench.All() {
-		c, err := Prepare(b.Name, b.Source)
+		c, err := PrepareOpts(context.Background(), b.Name, b.Source, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

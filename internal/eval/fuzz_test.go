@@ -56,7 +56,7 @@ func FuzzSweep(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		src := progen.Generate(seed, progen.Options{MaxGlobals: 7})
-		c, err := Prepare("fuzz", src)
+		c, err := PrepareOpts(context.Background(), "fuzz", src, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: pipeline rejected a progen program: %v\n%s", seed, err, src)
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -101,7 +102,7 @@ func FuzzTopology(f *testing.F) {
 		}
 		k := cfg.NumClusters()
 		src := progen.Generate(seed, progen.Options{MaxGlobals: 7})
-		c, err := Prepare("fuzz", src)
+		c, err := PrepareOpts(context.Background(), "fuzz", src, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: pipeline rejected a progen program: %v\n%s", seed, err, src)
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -96,7 +97,7 @@ func TestKWayValidatorGreen(t *testing.T) {
 	for _, cfg := range []*machine.Config{
 		machine.Mesh4(5), machine.Mesh8(5), machine.Ring8(5), machine.NUMA4(5), machine.EightCluster(5),
 	} {
-		if _, err := RunMatrix(cs, cfg, Options{Workers: parallelProbe, Validate: true}); err != nil {
+		if _, err := RunMatrixCtx(context.Background(), cs, cfg, Options{Workers: parallelProbe, Validate: true}); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
 	}

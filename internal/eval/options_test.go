@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func TestMaxObjectsDefaults(t *testing.T) {
 
 	// 19 objects: over the sweep's default cap, under the search's.
 	src := progen.Generate(2, progen.Options{MaxGlobals: 18})
-	c, err := Prepare("progen19", src)
+	c, err := PrepareOpts(context.Background(), "progen19", src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestMaxObjectsDefaults(t *testing.T) {
 
 	// 30 objects: over the search's default cap too.
 	src = progen.Generate(3, progen.Options{MaxGlobals: 30})
-	c, err = Prepare("progen30", src)
+	c, err = PrepareOpts(context.Background(), "progen30", src, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,11 +57,11 @@ func detFields(r *Result) map[string]interface{} {
 func TestMatrixDeterminismAcrossWorkers(t *testing.T) {
 	cs := []*Compiled{prepBench(t, "rawcaudio"), prepBench(t, "halftone")}
 	cfg := machine.Paper2Cluster(5)
-	serial, err := RunMatrix(cs, cfg, Options{Workers: 1})
+	serial, err := RunMatrixCtx(context.Background(), cs, cfg, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunMatrix(cs, cfg, Options{Workers: parallelProbe})
+	par, err := RunMatrixCtx(context.Background(), cs, cfg, Options{Workers: parallelProbe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +100,12 @@ func TestRunAllSchemesMatchesMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matrix, err := RunMatrix([]*Compiled{c}, cfg, Options{})
+	matrix, err := RunMatrixCtx(context.Background(), []*Compiled{c}, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(detFields(one.GDP), detFields(matrix[0].GDP)) {
-		t.Error("RunAllSchemes GDP result differs from RunMatrix")
+		t.Error("RunAllSchemes GDP result differs from RunMatrixCtx")
 	}
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"mcpart/internal/bench"
@@ -82,7 +83,7 @@ func TestFastPartitionNoWorseOnWorkloads(t *testing.T) {
 	cfgs := []*machine.Config{machine.Paper2Cluster(5), machine.FourCluster(5)}
 	checked := 0
 	for _, b := range bench.All() {
-		c, err := Prepare(b.Name, b.Source)
+		c, err := PrepareOpts(context.Background(), b.Name, b.Source, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func TestFastPartitionNoWorseOnWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", b.Name, k, err)
 			}
-			bytes := gdp.MemBytesPerCluster(c.Mod, dp.DataMap, c.Prof, k)
+			bytes := memBytesPerCluster(c, dp.DataMap, k)
 			var total int64
 			for _, v := range bytes {
 				total += v

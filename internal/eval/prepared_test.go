@@ -109,9 +109,9 @@ func TestShrinkMemoReleasesPrepared(t *testing.T) {
 	if !c.HoldsPrepared() {
 		t.Fatal("no prepared state after a scheme run")
 	}
-	c.ShrinkMemo(0)
+	c.ShrinkMemo()
 	if c.HoldsPrepared() {
-		t.Fatal("ShrinkMemo(0) kept the prepared state")
+		t.Fatal("ShrinkMemo() kept the prepared state")
 	}
 	after, err := RunAllSchemes(c, cfg, Options{Workers: 1})
 	if err != nil {
@@ -119,9 +119,9 @@ func TestShrinkMemoReleasesPrepared(t *testing.T) {
 	}
 	diffMatrices(t, "after ShrinkMemo", []*BenchResult{before}, []*BenchResult{after})
 
-	c.ShrinkMemo(0)
+	c.ShrinkMemo()
 	if gdpHits("first run after ShrinkMemo") != 0 {
-		t.Error("ShrinkMemo(0) kept the data-partition memo")
+		t.Error("ShrinkMemo() kept the data-partition memo")
 	}
 	if gdpHits("second run after ShrinkMemo") != 1 {
 		t.Error("the rebuilt data-partition memo was not reused")

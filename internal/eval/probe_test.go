@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"mcpart/internal/bench"
@@ -19,7 +20,7 @@ func TestProbe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Prepare(b.Name, b.Source)
+		c, err := PrepareOpts(context.Background(), b.Name, b.Source, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -146,19 +146,15 @@ func RunAllSchemesCtx(ctx context.Context, c *Compiled, cfg *machine.Config, opt
 	return brs[0], nil
 }
 
-// RunMatrix evaluates the full (benchmark × scheme) matrix: every Table 1
-// scheme on every prepared benchmark. The cells are independent, so all
-// 4·len(cs) of them fan across opts.Workers; each cell builds its own
+// RunMatrixCtx evaluates the full (benchmark × scheme) matrix: every
+// Table 1 scheme on every prepared benchmark. The cells are independent, so
+// all 4·len(cs) of them fan across opts.Workers; each cell builds its own
 // partitioner and scheduler state, and the results are stitched back by
-// (benchmark, scheme) index, identical to the serial nested loop.
-func RunMatrix(cs []*Compiled, cfg *machine.Config, opts Options) ([]*BenchResult, error) {
-	return RunMatrixCtx(context.Background(), cs, cfg, opts)
-}
-
-// RunMatrixCtx is RunMatrix with a cancellation context: once ctx is done
-// no new cells start, in-flight cells abort between pipeline steps, and
-// the partial results are discarded (the error of the lowest-indexed cell
-// — usually ctx.Err() — is returned, deterministically).
+// (benchmark, scheme) index, identical to the serial nested loop. Once ctx
+// is done no new cells start, in-flight cells abort between pipeline
+// steps, and the partial results are discarded (the error of the
+// lowest-indexed cell — usually ctx.Err() — is returned,
+// deterministically).
 func RunMatrixCtx(ctx context.Context, cs []*Compiled, cfg *machine.Config, opts Options) ([]*BenchResult, error) {
 	ctx = obs.With(ctx, opts.Observer)
 	opts.ctx = ctx

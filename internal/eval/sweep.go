@@ -167,6 +167,7 @@ func buildCostTables(ctx context.Context, c *Compiled, cfg *machine.Config,
 			// placing it elsewhere can never be asked for.
 			fixed0 := canon && len(objs) > 0 && objs[0] == 0
 			steps := newFuncSteps(c, cfg, opts)
+			steps.sweep = true
 			dm := make(gdp.DataMap, n)
 			// fill computes the entry for signature sig, whose homes dm holds.
 			fill := func(sig int) error {

@@ -48,7 +48,7 @@ func TestValidateMatrix(t *testing.T) {
 		capped,
 	}
 	for _, cfg := range presets {
-		brs, err := RunMatrix(cs, cfg, Options{Validate: true})
+		brs, err := RunMatrixCtx(context.Background(), cs, cfg, Options{Validate: true})
 		if err != nil {
 			var ce *check.Error
 			if errors.As(err, &ce) {
@@ -129,7 +129,7 @@ func TestValidatedSweepMatchesPerMask(t *testing.T) {
 // per-mask engine does, on a symmetric machine where no object 0 can be
 // pinned.
 func TestExhaustiveNoObjects(t *testing.T) {
-	c, err := Prepare("noobj", "func main() int { int s = 0; int i; for (i = 0; i < 10; i = i + 1) { s = s + i * 3; } return s; }")
+	c, err := PrepareOpts(context.Background(), "noobj", "func main() int { int s = 0; int i; for (i = 0; i < 10; i = i + 1) { s = s + i * 3; } return s; }", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -655,15 +655,6 @@ func homeFor(op *ir.Op, dm DataMap, prof *profile.Profile) int {
 	return best
 }
 
-// MemBytesPerCluster sums profiled object bytes per cluster under dm.
-func MemBytesPerCluster(m *ir.Module, dm DataMap, prof *profile.Profile, k int) []int64 {
-	out := make([]int64, k)
-	for _, o := range m.Objects {
-		out[dm[o.ID]] += objBytes(o, prof)
-	}
-	return out
-}
-
 // Validate checks a data map covers every object with a cluster in [0,k).
 func (dm DataMap) Validate(m *ir.Module, k int) error {
 	if len(dm) != len(m.Objects) {

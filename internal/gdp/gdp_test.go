@@ -118,7 +118,7 @@ func TestDataBytesBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bytes := MemBytesPerCluster(mod, res.DataMap, prof, 2)
+	bytes := memBytesPerCluster(mod, res.DataMap, prof, 2)
 	total := bytes[0] + bytes[1]
 	if total != 4*100*8 {
 		t.Fatalf("total bytes = %d", total)
@@ -261,4 +261,13 @@ func TestGroupBytesMatchProfiledSizes(t *testing.T) {
 	if res.GroupBytes[gi] < 64 {
 		t.Errorf("heap group bytes = %d, want >= 64", res.GroupBytes[gi])
 	}
+}
+
+// memBytesPerCluster sums profiled object bytes per cluster under dm.
+func memBytesPerCluster(m *ir.Module, dm DataMap, prof *profile.Profile, k int) []int64 {
+	out := make([]int64, k)
+	for _, o := range m.Objects {
+		out[dm[o.ID]] += objBytes(o, prof)
+	}
+	return out
 }

@@ -138,7 +138,7 @@ func TestPartitionDataOnNUMA4(t *testing.T) {
 	if err := res.DataMap.Validate(mod, 4); err != nil {
 		t.Fatal(err)
 	}
-	bytes := MemBytesPerCluster(mod, res.DataMap, prof, 4)
+	bytes := memBytesPerCluster(mod, res.DataMap, prof, 4)
 	node0 := bytes[0] + bytes[1]
 	node1 := bytes[2] + bytes[3]
 	if node0 < node1 {

@@ -266,20 +266,6 @@ type Op struct {
 	MayAccess []int
 }
 
-// UsedRegs appends the virtual registers read by the op to dst and returns
-// the result.
-func (op *Op) UsedRegs(dst []VReg) []VReg {
-	for _, a := range op.Args {
-		if a.Kind == OperReg {
-			dst = append(dst, a.Reg)
-		}
-	}
-	return dst
-}
-
-// HasDst reports whether this op defines a register.
-func (op *Op) HasDst() bool { return op.Dst != NoReg }
-
 func (op *Op) String() string { return string(appendOp(nil, op)) }
 
 // Block is a basic block: a maximal straight-line op sequence ended by a
@@ -360,15 +346,4 @@ func (m *Module) AddObject(o *Object) *Object {
 	o.ID = len(m.Objects)
 	m.Objects = append(m.Objects, o)
 	return o
-}
-
-// Globals returns the module's global objects.
-func (m *Module) Globals() []*Object {
-	var gs []*Object
-	for _, o := range m.Objects {
-		if o.Kind == ObjGlobal {
-			gs = append(gs, o)
-		}
-	}
-	return gs
 }

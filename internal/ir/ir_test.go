@@ -132,10 +132,6 @@ func TestObjectRegistration(t *testing.T) {
 	if a.ID != 0 || b.ID != 1 {
 		t.Fatalf("object IDs = %d,%d, want 0,1", a.ID, b.ID)
 	}
-	gs := m.Globals()
-	if len(gs) != 1 || gs[0] != a {
-		t.Fatalf("Globals() = %v", gs)
-	}
 	if a.Words() != 2 {
 		t.Fatalf("Words = %d, want 2", a.Words())
 	}
@@ -224,36 +220,6 @@ func TestOperandRoundTripQuick(t *testing.T) {
 		return oi.Int == i && !oi.IsReg() &&
 			of.Float == f || f != f && // NaN compares unequal; accept
 			or.Reg == VReg(r) && or.IsReg()
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: UsedRegs returns exactly the register operands in order.
-func TestUsedRegsQuick(t *testing.T) {
-	if err := quick.Check(func(regs []uint8, ints []int16) bool {
-		var args []Operand
-		var want []VReg
-		for i := 0; i < len(regs) || i < len(ints); i++ {
-			if i < len(regs) {
-				args = append(args, Reg(VReg(regs[i])))
-				want = append(want, VReg(regs[i]))
-			}
-			if i < len(ints) {
-				args = append(args, ConstInt(int64(ints[i])))
-			}
-		}
-		op := &Op{Opcode: OpCall, Args: args, Dst: NoReg}
-		got := op.UsedRegs(nil)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
 	}, nil); err != nil {
 		t.Error(err)
 	}

@@ -202,21 +202,6 @@ func (c *Config) MinMoveLat() int {
 	return min
 }
 
-// MaxMoveLat returns the largest intercluster move latency on the machine
-// (the network diameter in cycles); 0 on a single-cluster machine.
-func (c *Config) MaxMoveLat() int {
-	n := len(c.Clusters)
-	max := 0
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if l := c.MoveLat(a, b); l > max {
-				max = l
-			}
-		}
-	}
-	return max
-}
-
 // LatencyTable materializes the all-pairs move-latency table. Consumers on
 // hot paths that cannot afford the per-call topology switch in MoveLat can
 // index this dense table instead; the Config itself holds no cached state
@@ -655,22 +640,4 @@ func WithMemCapacities(cfg *Config, bytes ...int64) (*Config, error) {
 		out.Clusters[i].MemBytes = b
 	}
 	return &out, nil
-}
-
-// Unified1Cluster returns a single-cluster machine with the combined
-// resources of n paper clusters. Note this is NOT the paper's "unified
-// memory" baseline (that is the clustered machine with a shared memory,
-// modeled by the eval package); it is a fully-centralized ablation point
-// with no intercluster communication at all.
-func Unified1Cluster(n int) *Config {
-	cl := paperCluster()
-	for k := FUKind(0); k < NumFUKinds; k++ {
-		cl.Units[k] *= n
-	}
-	return &Config{
-		Name:          fmt.Sprintf("unified-%dw", n),
-		Clusters:      []Cluster{cl},
-		MoveLatency:   1,
-		MoveBandwidth: 1,
-	}
 }

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"mcpart/internal/ir"
@@ -168,5 +169,23 @@ func TestRingTopology(t *testing.T) {
 	}
 	if bus.Topology.String() != "bus" {
 		t.Error("default topology should be bus")
+	}
+}
+
+// Unified1Cluster returns a single-cluster machine with the combined
+// resources of n paper clusters. Note this is NOT the paper's "unified
+// memory" baseline (that is the clustered machine with a shared memory,
+// modeled by the eval package); it is a fully-centralized ablation point
+// with no intercluster communication at all.
+func Unified1Cluster(n int) *Config {
+	cl := paperCluster()
+	for k := FUKind(0); k < NumFUKinds; k++ {
+		cl.Units[k] *= n
+	}
+	return &Config{
+		Name:          fmt.Sprintf("unified-%dw", n),
+		Clusters:      []Cluster{cl},
+		MoveLatency:   1,
+		MoveBandwidth: 1,
 	}
 }

@@ -68,9 +68,6 @@ func TestMeshMoveLat(t *testing.T) {
 			t.Errorf("Mesh8.MoveLat(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
-	if m8.MaxMoveLat() != 4 {
-		t.Errorf("Mesh8 diameter = %d, want 4", m8.MaxMoveLat())
-	}
 	if m8.MinMoveLat() != 1 {
 		t.Errorf("Mesh8 min hop = %d, want 1", m8.MinMoveLat())
 	}

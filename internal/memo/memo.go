@@ -1,6 +1,7 @@
-// Package memo provides the bounded, deterministic result cache behind the
+// Package memo provides the deterministic result cache behind the
 // evaluation pipeline's memoized partition/schedule hot path (DESIGN.md §7),
-// and Table, the unbounded exact memo of each step below it.
+// and Table, the exact single-flight memo it and each step below it store
+// their entries in.
 // The pipeline re-derives identical work constantly — the Figure 9
 // exhaustive search runs the detailed partitioner for every one of 2^n
 // object mappings even though each function only sees 2^(objects it
@@ -15,16 +16,18 @@
 //     cached computation reads, so whichever call fills an entry stores the
 //     same value every other call would have computed — results are
 //     byte-identical with the cache on or off and at every worker count;
-//   - in-flight deduplication: concurrent Do calls for one key compute the
-//     value once and share it (waiters block on the flight rather than
-//     duplicating the work);
-//   - bounded memory: completed entries are evicted least-recently-used
-//     beyond the capacity. Eviction changes hit counts and wall time, never
-//     values.
+//   - in-flight deduplication: concurrent DoCodec calls for one key compute
+//     the value once and share it (waiters block on the flight rather than
+//     duplicating the work).
+//
+// Entries live until Clear: one Cache belongs to one compiled program, and
+// the largest one any workload or tool fills holds about 100,000 entries,
+// so memory is bounded per program by its owner (the facade's Session
+// drops whole programs, and Clear releases one under pressure).
 //
 // Under a parallel worker pool the access order — and therefore the
-// hit/miss statistics and the eviction victims — varies run to run; only
-// Stats is order-sensitive, never a cached value.
+// hit/miss statistics — varies run to run; only Stats is order-sensitive,
+// never a cached value.
 //
 // The cache can carry an optional second tier (SetTier) — in practice the
 // persistent content-addressed artifact store of internal/store — consulted
@@ -42,35 +45,24 @@
 package memo
 
 import (
-	"container/list"
 	"strconv"
-	"sync"
 
 	"mcpart/internal/obs"
 )
 
-// DefaultCapacity bounds a New(0) cache: comfortably above the largest
-// exhaustive sweep the tools run by default (2^14 masks) times a typical
-// function count, so the Figure 9 search never thrashes, while still
-// capping memory for adversarial workloads.
-const DefaultCapacity = 1 << 17
-
-// Cache is a bounded memoization table. The zero value is not usable; use
-// New. A nil *Cache is accepted by every method and behaves as a cache that
-// never hits, so callers can thread an optional cache without branching.
+// Cache is a Table of any values with a second tier, a codec path and
+// hit/miss counters. The zero value is an empty cache. A nil *Cache is
+// accepted by every method and behaves as a cache that never hits, so
+// callers can thread an optional cache without branching.
 type Cache struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List               // completed entries, most recent first
-	entries map[string]*list.Element // key -> element whose Value is *entry
-	flights map[string]*flight[any]  // keys currently being computed
-	tier    Tier                     // optional second (disk) tier; nil = none
+	t    Table[any] // completed entries and flights; t.mu guards the fields below too
+	tier Tier       // optional second (disk) tier; nil = none
 
-	hits, misses, waits, evictions, promotions uint64
+	hits, misses, waits, promotions uint64
 
 	// Mirror counters into an observer's registry (see SetObserver). The
 	// nil defaults are no-ops, so the hot paths below Add unconditionally.
-	oHits, oMisses, oWaits, oEvict, oPromote *obs.Counter
+	oHits, oMisses, oWaits, oPromote *obs.Counter
 }
 
 // Tier is a second cache level consulted on a first-tier miss (and filled
@@ -95,41 +87,20 @@ type Codec interface {
 	Decode(b []byte) (any, error)
 }
 
-type entry struct {
-	key   string
-	value any
-}
-
-// New returns an empty cache bounded to capacity completed entries;
-// capacity <= 0 selects DefaultCapacity (the repository's non-positive →
-// default sentinel convention, see internal/defaults).
-func New(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Cache{
-		cap:     capacity,
-		ll:      list.New(),
-		entries: make(map[string]*list.Element),
-		flights: make(map[string]*flight[any]),
-	}
-}
-
-// SetObserver mirrors the cache's hit/miss/wait/eviction counters into
+// SetObserver mirrors the cache's hit/miss/wait/promotion counters into
 // o's registry (metrics memo_hits, memo_misses, memo_waits,
-// memo_evictions) from this call on. A nil observer detaches. Safe to
-// call concurrently with Do; last writer wins.
+// memo_promotions) from this call on. A nil observer detaches. Safe to
+// call concurrently with DoCodec; last writer wins.
 func (c *Cache) SetObserver(o *obs.Observer) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
+	c.t.mu.Lock()
 	c.oHits = o.Counter("memo_hits")
 	c.oMisses = o.Counter("memo_misses")
 	c.oWaits = o.Counter("memo_waits")
-	c.oEvict = o.Counter("memo_evictions")
 	c.oPromote = o.Counter("memo_promotions")
-	c.mu.Unlock()
+	c.t.mu.Unlock()
 }
 
 // SetTier attaches (or, with nil, detaches) a second cache tier consulted
@@ -139,177 +110,103 @@ func (c *Cache) SetTier(t Tier) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
+	c.t.mu.Lock()
 	c.tier = t
-	c.mu.Unlock()
+	c.t.mu.Unlock()
 }
 
-// Shrink evicts least-recently-used completed entries until at most n
-// remain, leaving the capacity bound unchanged (the cache may grow back).
-// Negative n is treated as 0 (drop everything). In-flight computations are
-// untouched: Shrink never blocks a compute, and a flight that completes
-// after a Shrink simply inserts as the most-recent entry.
-func (c *Cache) Shrink(n int) {
+// Clear drops every completed entry; the counters and the second tier are
+// kept. Computations in flight finish for their callers but store nothing.
+func (c *Cache) Clear() {
 	if c == nil {
 		return
 	}
-	if n < 0 {
-		n = 0
-	}
-	c.mu.Lock()
-	c.evictTo(n)
-	c.mu.Unlock()
+	c.t.Clear()
 }
 
-// evictTo drops LRU-tail entries until at most n remain. Caller holds c.mu.
-func (c *Cache) evictTo(n int) {
-	for c.ll.Len() > n {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*entry).key)
-		c.evictions++
-		c.oEvict.Add(1)
-	}
-}
-
-// Do returns the cached value for key, computing and storing it with
+// DoCodec returns the cached value for key, computing and storing it with
 // compute on a miss. hit reports whether the value came from the cache
 // (including waiting on another goroutine's in-flight computation of the
 // same key). Errors are never cached: every waiter of a failed flight
-// receives the error and the next Do retries the computation. A compute
+// receives the error and the next call retries the computation. A compute
 // that panics fails its flight the same way, and the panic propagates to
-// the caller.
+// the caller. compute runs without the cache lock held, so it may itself
+// use the cache (under different keys).
 //
-// compute runs without the cache lock held, so it may itself use the cache
-// (under different keys).
-func (c *Cache) Do(key string, compute func() (any, error)) (v any, hit bool, err error) {
-	return c.DoCodec(key, nil, compute)
-}
-
-// DoCodec is Do with second-tier access: on a first-tier miss, and when
-// both a tier (SetTier) and a codec are present, the tier is consulted —
-// inside the same singleflight, so concurrent callers share one disk read
-// and decode — and a decoded value is promoted into the first tier and
-// returned as a hit. A tier value that fails to decode is reported to the
-// tier (MarkCorrupt) and falls back to compute. A computed value is
-// encoded and written behind to the tier. Tier traffic changes wall time
-// and counters, never values: the codec round-trips canonically, and any
-// mismatch degrades to the computation the cold cache would have run.
+// On a first-tier miss, when both a tier (SetTier) and a codec are
+// present, the tier is consulted — inside the same singleflight, so
+// concurrent callers share one disk read and decode — and a decoded value
+// is promoted into the first tier and returned as a hit. A tier value that
+// fails to decode is reported to the tier (MarkCorrupt) and falls back to
+// compute. A computed value is encoded and written behind to the tier.
+// Tier traffic changes wall time and counters, never values: the codec
+// round-trips canonically, and any mismatch degrades to the computation
+// the cold cache would have run.
 func (c *Cache) DoCodec(key string, codec Codec, compute func() (any, error)) (v any, hit bool, err error) {
 	if c == nil {
 		v, err = compute()
 		return v, false, err
 	}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
+	t := &c.t
+	t.mu.Lock()
+	if v, ok := t.m[key]; ok {
 		c.hits++
 		c.oHits.Add(1)
-		c.mu.Unlock()
-		return el.Value.(*entry).value, true, nil
+		t.mu.Unlock()
+		return v, true, nil
 	}
-	if fl, ok := c.flights[key]; ok {
+	if fl, ok := t.flights[key]; ok {
 		c.waits++
 		c.hits++
 		c.oWaits.Add(1)
 		c.oHits.Add(1)
-		c.mu.Unlock()
+		t.mu.Unlock()
 		<-fl.done
 		return fl.value, true, fl.err
 	}
-	fl := &flight[any]{done: make(chan struct{})}
-	c.flights[key] = fl
 	tier := c.tier
-	c.mu.Unlock()
-
 	if tier == nil {
 		codec = nil
 	}
 	promoted := false
-	defer func() { // once the flight has ended: write a computed value behind
-		if fl.returned && !promoted && fl.err == nil && codec != nil {
-			if b, eerr := codec.Encode(fl.value); eerr == nil {
-				tier.Put(key, b)
-			}
-		}
-	}()
-	defer fl.end(&c.mu, c.flights, key, func() {
-		if promoted {
-			c.hits++
-			c.promotions++
-			c.oHits.Add(1)
-			c.oPromote.Add(1)
-		} else {
-			c.misses++
-			c.oMisses.Add(1)
-		}
-		if fl.err == nil {
-			c.insert(key, fl.value)
-		}
-	})
-	if codec != nil {
-		if b, ok := tier.Get(key); ok {
-			if val, derr := codec.Decode(b); derr == nil {
-				fl.value, promoted = val, true
-			} else {
+	v, _, err = t.miss(key, func() (any, error) {
+		if codec != nil {
+			if b, ok := tier.Get(key); ok {
+				if val, derr := codec.Decode(b); derr == nil {
+					promoted = true
+					return val, nil
+				}
 				// Undecodable payload: invalidate and recompute. The
 				// recompute's write-behind heals the entry.
 				tier.MarkCorrupt(key)
 			}
 		}
-	}
-	if !promoted {
-		fl.value, fl.err = compute()
-	}
-	fl.returned = true
-	return fl.value, promoted, fl.err
-}
-
-// Get returns the value cached under key, if any.
-func (c *Cache) Get(key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
+		return compute()
+	})
+	t.mu.Lock()
+	if promoted {
 		c.hits++
+		c.promotions++
 		c.oHits.Add(1)
-		return el.Value.(*entry).value, true
+		c.oPromote.Add(1)
+	} else {
+		c.misses++
+		c.oMisses.Add(1)
 	}
-	c.misses++
-	c.oMisses.Add(1)
-	return nil, false
-}
-
-// Put stores value under key, replacing any existing entry.
-func (c *Cache) Put(key string, value any) {
-	if c == nil {
-		return
+	t.mu.Unlock()
+	if !promoted && err == nil && codec != nil {
+		if b, eerr := codec.Encode(v); eerr == nil {
+			tier.Put(key, b)
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insert(key, value)
-}
-
-// insert adds or refreshes an entry and evicts beyond capacity. Caller
-// holds c.mu.
-func (c *Cache) insert(key string, value any) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*entry).value = value
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.ll.PushFront(&entry{key: key, value: value})
-	c.evictTo(c.cap)
+	return v, promoted, err
 }
 
 // Stats is a point-in-time snapshot of the cache counters. With more than
 // one worker the counts depend on scheduling order; cached values never do.
 type Stats struct {
-	// Hits counts Do/Get calls served from a completed entry or by waiting
-	// on an in-flight computation of the same key.
+	// Hits counts DoCodec calls served from a completed entry, by waiting
+	// on an in-flight computation of the same key, or from the second tier.
 	Hits uint64
 	// Misses counts calls that had to run the computation.
 	Misses uint64
@@ -321,10 +218,6 @@ type Stats struct {
 	// two tiers, Hits - Promotions - Waits is the pure in-memory hit
 	// count, so -cachestats can report the tier split unambiguously.
 	Promotions uint64
-	// Evictions counts completed entries dropped by the first tier's LRU
-	// bound. Eviction never touches the second tier (it is append-only),
-	// so an evicted entry can come back later as a promotion.
-	Evictions uint64
 	// Entries is the current number of completed first-tier entries.
 	Entries int
 }
@@ -342,15 +235,14 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.t.mu.Lock()
+	defer c.t.mu.Unlock()
 	return Stats{
 		Hits:       c.hits,
 		Misses:     c.misses,
 		Waits:      c.waits,
 		Promotions: c.promotions,
-		Evictions:  c.evictions,
-		Entries:    c.ll.Len(),
+		Entries:    len(c.t.m),
 	}
 }
 

@@ -2,121 +2,17 @@ package memo
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
 	"mcpart/internal/obs"
 )
 
-// TestEvictionOrderTable drives the LRU through Do/Get/Put sequences and
-// pins exactly which keys survive, in the edge configurations the larger
-// pipeline never exercises: capacity 0 (the DefaultCapacity sentinel),
-// capacity 1 (every insert of a new key evicts), and recency refreshes
-// through Do hits rather than Get.
-func TestEvictionOrderTable(t *testing.T) {
-	type step struct {
-		op  string // "do", "get", "put"
-		key string
-	}
-	cases := []struct {
-		name      string
-		capacity  int
-		steps     []step
-		want      []string // surviving keys, sorted
-		evictions uint64
-	}{
-		{
-			name:     "cap 0 selects DefaultCapacity and never evicts here",
-			capacity: 0,
-			steps:    []step{{"do", "a"}, {"do", "b"}, {"do", "c"}, {"do", "d"}},
-			want:     []string{"a", "b", "c", "d"},
-		},
-		{
-			name:      "cap 1 keeps only the newest key",
-			capacity:  1,
-			steps:     []step{{"do", "a"}, {"do", "b"}, {"do", "c"}},
-			want:      []string{"c"},
-			evictions: 2,
-		},
-		{
-			name:     "cap 1 repeated hits on one key never evict",
-			capacity: 1,
-			steps:    []step{{"do", "a"}, {"do", "a"}, {"do", "a"}, {"get", "a"}},
-			want:     []string{"a"},
-		},
-		{
-			name:      "cap 2 without refresh evicts insertion order",
-			capacity:  2,
-			steps:     []step{{"do", "a"}, {"do", "b"}, {"do", "c"}},
-			want:      []string{"b", "c"},
-			evictions: 1,
-		},
-		{
-			name:      "cap 2 Do hit refreshes recency so the other key is evicted",
-			capacity:  2,
-			steps:     []step{{"do", "a"}, {"do", "b"}, {"do", "a"}, {"do", "c"}},
-			want:      []string{"a", "c"},
-			evictions: 1,
-		},
-		{
-			name:      "cap 2 Get refreshes recency like a Do hit",
-			capacity:  2,
-			steps:     []step{{"do", "a"}, {"do", "b"}, {"get", "a"}, {"put", "c"}},
-			want:      []string{"a", "c"},
-			evictions: 1,
-		},
-		{
-			name:     "put replacing an existing key refreshes without evicting",
-			capacity: 2,
-			steps:    []step{{"do", "a"}, {"do", "b"}, {"put", "a"}, {"put", "b"}},
-			want:     []string{"a", "b"},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := New(tc.capacity)
-			for _, s := range tc.steps {
-				switch s.op {
-				case "do":
-					if _, _, err := c.Do(s.key, func() (any, error) { return s.key, nil }); err != nil {
-						t.Fatalf("Do(%s): %v", s.key, err)
-					}
-				case "get":
-					c.Get(s.key)
-				case "put":
-					c.Put(s.key, s.key)
-				}
-			}
-			var got []string
-			c.mu.Lock()
-			for k := range c.entries {
-				got = append(got, k)
-			}
-			c.mu.Unlock()
-			sort.Strings(got)
-			if len(got) != len(tc.want) {
-				t.Fatalf("surviving keys = %v, want %v", got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("surviving keys = %v, want %v", got, tc.want)
-				}
-			}
-			if s := c.Stats(); s.Evictions != tc.evictions {
-				t.Errorf("evictions = %d, want %d (stats %+v)", s.Evictions, tc.evictions, s)
-			}
-		})
-	}
-}
-
-// TestSingleflightWaitsThenEvictionOrder pins how in-flight deduplication
-// interacts with the LRU: waiters on a flight count as hits+waits but the
-// entry's recency is set once, when the flight completes and inserts it —
-// so under capacity pressure the hammered key is evicted by age exactly
-// like a key that was computed once, no matter how many callers waited.
-func TestSingleflightWaitsThenEvictionOrder(t *testing.T) {
-	c := New(2)
+// TestSingleflightWaitCounts pins how in-flight deduplication is counted:
+// each waiter on a flight counts as a hit and a wait, and the flight's
+// owner as the one miss.
+func TestSingleflightWaitCounts(t *testing.T) {
+	c := new(Cache)
 
 	// Hammer "a" with one blocked computation and several waiters.
 	const waiters = 4
@@ -126,7 +22,7 @@ func TestSingleflightWaitsThenEvictionOrder(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Do("a", func() (any, error) {
+		c.DoCodec("a", nil, func() (any, error) {
 			close(started)
 			<-release
 			return "va", nil
@@ -137,7 +33,7 @@ func TestSingleflightWaitsThenEvictionOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, hit, err := c.Do("a", func() (any, error) {
+			v, hit, err := c.DoCodec("a", nil, func() (any, error) {
 				t.Error("waiter recomputed an in-flight key")
 				return nil, nil
 			})
@@ -160,45 +56,21 @@ func TestSingleflightWaitsThenEvictionOrder(t *testing.T) {
 		t.Fatalf("stats after singleflight = %+v, want 1 miss / %d waits / %d hits", s, waiters, waiters)
 	}
 
-	// "a" was inserted once despite the pile-up; fill the cache and push one
-	// more key. "a" is the oldest completed entry and must be the victim.
-	c.Do("b", func() (any, error) { return "vb", nil })
-	c.Do("c", func() (any, error) { return "vc", nil })
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("a should be evicted: singleflight waits do not pin an entry")
-	}
-	if _, ok := c.Get("b"); !ok {
-		t.Fatal("b should survive")
-	}
-	if _, ok := c.Get("c"); !ok {
-		t.Fatal("c should survive")
-	}
-
-	// But completed-entry hits do refresh: hit "b", insert "d", "c" goes.
-	c.Do("b", func() (any, error) { t.Error("b recomputed"); return nil, nil })
-	c.Do("d", func() (any, error) { return "vd", nil })
-	if _, ok := c.Get("c"); ok {
-		t.Fatal("c should be evicted after b's recency refresh")
-	}
-	if _, ok := c.Get("b"); !ok {
-		t.Fatal("b should survive its refresh")
-	}
 }
 
 // TestObserverCountersMirrorStats pins that the mirrored obs counters track
-// Stats exactly from the SetObserver call on, including evictions, and stop
-// after detach.
+// Stats exactly from the SetObserver call on, and stop after detach.
 func TestObserverCountersMirrorStats(t *testing.T) {
-	c := New(1)
-	c.Do("pre", func() (any, error) { return 0, nil }) // before attach: unmirrored
+	c := new(Cache)
+	c.DoCodec("pre", nil, func() (any, error) { return 0, nil }) // before attach: unmirrored
 
 	o := obs.New(obs.NewRegistry(), nil, nil)
 	c.SetObserver(o)
-	c.Do("a", func() (any, error) { return 1, nil }) // miss, evicts pre
-	c.Do("a", func() (any, error) { return 1, nil }) // hit
-	c.Do("b", func() (any, error) { return 2, nil }) // miss, evicts a
+	c.DoCodec("a", nil, func() (any, error) { return 1, nil }) // miss
+	c.DoCodec("a", nil, func() (any, error) { return 1, nil }) // hit
+	c.DoCodec("b", nil, func() (any, error) { return 2, nil }) // miss
 	c.SetObserver(nil)
-	c.Do("b", func() (any, error) { return 2, nil }) // hit, after detach
+	c.DoCodec("b", nil, func() (any, error) { return 2, nil }) // hit, after detach
 
 	snap := o.Registry().Snapshot()
 	if got := snap.Value("memo_hits"); got != 1 {
@@ -207,11 +79,8 @@ func TestObserverCountersMirrorStats(t *testing.T) {
 	if got := snap.Value("memo_misses"); got != 2 {
 		t.Errorf("memo_misses = %d, want 2", got)
 	}
-	if got := snap.Value("memo_evictions"); got != 2 {
-		t.Errorf("memo_evictions = %d, want 2", got)
-	}
 	s := c.Stats()
-	if s.Hits != 2 || s.Misses != 3 || s.Evictions != 2 {
-		t.Errorf("native stats = %+v, want 2 hits / 3 misses / 2 evictions", s)
+	if s.Hits != 2 || s.Misses != 3 || s.Entries != 3 {
+		t.Errorf("native stats = %+v, want 2 hits / 3 misses / 3 entries", s)
 	}
 }

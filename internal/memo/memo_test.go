@@ -8,15 +8,15 @@ import (
 )
 
 func TestDoComputesOnceAndHits(t *testing.T) {
-	c := New(8)
+	c := new(Cache)
 	calls := 0
 	compute := func() (any, error) { calls++; return 42, nil }
 
-	v, hit, err := c.Do("k", compute)
+	v, hit, err := c.DoCodec("k", nil, compute)
 	if err != nil || hit || v.(int) != 42 {
 		t.Fatalf("first Do = (%v, %v, %v), want (42, false, nil)", v, hit, err)
 	}
-	v, hit, err = c.Do("k", compute)
+	v, hit, err = c.DoCodec("k", nil, compute)
 	if err != nil || !hit || v.(int) != 42 {
 		t.Fatalf("second Do = (%v, %v, %v), want (42, true, nil)", v, hit, err)
 	}
@@ -30,14 +30,14 @@ func TestDoComputesOnceAndHits(t *testing.T) {
 }
 
 func TestDoErrorNotCached(t *testing.T) {
-	c := New(8)
+	c := new(Cache)
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err := c.Do("k", func() (any, error) { calls++; return nil, boom })
+	_, _, err := c.DoCodec("k", nil, func() (any, error) { calls++; return nil, boom })
 	if err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	v, hit, err := c.Do("k", func() (any, error) { calls++; return 7, nil })
+	v, hit, err := c.DoCodec("k", nil, func() (any, error) { calls++; return 7, nil })
 	if err != nil || hit || v.(int) != 7 {
 		t.Fatalf("retry Do = (%v, %v, %v), want (7, false, nil)", v, hit, err)
 	}
@@ -46,33 +46,11 @@ func TestDoErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := New(2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if _, ok := c.Get("a"); !ok { // refresh a; b becomes LRU
-		t.Fatal("a missing before eviction")
-	}
-	c.Put("c", 3)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b should have been evicted as LRU")
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a should survive (recently used)")
-	}
-	if _, ok := c.Get("c"); !ok {
-		t.Fatal("c should be present")
-	}
-	if s := c.Stats(); s.Evictions != 1 || s.Entries != 2 {
-		t.Fatalf("stats = %+v, want 1 eviction / 2 entries", s)
-	}
-}
-
 // TestConcurrentSingleflight hammers one key from many goroutines: the
 // computation must run exactly once and every caller must observe the same
 // value.
 func TestConcurrentSingleflight(t *testing.T) {
-	c := New(8)
+	c := new(Cache)
 	var mu sync.Mutex
 	calls := 0
 	started := make(chan struct{})
@@ -93,7 +71,7 @@ func TestConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do("k", compute)
+			v, _, err := c.DoCodec("k", nil, compute)
 			if err != nil {
 				t.Errorf("Do: %v", err)
 			}
@@ -117,14 +95,14 @@ func TestConcurrentSingleflight(t *testing.T) {
 // TestConcurrentDistinctKeys checks the cache stays consistent when many
 // goroutines fill distinct keys (run with -race).
 func TestConcurrentDistinctKeys(t *testing.T) {
-	c := New(64)
+	c := new(Cache)
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			key := fmt.Sprintf("k%d", i%8)
-			v, _, err := c.Do(key, func() (any, error) { return i % 8, nil })
+			v, _, err := c.DoCodec(key, nil, func() (any, error) { return i % 8, nil })
 			if err != nil {
 				t.Errorf("Do: %v", err)
 			}
@@ -142,31 +120,27 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 func TestNilCacheIsPassthrough(t *testing.T) {
 	var c *Cache
 	calls := 0
-	v, hit, err := c.Do("k", func() (any, error) { calls++; return 1, nil })
+	v, hit, err := c.DoCodec("k", nil, func() (any, error) { calls++; return 1, nil })
 	if err != nil || hit || v.(int) != 1 {
-		t.Fatalf("nil Do = (%v, %v, %v)", v, hit, err)
+		t.Fatalf("nil DoCodec = (%v, %v, %v)", v, hit, err)
 	}
-	v, hit, err = c.Do("k", func() (any, error) { calls++; return 2, nil })
+	v, hit, err = c.DoCodec("k", nil, func() (any, error) { calls++; return 2, nil })
 	if err != nil || hit || v.(int) != 2 {
-		t.Fatalf("nil Do (2nd) = (%v, %v, %v)", v, hit, err)
+		t.Fatalf("nil DoCodec (2nd) = (%v, %v, %v)", v, hit, err)
 	}
 	if calls != 2 {
 		t.Fatalf("nil cache must always recompute; got %d calls", calls)
 	}
-	c.Put("k", 3)
-	c.Shrink(1)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("nil cache must never hit")
-	}
+	c.Clear()
 	if s := c.Stats(); s != (Stats{}) {
 		t.Fatalf("nil stats = %+v, want zero", s)
 	}
 }
 
 func TestNestedDoDifferentKeys(t *testing.T) {
-	c := New(8)
-	v, _, err := c.Do("outer", func() (any, error) {
-		inner, _, err := c.Do("inner", func() (any, error) { return 10, nil })
+	c := new(Cache)
+	v, _, err := c.DoCodec("outer", nil, func() (any, error) {
+		inner, _, err := c.DoCodec("inner", nil, func() (any, error) { return 10, nil })
 		if err != nil {
 			return nil, err
 		}
@@ -174,16 +148,6 @@ func TestNestedDoDifferentKeys(t *testing.T) {
 	})
 	if err != nil || v.(int) != 11 {
 		t.Fatalf("nested Do = (%v, %v)", v, err)
-	}
-}
-
-func TestDefaultCapacity(t *testing.T) {
-	c := New(0)
-	if c.cap != DefaultCapacity {
-		t.Fatalf("New(0) capacity = %d, want DefaultCapacity %d", c.cap, DefaultCapacity)
-	}
-	if c := New(-5); c.cap != DefaultCapacity {
-		t.Fatalf("New(-5) capacity = %d, want DefaultCapacity", c.cap)
 	}
 }
 

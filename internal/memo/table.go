@@ -17,33 +17,12 @@ type Table[V any] struct {
 
 // flight is one computation in progress, which its key's callers wait on.
 type flight[V any] struct {
-	done     chan struct{}
-	value    V
-	err      error
-	returned bool // the computation returned rather than panicked
+	done  chan struct{}
+	value V
+	err   error
 }
 
 var errPanicked = errors.New("memo: the computation this call waited on panicked")
-
-// end, which the owner defers as soon as fl is registered, ends fl (the
-// flight of key in flights): it deregisters fl, runs settle under mu to
-// record a returned outcome, and releases the waiters. After a panic they
-// get errPanicked, nothing is recorded, and the panic goes on up the
-// owner's stack. A flight that Table.Clear dropped records nothing.
-func (fl *flight[V]) end(mu *sync.Mutex, flights map[string]*flight[V], key string, settle func()) {
-	if !fl.returned {
-		fl.err = errPanicked
-	}
-	mu.Lock()
-	if flights[key] == fl {
-		delete(flights, key)
-		if fl.returned {
-			settle()
-		}
-	}
-	mu.Unlock()
-	close(fl.done)
-}
 
 // Do returns the value stored under key, computing it with compute on a
 // miss; errors are shared with the waiters, never stored. hit reports a
@@ -68,24 +47,38 @@ func (t *Table[V]) Do(key []byte, compute func() (V, error)) (v V, hit bool, err
 	return t.miss(string(key), compute)
 }
 
-// miss registers and runs k's flight. The caller holds t.mu.
+// miss registers and runs k's flight. The caller holds t.mu. Once compute
+// returns, its value is stored (an error is not) and the waiters are
+// released; after a panic they get errPanicked, nothing is stored, and the
+// panic goes on up the caller's stack. A flight that Clear dropped stores
+// nothing.
 func (t *Table[V]) miss(k string, compute func() (V, error)) (V, bool, error) {
 	if t.flights == nil {
 		t.flights = map[string]*flight[V]{}
 	}
 	fl := &flight[V]{done: make(chan struct{})}
 	t.flights[k] = fl
-	defer fl.end(&t.mu, t.flights, k, func() {
-		if fl.err == nil {
-			if t.m == nil {
-				t.m = map[string]V{}
-			}
-			t.m[k] = fl.value
-		}
-	})
 	t.mu.Unlock()
+	returned := false // compute returned rather than panicked
+	defer func() {
+		if !returned {
+			fl.err = errPanicked
+		}
+		t.mu.Lock()
+		if t.flights[k] == fl {
+			delete(t.flights, k)
+			if returned && fl.err == nil {
+				if t.m == nil {
+					t.m = map[string]V{}
+				}
+				t.m[k] = fl.value
+			}
+		}
+		t.mu.Unlock()
+		close(fl.done)
+	}()
 	fl.value, fl.err = compute()
-	fl.returned = true
+	returned = true
 	return fl.value, false, fl.err
 }
 

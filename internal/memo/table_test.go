@@ -271,12 +271,12 @@ func TestTableLenClear(t *testing.T) {
 // flight. A waiter gets an error rather than a nil value, and the next Do
 // of the key recomputes rather than blocking forever.
 func TestCachePanicEndsFlight(t *testing.T) {
-	c := New(4)
+	c := new(Cache)
 	started, release := make(chan struct{}), make(chan struct{})
 	owner := make(chan any, 1)
 	go func() {
 		defer func() { owner <- recover() }()
-		c.Do("k", func() (any, error) {
+		c.DoCodec("k", nil, func() (any, error) {
 			close(started)
 			<-release
 			panic("boom")
@@ -285,7 +285,7 @@ func TestCachePanicEndsFlight(t *testing.T) {
 	<-started
 	waited := make(chan error, 1)
 	go func() {
-		v, hit, err := c.Do("k", func() (any, error) { return 0, nil })
+		v, hit, err := c.DoCodec("k", nil, func() (any, error) { return 0, nil })
 		if err == nil || !hit {
 			err = fmt.Errorf("the waiter got (%v, hit %v, nil), want a hit and an error", v, hit)
 		}
@@ -307,7 +307,7 @@ func TestCachePanicEndsFlight(t *testing.T) {
 
 	done := make(chan any, 1)
 	go func() {
-		v, _, _ := c.Do("k", func() (any, error) { return 3, nil })
+		v, _, _ := c.DoCodec("k", nil, func() (any, error) { return 3, nil })
 		done <- v
 	}()
 	select {

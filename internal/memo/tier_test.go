@@ -63,7 +63,7 @@ func (intCodec) Decode(b []byte) (any, error) {
 // (fresh Cache), the same key promotes from the tier without recomputing.
 func TestTierWriteBehindAndPromotion(t *testing.T) {
 	tier := newFakeTier()
-	c1 := New(8)
+	c1 := new(Cache)
 	c1.SetTier(tier)
 	calls := 0
 	v, hit, err := c1.DoCodec("k", intCodec{}, func() (any, error) { calls++; return 42, nil })
@@ -78,7 +78,7 @@ func TestTierWriteBehindAndPromotion(t *testing.T) {
 	}
 
 	// A fresh cache over the same tier: warm restart.
-	c2 := New(8)
+	c2 := new(Cache)
 	c2.SetTier(tier)
 	v, hit, err = c2.DoCodec("k", intCodec{}, func() (any, error) { calls++; return -1, nil })
 	if err != nil || !hit || v.(int) != 42 {
@@ -112,7 +112,7 @@ func TestTierWriteBehindAndPromotion(t *testing.T) {
 func TestTierCorruptValueFallsBack(t *testing.T) {
 	tier := newFakeTier()
 	tier.m["k"] = []byte("garbage")
-	c := New(8)
+	c := new(Cache)
 	c.SetTier(tier)
 	calls := 0
 	v, hit, err := c.DoCodec("k", intCodec{}, func() (any, error) { calls++; return 7, nil })
@@ -136,7 +136,7 @@ func TestTierCorruptValueFallsBack(t *testing.T) {
 func TestTierSingleflightPromotion(t *testing.T) {
 	tier := newFakeTier()
 	tier.m["k"] = []byte("i99")
-	c := New(8)
+	c := new(Cache)
 	c.SetTier(tier)
 	const n = 16
 	var wg sync.WaitGroup
@@ -163,14 +163,14 @@ func TestTierSingleflightPromotion(t *testing.T) {
 	}
 }
 
-// TestDoWithoutCodecSkipsTier pins that plain Do never touches the tier
+// TestDoWithoutCodecSkipsTier pins that a codec-less DoCodec never touches the tier
 // (values without a codec cannot round-trip).
 func TestDoWithoutCodecSkipsTier(t *testing.T) {
 	tier := newFakeTier()
 	tier.m["k"] = []byte("i1")
-	c := New(8)
+	c := new(Cache)
 	c.SetTier(tier)
-	v, hit, err := c.Do("k", func() (any, error) { return 2, nil })
+	v, hit, err := c.DoCodec("k", nil, func() (any, error) { return 2, nil })
 	if err != nil || hit || v.(int) != 2 {
 		t.Fatalf("Do = (%v, %v, %v)", v, hit, err)
 	}
@@ -183,7 +183,7 @@ func TestDoWithoutCodecSkipsTier(t *testing.T) {
 // tier.
 func TestTierErrorsNotWritten(t *testing.T) {
 	tier := newFakeTier()
-	c := New(8)
+	c := new(Cache)
 	c.SetTier(tier)
 	boom := errors.New("boom")
 	if _, _, err := c.DoCodec("k", intCodec{}, func() (any, error) { return nil, boom }); err != boom {
@@ -198,7 +198,7 @@ func TestTierErrorsNotWritten(t *testing.T) {
 func TestPromotionObserverMirror(t *testing.T) {
 	tier := newFakeTier()
 	tier.m["k"] = []byte("i5")
-	c := New(8)
+	c := new(Cache)
 	c.SetTier(tier)
 	o := obs.New(obs.NewRegistry(), nil, nil)
 	c.SetObserver(o)

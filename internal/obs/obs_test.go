@@ -23,7 +23,6 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter not zero")
 	}
-	g.Set(3)
 	g.Add(2)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge not zero")
@@ -46,23 +45,20 @@ func TestNilSafety(t *testing.T) {
 	if o.Named("a") != nil || o.Scoped() != nil || o.Span("s") != nil {
 		t.Fatal("nil observer derivations not nil")
 	}
-	if o.Counter("x") != nil || o.Gauge("x") != nil || o.Histogram("x") != nil {
+	if o.Counter("x") != nil || o.Histogram("x") != nil {
 		t.Fatal("nil observer metrics not nil")
 	}
-	if o.Registry() != nil || o.TraceSink() != nil || o.Path() != "" {
+	if o.Registry() != nil {
 		t.Fatal("nil observer accessors not zero")
 	}
 
 	sp.End()
 	sp.SetAttr("k", "v")
-	if sp.Path() != "" || sp.Observer() != nil {
+	if sp.Observer() != nil {
 		t.Fatal("nil span accessors not zero")
 	}
 
-	tr.record(Event{Span: "x"})
-	if tr.Len() != 0 {
-		t.Fatal("nil trace recorded")
-	}
+	tr.record(Event{Span: "x"}) // must not panic
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +90,7 @@ func TestCounterGauge(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
 	g := r.Gauge("depth")
-	g.Set(7)
+	g.Add(7)
 	g.Add(-2)
 	if g.Value() != 5 {
 		t.Fatalf("gauge = %d, want 5", g.Value())
@@ -140,7 +136,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestSnapshotSortedGetValue(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz").Add(1)
-	r.Gauge("aa").Set(2)
+	r.Gauge("aa").Add(2)
 	r.Histogram("mm").Observe(9)
 	s := r.Snapshot()
 	if len(s) != 3 || s[0].Name != "aa" || s[1].Name != "mm" || s[2].Name != "zz" {
@@ -163,7 +159,7 @@ func TestSnapshotSortedGetValue(t *testing.T) {
 func TestImportLabels(t *testing.T) {
 	run := NewRegistry()
 	run.Counter("memo_hits").Add(4)
-	run.Gauge("depth").Set(2)
+	run.Gauge("depth").Add(2)
 	run.Histogram("levels", 1, 4).Observe(3)
 	snap := run.Snapshot()
 
@@ -203,8 +199,8 @@ func TestObserverNamedScopedSpan(t *testing.T) {
 	tr := NewTrace()
 	o := New(NewRegistry(), tr, FixedClock(42))
 	m := o.Named("matrix").Named("fir")
-	if m.Path() != "matrix/fir" {
-		t.Fatalf("path = %q", m.Path())
+	if m.prefix != "matrix/fir" {
+		t.Fatalf("path = %q", m.prefix)
 	}
 	sp := m.Span("sched", "scheme", "GDP")
 	child := sp.Observer().Span("inner")
@@ -216,7 +212,7 @@ func TestObserverNamedScopedSpan(t *testing.T) {
 	if sc.Registry() == o.Registry() {
 		t.Fatal("Scoped should fork the registry")
 	}
-	if sc.Path() != "matrix/fir" || sc.TraceSink() != tr {
+	if sc.prefix != "matrix/fir" || sc.trace != tr {
 		t.Fatal("Scoped should keep prefix and trace")
 	}
 	sc.Counter("only_scoped").Add(1)
@@ -234,8 +230,8 @@ func TestObserverNamedScopedSpan(t *testing.T) {
 	if buf.String() != want {
 		t.Fatalf("trace:\n%s\nwant:\n%s", buf.String(), want)
 	}
-	if tr.Len() != 2 {
-		t.Fatalf("trace len = %d", tr.Len())
+	if n := len(tr.lines); n != 2 {
+		t.Fatalf("trace len = %d", n)
 	}
 }
 
@@ -284,7 +280,7 @@ func TestClocks(t *testing.T) {
 	sp := o.Span("x")
 	sp.End()
 	var buf bytes.Buffer
-	o.TraceSink().WriteJSONL(&buf)
+	o.trace.WriteJSONL(&buf)
 	if !strings.Contains(buf.String(), `"start":0,"end":0`) {
 		t.Fatalf("default clock not fixed at 0: %s", buf.String())
 	}
@@ -323,7 +319,7 @@ func TestWriteSummary(t *testing.T) {
 
 	r := NewRegistry()
 	r.Counter("hits").Add(12)
-	r.Gauge("depth").Set(3)
+	r.Gauge("depth").Add(3)
 	h := r.Histogram("levels", 1, 4)
 	h.Observe(2)
 	h.Observe(3)
@@ -344,7 +340,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits").Add(12)
 	r.Counter(`hits{bench="fir"}`).Add(5)
-	r.Gauge("depth").Set(3)
+	r.Gauge("depth").Add(3)
 	h := r.Histogram("levels", 1, 4)
 	h.Observe(2)
 	h.Observe(3)

@@ -40,23 +40,6 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// TraceSink returns the observer's trace sink (nil for a nil observer
-// or when tracing is off).
-func (o *Observer) TraceSink() *Trace {
-	if o == nil {
-		return nil
-	}
-	return o.trace
-}
-
-// Path returns the accumulated span-path prefix ("" at the root).
-func (o *Observer) Path() string {
-	if o == nil {
-		return ""
-	}
-	return o.prefix
-}
-
 // Named returns a derived observer whose span paths are nested one
 // level deeper under seg. The registry, trace and clock are shared.
 func (o *Observer) Named(seg string) *Observer {
@@ -91,14 +74,6 @@ func (o *Observer) Counter(name string) *Counter {
 		return nil
 	}
 	return o.reg.Counter(name)
-}
-
-// Gauge returns the named gauge from the observer's registry.
-func (o *Observer) Gauge(name string) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.reg.Gauge(name)
 }
 
 // Histogram returns the named histogram from the observer's registry.

@@ -75,14 +75,6 @@ func (c *Counter) Value() int64 {
 // nil Gauge ignores writes and reads as zero.
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
 // Add adjusts the gauge by n.
 func (g *Gauge) Add(n int64) {
 	if g == nil {

@@ -11,14 +11,6 @@ type Span struct {
 	attrs map[string]string
 }
 
-// Path returns the span's full slash-separated path.
-func (s *Span) Path() string {
-	if s == nil {
-		return ""
-	}
-	return s.path
-}
-
 // SetAttr attaches (or overwrites) one key/value attribute on the
 // span's eventual trace event.
 func (s *Span) SetAttr(k, v string) {

@@ -44,16 +44,6 @@ func (t *Trace) record(e Event) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of recorded events.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.lines)
-}
-
 // WriteJSONL writes every recorded event, one JSON object per line,
 // sorted lexically by rendered line.
 func (t *Trace) WriteJSONL(w io.Writer) error {

@@ -63,7 +63,7 @@ func BenchmarkBisect(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cut = 0
 				for _, g := range gs {
-					part, err := Bisect(g, opts)
+					part, err := KWay(g, 2, opts)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -68,20 +68,6 @@ const (
 // fmPasses bounds the FM refinement passes per level.
 const fmPasses = 8
 
-// Bisect splits g into parts 0 and 1, minimizing cut weight subject to the
-// per-dimension balance tolerances and the graph's fixed assignments.
-func Bisect(g *Graph, opts Options) ([]int, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("partition: %w", err)
-	}
-	for u, f := range g.Fixed {
-		if f < -1 || f > 1 {
-			return nil, fmt.Errorf("partition: node %d fixed to %d, want -1..1", u, f)
-		}
-	}
-	return bisectUnchecked(g, opts), nil
-}
-
 // bisectUnchecked runs the bisection without re-validating g; KWay's
 // recursion builds subgraphs that are correct by construction, so only the
 // entry points validate.

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"fmt"
 	"slices"
 )
 
@@ -23,11 +22,6 @@ type CSR struct {
 
 // Len returns the node count.
 func (c *CSR) Len() int { return len(c.Fixed) }
-
-// BuildCSR flattens g into CSR form. The result shares no memory with g.
-func BuildCSR(g *Graph) *CSR {
-	return buildCSRInto(new(CSR), g)
-}
 
 // buildCSRInto flattens g into c, reusing c's array capacity. Every slot
 // of every table is overwritten, so a recycled shell needs no clearing.
@@ -67,70 +61,6 @@ func (c *CSR) TotalW() []int64 {
 		}
 	}
 	return tot
-}
-
-// Validate checks structural consistency of the CSR arrays: offset
-// monotonicity, array lengths, neighbor ranges, no self-edges, and
-// undirected symmetry (every directed half has a twin of equal weight).
-func (c *CSR) Validate() error {
-	n := c.Len()
-	if c.Dims < 0 {
-		return fmt.Errorf("csr: negative weight dimension count %d", c.Dims)
-	}
-	if len(c.XAdj) != n+1 {
-		return fmt.Errorf("csr: %d nodes but %d offsets, want %d", n, len(c.XAdj), n+1)
-	}
-	if len(c.W) != n*c.Dims {
-		return fmt.Errorf("csr: %d node weights, want %d", len(c.W), n*c.Dims)
-	}
-	if len(c.AdjW) != len(c.Adj) {
-		return fmt.Errorf("csr: %d edge weights for %d edges", len(c.AdjW), len(c.Adj))
-	}
-	if n == 0 {
-		if len(c.Adj) != 0 {
-			return fmt.Errorf("csr: edges on an empty graph")
-		}
-		return nil
-	}
-	if c.XAdj[0] != 0 {
-		return fmt.Errorf("csr: offsets start at %d, want 0", c.XAdj[0])
-	}
-	if int(c.XAdj[n]) != len(c.Adj) {
-		return fmt.Errorf("csr: offsets end at %d, want %d", c.XAdj[n], len(c.Adj))
-	}
-	// Check every offset before scanning any edge: the twin searches below
-	// index Adj with other nodes' offsets, so a bad offset anywhere must be
-	// rejected before it can send a scan out of bounds.
-	for u := 0; u < n; u++ {
-		if c.XAdj[u] > c.XAdj[u+1] {
-			return fmt.Errorf("csr: offsets decrease at node %d (%d > %d)", u, c.XAdj[u], c.XAdj[u+1])
-		}
-		if c.Fixed[u] < -1 {
-			return fmt.Errorf("csr: node %d fixed to %d, want >= -1", u, c.Fixed[u])
-		}
-	}
-	for u := 0; u < n; u++ {
-		for i := c.XAdj[u]; i < c.XAdj[u+1]; i++ {
-			v := c.Adj[i]
-			if v < 0 || int(v) >= n {
-				return fmt.Errorf("csr: node %d has edge to %d out of range", u, v)
-			}
-			if int(v) == u {
-				return fmt.Errorf("csr: node %d has a self-edge", u)
-			}
-			found := false
-			for j := c.XAdj[v]; j < c.XAdj[v+1]; j++ {
-				if int(c.Adj[j]) == u && c.AdjW[j] == c.AdjW[i] {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("csr: edge %d->%d (w=%d) has no symmetric twin", u, v, c.AdjW[i])
-			}
-		}
-	}
-	return nil
 }
 
 // coarsenCSR performs one round of heavy-edge matching over the CSR graph

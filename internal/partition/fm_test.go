@@ -51,7 +51,7 @@ func TestFastNoWorseThanLegacy(t *testing.T) {
 		for seed, want := range c.seeds {
 			g := randGraph(c.n, c.deg, c.dims, int64(seed), c.withFixed)
 			opts := Options{Tol: []float64{0.15}}
-			fast, err := Bisect(g, opts)
+			fast, err := KWay(g, 2, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,12 +81,12 @@ func TestFastDeterminism(t *testing.T) {
 		t.Fatalf("coarsest level has %d nodes, want at least 400", n)
 	}
 	opts := Options{Tol: []float64{0.15}}
-	base, err := Bisect(g, opts)
+	base, err := KWay(g, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 3; rep++ {
-		p, err := Bisect(g, opts)
+		p, err := KWay(g, 2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

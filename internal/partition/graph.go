@@ -107,34 +107,6 @@ func (g *Graph) TotalW() []int64 {
 	return tot
 }
 
-// CutWeight returns the total weight of edges crossing parts.
-func CutWeight(g *Graph, part []int) int64 {
-	var cut int64
-	for u := range g.Adj {
-		for _, e := range g.Adj[u] {
-			if u < e.To && part[u] != part[e.To] {
-				cut += e.W
-			}
-		}
-	}
-	return cut
-}
-
-// PartWeights returns per-part, per-dimension weight sums for a k-way
-// partition.
-func PartWeights(g *Graph, part []int, k int) [][]int64 {
-	pw := make([][]int64, k)
-	for p := range pw {
-		pw[p] = make([]int64, g.NumW)
-	}
-	for u, w := range g.W {
-		for d, x := range w {
-			pw[part[u]][d] += x
-		}
-	}
-	return pw
-}
-
 // Validate checks structural consistency (symmetric adjacency, weight
 // dimensions, fixed parts in range).
 func (g *Graph) Validate() error {

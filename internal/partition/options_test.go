@@ -64,7 +64,7 @@ func TestBisectMalformedOptions(t *testing.T) {
 		{Tol: []float64{}},
 		{Fractions: []float64{1}, Tol: []float64{-1, 0.15}},
 	} {
-		part, err := Bisect(g, opts)
+		part, err := KWay(g, 2, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}

@@ -52,7 +52,7 @@ func TestConnectMergesParallelEdges(t *testing.T) {
 
 func TestBisectPath(t *testing.T) {
 	g := pathGraph(20)
-	part, err := Bisect(g, Options{})
+	part, err := KWay(g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBisectPath(t *testing.T) {
 
 func TestBisectTwoCliques(t *testing.T) {
 	g := twoCliques(12)
-	part, err := Bisect(g, Options{})
+	part, err := KWay(g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestBisectRespectsFixed(t *testing.T) {
 	// fix node 0 to part 1 and node 8 to part 0.
 	g.Fixed[0] = 1
 	g.Fixed[8] = 0
-	part, err := Bisect(g, Options{})
+	part, err := KWay(g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestBisectBalancesMultiWeight(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.Connect(i, (i+1)%10, 1)
 	}
-	part, err := Bisect(g, Options{Tol: []float64{0.2, 0.5}})
+	part, err := KWay(g, 2, Options{Tol: []float64{0.2, 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +211,12 @@ func TestKWayRespectsFixed(t *testing.T) {
 }
 
 func TestBisectEmptyAndTiny(t *testing.T) {
-	if p, err := Bisect(NewGraph(0, 1), Options{}); err != nil || len(p) != 0 {
+	if p, err := KWay(NewGraph(0, 1), 2, Options{}); err != nil || len(p) != 0 {
 		t.Errorf("empty graph: %v %v", p, err)
 	}
 	g := NewGraph(1, 1)
 	g.W[0][0] = 5
-	p, err := Bisect(g, Options{})
+	p, err := KWay(g, 2, Options{})
 	if err != nil || len(p) != 1 {
 		t.Errorf("single node: %v %v", p, err)
 	}
@@ -241,7 +241,7 @@ func TestBisectQuick(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			g.Fixed[rng.Intn(n)] = rng.Intn(2)
 		}
-		part, err := Bisect(g, Options{Tol: []float64{0.3}})
+		part, err := KWay(g, 2, Options{Tol: []float64{0.3}})
 		if err != nil {
 			return false
 		}
@@ -268,7 +268,7 @@ func TestBisectCliqueOptimalQuick(t *testing.T) {
 	check := func(m8 uint8) bool {
 		m := 4 + int(m8)%12
 		g := twoCliques(m)
-		part, err := Bisect(g, Options{})
+		part, err := KWay(g, 2, Options{})
 		if err != nil {
 			return false
 		}
@@ -282,12 +282,12 @@ func TestBisectCliqueOptimalQuick(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	g := twoCliques(10)
 	g.Connect(3, 14, 2)
-	p1, err := Bisect(g, Options{})
+	p1, err := KWay(g, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		p2, err := Bisect(g, Options{})
+		p2, err := KWay(g, 2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,4 +318,32 @@ func TestKWayFractions(t *testing.T) {
 			t.Errorf("part %d got %d nodes, want ~3", p, pw[p][0])
 		}
 	}
+}
+
+// CutWeight returns the total weight of edges crossing parts.
+func CutWeight(g *Graph, part []int) int64 {
+	var cut int64
+	for u := range g.Adj {
+		for _, e := range g.Adj[u] {
+			if u < e.To && part[u] != part[e.To] {
+				cut += e.W
+			}
+		}
+	}
+	return cut
+}
+
+// PartWeights returns per-part, per-dimension weight sums for a k-way
+// partition.
+func PartWeights(g *Graph, part []int, k int) [][]int64 {
+	pw := make([][]int64, k)
+	for p := range pw {
+		pw[p] = make([]int64, g.NumW)
+	}
+	for u, w := range g.W {
+		for d, x := range w {
+			pw[part[u]][d] += x
+		}
+	}
+	return pw
 }

@@ -25,9 +25,6 @@ type BitSet []uint64
 // NewBitSet returns an empty set with capacity for n elements.
 func NewBitSet(n int) BitSet { return make(BitSet, (n+63)/64) }
 
-// Has reports whether i is in the set.
-func (s BitSet) Has(i int) bool { return s[i/64]&(1<<uint(i%64)) != 0 }
-
 // Add inserts i, reporting whether the set changed.
 func (s BitSet) Add(i int) bool {
 	w, b := i/64, uint(i%64)
@@ -65,18 +62,6 @@ func (s BitSet) Elems() []int {
 		}
 	}
 	return out
-}
-
-// Len returns the number of members.
-func (s BitSet) Len() int {
-	n := 0
-	for _, w := range s {
-		for w != 0 {
-			w &= w - 1
-			n++
-		}
-	}
-	return n
 }
 
 // Result is the outcome of the analysis.

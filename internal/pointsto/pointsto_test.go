@@ -1,6 +1,7 @@
 package pointsto
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -179,7 +180,7 @@ func main() int {
 
 func TestBitSetOps(t *testing.T) {
 	s := NewBitSet(200)
-	if s.Has(0) || s.Has(199) {
+	if len(s.Elems()) != 0 {
 		t.Fatal("new set not empty")
 	}
 	if !s.Add(3) || s.Add(3) {
@@ -190,16 +191,13 @@ func TestBitSetOps(t *testing.T) {
 	if got := s.Elems(); len(got) != 3 || got[0] != 3 || got[1] != 64 || got[2] != 199 {
 		t.Fatalf("Elems = %v", got)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
 	u := NewBitSet(200)
 	u.Add(5)
 	if !u.UnionWith(s) {
 		t.Fatal("UnionWith reported no change")
 	}
-	if u.Len() != 4 || !u.Has(3) || !u.Has(5) {
-		t.Fatalf("union wrong: %v", u.Elems())
+	if got := u.Elems(); !reflect.DeepEqual(got, []int{3, 5, 64, 199}) {
+		t.Fatalf("union wrong: %v", got)
 	}
 	if u.UnionWith(s) {
 		t.Fatal("idempotent union reported change")

@@ -15,8 +15,9 @@ import (
 // options fixed at construction, as often as its caller asks: a scheme run
 // partitions each function once, a data-mapping sweep partitions it under
 // every reachable lock map. On top of the Prepared's shared min-cut memo and
-// block-schedule cache, it memoizes each region's result across its own
-// Partition calls.
+// block-schedule cache, a sweep's partitioner (NewSweepPartitioner)
+// memoizes each region's result across its own Partition calls; one pass
+// visits each region once, so NewPartitioner's stores nothing.
 //
 // The region-result memo is exact, not heuristic. Partition processes
 // regions in a fixed heat order, and each region's outcome is a pure
@@ -39,7 +40,8 @@ type FuncPartitioner struct {
 	// sc is the working memory of the Partition call in progress, taken
 	// from scratchPool and returned when the call ends.
 	sc *scratch
-	// results maps a region key (see regionKey) to the region ops' clusters.
+	// results maps a region key (see regionKey) to the region ops' clusters;
+	// nil stores nothing.
 	results map[string][]int
 	// hits counts the regions served from results.
 	hits int64
@@ -50,9 +52,18 @@ type FuncPartitioner struct {
 // read.
 var scratchPool = sync.Pool{New: func() any { return &scratch{sched: sched.NewScratch()} }}
 
-// NewPartitioner returns a partitioner for p on mcfg under opts.
+// NewPartitioner returns a partitioner for p on mcfg under opts that
+// memoizes no region result.
 func (p *Prepared) NewPartitioner(mcfg *machine.Config, opts Options) *FuncPartitioner {
-	return &FuncPartitioner{p: p, mcfg: mcfg, opts: opts, blocks: p.BlockCache(mcfg), results: map[string][]int{}}
+	return &FuncPartitioner{p: p, mcfg: mcfg, opts: opts, blocks: p.BlockCache(mcfg)}
+}
+
+// NewSweepPartitioner is NewPartitioner with a region-result memo, for a
+// caller that partitions the function under many lock maps.
+func (p *Prepared) NewSweepPartitioner(mcfg *machine.Config, opts Options) *FuncPartitioner {
+	fp := p.NewPartitioner(mcfg, opts)
+	fp.results = map[string][]int{}
+	return fp
 }
 
 // Partition assigns every op of the prepared function to a cluster under
@@ -81,19 +92,24 @@ func (fp *FuncPartitioner) Partition(locks Locks) ([]int, error) {
 		if len(pre.regionOps) == 0 {
 			continue
 		}
-		buf := fp.regionKey(ri, pre, locks, asg)
-		if snap, ok := fp.results[string(buf)]; ok {
-			for i, op := range pre.regionOps {
-				asg[op.ID] = snap[i]
+		var key string
+		if fp.results != nil {
+			buf := fp.regionKey(ri, pre, locks, asg)
+			if snap, ok := fp.results[string(buf)]; ok {
+				for i, op := range pre.regionOps {
+					asg[op.ID] = snap[i]
+				}
+				fp.hits++
+				continue
 			}
-			fp.hits++
-			continue
+			key = string(buf)
 		}
-		key := string(buf)
 		if err := fp.partitionRegion(ri, pre, locks, asg); err != nil {
 			return nil, err
 		}
-		fp.results[key] = snapshotRegion(pre.regionOps, asg, nil)
+		if fp.results != nil {
+			fp.results[key] = snapshotRegion(pre.regionOps, asg, nil)
+		}
 	}
 	for id, c := range asg {
 		if c < 0 {

@@ -72,7 +72,7 @@ func TestFuncPartitionerMatchesPartitionFunc(t *testing.T) {
 					// fresh oracle runs without it.
 					sweepOpts := opts
 					sweepOpts.Obs = obs.New(reg, nil, nil)
-					fp := preps[f.Name].NewPartitioner(mcfg, sweepOpts)
+					fp := preps[f.Name].NewSweepPartitioner(mcfg, sweepOpts)
 					// Two passes: the second is served largely from cache
 					// and must still match.
 					for pass := 0; pass < 2; pass++ {

@@ -482,10 +482,3 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.baseCancel()
 	return s.session.Flush()
 }
-
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}

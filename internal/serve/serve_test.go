@@ -596,7 +596,12 @@ func waitForInflight(t *testing.T, srv *Server, _ int) {
 func waitForDraining(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for !srv.Draining() {
+	draining := func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.draining
+	}
+	for !draining() {
 		if time.Now().After(deadline) {
 			t.Fatal("drain never started")
 		}

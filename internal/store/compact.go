@@ -123,25 +123,6 @@ func (s *Store) Compact() (reclaimed int64, err error) {
 	return reclaimed, nil
 }
 
-// CompactIfShadowed compacts only when the shadowed bytes exceed minBytes
-// AND the shadow fraction of the log exceeds frac, returning 0 reclaimed
-// (and no error) when below threshold. This is the daemon's periodic
-// trigger: cheap to call, and the double threshold keeps small or mostly
-// live logs from being rewritten over and over.
-func (s *Store) CompactIfShadowed(frac float64, minBytes int64) (int64, error) {
-	if s == nil {
-		return 0, nil
-	}
-	s.mu.Lock()
-	shadow := s.shadowLocked()
-	logBytes := s.size + int64(len(s.pending))
-	s.mu.Unlock()
-	if shadow < minBytes || logBytes <= 0 || float64(shadow)/float64(logBytes) < frac {
-		return 0, nil
-	}
-	return s.Compact()
-}
-
 // validFrame re-verifies one complete record frame: magic, lengths
 // consistent with the frame size, and CRC.
 func validFrame(rec []byte) bool {

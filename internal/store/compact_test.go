@@ -125,30 +125,6 @@ func TestCompactObserverMetrics(t *testing.T) {
 	}
 }
 
-// TestCompactIfShadowedThreshold pins the periodic trigger's double
-// threshold: no rewrite below the byte floor or the fraction, a rewrite
-// above both.
-func TestCompactIfShadowedThreshold(t *testing.T) {
-	s := shadowedStore(t, t.TempDir(), 4)
-	defer s.Close()
-	shadow := s.Stats().ShadowBytes
-	if shadow <= 0 {
-		t.Fatal("no shadow to test with")
-	}
-	if n, err := s.CompactIfShadowed(0.0, shadow+1); err != nil || n != 0 {
-		t.Fatalf("below byte floor: reclaimed %d, err %v", n, err)
-	}
-	if n, err := s.CompactIfShadowed(0.99, 1); err != nil || n != 0 {
-		t.Fatalf("below fraction: reclaimed %d, err %v", n, err)
-	}
-	if n, err := s.CompactIfShadowed(0.01, 1); err != nil || n != shadow {
-		t.Fatalf("above both: reclaimed %d, err %v, want %d", n, err, shadow)
-	}
-	if s.Stats().Compactions != 1 {
-		t.Fatalf("compactions = %d, want 1", s.Stats().Compactions)
-	}
-}
-
 // TestCrashMidCompactionRecovery simulates dying between writing the temp
 // file and the rename: the next Open must ignore (and remove) the partial
 // temp and serve the original log intact — compaction is atomic or absent.

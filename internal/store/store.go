@@ -557,11 +557,3 @@ func (s *Store) shadowLocked() int64 {
 	}
 	return shadow
 }
-
-// Path returns the log file path.
-func (s *Store) Path() string {
-	if s == nil {
-		return ""
-	}
-	return s.path
-}

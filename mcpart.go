@@ -81,7 +81,7 @@ type Options = eval.Options
 type Degradation = eval.Degradation
 
 // CellError attributes a matrix or exhaustive-search failure to its
-// (benchmark, scheme[, mask]) cell. errors.As recovers it from RunMatrix,
+// (benchmark, scheme[, mask]) cell. errors.As recovers it from RunMatrixCtx,
 // EvaluateAll, and ExhaustiveSearch errors.
 type CellError = eval.CellError
 
@@ -343,19 +343,19 @@ func (p *Program) Objects() []ObjectInfo {
 // cache (internal/memo): how many per-function partition/schedule/lock
 // computations were answered from cache versus computed, how many hits
 // waited on an in-flight computation or were promoted from the disk tier,
-// and the resident entries and LRU evictions. The counters describe work
+// and the resident entries. The counters describe work
 // saved, never results: cached and uncached evaluations are byte-identical.
 type MemoStats = memo.Stats
 
 // MemoStats reports the program's memoization-cache counters.
 func (p *Program) MemoStats() MemoStats { return p.c.MemoStats() }
 
-// ShrinkMemo evicts least-recently-used memoization entries until at most n
-// remain. Results are unaffected — evicted entries recompute (or reload
-// from the disk tier) on next use; this is the memory-pressure release
-// valve for long-lived Programs (the gdpd daemon calls it when the process
-// heap crosses its ceiling).
-func (p *Program) ShrinkMemo(n int) { p.c.ShrinkMemo(n) }
+// ShrinkMemo drops the program's memoization entries. Results are
+// unaffected — dropped entries recompute (or reload from the disk tier) on
+// next use; this is the memory-pressure release valve for long-lived
+// Programs (Session.ReleaseMemory calls it, which the gdpd daemon does
+// when the process heap crosses its ceiling).
+func (p *Program) ShrinkMemo() { p.c.ShrinkMemo() }
 
 // StoreStats are the persistent artifact store's counters (internal/store):
 // disk-tier hits and misses, records written, corrupt records skipped, and

@@ -1,6 +1,7 @@
 package mcpart
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -56,7 +57,7 @@ func TestExhaustiveMemoTimeBudget(t *testing.T) {
 	// noise in the direction that matters for a ceiling check.
 	best := time.Duration(1<<63 - 1)
 	for i := 0; i < 3; i++ {
-		c, err := eval.Prepare(bm.Name, bm.Source)
+		c, err := eval.PrepareOpts(context.Background(), bm.Name, bm.Source, eval.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -345,7 +345,7 @@ func (s *Session) ReleaseMemory(keepPrograms int) int {
 		select {
 		case <-e.ready:
 			if e.err == nil {
-				e.prog.ShrinkMemo(0)
+				e.prog.ShrinkMemo()
 			}
 		default:
 		}
