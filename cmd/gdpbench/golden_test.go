@@ -47,77 +47,52 @@ func checkGolden(t *testing.T, name, got string) {
 	t.Fatalf("output differs from %s in trailing newlines", path)
 }
 
-// TestMetricsGolden pins the -metrics summary byte for byte. Memo hit and
-// wait counts depend on worker scheduling order, so the invocation pins
-// -j 1: a serial sweep visits the cache in one reproducible order, and
-// every other counter derives from the deterministic simulation itself.
+// TestMetricsGolden pins the -metrics summary byte for byte at -j 1, the
+// serial reference. Every counter derives from the deterministic
+// simulation and from the fixed order in which one benchmark's schemes
+// visit its memo, so the rows are the same at any -j
+// (TestMetricsIndependentOfWorkers).
 func TestMetricsGolden(t *testing.T) {
 	out := runBenchCmd(t, "-figure", "8a", "-run", "fir", "-j", "1", "-metrics")
 	checkGolden(t, "metrics_fig8a_fir", out)
 }
 
-// workerDependentRow reports whether a -metrics row may differ between -j
-// values by design: memo hit and wait counts (which worker reaches a
-// shared entry first), the pools' task counts, and the sweep's delta
-// tallies (each Gray-code chunk starts with one full evaluation).
-func workerDependentRow(row string) bool {
-	f := strings.Fields(row)
-	if len(f) == 0 {
-		return false
-	}
-	name, _, _ := strings.Cut(f[0], "{")
-	switch name {
-	case "parallel_tasks", "sweep_funcs_recomputed", "sweep_masks_delta":
-		return true
-	}
-	return strings.HasPrefix(name, "memo_") &&
-		(strings.HasSuffix(name, "_hits") || strings.HasSuffix(name, "_waits"))
-}
-
-// TestMetricsIndependentOfWorkers pins that a Figure 9 sweep reports the
-// same metrics at -j 1 and -j 8, apart from the rows workerDependentRow
-// names. The partitioner's FM counters in particular must not depend on
-// how many workers the sweep uses. A multi-cell run (-all) must report
-// the same unlabeled totals too: the partition path's memos are
-// single-flight, so workers that miss one key at once do its work once.
-// Its {bench,scheme}-labeled rows still move with -j, because a shared
-// memo entry's work is counted for whichever cell computes it first.
+// TestMetricsIndependentOfWorkers pins that the -metrics section is byte
+// for byte the same at -j 1 and -j 8, every row included: a Figure 9
+// sweep, the whole -all run and the topology sweep. Workers split
+// benchmarks and sweep-table functions only, so no two workers share a
+// memo entry whose work counters could go to either of them.
 func TestMetricsIndependentOfWorkers(t *testing.T) {
-	args := []string{"-figure", "9", "-run", "rawcaudio", "-metrics"}
-	sameRows(t, strings.Split(runBenchCmd(t, append(args, "-j", "1")...), "\n"),
-		strings.Split(runBenchCmd(t, append(args, "-j", "8")...), "\n"))
-
-	args = []string{"-all", "-metrics"}
-	j1 := unlabeledMetrics(runBenchCmd(t, append(args, "-j", "1")...))
-	if len(j1) < 10 {
-		t.Fatalf("-all -metrics printed %d unlabeled metric rows:\n%s", len(j1), strings.Join(j1, "\n"))
+	for _, args := range [][]string{
+		{"-figure", "9", "-run", "rawcaudio", "-metrics"},
+		{"-all", "-metrics"},
+		{"-topology", "-metrics"},
+	} {
+		j1 := metricsSection(t, runBenchCmd(t, append(args, "-j", "1")...))
+		j8 := metricsSection(t, runBenchCmd(t, append(args, "-j", "8")...))
+		sameRows(t, args, j1, j8)
 	}
-	sameRows(t, j1, unlabeledMetrics(runBenchCmd(t, append(args, "-j", "8")...)))
 }
 
-// sameRows fails t where the -j 1 and -j 8 rows differ outside the rows
-// workerDependentRow allows.
-func sameRows(t *testing.T, j1, j8 []string) {
+// metricsSection returns the rows of out's -metrics summary.
+func metricsSection(t *testing.T, out string) []string {
+	t.Helper()
+	_, summary, ok := strings.Cut(out, "\nmetrics:\n")
+	if !ok {
+		t.Fatalf("no metrics section in output:\n%s", out)
+	}
+	return strings.Split(summary, "\n")
+}
+
+// sameRows fails t where the -j 1 and -j 8 rows of one invocation differ.
+func sameRows(t *testing.T, args, j1, j8 []string) {
 	t.Helper()
 	if len(j1) != len(j8) {
-		t.Fatalf("-j 1 printed %d lines, -j 8 printed %d", len(j1), len(j8))
+		t.Fatalf("%v: -j 1 printed %d metric rows, -j 8 printed %d", args, len(j1), len(j8))
 	}
 	for i := range j1 {
-		if j1[i] != j8[i] && !workerDependentRow(j1[i]) {
-			t.Errorf("line %d differs:\n -j 1: %q\n -j 8: %q", i+1, j1[i], j8[i])
+		if j1[i] != j8[i] {
+			t.Errorf("%v: metric row %d differs:\n -j 1: %q\n -j 8: %q", args, i+1, j1[i], j8[i])
 		}
 	}
-}
-
-// unlabeledMetrics returns the rows of out's -metrics summary that carry
-// no labels.
-func unlabeledMetrics(out string) []string {
-	_, summary, _ := strings.Cut(out, "\nmetrics:\n")
-	var rows []string
-	for _, row := range strings.Split(summary, "\n") {
-		if !strings.Contains(row, "{") {
-			rows = append(rows, row)
-		}
-	}
-	return rows
 }

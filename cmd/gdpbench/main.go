@@ -16,10 +16,10 @@
 //	gdpbench -svg DIR          # render every figure as an SVG file
 //	gdpbench -all -j 8         # fan the evaluation across 8 workers
 //
-// -j N bounds the worker pool that compiles benchmarks and runs the
-// (benchmark × scheme) evaluation matrix; 0 (the default) means
-// runtime.GOMAXPROCS(0). Every table and figure is byte-identical for
-// every -j value — parallelism changes only wall time.
+// -j N bounds the worker pool that compiles benchmarks and evaluates
+// them, one benchmark per task; 0 (the default) means
+// runtime.GOMAXPROCS(0). Every table, figure and metric is byte-identical
+// for every -j value — parallelism changes only wall time.
 //
 // Performance introspection:
 //
@@ -46,13 +46,12 @@
 //
 // Observability (DESIGN.md §10):
 //
-//	gdpbench -all -j 1 -metrics   # metric summary (totals + per-bench/scheme)
+//	gdpbench -all -metrics        # metric summary (totals + per-bench/scheme)
 //	gdpbench -all -trace t.jsonl  # span trace, byte-identical at every -j
 //	gdpbench -all -prom m.prom    # metrics in Prometheus text format
 //
-// Traces are fully deterministic; metric values are too except the memo
-// hit/wait counts, which depend on worker scheduling — pin -j 1 to make
-// the -metrics output reproducible byte for byte.
+// Traces and the -metrics output are fully deterministic, byte for byte
+// the same at every -j.
 package main
 
 import (
@@ -322,8 +321,9 @@ func (h *harness) exhaustive(emit func(name string, ex *eval.ExhaustiveResult) e
 // topologyFigure sweeps every machine preset at 5-cycle base move latency
 // and reports, per preset, the geometric-mean GDP performance relative to
 // that preset's own unified-memory bound and the total intercluster moves.
-// The (preset x benchmark) cells fan across the -j pool; the table is
-// assembled in preset order, so the output is byte-identical at every -j.
+// The benchmarks fan across the -j pool, each task sweeping every preset
+// in order; the table is assembled in preset order, so the output and the
+// metrics are byte-identical at every -j.
 func (h *harness) topologyFigure() error {
 	presets := machine.PresetNames()
 	cfgs := make([]*machine.Config, len(presets))
@@ -342,18 +342,22 @@ func (h *harness) topologyFigure() error {
 		return fmt.Errorf("no benchmarks match -run %q", h.filter)
 	}
 	type cell struct{ unified, gdp *eval.Result }
-	cells, err := parallel.MapStage(h.Ctx, "topology", len(presets)*len(cs), h.Jobs,
-		func(ctx context.Context, i int) (cell, error) {
-			cfg, c := cfgs[i/len(cs)], cs[i%len(cs)]
-			u, err := eval.RunSchemeCtx(ctx, c, cfg, eval.SchemeUnified, h.options())
-			if err != nil {
-				return cell{}, &eval.CellError{Bench: c.Name, Scheme: eval.SchemeUnified, Err: err}
+	progs, err := parallel.MapStage(h.Ctx, "topology", len(cs), h.Jobs,
+		func(ctx context.Context, b int) ([]cell, error) {
+			c := cs[b]
+			cells := make([]cell, len(cfgs))
+			for p, cfg := range cfgs {
+				u, err := eval.RunSchemeCtx(ctx, c, cfg, eval.SchemeUnified, h.options())
+				if err != nil {
+					return nil, &eval.CellError{Bench: c.Name, Scheme: eval.SchemeUnified, Err: err}
+				}
+				g, err := eval.RunSchemeCtx(ctx, c, cfg, eval.SchemeGDP, h.options())
+				if err != nil {
+					return nil, &eval.CellError{Bench: c.Name, Scheme: eval.SchemeGDP, Err: err}
+				}
+				cells[p] = cell{u, g}
 			}
-			g, err := eval.RunSchemeCtx(ctx, c, cfg, eval.SchemeGDP, h.options())
-			if err != nil {
-				return cell{}, &eval.CellError{Bench: c.Name, Scheme: eval.SchemeGDP, Err: err}
-			}
-			return cell{u, g}, nil
+			return cells, nil
 		})
 	if err != nil {
 		return err
@@ -363,7 +367,7 @@ func (h *harness) topologyFigure() error {
 	for p, name := range presets {
 		logSum, moves := 0.0, int64(0)
 		for b := range cs {
-			c := cells[p*len(cs)+b]
+			c := progs[b][p]
 			logSum += math.Log(eval.RelativePerf(c.unified, c.gdp))
 			moves += c.gdp.Moves
 		}

@@ -50,9 +50,9 @@ func checkGolden(t *testing.T, name, got string) {
 // TestMetricsGolden pins the -metrics summary byte for byte. The whole
 // pipeline is a deterministic simulation, gdpc evaluates the schemes
 // serially, and nothing below a scheme fans out (the graph partitioner is
-// serial), so no goroutine count reaches the run: every counter —
-// including the scheduling-order-sensitive memo hit counts — is the same
-// on every machine, whatever its core count.
+// serial), so no goroutine count reaches the run: every counter,
+// the memo hit counts included, is the same on every machine, whatever
+// its core count.
 func TestMetricsGolden(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-bench", "fir", "-metrics"}, &sb); err != nil {

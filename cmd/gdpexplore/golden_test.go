@@ -47,10 +47,10 @@ func checkGolden(t *testing.T, name, got string) {
 	t.Fatalf("output differs from %s in trailing newlines", path)
 }
 
-// TestMetricsGolden pins the -metrics summary byte for byte. The mask
-// sweep is pinned to -j 1 because memo hit counts depend on the order
-// workers reach the shared cache; serial order is reproducible, and all
-// remaining counters derive from the deterministic simulation.
+// TestMetricsGolden pins the -metrics summary byte for byte at -j 1, the
+// serial reference. Every counter derives from the deterministic
+// simulation, so the rows are the same at any -j
+// (TestMetricsIndependentOfWorkers).
 func TestMetricsGolden(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-bench", "fir", "-j", "1", "-metrics"}, &sb); err != nil {
@@ -59,11 +59,37 @@ func TestMetricsGolden(t *testing.T) {
 	checkGolden(t, "metrics_fir", sb.String())
 }
 
+// TestMetricsIndependentOfWorkers pins that a 4,096-mask sweep prints the
+// same scatter and the same -metrics rows, every row included, at -j 1 and
+// -j 8: only phase 1's per-function tables fan out, and the Gray walk that
+// tallies sweep_masks_delta and sweep_funcs_recomputed is serial.
+func TestMetricsIndependentOfWorkers(t *testing.T) {
+	output := func(j string) []string {
+		var sb strings.Builder
+		if err := run([]string{"-bench", "rawcaudio", "-machine", "four", "-metrics", "-j", j}, &sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "\nmetrics:\n") {
+			t.Fatalf("-j %s: no metrics section in output", j)
+		}
+		return strings.Split(sb.String(), "\n")
+	}
+	j1, j8 := output("1"), output("8")
+	if len(j1) != len(j8) {
+		t.Fatalf("-j 1 printed %d lines, -j 8 printed %d", len(j1), len(j8))
+	}
+	for i := range j1 {
+		if j1[i] != j8[i] {
+			t.Errorf("line %d differs:\n -j 1: %q\n -j 8: %q", i+1, j1[i], j8[i])
+		}
+	}
+}
+
 // TestBestMetricsGolden pins the -best output and its metric summary:
 // the branch-and-bound counters are nonzero, and the sweep-enumeration
 // counters report explicit zeros (the search never walks the Gray
 // sequence). Deterministic at any -j: the search itself is serial and
-// only the table build fans out, so -j 1 pins the memo counts too.
+// only the table build fans out.
 func TestBestMetricsGolden(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-bench", "fir", "-j", "1", "-best", "-metrics"}, &sb); err != nil {

@@ -10,9 +10,9 @@
 //	gdpexplore -bench rawdaudio -latency 5 -csv > rawdaudio.csv
 //	gdpexplore -bench rawcaudio -j 8       # 8 search workers
 //
-// -j N bounds the worker pool the exhaustive search fans mapping masks
-// across; 0 (the default) means runtime.GOMAXPROCS(0). The output is
-// byte-identical for every -j value.
+// -j N bounds the worker pool that builds the exhaustive search's
+// per-function cost tables; 0 (the default) means runtime.GOMAXPROCS(0).
+// The output is byte-identical for every -j value.
 //
 // Performance introspection:
 //
@@ -38,9 +38,8 @@
 // Observability (DESIGN.md §10): -metrics prints the sweep's metric
 // summary (eval_masks, memo hits, FM moves, ...), -trace FILE the
 // deterministic span trace as sorted JSON lines, -prom FILE
-// the metrics in Prometheus text format. Traces are byte-identical at
-// every -j; pin -j 1 to make the memo hit counts in -metrics
-// reproducible too.
+// the metrics in Prometheus text format. Traces and -metrics output are
+// byte-identical at every -j.
 package main
 
 import (

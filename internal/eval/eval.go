@@ -308,10 +308,11 @@ type Result struct {
 
 	// MemoPartitionHits and MemoScheduleHits count the per-function
 	// partition and schedule-cost computations served from the
-	// memoization cache during this scheme run. Like PartitionTime they
-	// are performance telemetry, not results: under a parallel worker
-	// pool the counts vary with evaluation order, so determinism
-	// comparisons must exclude them (see detFields in the tests).
+	// memoization cache during this scheme run. They are telemetry, not
+	// results: a run on a Compiled that earlier runs warmed hits more than
+	// the same run on a cold one, so comparisons across differently warmed
+	// programs exclude them (see detFields in the tests). From a cold
+	// Compiled they are the same at any worker count.
 	MemoPartitionHits int
 	MemoScheduleHits  int
 
@@ -336,11 +337,12 @@ type Options struct {
 	// *profile.BudgetError. Non-positive means no byte budget. A per-request
 	// byte budget is the daemon's containment against allocation bombs.
 	MaxBytes int64
-	// Workers bounds the evaluation worker pool used by Exhaustive,
-	// RunAllSchemes and RunMatrixCtx. Zero or negative selects
-	// runtime.GOMAXPROCS(0) — the repository-wide sentinel convention
-	// (see parallel.Workers). Results are identical for every worker
-	// count; only wall time changes.
+	// Workers bounds the evaluation worker pool: RunMatrixCtx runs one
+	// task per program, and the exhaustive searches one per function's
+	// cost table. Zero or negative selects runtime.GOMAXPROCS(0) — the
+	// repository-wide sentinel convention (see parallel.Workers). Results
+	// and metrics are identical for every worker count; only wall time
+	// changes.
 	Workers int
 	// CacheDir names a directory holding the persistent artifact store
 	// (internal/store): partition, lock, schedule, and profile results keyed

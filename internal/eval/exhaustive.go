@@ -8,7 +8,6 @@ import (
 	"mcpart/internal/gdp"
 	"mcpart/internal/machine"
 	"mcpart/internal/obs"
-	"mcpart/internal/parallel"
 )
 
 // registerSweepCounters pre-registers the sweep and branch-and-bound
@@ -56,10 +55,11 @@ type ExhaustiveResult struct {
 // Max picked. The mapping-point count must be at most 2^maxObjects (guard
 // against blowup); at k=2 that is the familiar object-count cap.
 //
-// The points come from the Gray-code delta sweep (sweep.go), fanned across
-// opts.Workers goroutines and stitched back in mask order, so the result
-// is byte-identical to evaluating every mask serially through
-// RunWithDataMap. Points[i].Mask == i always holds (Find exploits this).
+// The points come from the Gray-code delta sweep (sweep.go): its
+// per-function cost tables fan across opts.Workers, and one serial Gray
+// walk sums them into every point, so the result is byte-identical to
+// evaluating every mask serially through RunWithDataMap.
+// Points[i].Mask == i always holds (Find exploits this).
 // Under opts.Validate the independent validator checks every per-function
 // cost-table entry once and every point's accounting against the table;
 // opts.Inject is consulted once per table entry.
@@ -156,28 +156,14 @@ func finishExhaustive(c *Compiled, cfg *machine.Config, opts Options, sp *sweepS
 	for i := range res.Points {
 		res.Points[i].PerfVsWorst = float64(res.Worst) / float64(res.Points[i].Cycles)
 	}
-	// Mark the schemes' choices (independent of the scatter and of each
-	// other, so they can share the pool too).
-	var gdpRes, pmaxRes *Result
-	err := parallel.Do(opts.ctx, opts.Workers,
-		func(context.Context) error {
-			r, err := RunGDP(c, cfg, opts)
-			if err != nil {
-				err = &CellError{Bench: c.Name, Scheme: SchemeGDP, Err: err}
-			}
-			gdpRes = r
-			return err
-		},
-		func(context.Context) error {
-			r, err := RunProfileMax(c, cfg, opts)
-			if err != nil {
-				err = &CellError{Bench: c.Name, Scheme: SchemeProfileMax, Err: err}
-			}
-			pmaxRes = r
-			return err
-		})
+	// Mark the schemes' choices.
+	gdpRes, err := attemptScheme(c, cfg, SchemeGDP, opts)
 	if err != nil {
-		return nil, err
+		return nil, &CellError{Bench: c.Name, Scheme: SchemeGDP, Err: err}
+	}
+	pmaxRes, err := attemptScheme(c, cfg, SchemeProfileMax, opts)
+	if err != nil {
+		return nil, &CellError{Bench: c.Name, Scheme: SchemeProfileMax, Err: err}
 	}
 	res.GDPMask = maskOf(gdpRes.DataMap, sp.rad)
 	res.PMaxMask = maskOf(pmaxRes.DataMap, sp.rad)

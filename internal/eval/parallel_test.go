@@ -51,20 +51,30 @@ func detFields(r *Result) map[string]interface{} {
 	}
 }
 
+// matrixFields is flatResult plus the memo hit counts. The counts are the
+// same at any worker count when every run starts from a cold Compiled: a
+// benchmark's schemes run in order inside one worker.
+func matrixFields(r *Result) map[string]any {
+	m := flatResult(r)
+	m["partHits"] = r.MemoPartitionHits
+	m["schedHits"] = r.MemoScheduleHits
+	return m
+}
+
 // TestMatrixDeterminismAcrossWorkers runs the full four-scheme matrix over
-// two benchmarks at -j 1 and -j 8 and requires deep equality of every
-// deterministic result field.
+// two freshly prepared benchmarks at -j 1 and -j 8 and requires deep
+// equality of every deterministic result field, memo hit counts included.
 func TestMatrixDeterminismAcrossWorkers(t *testing.T) {
-	cs := []*Compiled{prepBench(t, "rawcaudio"), prepBench(t, "halftone")}
 	cfg := machine.Paper2Cluster(5)
-	serial, err := RunMatrixCtx(context.Background(), cs, cfg, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) []*BenchResult {
+		cs := []*Compiled{prepBench(t, "rawcaudio"), prepBench(t, "halftone")}
+		brs, err := RunMatrixCtx(context.Background(), cs, cfg, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return brs
 	}
-	par, err := RunMatrixCtx(context.Background(), cs, cfg, Options{Workers: parallelProbe})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, par := run(1), run(parallelProbe)
 	if len(serial) != len(par) {
 		t.Fatalf("result count differs: %d vs %d", len(serial), len(par))
 	}
@@ -83,7 +93,7 @@ func TestMatrixDeterminismAcrossWorkers(t *testing.T) {
 			{"naive", s.Naive, p.Naive},
 		}
 		for _, q := range pairs {
-			if !reflect.DeepEqual(detFields(q.ser), detFields(q.par)) {
+			if !reflect.DeepEqual(matrixFields(q.ser), matrixFields(q.par)) {
 				t.Errorf("%s %s differs between -j 1 and -j %d",
 					s.Name, q.scheme, parallelProbe)
 			}

@@ -9,8 +9,8 @@ import (
 // generalizes the 2-cluster bitmask: digit i (base k) of a mask is the home
 // cluster of object i. At k=2 every operation below degenerates exactly to
 // the bit arithmetic the sweep has always used — digit extraction is bit
-// extraction, the modular Gray code is the reflected binary Gray code
-// i^(i>>1), and the changed-digit index is TrailingZeros64 — so 2-cluster
+// extraction, and the modular Gray code's changed-digit index is
+// TrailingZeros64, that of the reflected binary Gray code — so 2-cluster
 // masks, points, and golden outputs are unchanged to the byte.
 type radix struct {
 	k   int
@@ -42,23 +42,6 @@ func (r *radix) count(n int) int { return int(r.pow[n]) }
 // digit extracts digit i of mask.
 func (r *radix) digit(mask uint64, i int) int {
 	return int(mask / r.pow[i] % uint64(r.k))
-}
-
-// grayAt returns the i-th mask of the modular base-k reflected Gray
-// sequence over n digits: successive masks differ in exactly one digit,
-// and that digit steps by +1 mod k. At k=2 this is i ^ (i>>1).
-func (r *radix) grayAt(i uint64, n int) uint64 {
-	if r.k == 2 {
-		return i ^ (i >> 1)
-	}
-	var mask uint64
-	k := uint64(r.k)
-	for j := 0; j < n; j++ {
-		uj := i / r.pow[j] % k
-		uj1 := i / r.pow[j+1] % k
-		mask += (uj - uj1 + k) % k * r.pow[j]
-	}
-	return mask
 }
 
 // imbalanceOf is the byte-balance metric of a mapping: (max cluster bytes

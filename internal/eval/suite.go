@@ -22,9 +22,8 @@ type BenchResult struct {
 	Naive   *Result
 }
 
-// schemeRunners lists the Table 1 schemes in their canonical order. The
-// matrix runners index work items against this slice so results land in
-// fixed slots no matter which worker finishes first.
+// schemeRunners lists the Table 1 schemes in their canonical order, the
+// order in which RunMatrixCtx runs one benchmark's schemes.
 var schemeRunners = []struct {
 	scheme Scheme
 	run    func(*Compiled, *machine.Config, Options) (*Result, error)
@@ -132,7 +131,7 @@ func runCell(c *Compiled, cfg *machine.Config, s Scheme, opts Options) (*Result,
 }
 
 // RunAllSchemes evaluates the four Table 1 schemes on one prepared
-// benchmark, fanning the (independent) schemes across opts.Workers.
+// benchmark, in schemeRunners order.
 func RunAllSchemes(c *Compiled, cfg *machine.Config, opts Options) (*BenchResult, error) {
 	return RunAllSchemesCtx(context.Background(), c, cfg, opts)
 }
@@ -147,14 +146,15 @@ func RunAllSchemesCtx(ctx context.Context, c *Compiled, cfg *machine.Config, opt
 }
 
 // RunMatrixCtx evaluates the full (benchmark × scheme) matrix: every
-// Table 1 scheme on every prepared benchmark. The cells are independent, so
-// all 4·len(cs) of them fan across opts.Workers; each cell builds its own
-// partitioner and scheduler state, and the results are stitched back by
-// (benchmark, scheme) index, identical to the serial nested loop. Once ctx
-// is done no new cells start, in-flight cells abort between pipeline
-// steps, and the partial results are discarded (the error of the
-// lowest-indexed cell — usually ctx.Err() — is returned,
-// deterministically).
+// Table 1 scheme on every prepared benchmark. The benchmarks fan across
+// opts.Workers, one task each; a task runs the four schemes in
+// schemeRunners order, so the schemes of one Compiled meet its shared memo
+// entries in one fixed order and every counter is the same at any worker
+// count. Results come back in benchmark order, identical to the serial
+// nested loop. Once ctx is done no new scheme starts, in-flight schemes
+// abort between pipeline steps, and the partial results are discarded;
+// the error of the lowest (benchmark, scheme) cell in serial order is
+// returned.
 func RunMatrixCtx(ctx context.Context, cs []*Compiled, cfg *machine.Config, opts Options) ([]*BenchResult, error) {
 	ctx = obs.With(ctx, opts.Observer)
 	opts.ctx = ctx
@@ -162,31 +162,28 @@ func RunMatrixCtx(ctx context.Context, cs []*Compiled, cfg *machine.Config, opts
 	// Register the degradation counter up front so a clean sweep reports
 	// an explicit eval_degradations 0 instead of omitting the metric.
 	opts.Observer.Counter("eval_degradations")
-	brs := make([]*BenchResult, len(cs))
-	for i, c := range cs {
-		brs[i] = &BenchResult{Name: c.Name}
+	for _, c := range cs {
 		defer c.lease()()
 	}
-	ns := len(schemeRunners)
-	results, err := parallel.MapStage(ctx, "matrix", len(cs)*ns, opts.Workers,
-		func(_ context.Context, i int) (*Result, error) {
-			c, sr := cs[i/ns], schemeRunners[i%ns]
+	return parallel.MapStage(ctx, "matrix", len(cs), opts.Workers,
+		func(_ context.Context, i int) (*BenchResult, error) {
+			c := cs[i]
 			copts := opts
 			copts.Observer = mo.Named(c.Name)
-			copts.Observer.Counter("eval_cells").Add(1)
-			r, err := runCell(c, cfg, sr.scheme, copts)
-			if err != nil {
-				return nil, &CellError{Bench: c.Name, Scheme: sr.scheme, Err: err}
+			br := &BenchResult{Name: c.Name}
+			for _, sr := range schemeRunners {
+				if err := copts.ctxErr(); err != nil {
+					return nil, err
+				}
+				copts.Observer.Counter("eval_cells").Add(1)
+				r, err := runCell(c, cfg, sr.scheme, copts)
+				if err != nil {
+					return nil, &CellError{Bench: c.Name, Scheme: sr.scheme, Err: err}
+				}
+				sr.store(br, r)
 			}
-			return r, nil
+			return br, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range results {
-		schemeRunners[i%ns].store(brs[i/ns], r)
-	}
-	return brs, nil
 }
 
 // BenchSpec names one benchmark source for PrepareAllOpts.

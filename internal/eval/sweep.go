@@ -47,11 +47,10 @@ import (
 // Options.Inject is consulted per table entry at the "partition", "sched"
 // and "validate" stages; an entry's failure names a mask that reaches it.
 //
-// Phase 2 parallelism splits the Gray sequence into contiguous chunks, one
-// delta-state per worker, each seeded in O(n + #functions) at its chunk
-// start; points land in a shared slice at disjoint mask indices and are
-// stitched back in mask order, so every worker count produces identical
-// results.
+// Only phase 1 fans out, one function's table per task. Phase 2 is one
+// serial walk of the Gray sequence: each step costs a few table reads, so
+// splitting it would buy no time and would make its delta tallies depend
+// on the worker count.
 
 // costTable is one function's cost for every reachable projection of the
 // data map onto its touched objects. Digit i (base k, the cluster count)
@@ -78,17 +77,6 @@ type tableStats struct {
 	table     costTable
 	partHits  int
 	schedHits int
-}
-
-// chunkStats aggregates one Gray-chunk's telemetry: delta-advanced masks,
-// per-function table updates, and the summed cycle/move values of the
-// enumerated points (the same totals RunWithDataMap would fold into the
-// observability registry one mask at a time).
-type chunkStats struct {
-	delta  int64
-	funcs  int64
-	cycles int64
-	moves  int64
 }
 
 // sweepErr wraps a sweep failure as a CellError naming the benchmark and
@@ -260,103 +248,65 @@ func sweepPoints(ctx context.Context, c *Compiled, cfg *machine.Config, outer Op
 	}
 
 	// Gray sequence geometry: on symmetric 2-cluster machines enumerate
-	// the 2^(n-1) canonical (even) masks — index i maps to gray(i) shifted
-	// over the pinned object-0 bit, and step i advances object tz(i)+1 —
-	// then mirror the odd complements. Every other machine enumerates all
-	// k^n masks through the modular base-k Gray sequence, where step i
-	// advances the digit at the count of i's trailing zero base-k digits
-	// by +1 mod k.
+	// the 2^(n-1) canonical (even) masks — step i advances object tz(i)+1,
+	// over the pinned object-0 bit — then mirror the odd complements.
+	// Every other machine enumerates all k^n masks through the modular
+	// base-k Gray sequence, where step i advances the digit at the count
+	// of i's trailing zero base-k digits by +1 mod k. Both sequences start
+	// at mask 0, every object on cluster 0.
 	seqLen := rad.count(n)
-	shift := uint(0)
+	shift := 0
 	if canon {
 		seqLen = 1 << uint(n-1)
 		shift = 1
 	}
-	maskAt := func(i uint64) uint64 {
-		if canon {
-			return rad.grayAt(i, n-1) << 1
-		}
-		return rad.grayAt(i, n)
-	}
 
 	points = make([]MappingPoint, rad.count(n))
-	chunks := parallel.Workers(opts.Workers)
-	if chunks > seqLen {
-		chunks = seqLen
-	}
-	chunkLen := (seqLen + chunks - 1) / chunks
-	stats, err := parallel.MapStage(ctx, "sweep", chunks, opts.Workers,
-		func(_ context.Context, ci int) (chunkStats, error) {
-			var st chunkStats
-			lo, hi := ci*chunkLen, (ci+1)*chunkLen
-			if hi > seqLen {
-				hi = seqLen
+	var cur uint64
+	curDigit := make([]int, n)
+	clusterBytes := make([]int64, rad.k)
+	clusterBytes[0] = sp.totalBytes
+	sigIdx := make([]int, len(tables))
+	cycles, moves := pointCost(tables, rad, cur)
+	var funcs int64
+	for i := 0; i < seqLen; i++ {
+		if i > 0 {
+			obj := rad.grayStep(uint64(i)) + shift
+			old := curDigit[obj]
+			nw := old + 1
+			if nw == rad.k {
+				nw = 0
 			}
-			if lo >= hi {
-				return st, nil
+			curDigit[obj] = nw
+			if nw == 0 {
+				cur -= uint64(rad.k-1) * rad.pow[obj]
+			} else {
+				cur += rad.pow[obj]
 			}
-			// Seed the delta state at the chunk's first mask.
-			cur := maskAt(uint64(lo))
-			curDigit := make([]int, n)
-			clusterBytes := make([]int64, rad.k)
-			sigIdx := make([]int, len(tables))
-			for ti := range tables {
-				sigIdx[ti] = tables[ti].sigOf(cur, rad)
-			}
-			cycles, moves := pointCost(tables, rad, cur)
-			for j := 0; j < n; j++ {
-				curDigit[j] = rad.digit(cur, j)
-				clusterBytes[curDigit[j]] += sp.bytes[j]
-			}
-			emit := func() error {
-				points[cur] = MappingPoint{Mask: cur, Cycles: cycles, Imbalance: imbalanceOf(clusterBytes, sp.totalBytes)}
-				st.cycles += cycles
-				st.moves += moves
-				if opts.Validate {
-					return opts.checkPoint(c, tables, rad, n, cur, cycles, moves)
-				}
-				return nil
-			}
-			if err := emit(); err != nil {
-				return st, err
-			}
-			for i := uint64(lo) + 1; i < uint64(hi); i++ {
-				obj := rad.grayStep(i) + int(shift)
-				old := curDigit[obj]
-				nw := old + 1
-				if nw == rad.k {
-					nw = 0
-				}
-				curDigit[obj] = nw
+			clusterBytes[old] -= sp.bytes[obj]
+			clusterBytes[nw] += sp.bytes[obj]
+			for _, ref := range objFuncs[obj] {
+				oldSig := sigIdx[ref.ti]
+				var nwSig int
 				if nw == 0 {
-					cur -= uint64(rad.k-1) * rad.pow[obj]
+					nwSig = oldSig - (rad.k-1)*int(rad.pow[ref.bit])
 				} else {
-					cur += rad.pow[obj]
+					nwSig = oldSig + int(rad.pow[ref.bit])
 				}
-				clusterBytes[old] -= sp.bytes[obj]
-				clusterBytes[nw] += sp.bytes[obj]
-				for _, ref := range objFuncs[obj] {
-					oldSig := sigIdx[ref.ti]
-					var nwSig int
-					if nw == 0 {
-						nwSig = oldSig - (rad.k-1)*int(rad.pow[ref.bit])
-					} else {
-						nwSig = oldSig + int(rad.pow[ref.bit])
-					}
-					cycles += tables[ref.ti].cost[nwSig].Cycles - tables[ref.ti].cost[oldSig].Cycles
-					moves += tables[ref.ti].cost[nwSig].Moves - tables[ref.ti].cost[oldSig].Moves
-					sigIdx[ref.ti] = nwSig
-					st.funcs++
-				}
-				st.delta++
-				if err := emit(); err != nil {
-					return st, err
-				}
+				cycles += tables[ref.ti].cost[nwSig].Cycles - tables[ref.ti].cost[oldSig].Cycles
+				moves += tables[ref.ti].cost[nwSig].Moves - tables[ref.ti].cost[oldSig].Moves
+				sigIdx[ref.ti] = nwSig
+				funcs++
 			}
-			return st, nil
-		})
-	if err != nil {
-		return nil, err
+		}
+		points[cur] = MappingPoint{Mask: cur, Cycles: cycles, Imbalance: imbalanceOf(clusterBytes, sp.totalBytes)}
+		res.Cycles += cycles
+		res.Moves += moves
+		if opts.Validate {
+			if err := opts.checkPoint(c, tables, rad, n, cur, cycles, moves); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if canon {
 		full := uint64(1)<<uint(n) - 1
@@ -366,18 +316,11 @@ func sweepPoints(ctx context.Context, c *Compiled, cfg *machine.Config, outer Op
 		}
 	}
 
-	var delta, funcs int64
-	for _, st := range stats {
-		delta += st.delta
-		funcs += st.funcs
-		res.Cycles += st.cycles
-		res.Moves += st.moves
-	}
 	// Logical accounting matches §4.5: every enumerated mask is one
 	// detailed-partitioner run, however much of it the tables served.
 	res.DetailedRuns = seqLen
 	outer.Observer.Counter("eval_masks").Add(int64(seqLen))
-	outer.Observer.Counter("sweep_masks_delta").Add(delta)
+	outer.Observer.Counter("sweep_masks_delta").Add(int64(seqLen - 1))
 	outer.Observer.Counter("sweep_funcs_recomputed").Add(funcs)
 	return points, nil
 }

@@ -14,7 +14,7 @@ import (
 // reflect.DeepEqual to the full per-mask engine's (exhaustivePerMask). The
 // delta run goes first on a shared Compiled, so the full engine is served
 // from the same memo entries — any disagreement is therefore in the sweep
-// machinery itself (table indexing, Gray stepping, chunk seeding,
+// machinery itself (table indexing, Gray stepping, delta seeding,
 // mirroring), not in per-function values.
 func TestDeltaSweepMatchesFull(t *testing.T) {
 	if testing.Short() {

@@ -202,8 +202,9 @@ func (c *Cache) DoCodec(key string, codec Codec, compute func() (any, error)) (v
 	return v, promoted, err
 }
 
-// Stats is a point-in-time snapshot of the cache counters. With more than
-// one worker the counts depend on scheduling order; cached values never do.
+// Stats is a point-in-time snapshot of the cache counters. When goroutines
+// reach one key at once (concurrent daemon requests on one program), the
+// counts depend on scheduling order; cached values never do.
 type Stats struct {
 	// Hits counts DoCodec calls served from a completed entry, by waiting
 	// on an in-flight computation of the same key, or from the second tier.

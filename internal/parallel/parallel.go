@@ -1,6 +1,9 @@
 // Package parallel provides the bounded worker pool the evaluation
-// pipeline uses to fan independent work units — exhaustive mapping masks,
-// (benchmark, scheme) pairs, front-end compilations — across CPUs.
+// pipeline uses to fan independent work units across CPUs. A unit is
+// always a whole program (a front-end compilation, a program's scheme
+// runs, a topology sweep's presets) or one function's cost table in the
+// exhaustive sweep: work that shares a program's memo entries stays in
+// one unit, so the counters it reports do not depend on the worker count.
 //
 // The pool guarantees three properties the deterministic reproduction
 // depends on:
@@ -98,8 +101,8 @@ func Workers(n int) int {
 // would have surfaced. On error the partial results are discarded (nil is
 // returned). A panicking item is recovered into a *PanicError and treated
 // as that item's failure. The stage label identifies the pool in recovered
-// PanicErrors and in the parallel_tasks counter ("unnamed" when empty);
-// results and ordinary errors are unaffected by it.
+// PanicErrors and in the parallel_tasks counter; results and ordinary
+// errors are unaffected by it.
 func MapStage[T any](ctx context.Context, stage string, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -116,11 +119,7 @@ func MapStage[T any](ctx context.Context, stage string, n, workers int, fn func(
 	// rides the context), so the per-item cost is one nil-safe Add.
 	var tasks, panics *obs.Counter
 	if o := obs.From(ctx); o != nil {
-		label := stage
-		if label == "" {
-			label = "unnamed"
-		}
-		tasks = o.Counter(`parallel_tasks{stage="` + label + `"}`)
+		tasks = o.Counter(`parallel_tasks{stage="` + stage + `"}`)
 		panics = o.Counter("parallel_panics")
 	}
 	// contained runs one work item with panic recovery: a panic becomes
@@ -197,14 +196,4 @@ func MapStage[T any](ctx context.Context, stage string, n, workers int, fn func(
 		return nil, err
 	}
 	return out, nil
-}
-
-// Do runs every task on at most workers goroutines and returns the error
-// of the lowest-indexed failing task, canceling the rest. It is an
-// unlabeled MapStage for side-effecting tasks that produce no value.
-func Do(ctx context.Context, workers int, tasks ...func(ctx context.Context) error) error {
-	_, err := MapStage(ctx, "", len(tasks), workers, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, tasks[i](ctx)
-	})
-	return err
 }

@@ -153,22 +153,3 @@ func TestPanicErrorUnwrap(t *testing.T) {
 		t.Error("Recovered(nil) should be nil")
 	}
 }
-
-func TestDo(t *testing.T) {
-	var a, b atomic.Bool
-	err := Do(nil, 2,
-		func(context.Context) error { a.Store(true); return nil },
-		func(context.Context) error { b.Store(true); return nil },
-	)
-	if err != nil || !a.Load() || !b.Load() {
-		t.Errorf("Do: err=%v a=%v b=%v", err, a.Load(), b.Load())
-	}
-	want := errors.New("task1")
-	err = Do(nil, 2,
-		func(context.Context) error { time.Sleep(5 * time.Millisecond); return want },
-		func(context.Context) error { return errors.New("task2") },
-	)
-	if !errors.Is(err, want) {
-		t.Errorf("Do err = %v, want %v (lowest index wins)", err, want)
-	}
-}

@@ -23,10 +23,11 @@
 //
 // Writes are write-behind: Put appends to an in-memory pending buffer that
 // Flush (explicit, or automatic beyond flushBytes) appends to the
-// log file. The log is append-only — a superseding Put for an existing key
-// appends a fresh record and the index keeps the newest offset (last wins
-// on rebuild), which is how a record that went corrupt on disk heals after
-// the next recompute.
+// log file. The log is append-only: once a corrupt record's index entry is
+// dropped, the next recompute's Put appends a fresh record for its key, and
+// the newest offset wins on rebuild. That is how a record that went corrupt
+// on disk heals. The dead bytes it leaves behind stay in the log, which
+// Options.MaxBytes bounds.
 package store
 
 import (
@@ -93,20 +94,13 @@ func (o Options) maxBytes() int64 { return defaults.Int64(o.MaxBytes, DefaultMax
 type Store struct {
 	mu   sync.Mutex
 	f    *os.File
-	path string
 	opts Options
 
 	// size is the durable log length; pending holds appended-but-unflushed
 	// records at logical offsets [size, size+len(pending)).
 	size    int64
 	pending []byte
-	index   map[[sha256.Size]byte]recRef // key hash -> logical record frame
-
-	// liveBytes is the total frame length of indexed (live) records; the
-	// difference between the log length and headerSize+liveBytes is the
-	// shadowed garbage Compact can reclaim (superseded last-wins records,
-	// CRC-failed frames, MarkCorrupt victims).
-	liveBytes int64
+	index   map[[sha256.Size]byte]int64 // key hash -> logical record offset
 
 	// ioErr latches the first write failure: the store keeps serving reads
 	// but stops accepting writes (a broken disk degrades the cache, never
@@ -115,21 +109,9 @@ type Store struct {
 
 	hits, misses, writes, corrupt, dropped uint64
 	bytesWritten                           uint64
-	compactions, bytesReclaimed            uint64
 
 	// Observer mirrors (nil defaults are no-ops; see SetObserver).
-	// observer keeps the handle itself so Compact can resolve its counters
-	// lazily — compaction metrics exist only once a compaction ran, which
-	// keeps them out of the CLI tools' golden metric outputs.
 	oHits, oMisses, oWrites, oCorrupt, oBytes *obs.Counter
-	observer                                  *obs.Observer
-}
-
-// recRef locates one live record: its logical frame offset and full frame
-// length (header + key + value + CRC).
-type recRef struct {
-	off    int64
-	length int64
 }
 
 // Open opens (creating if needed) the artifact log in dir and rebuilds the
@@ -146,11 +128,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	// A leftover compaction temp file means a crash mid-compaction: the
-	// rename never happened, so the main log is intact and the temp is
-	// garbage. Removing it is the whole recovery story.
-	os.Remove(path + compactSuffix)
-	s := &Store{f: f, path: path, opts: opts, index: make(map[[sha256.Size]byte]recRef)}
+	s := &Store{f: f, opts: opts, index: make(map[[sha256.Size]byte]int64)}
 	if err := s.load(); err != nil {
 		f.Close()
 		return nil, err
@@ -218,13 +196,8 @@ func (s *Store) load() error {
 			continue
 		}
 		key := body[recHeaderSize : recHeaderSize+keyLen]
-		h := sha256.Sum256(key)
-		if old, ok := s.index[h]; ok {
-			// Last record for a key wins; the superseded one is shadow.
-			s.liveBytes -= old.length
-		}
-		s.index[h] = recRef{off: off, length: end - off}
-		s.liveBytes += end - off
+		// Last record for a key wins.
+		s.index[sha256.Sum256(key)] = off
 		off = end
 	}
 	if off < fileSize {
@@ -276,7 +249,6 @@ func (s *Store) SetObserver(o *obs.Observer) {
 	s.oWrites = o.Counter("store_writes")
 	s.oCorrupt = o.Counter("store_corrupt_skipped")
 	s.oBytes = o.Counter("store_bytes")
-	s.observer = o
 	s.mu.Unlock()
 }
 
@@ -291,17 +263,17 @@ func (s *Store) Get(key []byte) ([]byte, bool) {
 	h := sha256.Sum256(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref, ok := s.index[h]
+	off, ok := s.index[h]
 	if !ok {
 		s.misses++
 		s.oMisses.Add(1)
 		return nil, false
 	}
-	val, ok := s.readRecord(ref.off, key)
+	val, ok := s.readRecord(off, key)
 	if !ok {
 		// readRecord counted the corruption; drop the entry so the next
 		// recompute's Put can heal it.
-		s.dropRef(h)
+		delete(s.index, h)
 		s.misses++
 		s.oMisses.Add(1)
 		return nil, false
@@ -367,15 +339,6 @@ func (s *Store) markCorrupt() {
 	s.oCorrupt.Add(1)
 }
 
-// dropRef removes an index entry and its live-byte accounting (the record
-// bytes become shadow that Compact can reclaim). Caller holds s.mu.
-func (s *Store) dropRef(h [sha256.Size]byte) {
-	if ref, ok := s.index[h]; ok {
-		s.liveBytes -= ref.length
-		delete(s.index, h)
-	}
-}
-
 // MarkCorrupt records that the value stored under key failed a
 // higher-level decode (the record framing was intact but the payload was
 // not usable) and drops the index entry so the next recompute overwrites
@@ -387,15 +350,14 @@ func (s *Store) MarkCorrupt(key []byte) {
 	h := sha256.Sum256(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.dropRef(h)
+	delete(s.index, h)
 	s.markCorrupt()
 }
 
 // Put appends a record for key to the write-behind buffer and indexes it.
-// An existing entry for the same key is superseded (the log is append-only;
-// the index keeps the newest offset). Writes beyond Options.MaxBytes, or
-// after a write error, are dropped — the store bounds disk, it never
-// fails the computation that produced the value.
+// A key that is already indexed is left as it is. Writes beyond
+// Options.MaxBytes, or after a write error, are dropped — the store bounds
+// disk, it never fails the computation that produced the value.
 func (s *Store) Put(key, val []byte) {
 	if s == nil || len(key) == 0 || int64(len(key)) > maxComponentLen || int64(len(val)) > maxComponentLen {
 		return
@@ -425,8 +387,7 @@ func (s *Store) Put(key, val []byte) {
 	s.pending = append(s.pending, key...)
 	s.pending = append(s.pending, val...)
 	s.pending = binary.LittleEndian.AppendUint32(s.pending, crc32.ChecksumIEEE(s.pending[start:]))
-	s.index[h] = recRef{off: off, length: recLen}
-	s.liveBytes += recLen
+	s.index[h] = off
 	s.writes++
 	s.oWrites.Add(1)
 	s.bytesWritten += uint64(recLen)
@@ -462,9 +423,9 @@ func (s *Store) flushLocked() {
 		s.ioErr = fmt.Errorf("store: %w", err)
 		// Offsets beyond s.size now point at lost bytes; drop them so
 		// reads cannot touch the void.
-		for h, ref := range s.index {
-			if ref.off >= s.size {
-				s.dropRef(h)
+		for h, off := range s.index {
+			if off >= s.size {
+				delete(s.index, h)
 			}
 		}
 	}
@@ -506,13 +467,6 @@ type Stats struct {
 	BytesWritten uint64
 	// LogBytes is the current logical log length (durable + pending).
 	LogBytes int64
-	// ShadowBytes is the portion of LogBytes holding superseded or
-	// corrupt records no index entry points at — what Compact reclaims.
-	ShadowBytes int64
-	// Compactions counts completed Compact runs.
-	Compactions uint64
-	// BytesReclaimed is the total log shrinkage across those runs.
-	BytesReclaimed uint64
 	// Entries is the number of indexed records.
 	Entries int
 }
@@ -540,20 +494,6 @@ func (s *Store) Stats() Stats {
 		DroppedFull:    s.dropped,
 		BytesWritten:   s.bytesWritten,
 		LogBytes:       s.size + int64(len(s.pending)),
-		ShadowBytes:    s.shadowLocked(),
-		Compactions:    s.compactions,
-		BytesReclaimed: s.bytesReclaimed,
 		Entries:        len(s.index),
 	}
-}
-
-// shadowLocked computes the reclaimable garbage bytes. Caller holds s.mu.
-func (s *Store) shadowLocked() int64 {
-	shadow := s.size + int64(len(s.pending)) - headerSize - s.liveBytes
-	if shadow < 0 {
-		// A fresh (or reset) log is smaller than a header only transiently;
-		// clamp so callers can treat the value as a size.
-		shadow = 0
-	}
-	return shadow
 }

@@ -118,7 +118,7 @@ func TestGetFromPending(t *testing.T) {
 	s := open(t, t.TempDir(), Options{})
 	defer s.Close()
 	s.Put([]byte("k"), []byte("v"))
-	fi, err := os.Stat(s.path)
+	fi, err := os.Stat(s.f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestGetFromPending(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fi, _ = os.Stat(s.path)
+	fi, _ = os.Stat(s.f.Name())
 	if fi.Size() <= headerSize {
 		t.Fatal("Flush did not write the record")
 	}
@@ -142,7 +142,7 @@ func TestAutoFlushBeyondThreshold(t *testing.T) {
 	s := open(t, t.TempDir(), Options{})
 	defer s.Close()
 	s.Put([]byte("key-long-enough"), make([]byte, flushBytes))
-	fi, err := os.Stat(s.path)
+	fi, err := os.Stat(s.f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,9 @@ type Request struct {
 	// Validate re-checks every scheme result with the independent
 	// validator; Fallback enables the GDP→ProfileMax→Naive degradation
 	// chain (recorded in Result.Degraded). Workers bounds the evaluation
-	// worker pool.
+	// worker pool, whose units are whole programs and, in an exhaustive
+	// search, per-function cost tables: one program's schemes run in
+	// order on one worker.
 	Validate bool
 	Fallback bool
 	Workers  int
